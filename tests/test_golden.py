@@ -1,0 +1,41 @@
+"""Byte-for-byte comparison of CLI reports against checked-in goldens.
+
+Each golden under ``tests/golden/`` is the exact output of ``cli.main`` for
+the argument list next to its name.  A refactor that keeps every reported
+number and row order keeps these files; a change that means to alter the
+report regenerates them with ``main(argv + ["--out", path])`` and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from seqdist.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+N = "4096"
+
+CASES = {
+    **{
+        f"analyze_{f}.jsonl": ["analyze", "--fixture", f, "--horizon", N, "--format", "jsonl"]
+        for f in ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
+    },
+    **{
+        f"analyze_{f}.{ext}": ["analyze", "--fixture", f, "--horizon", N, "--format", fmt]
+        for f in ("F4", "F6")
+        for ext, fmt in (("csv", "csv"), ("txt", "table"))
+    },
+    "weights_F5.jsonl": [
+        "weights", "--fixture", "F5", "--horizon", N,
+        "--interval", "0:0.5", "--interval", "0.25:0.75",
+        "--value", "0.98", "--epsilon", "0.05", "--format", "jsonl",
+    ],
+    "demo_nonmeasure.jsonl": ["demo-nonmeasure", "--horizon", N, "--format", "jsonl"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
