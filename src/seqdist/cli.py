@@ -38,12 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distribution import IntervalSet, interval_about, set_weight
-from .errors import (
-    IndexOutOfRangeError,
-    InvalidSpecError,
-    ResourceLimitError,
-    SeqdistError,
-)
+from .errors import InvalidSpecError, ResourceLimitError, SeqdistError
 from .lorentz import cross_validate
 from .sequences import (
     FIXTURE_NAMES,
@@ -173,49 +168,62 @@ def _fraction_fields(prefix: str, value: Fraction) -> dict:
     }
 
 
+def _meta_row(source: str, horizon: int, bound: float, label: str) -> dict:
+    return {
+        "schema": SCHEMA,
+        "record": "meta",
+        "source": source,
+        "horizon": horizon,
+        "bound": bound,
+        "label": label,
+        "value": "prefix-relative",
+    }
+
+
+def _weight_fields(w) -> dict:
+    return {
+        "converged": w.converged,
+        **_fraction_fields("w_l", w.w_l_hat),
+        **_fraction_fields("w_u", w.w_u_hat),
+    }
+
+
+def _window_rows(record: str, key: str, label, profile) -> list[dict]:
+    """One row per density-profile row, tagged ``key: label``."""
+    return [
+        {
+            "schema": SCHEMA,
+            "record": record,
+            key: label,
+            "n": r.n,
+            "min_count": r.min_count,
+            "max_count": r.max_count,
+            "offsets": r.offsets_scanned,
+            "min_density": r.min_count / r.n,
+            "max_density": r.max_count / r.n,
+        }
+        for r in profile.rows
+    ]
+
+
 def _weight_rows(label: str, w, record: str) -> list[dict]:
     rows = [
         {
             "schema": SCHEMA,
             "record": record,
             "label": label,
-            "converged": w.converged,
             "gap": float(w.gap),
-            **_fraction_fields("w_l", w.w_l_hat),
-            **_fraction_fields("w_u", w.w_u_hat),
+            **_weight_fields(w),
         }
     ]
     if w.per_window is not None:
-        for r in w.per_window.rows:
-            rows.append(
-                {
-                    "schema": SCHEMA,
-                    "record": f"{record}_window",
-                    "label": label,
-                    "n": r.n,
-                    "min_count": r.min_count,
-                    "max_count": r.max_count,
-                    "offsets": r.offsets_scanned,
-                    "min_density": r.min_count / r.n,
-                    "max_density": r.max_count / r.n,
-                }
-            )
+        rows.extend(_window_rows(f"{record}_window", "label", label, w.per_window))
     return rows
 
 
 def analyze_rows(config: RunConfig, record) -> list[dict]:
     """Flatten a CrossValidation into report rows."""
-    rows: list[dict] = [
-        {
-            "schema": SCHEMA,
-            "record": "meta",
-            "source": config.source,
-            "horizon": config.horizon,
-            "bound": config.spec.bound,
-            "label": config.spec.describe(),
-            "value": "prefix-relative",
-        }
-    ]
+    rows = [_meta_row(config.source, config.horizon, config.spec.bound, config.spec.describe())]
     for c in record.sublimits.clusters:
         rows.append(
             {
@@ -225,25 +233,10 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
                 "radius": c.radius,
                 "occurrences": c.occurrences,
                 "isolated": c.isolated,
-                "converged": c.weight.converged,
-                **_fraction_fields("w_l", c.weight.w_l_hat),
-                **_fraction_fields("w_u", c.weight.w_u_hat),
+                **_weight_fields(c.weight),
             }
         )
-        for r in c.weight.per_window.rows:
-            rows.append(
-                {
-                    "schema": SCHEMA,
-                    "record": "sublimit_window",
-                    "center": c.center,
-                    "n": r.n,
-                    "min_count": r.min_count,
-                    "max_count": r.max_count,
-                    "offsets": r.offsets_scanned,
-                    "min_density": r.min_count / r.n,
-                    "max_density": r.max_count / r.n,
-                }
-            )
+        rows.extend(_window_rows("sublimit_window", "center", c.center, c.weight.per_window))
     rows.append(
         {
             "schema": SCHEMA,
@@ -444,11 +437,8 @@ def _config_from(args) -> RunConfig:
     horizon = args.horizon
     schedule = _parse_schedule(args, horizon)
     schedule.validate_for(horizon)
-    tol = Tolerances(
-        gap=args.tolerance_gap,
-        trend=args.tolerance_trend,
-        tail_rows=DEFAULT_TOLERANCES.tail_rows,
-        divergence_floor=DEFAULT_TOLERANCES.divergence_floor,
+    tol = dataclasses.replace(
+        DEFAULT_TOLERANCES, gap=args.tolerance_gap, trend=args.tolerance_trend
     )
     if tol.gap <= 0 or tol.trend <= 0:
         raise InvalidSpecError("tolerances must be positive")
@@ -488,17 +478,7 @@ def cmd_weights(args) -> int:
     if not args.interval and args.value is None:
         raise InvalidSpecError("give at least one --interval or --value")
     p = materialize(config.spec, config.horizon)
-    rows: list[dict] = [
-        {
-            "schema": SCHEMA,
-            "record": "meta",
-            "source": config.source,
-            "horizon": config.horizon,
-            "bound": config.spec.bound,
-            "label": config.spec.describe(),
-            "value": "prefix-relative",
-        }
-    ]
+    rows = [_meta_row(config.source, config.horizon, config.spec.bound, config.spec.describe())]
     targets: list[tuple[str, IntervalSet]] = []
     for token in args.interval or ():
         lo, hi = _parse_interval(token)
@@ -536,16 +516,10 @@ DEMO_PROSE = (
 def cmd_demo_nonmeasure(args) -> int:
     horizon = args.horizon
     schedule = WindowSchedule.geometric(horizon)
-    rows: list[dict] = [
-        {
-            "schema": SCHEMA,
-            "record": "meta",
-            "source": "demo-nonmeasure",
-            "horizon": horizon,
-            "bound": 1.0,
-            "label": "finite sets weigh 0, the full space weighs 1",
-            "value": "prefix-relative",
-        },
+    rows = [
+        _meta_row(
+            "demo-nonmeasure", horizon, 1.0, "finite sets weigh 0, the full space weighs 1"
+        ),
         {"schema": SCHEMA, "record": "note", "value": DEMO_PROSE},
     ]
     eps = 0.1
@@ -626,9 +600,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"seqdist: resource limit: {exc}", file=sys.stderr)
         return 3
-    except (InvalidSpecError, IndexOutOfRangeError) as exc:
-        print(f"seqdist: {exc}", file=sys.stderr)
-        return 2
     except SeqdistError as exc:
         print(f"seqdist: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,7 @@ from .weights import (
     DEFAULT_TOLERANCES,
     Tolerances,
     WeightEstimate,
+    label_weights,
     weight_from_membership,
 )
 from .windows import Membership, WindowSchedule
@@ -241,16 +242,12 @@ def is_simply_distributed(
     group_of = np.empty(uniq.size, dtype=np.int64)
     for gid, (_, members) in enumerate(groups):
         group_of[members] = gid
-    elem_group = group_of[inverse]
-    weights = []
-    for gid in range(len(groups)):
-        m = Membership.from_mask(elem_group == gid)
-        weights.append(weight_from_membership(m, sched, tolerances))
+    weights = label_weights(group_of[inverse], range(len(groups)), sched, tolerances)
     total = sum((w.midpoint for w in weights), Fraction(0))
     verdict = all(w.converged for w in weights) and abs(total - 1) <= tolerances.gap
     return SimpleReport(
         values=tuple(v for v, _ in groups),
-        weights=tuple(weights),
+        weights=weights,
         residual_mass=Fraction(0),
         simply_distributed=bool(verdict),
         distinct_count=len(groups),
@@ -280,25 +277,27 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
     return Prefix(values=pts[idx], horizon=p.horizon, bound=bound)
 
 
-def _weighted_point(pairs) -> Fraction:
-    total = Fraction(0)
-    for value, w in pairs:
-        total += Fraction(value) * w.midpoint
-    return total
+def _enclosure(pairs) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (point, lower, upper) from (value, weight) pairs.
 
-
-def _bounds_fractions(pairs) -> tuple[Fraction, Fraction]:
-    lower = Fraction(0)
-    upper = Fraction(0)
+    point is the sum of values times weight midpoints; lower and upper are
+    the enclosure described in ``banach_limit_bounds``.  The values must be
+    distinct: each pair weighs one disjoint index set.
+    """
+    vals = [float(v) for v, _ in pairs]
+    if len(set(vals)) != len(vals):
+        raise InvalidSpecError("values must be distinct")
+    point = lower = upper = Fraction(0)
     for value, w in pairs:
         v = Fraction(value)
+        point += v * w.midpoint
         if v > 0:
             lower += v * w.w_l_hat
             upper += v * w.w_u_hat
         elif v < 0:
             lower += v * w.w_u_hat
             upper += v * w.w_l_hat
-    return lower, upper
+    return point, lower, upper
 
 
 def banach_limit_bounds(values_and_weights) -> tuple[float, float]:
@@ -308,11 +307,7 @@ def banach_limit_bounds(values_and_weights) -> tuple[float, float]:
     values times their upper weights; upper mirrors it.  Zero values drop
     out of both ends.  Exact in rational arithmetic, rounded only on return.
     """
-    pairs = list(values_and_weights)
-    vals = [float(v) for v, _ in pairs]
-    if len(set(vals)) != len(vals):
-        raise InvalidSpecError("values must be distinct")
-    lower, upper = _bounds_fractions(pairs)
+    _, lower, upper = _enclosure(list(values_and_weights))
     return float(lower), float(upper)
 
 
@@ -325,13 +320,10 @@ def weight_bounds_estimate(values_and_weights) -> BanachEstimate:
     inside the enclosure) and inconclusive otherwise.
     """
     pairs = list(values_and_weights)
-    vals = [float(v) for v, _ in pairs]
-    if len(set(vals)) != len(vals):
-        raise InvalidSpecError("values must be distinct")
-    lower, upper = _bounds_fractions(pairs)
+    point, lower, upper = _enclosure(pairs)
     converged = all(w.converged for _, w in pairs)
     return BanachEstimate(
-        point=float(_weighted_point(pairs)),
+        point=float(point),
         lower=float(lower),
         upper=float(upper),
         error_bound=float((upper - lower) / 2),
@@ -349,9 +341,7 @@ def banach_limit_simply(
         raise NotSimplyDistributedError(
             "prefix did not pass the simply-distributed check"
         )
-    pairs = list(zip(report.values, report.weights))
-    point = _weighted_point(pairs)
-    lower, upper = _bounds_fractions(pairs)
+    point, lower, upper = _enclosure(list(zip(report.values, report.weights)))
     return BanachEstimate(
         point=float(point),
         lower=float(lower),
@@ -365,6 +355,16 @@ def banach_limit_simply(
 def banach_limit_via_quantization(
     spec: SequenceSpec,
     horizon: int,
+    mesh_schedule=DEFAULT_MESHES,
+    schedule: WindowSchedule | None = None,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> BanachEstimate:
+    """``quantized_banach_limit`` of the prefix x(1..horizon) of ``spec``."""
+    return quantized_banach_limit(materialize(spec, horizon), mesh_schedule, schedule, tolerances)
+
+
+def quantized_banach_limit(
+    p: Prefix,
     mesh_schedule=DEFAULT_MESHES,
     schedule: WindowSchedule | None = None,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -385,7 +385,6 @@ def banach_limit_via_quantization(
         raise InvalidSpecError("meshes must be positive")
     if any(b >= a for a, b in zip(meshes, meshes[1:])):
         raise InvalidSpecError("meshes must be strictly decreasing")
-    p = materialize(spec, horizon)
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     if p.bound == 0:
         return BanachEstimate(
@@ -394,7 +393,6 @@ def banach_limit_via_quantization(
         )
     points: list[Fraction] = []
     all_converged = True
-    lower = upper = Fraction(0)
     for mesh in meshes:
         part = Partition.with_mesh(-p.bound, p.bound, mesh)
         q = quantize(p, part)
@@ -402,9 +400,8 @@ def banach_limit_via_quantization(
         rep = is_simply_distributed(
             q, 0.0, sched, tolerances, value_cap=len(part.points)
         )
-        pairs = list(zip(rep.values, rep.weights))
-        points.append(_weighted_point(pairs))
-        lower, upper = _bounds_fractions(pairs)
+        point, lower, upper = _enclosure(list(zip(rep.values, rep.weights)))
+        points.append(point)
         all_converged = all_converged and all(w.converged for w in rep.weights)
     steady = all(
         abs(float(b - a)) < meshes[i] + meshes[i + 1]

@@ -25,7 +25,7 @@ from .distribution import (
     METHOD_CESARO,
     NOT_ALMOST_CONVERGENT,
     BanachEstimate,
-    banach_limit_via_quantization,
+    quantized_banach_limit,
     weight_bounds_estimate,
 )
 from .sequences import Prefix, SequenceSpec, materialize
@@ -127,14 +127,6 @@ class CrossValidation:
     combined_bound: float
     consistent: bool
 
-    @property
-    def bounds_lower(self) -> float:
-        return self.bounds.lower
-
-    @property
-    def bounds_upper(self) -> float:
-        return self.bounds.upper
-
 
 def cross_validate(
     spec: SequenceSpec,
@@ -148,7 +140,7 @@ def cross_validate(
     p = materialize(spec, horizon)
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     lv = lorentz_verdict(p, sched, tolerances)
-    qe = banach_limit_via_quantization(spec, horizon, mesh_schedule, sched, tolerances)
+    qe = quantized_banach_limit(p, mesh_schedule, sched, tolerances)
     eps = sublimit_epsilon if sublimit_epsilon is not None else p.bound / 32
     if p.bound > 0:
         rep = detect_sublimits(p, eps, schedule=sched, tolerances=tolerances)

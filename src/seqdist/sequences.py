@@ -89,6 +89,12 @@ class SequenceSpec:
     terms: tuple[tuple[float, "SequenceSpec"], ...] = ()
     shift: int = 0
 
+    def __post_init__(self):
+        # A non-finite bound (a declared nan or inf, or an affine combination
+        # that overflows) would reach the partitions and kernels downstream.
+        if not math.isfinite(self.bound):
+            raise InvalidSpecError(f"certified bound must be finite, got {self.bound!r}")
+
     def describe(self) -> str:
         """Short human-readable summary used by reports."""
         parts = [self.kind]
@@ -286,8 +292,11 @@ class Prefix:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size != self.horizon:
             raise InvalidSpecError("prefix length must equal its horizon")
-        if vals.size and float(np.max(np.abs(vals))) > self.bound:
-            raise InvalidSpecError("prefix values exceed the certified bound")
+        if not math.isfinite(self.bound):
+            raise InvalidSpecError(f"prefix bound must be finite, got {self.bound!r}")
+        # Negated so that NaN, which fails every comparison, is rejected too.
+        if vals.size and not float(np.max(np.abs(vals))) <= self.bound:
+            raise InvalidSpecError("prefix values must be finite and within the certified bound")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -151,8 +151,29 @@ def subsequence_weights(
     The full index set 1..N yields exactly (1, 1) for every schedule; the
     empty set yields exactly (0, 0).
     """
-    m = Membership.from_indices(idx.indices, idx.horizon)
-    return weight_from_membership(m, schedule, tolerances)
+    mask = np.zeros(idx.horizon, dtype=bool)
+    mask[idx.indices - 1] = True
+    return weight_from_membership(Membership.from_mask(mask), schedule, tolerances)
+
+
+def label_weights(
+    labels: np.ndarray,
+    ids,
+    schedule: WindowSchedule,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> tuple[WeightEstimate, ...]:
+    """One weight estimate per id j, for the index set {k : labels[k-1] == j}.
+
+    Every estimator that splits the indices into disjoint sets (sub-limit
+    clusters, distinct values, quantization cells) counts them here, so the
+    sets' window counts stay additive and a faster multi-label kernel has a
+    single place to go.  An id absent from ``labels`` yields exactly (0, 0).
+    """
+    labels = np.asarray(labels)
+    return tuple(
+        weight_from_membership(Membership.from_mask(labels == j), schedule, tolerances)
+        for j in ids
+    )
 
 
 def essential_indices(p: Prefix, a: float, epsilon0: float) -> IndexSet:
@@ -295,27 +316,22 @@ def detect_sublimits(
             isolated[k] = False
 
     threshold = (1.0 - recurrence_window) * p.horizon
-    elem_cluster = cluster_of[inverse]
-    clusters = []
-    covered = 0
-    for k in np.argsort(centers, kind="stable"):
-        if not lasts[k] > threshold:
-            continue
-        idx = IndexSet(np.flatnonzero(elem_cluster == k).astype(np.int64) + 1, p.horizon)
-        clusters.append(
-            SubLimitCluster(
-                center=float(centers[k]),
-                radius=float(radii[k]),
-                occurrences=int(occs[k]),
-                isolated=bool(isolated[k]),
-                last_index=int(lasts[k]),
-                weight=subsequence_weights(idx, sched, tolerances),
-            )
+    recurrent = by_center[lasts[by_center] > threshold]
+    weights = label_weights(cluster_of[inverse], recurrent, sched, tolerances)
+    clusters = tuple(
+        SubLimitCluster(
+            center=float(centers[k]),
+            radius=float(radii[k]),
+            occurrences=int(occs[k]),
+            isolated=bool(isolated[k]),
+            last_index=int(lasts[k]),
+            weight=w,
         )
-        covered += int(occs[k])
-    residual = p.horizon - covered
+        for k, w in zip(recurrent, weights)
+    )
+    residual = p.horizon - int(occs[recurrent].sum())
     return SubLimitReport(
-        clusters=tuple(clusters),
+        clusters=clusters,
         residual_count=residual,
         residual_mass=Fraction(residual, p.horizon),
         horizon=p.horizon,

@@ -173,18 +173,10 @@ def naive_count_extrema(m: Membership, n: int) -> tuple[int, int]:
 
 
 def mean_extrema(p: Prefix, n: int) -> tuple[float, float]:
-    """(min, max) window mean over offsets 1..N-n+1.
-
-    Computed from a float64 prefix-sum array; the accumulated rounding in any
-    single window mean is at most about N * ulp(N * M), which for the
-    horizons this package targets stays far below every reporting tolerance.
-    Integer-valued prefixes (indicator-like sequences) are exact.
-    """
+    """(min, max) window mean over offsets 1..N-n+1: one ``cesaro_profile`` row."""
     _check_window(n, p.horizon)
-    csum = np.zeros(p.horizon + 1, dtype=np.float64)
-    np.cumsum(p.values, out=csum[1:])
-    sums = csum[n:] - csum[:-n]
-    return float(sums.min() / n), float(sums.max() / n)
+    row = cesaro_profile(p, WindowSchedule((n,))).rows[0]
+    return row.min_mean, row.max_mean
 
 
 def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
@@ -211,7 +203,13 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
 
 
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
-    """One mean-extrema row per scheduled window length."""
+    """One mean-extrema row per scheduled window length.
+
+    Computed from a float64 prefix-sum array; the accumulated rounding in any
+    single window mean is at most about N * ulp(N * M), which for the
+    horizons this package targets stays far below every reporting tolerance.
+    Integer-valued prefixes (indicator-like sequences) are exact.
+    """
     schedule.validate_for(p.horizon)
     csum = np.zeros(p.horizon + 1, dtype=np.float64)
     np.cumsum(p.values, out=csum[1:])

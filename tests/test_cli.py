@@ -225,3 +225,19 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     rows = [json.loads(line) for line in target.read_text().splitlines()]
     assert any(r["record"] == "consistency" and r["consistent"] for r in rows)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = periodic\npattern = 1, 0\nbound = nan\n",
+        "kind = periodic\npattern = 1, 0\nbound = inf\n",
+        "kind = affine-combo\ncoefficients = 1e308, 1e308\nchildren = F2, F2\n",
+    ],
+)
+def test_non_finite_bound_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "seq.spec"
+    path.write_text(text)
+    code, out, err = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "100"])
+    assert code == 2 and out == ""
+    assert err.startswith("seqdist:") and "finite" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from seqdist import (
     IndexOutOfRangeError,
     InvalidSpecError,
+    Prefix,
     ResourceLimitError,
     affine_combo,
     eval_at,
@@ -163,3 +165,15 @@ def test_golden_rotation_default():
 def test_fixture_f1_n0_override():
     assert eval_at(fixture("F1", n0=10), 10) == 1.0
     assert eval_at(fixture("F1", n0=10), 11) == 0.0
+
+
+def test_non_finite_bounds_and_values_rejected():
+    with pytest.raises(InvalidSpecError):
+        affine_combo([(1e308, fixture("F2")), (1e308, fixture("F2"))])
+    for bound in (math.nan, math.inf):
+        with pytest.raises(InvalidSpecError):
+            dataclasses.replace(fixture("F2"), bound=bound)
+    with pytest.raises(InvalidSpecError):
+        Prefix(values=np.array([0.5, math.nan]), horizon=2, bound=1.0)
+    with pytest.raises(InvalidSpecError):
+        Prefix(values=np.array([math.inf]), horizon=1, bound=math.inf)

@@ -15,7 +15,9 @@ from seqdist import (
     detect_sublimits,
     essential_indices,
     fixture,
+    label_weights,
     materialize,
+    naive_count_extrema,
     sublimit_weight,
     subsequence_weights,
 )
@@ -189,3 +191,37 @@ def test_index_set_validation():
     with pytest.raises(InvalidSpecError):
         IndexSet(np.array([6]), 5)
     assert len(IndexSet(np.array([], dtype=np.int64), 5)) == 0
+
+
+@st.composite
+def labeled_prefix(draw):
+    """Labels of length <= 400 over <= 6 ids, and a geometric or explicit schedule."""
+    n = draw(st.integers(1, 400))
+    k = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        sched = WindowSchedule.geometric(n, base=draw(st.integers(1, 8)), ratio=draw(st.integers(2, 3)))
+    else:
+        lengths = draw(st.sets(st.integers(1, n), min_size=1, max_size=5))
+        sched = WindowSchedule(tuple(sorted(lengths)))
+    return labels, k, sched
+
+
+@given(labeled_prefix())
+@settings(max_examples=80, deadline=None)
+def test_label_weights_match_oracle(case):
+    labels, k, sched = case
+    n = len(labels)
+    # Id k never occurs; the last pair gives one id to every index.
+    runs = [(labels, list(range(k + 1))), ([7] * n, [7])]
+    for labs, ids in runs:
+        estimates = label_weights(np.array(labs), ids, sched)
+        assert len(estimates) == len(ids)
+        for j, w in zip(ids, estimates):
+            m = Membership(bits=[1 if lab == j else 0 for lab in labs], horizon=n)
+            rows = w.per_window.rows
+            assert [r.n for r in rows] == list(sched.lengths)
+            for r in rows:
+                assert (r.min_count, r.max_count) == naive_count_extrema(m, r.n)
+            if j not in labs:
+                assert (w.w_l_hat, w.w_u_hat) == (0, 0)
