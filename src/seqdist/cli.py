@@ -170,7 +170,6 @@ def _fraction_fields(prefix: str, value: Fraction) -> dict:
 
 def _meta_row(source: str, horizon: int, bound: float, label: str) -> dict:
     return {
-        "schema": SCHEMA,
         "record": "meta",
         "source": source,
         "horizon": horizon,
@@ -192,7 +191,6 @@ def _window_rows(record: str, key: str, label, profile) -> list[dict]:
     """One row per density-profile row, tagged ``key: label``."""
     return [
         {
-            "schema": SCHEMA,
             "record": record,
             key: label,
             "n": r.n,
@@ -209,7 +207,6 @@ def _window_rows(record: str, key: str, label, profile) -> list[dict]:
 def _weight_rows(label: str, w, record: str) -> list[dict]:
     rows = [
         {
-            "schema": SCHEMA,
             "record": record,
             "label": label,
             "gap": float(w.gap),
@@ -227,7 +224,6 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
     for c in record.sublimits.clusters:
         rows.append(
             {
-                "schema": SCHEMA,
                 "record": "sublimit",
                 "center": c.center,
                 "radius": c.radius,
@@ -239,7 +235,6 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
         rows.extend(_window_rows("sublimit_window", "center", c.center, c.weight.per_window))
     rows.append(
         {
-            "schema": SCHEMA,
             "record": "residual",
             "residual_count": record.sublimits.residual_count,
             "value": float(record.sublimits.residual_mass),
@@ -247,7 +242,6 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
     )
     rows.append(
         {
-            "schema": SCHEMA,
             "record": "weight_bounds",
             "lower": record.bounds.lower,
             "upper": record.bounds.upper,
@@ -258,7 +252,6 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
     q = record.quantization
     rows.append(
         {
-            "schema": SCHEMA,
             "record": "quantization",
             "point": q.point,
             "lower": q.lower,
@@ -270,7 +263,6 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
     lv = record.lorentz
     rows.append(
         {
-            "schema": SCHEMA,
             "record": "lorentz",
             "estimate": lv.estimate,
             "uniform_gap": lv.uniform_gap,
@@ -280,7 +272,6 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
     for r in lv.profile.rows:
         rows.append(
             {
-                "schema": SCHEMA,
                 "record": "cesaro_window",
                 "n": r.n,
                 "min_mean": r.min_mean,
@@ -290,7 +281,6 @@ def analyze_rows(config: RunConfig, record) -> list[dict]:
         )
     rows.append(
         {
-            "schema": SCHEMA,
             "record": "consistency",
             "difference": record.difference,
             "combined_bound": record.combined_bound,
@@ -384,6 +374,7 @@ def _render_table(rows: list[dict]) -> str:
 
 
 def render(rows: list[dict], out_format: str) -> str:
+    rows = [{"schema": SCHEMA, **row} for row in rows]
     if out_format == "jsonl":
         return _render_jsonl(rows)
     if out_format == "csv":
@@ -440,8 +431,6 @@ def _config_from(args) -> RunConfig:
     tol = dataclasses.replace(
         DEFAULT_TOLERANCES, gap=args.tolerance_gap, trend=args.tolerance_trend
     )
-    if tol.gap <= 0 or tol.trend <= 0:
-        raise InvalidSpecError("tolerances must be positive")
     return RunConfig(
         source=source,
         spec=spec,
@@ -520,7 +509,7 @@ def cmd_demo_nonmeasure(args) -> int:
         _meta_row(
             "demo-nonmeasure", horizon, 1.0, "finite sets weigh 0, the full space weighs 1"
         ),
-        {"schema": SCHEMA, "record": "note", "value": DEMO_PROSE},
+        {"record": "note", "value": DEMO_PROSE},
     ]
     eps = 0.1
     for n0 in (1, 10, 100):

@@ -30,9 +30,10 @@ from .errors import (
     InvalidSpecError,
     NotSimplyDistributedError,
     OverweightError,
+    ResourceLimitError,
     ValueOutOfBoundsError,
 )
-from .sequences import Prefix, SequenceSpec, materialize
+from .sequences import Prefix, SequenceSpec, materialize, max_horizon
 from .weights import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -132,6 +133,8 @@ class Partition:
     def uniform(cls, lo: float, hi: float, cells: int) -> "Partition":
         if cells < 1:
             raise InvalidSpecError("need at least one cell")
+        if cells > max_horizon():
+            raise ResourceLimitError(f"{cells} partition cells exceed the cap of {max_horizon()}")
         return cls(points=tuple(np.linspace(lo, hi, cells + 1)))
 
     @classmethod
@@ -255,6 +258,16 @@ def is_simply_distributed(
     )
 
 
+def _cells(values: np.ndarray, partition: Partition) -> np.ndarray:
+    """Index j of the cell [a_j, a_{j+1}) holding each value; the top cell is closed."""
+    if values.size and (float(values.min()) < partition.lo or float(values.max()) > partition.hi):
+        raise ValueOutOfBoundsError(
+            f"values outside partition span [{partition.lo}, {partition.hi}]"
+        )
+    idx = np.searchsorted(partition.points, values, side="right") - 1
+    return np.minimum(idx, len(partition.points) - 2)
+
+
 def quantize(p: Prefix, partition: Partition) -> Prefix:
     """Snap every term to the left endpoint of its partition cell.
 
@@ -265,16 +278,9 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
     width of the final cell, so keep that cell no wider than the rest if the
     strict bound matters.
     """
-    vals = p.values
-    if vals.size and (float(vals.min()) < partition.lo or float(vals.max()) > partition.hi):
-        raise ValueOutOfBoundsError(
-            f"values outside partition span [{partition.lo}, {partition.hi}]"
-        )
     pts = np.asarray(partition.points)
-    idx = np.searchsorted(pts, vals, side="right") - 1
-    idx = np.minimum(idx, len(pts) - 2)
     bound = max(p.bound, abs(partition.lo), abs(partition.hi))
-    return Prefix(values=pts[idx], horizon=p.horizon, bound=bound)
+    return Prefix(values=pts[_cells(p.values, partition)], horizon=p.horizon, bound=bound)
 
 
 def _enclosure(pairs) -> tuple[Fraction, Fraction, Fraction]:
@@ -371,14 +377,14 @@ def quantized_banach_limit(
 ) -> BanachEstimate:
     """Estimate the Banach limit by quantizing at successively finer meshes.
 
-    Each mesh yields a finitely-valued prefix whose cells act as the values;
-    the point estimate is the weighted sum over the finest mesh and the
-    error bound is that mesh (sup-norm distance to the true prefix) plus the
-    half-width of the weight-bounds interval.  The verdict is
-    almost-convergent only when every per-cell weight converged at every
+    Each mesh labels every term with its cell (the rule of ``quantize``),
+    weighs the occupied cells with ``label_weights`` and values each at its
+    left endpoint.  The point estimate is the weighted sum over the finest
+    mesh and the error bound is that mesh (sup-norm distance to the true
+    prefix) plus the half-width of the weight-bounds interval.  The verdict
+    is almost-convergent only when every per-cell weight converged at every
     mesh and successive point estimates moved by less than the sum of the
-    two meshes involved; weights that refuse to settle leave the verdict
-    inconclusive.
+    two meshes involved; unsettled weights leave the verdict inconclusive.
     """
     meshes = [float(m) for m in mesh_schedule]
     if not meshes or any(m <= 0 for m in meshes):
@@ -395,14 +401,12 @@ def quantized_banach_limit(
     all_converged = True
     for mesh in meshes:
         part = Partition.with_mesh(-p.bound, p.bound, mesh)
-        q = quantize(p, part)
-        # Cell count bounds the distinct values, so the cap never bites here.
-        rep = is_simply_distributed(
-            q, 0.0, sched, tolerances, value_cap=len(part.points)
-        )
-        point, lower, upper = _enclosure(list(zip(rep.values, rep.weights)))
+        cells = _cells(p.values, part)
+        occupied = np.flatnonzero(np.bincount(cells))
+        weights = label_weights(cells, occupied, sched, tolerances)
+        point, lower, upper = _enclosure([(part.points[j], w) for j, w in zip(occupied, weights)])
         points.append(point)
-        all_converged = all_converged and all(w.converged for w in rep.weights)
+        all_converged = all_converged and all(w.converged for w in weights)
     steady = all(
         abs(float(b - a)) < meshes[i] + meshes[i + 1]
         for i, (a, b) in enumerate(zip(points, points[1:]))

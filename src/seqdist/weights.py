@@ -41,6 +41,13 @@ class Tolerances:
     tail_rows: int = 3
     divergence_floor: float = 0.25
 
+    def __post_init__(self):
+        # Negated so that NaN, which fails every comparison, is rejected too.
+        if not all(0 < v < np.inf for v in (self.gap, self.trend, self.divergence_floor)):
+            raise InvalidSpecError("tolerances must be positive and finite")
+        if not self.tail_rows >= 1:
+            raise InvalidSpecError("tolerance tail_rows must be at least 1")
+
 
 DEFAULT_TOLERANCES = Tolerances()
 

@@ -146,23 +146,33 @@ def _check_window(n: int, horizon: int) -> None:
         raise WindowTooLongError(f"window length {n} exceeds horizon {horizon}")
 
 
-def _count_cumsum(m: Membership) -> np.ndarray:
-    csum = np.zeros(m.horizon + 1, dtype=np.int64)
-    np.cumsum(m.bits, dtype=np.int64, out=csum[1:])
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """csum[k] = values[0] + ... + values[k - 1], in the dtype of ``values``."""
+    csum = np.zeros(values.size + 1, dtype=values.dtype)
+    np.cumsum(values, out=csum[1:])
     return csum
+
+
+def _window_extrema(values: np.ndarray, lengths):
+    """Yield (n, min, max) of the length-n window sums for each n in ``lengths``."""
+    csum = _prefix_sums(values)
+    for n in lengths:
+        sums = csum[n:] - csum[:-n]
+        yield n, sums.min(), sums.max()
 
 
 def window_counts(m: Membership, n: int) -> np.ndarray:
     """Exact member count of every length-n window, ordered by offset."""
     _check_window(n, m.horizon)
-    csum = _count_cumsum(m)
+    csum = _prefix_sums(m.bits)
     return csum[n:] - csum[:-n]
 
 
 def count_extrema(m: Membership, n: int) -> tuple[int, int]:
-    """(min, max) window count over offsets 1..N-n+1, via prefix sums."""
-    counts = window_counts(m, n)
-    return int(counts.min()), int(counts.max())
+    """(min, max) window count over offsets 1..N-n+1: one ``density_profile`` row."""
+    _check_window(n, m.horizon)
+    row = density_profile(m, WindowSchedule((n,))).rows[0]
+    return row.min_count, row.max_count
 
 
 def naive_count_extrema(m: Membership, n: int) -> tuple[int, int]:
@@ -187,19 +197,11 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     array and walks the schedule serially.
     """
     schedule.validate_for(m.horizon)
-    csum = _count_cumsum(m)
-    rows = []
-    for n in schedule.lengths:
-        counts = csum[n:] - csum[:-n]
-        rows.append(
-            DensityRow(
-                n=n,
-                min_count=int(counts.min()),
-                max_count=int(counts.max()),
-                offsets_scanned=m.horizon - n + 1,
-            )
-        )
-    return DensityProfile(rows=tuple(rows))
+    rows = tuple(
+        DensityRow(n=n, min_count=int(lo), max_count=int(hi), offsets_scanned=m.horizon - n + 1)
+        for n, lo, hi in _window_extrema(m.bits, schedule.lengths)
+    )
+    return DensityProfile(rows=rows)
 
 
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
@@ -211,10 +213,8 @@ def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     Integer-valued prefixes (indicator-like sequences) are exact.
     """
     schedule.validate_for(p.horizon)
-    csum = np.zeros(p.horizon + 1, dtype=np.float64)
-    np.cumsum(p.values, out=csum[1:])
-    rows = []
-    for n in schedule.lengths:
-        sums = csum[n:] - csum[:-n]
-        rows.append(CesaroRow(n=n, min_mean=float(sums.min() / n), max_mean=float(sums.max() / n)))
-    return CesaroProfile(rows=tuple(rows))
+    rows = tuple(
+        CesaroRow(n=n, min_mean=float(lo / n), max_mean=float(hi / n))
+        for n, lo, hi in _window_extrema(p.values, schedule.lengths)
+    )
+    return CesaroProfile(rows=rows)

@@ -241,3 +241,18 @@ def test_non_finite_bound_exits_2(capsys, tmp_path, text):
     code, out, err = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "100"])
     assert code == 2 and out == ""
     assert err.startswith("seqdist:") and "finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--tolerance-gap", "--tolerance-trend"])
+def test_nan_tolerance_exits_2(capsys, flag):
+    code, out, err = run(capsys, ["analyze", "--fixture", "F4", "--horizon", "4096", flag, "nan"])
+    assert code == 2 and out == ""
+    assert err.startswith("seqdist:") and "finite" in err
+
+
+def test_huge_partition_exits_3(capsys, tmp_path):
+    path = tmp_path / "seq.spec"
+    path.write_text("kind = periodic\npattern = 1, 0\nbound = 1e12\n")
+    code, out, err = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "4096"])
+    assert code == 3 and out == ""
+    assert "resource limit" in err

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdist import (
     ALMOST_CONVERGENT,
@@ -27,8 +29,11 @@ from seqdist import (
     materialize,
     quantize,
     set_weight,
+    table,
+    weight_bounds_estimate,
     window_counts,
 )
+from seqdist.distribution import quantized_banach_limit
 from seqdist.windows import Membership
 
 ALL_FIXTURES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -304,6 +309,48 @@ def test_quantization_validates_meshes():
         banach_limit_via_quantization(fixture("F2"), 100, ())
     with pytest.raises(InvalidSpecError):
         banach_limit_via_quantization(fixture("F2"), 100, (1 / 4, 1 / 2))
+
+
+@st.composite
+def quantization_case(draw):
+    """A table prefix holding +-bound and exact cell edges, decreasing meshes, a schedule."""
+    bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    pool = [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 64]
+    meshes = sorted(draw(st.sets(st.sampled_from(pool), min_size=1, max_size=3)), reverse=True)
+    edges = sorted({x for m in meshes for x in Partition.with_mesh(-bound, bound, m).points})
+    values = draw(
+        st.lists(st.one_of(st.sampled_from(edges), st.floats(-bound, bound)), max_size=300)
+    )
+    values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from([-bound, bound])))
+    n = len(values)
+    if draw(st.booleans()):
+        sched = WindowSchedule.geometric(n, base=draw(st.integers(1, 8)), ratio=2)
+    else:
+        lengths = draw(st.sets(st.integers(1, n), min_size=1, max_size=4))
+        sched = WindowSchedule(tuple(sorted(lengths)))
+    return materialize(table(values), n), tuple(meshes), sched
+
+
+@given(quantization_case())
+@settings(max_examples=60, deadline=None)
+def test_quantized_banach_limit_matches_public_composition(case):
+    p, meshes, sched = case
+    got = quantized_banach_limit(p, meshes, sched)
+    points, converged = [], True
+    for mesh in meshes:
+        part = Partition.with_mesh(-p.bound, p.bound, mesh)
+        rep = is_simply_distributed(quantize(p, part), 0.0, sched, value_cap=len(part.points))
+        pairs = list(zip(rep.values, rep.weights))
+        est = weight_bounds_estimate(pairs)
+        points.append(sum((Fraction(v) * w.midpoint for v, w in pairs), Fraction(0)))
+        converged = converged and est.verdict == ALMOST_CONVERGENT
+    steady = all(
+        abs(float(b - a)) < m0 + m1
+        for a, b, m0, m1 in zip(points, points[1:], meshes, meshes[1:])
+    )
+    assert (got.point, got.lower, got.upper) == (est.point, est.lower, est.upper)
+    assert got.error_bound == meshes[-1] + est.error_bound
+    assert got.verdict == (ALMOST_CONVERGENT if converged and steady else INCONCLUSIVE)
 
 
 # ------------------------------------------------------------ limit point rule

@@ -10,6 +10,7 @@ from seqdist import (
     IndexSet,
     InvalidSpecError,
     Membership,
+    Tolerances,
     WindowSchedule,
     density_profile,
     detect_sublimits,
@@ -181,6 +182,23 @@ def test_index_set_robustness(bits, flips):
     for ra, rb in zip(prof_a.rows, prof_b.rows):
         assert abs(ra.min_count - rb.min_count) <= len(flips)
         assert abs(ra.max_count - rb.max_count) <= len(flips)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gap", float("nan")),
+        ("trend", float("nan")),
+        ("divergence_floor", float("nan")),
+        ("gap", float("inf")),
+        ("trend", 0.0),
+        ("divergence_floor", -0.25),
+        ("tail_rows", 0),
+    ],
+)
+def test_tolerances_reject_non_positive_and_non_finite(field, value):
+    with pytest.raises(InvalidSpecError):
+        Tolerances(**{field: value})
 
 
 def test_index_set_validation():
