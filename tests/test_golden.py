@@ -25,12 +25,18 @@ CASES = {
         for f in ("F4", "F6")
         for ext, fmt in (("csv", "csv"), ("txt", "table"))
     },
-    "weights_F5.jsonl": [
-        "weights", "--fixture", "F5", "--horizon", N,
-        "--interval", "0:0.5", "--interval", "0.25:0.75",
-        "--value", "0.98", "--epsilon", "0.05", "--format", "jsonl",
-    ],
-    "demo_nonmeasure.jsonl": ["demo-nonmeasure", "--horizon", N, "--format", "jsonl"],
+    **{
+        f"weights_F5.{ext}": [
+            "weights", "--fixture", "F5", "--horizon", N,
+            "--interval", "0:0.5", "--interval", "0.25:0.75",
+            "--value", "0.98", "--epsilon", "0.05", "--format", fmt,
+        ]
+        for ext, fmt in (("jsonl", "jsonl"), ("csv", "csv"), ("txt", "table"))
+    },
+    **{
+        f"demo_nonmeasure.{ext}": ["demo-nonmeasure", "--horizon", N, "--format", fmt]
+        for ext, fmt in (("jsonl", "jsonl"), ("csv", "csv"), ("txt", "table"))
+    },
 }
 
 
