@@ -34,7 +34,6 @@ import dataclasses
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .distribution import IntervalSet, interval_about, set_weight
@@ -44,6 +43,8 @@ from .sequences import (
     FIXTURE_NAMES,
     SequenceSpec,
     affine_combo,
+    doubling_blocks,
+    dyadic_harmonic,
     fixture,
     materialize,
     ones_then_zeros,
@@ -51,8 +52,6 @@ from .sequences import (
     rotation,
     table,
 )
-from .sequences import doubling_blocks as _doubling
-from .sequences import dyadic_harmonic as _dyadic
 from .weights import DEFAULT_TOLERANCES, Tolerances
 from .windows import WindowSchedule
 
@@ -70,19 +69,6 @@ CSV_FIELDS = (
     "uniform_gap", "verdict", "difference", "combined_bound", "consistent",
     "residual_count", "value",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from flags."""
-
-    source: str
-    spec: SequenceSpec
-    horizon: int
-    schedule: WindowSchedule
-    tolerances: Tolerances
-    out_format: str
-    out_path: str | None
 
 
 def parse_spec_file(text: str) -> SequenceSpec:
@@ -129,9 +115,9 @@ def parse_spec_file(text: str) -> SequenceSpec:
             raise InvalidSpecError("rotation takes a single alpha")
         spec = rotation(vals[0])
     elif kind == "doubling-blocks":
-        spec = _doubling()
+        spec = doubling_blocks()
     elif kind == "dyadic-harmonic":
-        spec = _dyadic()
+        spec = dyadic_harmonic()
     elif kind == "table":
         spec = table(floats("values"))
     elif kind == "affine-combo":
@@ -187,120 +173,53 @@ def _weight_fields(w) -> dict:
     }
 
 
+def _row(record: str, obj, names, **extra) -> dict:
+    """A ``record`` row copying the named attributes of a result object."""
+    return {"record": record, **{name: getattr(obj, name) for name in names}, **extra}
+
+
 def _window_rows(record: str, key: str, label, profile) -> list[dict]:
     """One row per density-profile row, tagged ``key: label``."""
     return [
-        {
-            "record": record,
-            key: label,
-            "n": r.n,
-            "min_count": r.min_count,
-            "max_count": r.max_count,
-            "offsets": r.offsets_scanned,
-            "min_density": r.min_count / r.n,
-            "max_density": r.max_count / r.n,
-        }
+        _row(record, r, ("n", "min_count", "max_count"), offsets=r.offsets_scanned,
+             min_density=r.min_count / r.n, max_density=r.max_count / r.n, **{key: label})
         for r in profile.rows
     ]
 
 
-def _weight_rows(label: str, w, record: str) -> list[dict]:
-    rows = [
-        {
-            "record": record,
-            "label": label,
-            "gap": float(w.gap),
-            **_weight_fields(w),
-        }
+def _weight_rows(label: str, w) -> list[dict]:
+    return [
+        {"record": "weight", "label": label, "gap": float(w.gap), **_weight_fields(w)},
+        *_window_rows("weight_window", "label", label, w.per_window),
     ]
-    if w.per_window is not None:
-        rows.extend(_window_rows(f"{record}_window", "label", label, w.per_window))
-    return rows
 
 
-def analyze_rows(config: RunConfig, record) -> list[dict]:
-    """Flatten a CrossValidation into report rows."""
-    rows = [_meta_row(config.source, config.horizon, config.spec.bound, config.spec.describe())]
+def analyze_rows(meta: dict, record) -> list[dict]:
+    """Flatten a CrossValidation into report rows after the ``meta`` row."""
+    rows = [meta]
     for c in record.sublimits.clusters:
         rows.append(
-            {
-                "record": "sublimit",
-                "center": c.center,
-                "radius": c.radius,
-                "occurrences": c.occurrences,
-                "isolated": c.isolated,
-                **_weight_fields(c.weight),
-            }
+            _row("sublimit", c, ("center", "radius", "occurrences", "isolated"),
+                 **_weight_fields(c.weight))
         )
         rows.extend(_window_rows("sublimit_window", "center", c.center, c.weight.per_window))
     rows.append(
-        {
-            "record": "residual",
-            "residual_count": record.sublimits.residual_count,
-            "value": float(record.sublimits.residual_mass),
-        }
+        _row("residual", record.sublimits, ("residual_count",),
+             value=float(record.sublimits.residual_mass))
     )
+    rows.append(_row("weight_bounds", record.bounds, ("lower", "upper", "point", "verdict")))
     rows.append(
-        {
-            "record": "weight_bounds",
-            "lower": record.bounds.lower,
-            "upper": record.bounds.upper,
-            "point": record.bounds.point,
-            "verdict": record.bounds.verdict,
-        }
-    )
-    q = record.quantization
-    rows.append(
-        {
-            "record": "quantization",
-            "point": q.point,
-            "lower": q.lower,
-            "upper": q.upper,
-            "error_bound": q.error_bound,
-            "verdict": q.verdict,
-        }
+        _row("quantization", record.quantization,
+             ("point", "lower", "upper", "error_bound", "verdict"))
     )
     lv = record.lorentz
-    rows.append(
-        {
-            "record": "lorentz",
-            "estimate": lv.estimate,
-            "uniform_gap": lv.uniform_gap,
-            "verdict": lv.verdict,
-        }
+    rows.append(_row("lorentz", lv, ("estimate", "uniform_gap", "verdict")))
+    rows.extend(
+        _row("cesaro_window", r, ("n", "min_mean", "max_mean"), gap=r.max_mean - r.min_mean)
+        for r in lv.profile.rows
     )
-    for r in lv.profile.rows:
-        rows.append(
-            {
-                "record": "cesaro_window",
-                "n": r.n,
-                "min_mean": r.min_mean,
-                "max_mean": r.max_mean,
-                "gap": r.max_mean - r.min_mean,
-            }
-        )
-    rows.append(
-        {
-            "record": "consistency",
-            "difference": record.difference,
-            "combined_bound": record.combined_bound,
-            "consistent": record.consistent,
-        }
-    )
+    rows.append(_row("consistency", record, ("difference", "combined_bound", "consistent")))
     return rows
-
-
-def _render_jsonl(rows: list[dict]) -> str:
-    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-
-
-def _render_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 def _render_table(rows: list[dict]) -> str:
@@ -376,18 +295,25 @@ def _render_table(rows: list[dict]) -> str:
 def render(rows: list[dict], out_format: str) -> str:
     rows = [{"schema": SCHEMA, **row} for row in rows]
     if out_format == "jsonl":
-        return _render_jsonl(rows)
+        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     if out_format == "csv":
-        return _render_csv(rows)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
     return _render_table(rows)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(rows: list[dict], args) -> int:
+    """Render rows in ``args.format`` to ``args.out`` or stdout."""
+    text = render(rows, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _resolve_spec(args) -> tuple[str, SequenceSpec]:
@@ -423,35 +349,22 @@ def _parse_schedule(args, horizon: int) -> WindowSchedule:
     return WindowSchedule.geometric(horizon, base=base, ratio=ratio)
 
 
-def _config_from(args) -> RunConfig:
+def _config_from(args) -> tuple[str, SequenceSpec, WindowSchedule, Tolerances]:
+    """(source, spec, schedule, tolerances) resolved from the flags."""
     source, spec = _resolve_spec(args)
-    horizon = args.horizon
-    schedule = _parse_schedule(args, horizon)
-    schedule.validate_for(horizon)
+    schedule = _parse_schedule(args, args.horizon)
+    schedule.validate_for(args.horizon)
     tol = dataclasses.replace(
         DEFAULT_TOLERANCES, gap=args.tolerance_gap, trend=args.tolerance_trend
     )
-    return RunConfig(
-        source=source,
-        spec=spec,
-        horizon=horizon,
-        schedule=schedule,
-        tolerances=tol,
-        out_format=args.format,
-        out_path=args.out,
-    )
+    return source, spec, schedule, tol
 
 
 def cmd_analyze(args) -> int:
-    config = _config_from(args)
-    record = cross_validate(
-        config.spec,
-        config.horizon,
-        schedule=config.schedule,
-        tolerances=config.tolerances,
-    )
-    _emit(render(analyze_rows(config, record), config.out_format), config.out_path)
-    return 0
+    source, spec, schedule, tol = _config_from(args)
+    record = cross_validate(spec, args.horizon, schedule=schedule, tolerances=tol)
+    meta = _meta_row(source, args.horizon, spec.bound, spec.describe())
+    return _emit(analyze_rows(meta, record), args)
 
 
 def _parse_interval(token: str) -> tuple[float, float]:
@@ -463,11 +376,11 @@ def _parse_interval(token: str) -> tuple[float, float]:
 
 
 def cmd_weights(args) -> int:
-    config = _config_from(args)
+    source, spec, schedule, tol = _config_from(args)
     if not args.interval and args.value is None:
         raise InvalidSpecError("give at least one --interval or --value")
-    p = materialize(config.spec, config.horizon)
-    rows = [_meta_row(config.source, config.horizon, config.spec.bound, config.spec.describe())]
+    p = materialize(spec, args.horizon)
+    rows = [_meta_row(source, args.horizon, spec.bound, spec.describe())]
     targets: list[tuple[str, IntervalSet]] = []
     for token in args.interval or ():
         lo, hi = _parse_interval(token)
@@ -476,16 +389,13 @@ def cmd_weights(args) -> int:
                 f"interval [{lo}, {hi}) outside the bound [-{p.bound}, {p.bound}]"
             )
         targets.append((f"[{lo!r}, {hi!r})", IntervalSet(intervals=((lo, hi),))))
-    if args.value is not None:
-        for v in args.value:
-            targets.append(
-                (f"[{v!r} +/- {args.epsilon!r})", interval_about(v, args.epsilon, p.bound))
-            )
+    for v in args.value or ():
+        targets.append(
+            (f"[{v!r} +/- {args.epsilon!r})", interval_about(v, args.epsilon, p.bound))
+        )
     for label, region in targets:
-        w = set_weight(p, region, config.schedule, config.tolerances)
-        rows.extend(_weight_rows(label, w, "weight"))
-    _emit(render(rows, config.out_format), config.out_path)
-    return 0
+        rows.extend(_weight_rows(label, set_weight(p, region, schedule, tol)))
+    return _emit(rows, args)
 
 
 DEMO_PROSE = (
@@ -511,17 +421,11 @@ def cmd_demo_nonmeasure(args) -> int:
         ),
         {"record": "note", "value": DEMO_PROSE},
     ]
-    eps = 0.1
-    for n0 in (1, 10, 100):
-        spec = ones_then_zeros(n0)
-        p = materialize(spec, horizon)
-        w = set_weight(p, interval_about(1.0, eps, 1.0), schedule)
-        rows.extend(_weight_rows(f"ones-then-zeros(n0={n0}) near 1", w, "weight"))
-    p2 = materialize(fixture("F2"), horizon)
-    w2 = set_weight(p2, interval_about(1.0, eps, 1.0), schedule)
-    rows.extend(_weight_rows("all-ones near 1", w2, "weight"))
-    _emit(render(rows, args.format), args.out)
-    return 0
+    cases = [(f"ones-then-zeros(n0={n0}) near 1", ones_then_zeros(n0)) for n0 in (1, 10, 100)]
+    for label, spec in [*cases, ("all-ones near 1", fixture("F2"))]:
+        w = set_weight(materialize(spec, horizon), interval_about(1.0, 0.1, 1.0), schedule)
+        rows.extend(_weight_rows(label, w))
+    return _emit(rows, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -107,42 +107,53 @@ def interval_about(center: float, epsilon: float, bound: float) -> IntervalSet:
 
 @dataclass(frozen=True)
 class Partition:
-    """Grid a_0 < a_1 < ... < a_m used for piecewise-constant quantization."""
+    """Grid a_0 < a_1 < ... < a_m used for piecewise-constant quantization.
 
-    points: tuple[float, ...]
+    ``points`` is kept as a read-only float64 array.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(float(x) for x in self.points)
-        if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
-            raise InvalidSpecError("partition needs >= 2 strictly increasing points")
+        pts = np.asarray(self.points, dtype=np.float64)
+        # Negated so that NaN, which fails every comparison, is rejected too;
+        # strictly increasing points between finite ends are all finite.
+        if pts.ndim != 1 or pts.size < 2 or not (
+            np.all(np.diff(pts) > 0) and np.isfinite(pts[[0, -1]]).all()
+        ):
+            raise InvalidSpecError("partition needs >= 2 finite, strictly increasing points")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
     def lo(self) -> float:
-        return self.points[0]
+        return float(self.points[0])
 
     @property
     def hi(self) -> float:
-        return self.points[-1]
+        return float(self.points[-1])
 
     @property
     def mesh(self) -> float:
-        return max(b - a for a, b in zip(self.points, self.points[1:]))
+        return float(np.max(np.diff(self.points)))
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, cells: int) -> "Partition":
+    def uniform(cls, lo: float, hi: float, cells: float) -> "Partition":
         if cells < 1:
             raise InvalidSpecError("need at least one cell")
-        if cells > max_horizon():
-            raise ResourceLimitError(f"{cells} partition cells exceed the cap of {max_horizon()}")
-        return cls(points=tuple(np.linspace(lo, hi, cells + 1)))
+        # Negated so that a count that overflowed to inf also hits the cap.
+        if not cells <= max_horizon():
+            raise ResourceLimitError(
+                f"{cells:.0f} partition cells exceed the cap of {max_horizon()}"
+            )
+        return cls(points=np.linspace(lo, hi, int(cells) + 1))
 
     @classmethod
     def with_mesh(cls, lo: float, hi: float, mesh: float) -> "Partition":
         """Uniform partition of [lo, hi] with spacing <= mesh."""
         if mesh <= 0 or hi <= lo:
             raise InvalidSpecError("need mesh > 0 and hi > lo")
-        return cls.uniform(lo, hi, int(math.ceil((hi - lo) / mesh)))
+        return cls.uniform(lo, hi, np.ceil((hi - lo) / mesh))
 
 
 @dataclass(frozen=True)
@@ -278,9 +289,9 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
     width of the final cell, so keep that cell no wider than the rest if the
     strict bound matters.
     """
-    pts = np.asarray(partition.points)
     bound = max(p.bound, abs(partition.lo), abs(partition.hi))
-    return Prefix(values=pts[_cells(p.values, partition)], horizon=p.horizon, bound=bound)
+    values = partition.points[_cells(p.values, partition)]
+    return Prefix(values=values, horizon=p.horizon, bound=bound)
 
 
 def _enclosure(pairs) -> tuple[Fraction, Fraction, Fraction]:

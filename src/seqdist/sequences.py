@@ -43,17 +43,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_HORIZON_ENV = "SEQDIST_MAX_HORIZON"
 DEFAULT_MAX_HORIZON = 50_000_000
 
-KINDS = (
-    "periodic",
-    "ones-then-zeros",
-    "rotation",
-    "doubling-blocks",
-    "dyadic-harmonic",
-    "table",
-    "affine-combo",
-)
-
-
 def max_horizon() -> int:
     """Materialization cap, overridable through SEQDIST_MAX_HORIZON."""
     raw = os.environ.get(MAX_HORIZON_ENV)

@@ -250,9 +250,10 @@ def test_nan_tolerance_exits_2(capsys, flag):
     assert err.startswith("seqdist:") and "finite" in err
 
 
-def test_huge_partition_exits_3(capsys, tmp_path):
+@pytest.mark.parametrize("bound", ["1e12", "1e308"])
+def test_huge_partition_exits_3(capsys, tmp_path, bound):
     path = tmp_path / "seq.spec"
-    path.write_text("kind = periodic\npattern = 1, 0\nbound = 1e12\n")
+    path.write_text(f"kind = periodic\npattern = 1, 0\nbound = {bound}\n")
     code, out, err = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "4096"])
     assert code == 3 and out == ""
     assert "resource limit" in err

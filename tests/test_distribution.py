@@ -205,6 +205,9 @@ def test_partition_helpers():
         Partition((1.0,))
     with pytest.raises(InvalidSpecError):
         Partition((0.0, 0.0))
+    for bad in ((0.0, math.nan, 1.0), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(InvalidSpecError):
+            Partition(bad)
 
 
 # ------------------------------------------------------- Banach limit estimates
