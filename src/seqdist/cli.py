@@ -189,7 +189,12 @@ def _window_rows(record: str, key: str, label, profile) -> list[dict]:
 
 def _weight_rows(label: str, w) -> list[dict]:
     return [
-        {"record": "weight", "label": label, "gap": float(w.gap), **_weight_fields(w)},
+        {
+            "record": "weight",
+            "label": label,
+            "gap": float(w.gap),
+            **_weight_fields(w),
+        },
         *_window_rows("weight_window", "label", label, w.per_window),
     ]
 

@@ -151,7 +151,7 @@ class Partition:
     @classmethod
     def with_mesh(cls, lo: float, hi: float, mesh: float) -> "Partition":
         """Uniform partition of [lo, hi] with spacing <= mesh."""
-        if mesh <= 0 or hi <= lo:
+        if not (mesh > 0 and hi > lo):
             raise InvalidSpecError("need mesh > 0 and hi > lo")
         return cls.uniform(lo, hi, np.ceil((hi - lo) / mesh))
 

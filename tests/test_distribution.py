@@ -208,6 +208,8 @@ def test_partition_helpers():
     for bad in ((0.0, math.nan, 1.0), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(InvalidSpecError):
             Partition(bad)
+    with pytest.raises(InvalidSpecError):
+        Partition.with_mesh(-1.0, 1.0, math.nan)
 
 
 # ------------------------------------------------------- Banach limit estimates
