@@ -109,13 +109,14 @@ def interval_about(center: float, epsilon: float, bound: float) -> IntervalSet:
 class Partition:
     """Grid a_0 < a_1 < ... < a_m used for piecewise-constant quantization.
 
-    ``points`` is kept as a read-only float64 array.
+    ``points`` is kept as a read-only float64 array.  A float64 input is not
+    copied: the stored array is a read-only view of the caller's memory.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.asarray(self.points, dtype=np.float64).view()
         # Negated so that NaN, which fails every comparison, is rejected too;
         # strictly increasing points between finite ends are all finite.
         if pts.ndim != 1 or pts.size < 2 or not (
@@ -390,9 +391,12 @@ def quantized_banach_limit(
 
     Each mesh labels every term with its cell (the rule of ``quantize``),
     weighs the occupied cells with ``label_weights`` and values each at its
-    left endpoint.  The point estimate is the weighted sum over the finest
-    mesh and the error bound is that mesh (sup-norm distance to the true
-    prefix) plus the half-width of the weight-bounds interval.  The verdict
+    left endpoint.  No cell's per-window rows are reported, so the cells are
+    counted on the last ``tolerances.tail_rows`` schedule lengths only: the
+    weights, gaps and convergence flags read nothing else.  The point
+    estimate is the weighted sum over the finest mesh and the error bound
+    is that mesh (sup-norm distance to the true prefix) plus the half-width
+    of the weight-bounds interval.  The verdict
     is almost-convergent only when every per-cell weight converged at every
     mesh and successive point estimates moved by less than the sum of the
     two meshes involved; unsettled weights leave the verdict inconclusive.
@@ -403,6 +407,7 @@ def quantized_banach_limit(
     if any(b >= a for a, b in zip(meshes, meshes[1:])):
         raise InvalidSpecError("meshes must be strictly decreasing")
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
+    tail = WindowSchedule(sched.lengths[-tolerances.tail_rows:])
     if p.bound == 0:
         return BanachEstimate(
             point=0.0, lower=0.0, upper=0.0, error_bound=0.0,
@@ -414,7 +419,7 @@ def quantized_banach_limit(
         part = Partition.with_mesh(-p.bound, p.bound, mesh)
         cells = _cells(p.values, part)
         occupied = np.flatnonzero(np.bincount(cells))
-        weights = label_weights(cells, occupied, sched, tolerances)
+        weights = label_weights(cells, occupied, tail, tolerances)
         point, lower, upper = _enclosure([(part.points[j], w) for j, w in zip(occupied, weights)])
         points.append(point)
         all_converged = all_converged and all(w.converged for w in weights)

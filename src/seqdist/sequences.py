@@ -270,7 +270,9 @@ class Prefix:
     """Materialized values x(1..N).
 
     ``values[k]`` holds ``x(k + 1)``; the array is frozen after
-    construction and may be shared freely across workers.
+    construction and may be shared freely across workers.  A float64 input
+    is not copied: the stored array is a read-only view of the caller's
+    memory, so the caller's own array stays writable.
     """
 
     values: np.ndarray
@@ -278,13 +280,13 @@ class Prefix:
     bound: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64).view()
         if vals.ndim != 1 or vals.size != self.horizon:
             raise InvalidSpecError("prefix length must equal its horizon")
         if not math.isfinite(self.bound):
             raise InvalidSpecError(f"prefix bound must be finite, got {self.bound!r}")
         # Negated so that NaN, which fails every comparison, is rejected too.
-        if vals.size and not float(np.max(np.abs(vals))) <= self.bound:
+        if vals.size and not (vals.max() <= self.bound and vals.min() >= -self.bound):
             raise InvalidSpecError("prefix values must be finite and within the certified bound")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

@@ -54,13 +54,17 @@ DEFAULT_TOLERANCES = Tolerances()
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Strictly increasing 1-based indices of a subsequence."""
+    """Strictly increasing 1-based indices of a subsequence.
+
+    ``indices`` is kept as a read-only int64 array.  An int64 input is not
+    copied: the stored array is a read-only view of the caller's memory.
+    """
 
     indices: np.ndarray
     horizon: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices, dtype=np.int64).view()
         if idx.ndim != 1:
             raise InvalidSpecError("indices must be one-dimensional")
         if idx.size:
@@ -173,8 +177,10 @@ def label_weights(
 
     Every estimator that splits the indices into disjoint sets (sub-limit
     clusters, distinct values, quantization cells) counts them here, so the
-    sets' window counts stay additive and a faster multi-label kernel has a
-    single place to go.  An id absent from ``labels`` yields exactly (0, 0).
+    sets' window counts stay additive.  Each id is one pass over a bool mask
+    with an int32 prefix sum; a caller that reads only the weights, never the
+    per-window rows, passes just the tail of its schedule.  An id absent from
+    ``labels`` yields exactly (0, 0).
     """
     labels = np.asarray(labels)
     return tuple(

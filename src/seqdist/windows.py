@@ -35,34 +35,43 @@ from .sequences import Prefix
 
 @dataclass(frozen=True)
 class Membership:
-    """0/1 indicator over indices 1..N; ``bits[k]`` flags index k + 1."""
+    """0/1 indicator over indices 1..N; ``bits[k]`` flags index k + 1.
+
+    ``bits`` is kept as a read-only bool array.  A bool input is not copied:
+    the stored array is a read-only view of the caller's memory, so the
+    caller's own array stays writable.  Any other input must hold only 0s
+    and 1s and is cast to bool.
+    """
 
     bits: np.ndarray
     horizon: int
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int64)
+        bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size != self.horizon:
             raise InvalidSpecError("membership length must equal its horizon")
-        if bits.size and not np.all((bits == 0) | (bits == 1)):
-            raise InvalidSpecError("membership bits must be 0 or 1")
+        if bits.dtype != bool:
+            if bits.size and not np.all((bits == 0) | (bits == 1)):
+                raise InvalidSpecError("membership bits must be 0 or 1")
+            bits = bits.astype(bool)
+        bits = bits.view()
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_indices(cls, indices, horizon: int) -> "Membership":
         idx = np.asarray(list(indices), dtype=np.int64)
-        bits = np.zeros(horizon, dtype=np.int64)
+        bits = np.zeros(horizon, dtype=bool)
         if idx.size:
             if idx.min() < 1 or idx.max() > horizon:
                 raise InvalidSpecError("indices must lie in [1, horizon]")
-            bits[idx - 1] = 1
+            bits[idx - 1] = True
         return cls(bits=bits, horizon=horizon)
 
     @classmethod
     def from_mask(cls, mask) -> "Membership":
         m = np.asarray(mask, dtype=bool)
-        return cls(bits=m.astype(np.int64), horizon=m.size)
+        return cls(bits=m, horizon=m.size)
 
     def count(self) -> int:
         return int(self.bits.sum())
@@ -146,10 +155,21 @@ def _check_window(n: int, horizon: int) -> None:
         raise WindowTooLongError(f"window length {n} exceeds horizon {horizon}")
 
 
+def _count_dtype(size: int) -> type:
+    """Narrowest integer dtype that holds every count of ``size`` bits exactly."""
+    return np.int32 if size < 2**31 else np.int64
+
+
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    """csum[k] = values[0] + ... + values[k - 1], in the dtype of ``values``."""
-    csum = np.zeros(values.size + 1, dtype=values.dtype)
-    np.cumsum(values, out=csum[1:])
+    """csum[k] = values[0] + ... + values[k - 1].
+
+    Bool masks are counted into int32 while N < 2**31 and into int64 from
+    there on, so counts stay exact integers at half the memory traffic;
+    any other array (the float64 Cesaro path) keeps its own dtype.
+    """
+    dtype = _count_dtype(values.size) if values.dtype == bool else values.dtype
+    csum = np.zeros(values.size + 1, dtype=dtype)
+    np.cumsum(values, dtype=dtype, out=csum[1:])
     return csum
 
 

@@ -29,6 +29,8 @@ from seqdist import (
     materialize,
     quantize,
     set_weight,
+    Tolerances,
+    label_weights,
     table,
     weight_bounds_estimate,
     window_counts,
@@ -356,6 +358,38 @@ def test_quantized_banach_limit_matches_public_composition(case):
     assert (got.point, got.lower, got.upper) == (est.point, est.lower, est.upper)
     assert got.error_bound == meshes[-1] + est.error_bound
     assert got.verdict == (ALMOST_CONVERGENT if converged and steady else INCONCLUSIVE)
+
+
+@given(quantization_case(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tail_rows_only_change_nothing(case, data):
+    p, meshes, sched = case
+    tol = Tolerances(tail_rows=data.draw(st.integers(1, len(sched.lengths) + 2)))
+    got = quantized_banach_limit(p, meshes, sched, tol)
+    points, converged = [], True
+    for mesh in meshes:
+        part = Partition.with_mesh(-p.bound, p.bound, mesh)
+        rep = is_simply_distributed(quantize(p, part), 0.0, sched, tol, value_cap=len(part.points))
+        pairs = list(zip(rep.values, rep.weights))
+        est = weight_bounds_estimate(pairs)
+        points.append(sum((Fraction(v) * w.midpoint for v, w in pairs), Fraction(0)))
+        converged = converged and est.verdict == ALMOST_CONVERGENT
+    steady = all(
+        abs(float(b - a)) < m0 + m1
+        for a, b, m0, m1 in zip(points, points[1:], meshes, meshes[1:])
+    )
+    assert (got.point, got.lower, got.upper) == (est.point, est.lower, est.upper)
+    assert got.error_bound == meshes[-1] + est.error_bound
+    assert got.verdict == (ALMOST_CONVERGENT if converged and steady else INCONCLUSIVE)
+
+    def summary(w):
+        return w.w_l_hat, w.w_u_hat, w.gap, w.converged, w.n_tail
+
+    labels = np.searchsorted(np.unique(p.values), p.values)
+    ids = range(int(labels.max()) + 2)
+    tail = WindowSchedule(sched.lengths[-tol.tail_rows:])
+    full_ws, tail_ws = label_weights(labels, ids, sched, tol), label_weights(labels, ids, tail, tol)
+    assert [summary(w) for w in full_ws] == [summary(w) for w in tail_ws]
 
 
 # ------------------------------------------------------------ limit point rule

@@ -177,3 +177,9 @@ def test_non_finite_bounds_and_values_rejected():
         Prefix(values=np.array([0.5, math.nan]), horizon=2, bound=1.0)
     with pytest.raises(InvalidSpecError):
         Prefix(values=np.array([math.inf]), horizon=1, bound=math.inf)
+
+
+@pytest.mark.parametrize("values", [[-2.0, 0.0], [0.0, 2.0], [-math.inf, 0.0], [math.nan, 0.0]])
+def test_prefix_values_outside_bound_rejected(values):
+    with pytest.raises(InvalidSpecError):
+        Prefix(values=np.array(values), horizon=2, bound=1.0)

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdist import (
+    IndexSet,
     InvalidSpecError,
     Membership,
+    Partition,
     Prefix,
     WindowSchedule,
     WindowTooLongError,
@@ -20,6 +22,7 @@ from seqdist import (
     periodic,
     window_counts,
 )
+from seqdist.windows import _count_dtype
 
 
 def ones_membership(prefix):
@@ -253,3 +256,32 @@ def test_membership_validation():
         Membership.from_indices([6], 5)
     m = Membership.from_indices([1, 5], 5)
     assert m.count() == 2
+
+
+def test_membership_is_narrow():
+    mask = np.array([True, False, True, True])
+    m = Membership(bits=mask, horizon=4)
+    assert m.bits.dtype == bool and np.shares_memory(m.bits, mask)
+    assert not m.bits.flags.writeable
+    ints = Membership(bits=np.array([0, 1, 1], dtype=np.int64), horizon=3)
+    assert ints.bits.dtype == bool and ints.bits.tolist() == [False, True, True]
+    assert Membership.from_indices([2], 3).bits.dtype == bool
+    with pytest.raises(InvalidSpecError):
+        Membership(bits=np.array([0, 2], dtype=np.int64), horizon=2)
+    assert _count_dtype(2**31 - 1) is np.int32
+    assert _count_dtype(2**31) is np.int64
+
+
+@pytest.mark.parametrize(
+    "build, array",
+    [
+        (lambda a: Prefix(values=a, horizon=a.size, bound=1.0).values, np.zeros(8)),
+        (lambda a: Partition(a).points, np.linspace(0.0, 1.0, 5)),
+        (lambda a: Membership(bits=a, horizon=a.size).bits, np.zeros(8, dtype=bool)),
+        (lambda a: IndexSet(a, 10).indices, np.arange(1, 9, dtype=np.int64)),
+    ],
+)
+def test_constructors_leave_caller_array_writable(build, array):
+    stored = build(array)
+    assert not stored.flags.writeable
+    array[0] = array[0]  # raises if the constructor froze the caller's array
