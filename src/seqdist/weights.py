@@ -177,10 +177,12 @@ def label_weights(
 
     Every estimator that splits the indices into disjoint sets (sub-limit
     clusters, distinct values, quantization cells) counts them here, so the
-    sets' window counts stay additive.  Each id is one pass over a bool mask
-    with an int32 prefix sum; a caller that reads only the weights, never the
-    per-window rows, passes just the tail of its schedule.  An id absent from
-    ``labels`` yields exactly (0, 0).
+    sets' window counts stay additive.  Each id is one bool mask, counted by
+    ``density_profile``: from the gaps between its members when they are at
+    most ``windows.SPARSE_SHARE`` of the terms (most clusters and cells
+    are), else from an int32 prefix sum.  A caller that reads only the
+    weights, never the per-window rows, passes just the tail of its
+    schedule.  An id absent from ``labels`` yields exactly (0, 0).
     """
     labels = np.asarray(labels)
     return tuple(
@@ -291,19 +293,29 @@ def detect_sublimits(
     last_index = np.zeros(uniq.size, dtype=np.int64)
     np.maximum.at(last_index, inverse, np.arange(1, p.horizon + 1, dtype=np.int64))
 
+    # waiting[r] flags the value order[r] as unassigned, so the next seed is
+    # the first flag left in visiting order: argmax jumps over assigned
+    # values instead of walking every distinct value in Python.
     order = np.lexsort((uniq, -counts))
-    assigned = np.zeros(uniq.size, dtype=bool)
-    cluster_of = np.full(uniq.size, -1, dtype=np.int64)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    waiting = np.ones(uniq.size, dtype=bool)
+    cluster_of = np.full(uniq.size, -1, dtype=np.int32)
     members_of: list[np.ndarray] = []
-    for uid in order:
-        if assigned[uid]:
-            continue
+    r = 0
+    while True:
+        r += int(waiting[r:].argmax())
+        if not waiting[r]:
+            break
+        uid = int(order[r])
         seed = uniq[uid]
         lo = int(np.searchsorted(uniq, seed - epsilon, side="left"))
-        hi = int(np.searchsorted(uniq, seed + epsilon, side="left"))
-        span = np.arange(lo, hi)
-        members = span[~assigned[lo:hi]]
-        assigned[lo:hi] = True
+        # seed + epsilon rounds to seed when epsilon is below half an ulp of
+        # it; the seed still belongs to its own span.
+        hi = max(int(np.searchsorted(uniq, seed + epsilon, side="left")), uid + 1)
+        span = rank[lo:hi]
+        members = lo + np.flatnonzero(waiting[span])
+        waiting[span] = False
         cluster_of[members] = len(members_of)
         members_of.append(members)
 
@@ -330,7 +342,9 @@ def detect_sublimits(
 
     threshold = (1.0 - recurrence_window) * p.horizon
     recurrent = by_center[lasts[by_center] > threshold]
-    weights = label_weights(cluster_of[inverse], recurrent, sched, tolerances)
+    # Python-int ids keep each ``labels == j`` an int32 comparison; an int64
+    # scalar id would promote the int32 labels to int64 term by term.
+    weights = label_weights(cluster_of[inverse], recurrent.tolist(), sched, tolerances)
     clusters = tuple(
         SubLimitCluster(
             center=float(centers[k]),

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from seqdist import (
     IndexSet,
     InvalidSpecError,
     Membership,
+    Prefix,
     Tolerances,
     WindowSchedule,
     density_profile,
@@ -164,6 +166,57 @@ def test_detect_sublimits_degenerate_epsilon():
         detect_sublimits(p, -0.1)
     with pytest.raises(InvalidSpecError):
         detect_sublimits(p, 0.1, recurrence_window=0.0)
+
+
+def docstring_clusters(values, epsilon, recurrence_window=0.25):
+    """(center, occurrences, last_index) of the recurrent clusters, by center.
+
+    Written in plain Python from the ``detect_sublimits`` docstring: distinct
+    values visited in decreasing occurrence order, ties toward smaller
+    values; each unassigned seed absorbs every still-unassigned value in
+    [seed - epsilon, seed + epsilon); centers are occurrence-weighted means.
+    """
+    counts = Counter(values)
+    last = {v: k for k, v in enumerate(values, start=1)}
+    taken = set()
+    clusters = []
+    for seed in sorted(counts, key=lambda v: (-counts[v], v)):
+        if seed in taken:
+            continue
+        members = [v for v in sorted(counts) if v not in taken and seed - epsilon <= v < seed + epsilon]
+        taken.update(members)
+        occurrences = sum(counts[v] for v in members)
+        center = sum(v * counts[v] for v in members) / occurrences
+        clusters.append((center, occurrences, max(last[v] for v in members)))
+    threshold = (1 - recurrence_window) * len(values)
+    return sorted((c for c in clusters if c[2] > threshold), key=lambda c: c[0])
+
+
+@given(
+    # Multiples of 1/8 keep every center's sum exact, so the float centers of
+    # both implementations agree bit for bit; an epsilon on the same grid
+    # makes spans abut exactly at their half-open ends.
+    eighths=st.lists(st.integers(-16, 16), min_size=1, max_size=200),
+    epsilon_eighths=st.integers(1, 8),
+)
+@settings(max_examples=150, deadline=None)
+def test_detect_sublimits_matches_docstring_clustering(eighths, epsilon_eighths):
+    values = [k / 8 for k in eighths]
+    epsilon = epsilon_eighths / 8
+    p = Prefix(values=np.array(values), horizon=len(values), bound=2.0)
+    rep = detect_sublimits(p, epsilon, schedule=WindowSchedule((1,)))
+    got = [(c.center, c.occurrences, c.last_index) for c in rep.clusters]
+    want = docstring_clusters(values, epsilon)
+    assert got == want
+    assert rep.residual_count == len(values) - sum(c[1] for c in want)
+
+
+def test_detect_sublimits_epsilon_below_ulp_of_seed():
+    # 1e20 + 1.0 rounds to 1e20: each seed must still join its own cluster.
+    p = Prefix(values=np.array([1e20, 1e20, 3e20, 1e20] * 16), horizon=64, bound=1e21)
+    rep = detect_sublimits(p, 1.0, schedule=WindowSchedule((4, 8)))
+    assert [(c.center, c.occurrences) for c in rep.clusters] == [(1e20, 48), (3e20, 16)]
+    assert rep.residual_count == 0
 
 
 @given(

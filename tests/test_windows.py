@@ -128,6 +128,53 @@ def test_shift_coherence(bits, k, data):
     assert abs(hi0 - hi1) <= k
 
 
+@st.composite
+def gap_kernel_case(draw):
+    """A mask shaped for the gap kernel, and a multi-row schedule over its horizon.
+
+    Shares sit just below, at and just above 1/4 (4c = N exactly when the
+    drawn horizon is a multiple of 4), next to empty and single-member masks,
+    masks with members at index 1 and index N, runs, and doubling blocks.
+    """
+    horizon = draw(st.integers(1, 300))
+    bits = np.zeros(horizon, dtype=bool)
+    kind = draw(st.sampled_from(["share", "empty", "single", "ends", "runs", "blocks"]))
+    if kind == "share":
+        c = min(max(horizon // 4 + draw(st.integers(-1, 1)), 0), horizon)
+        bits[sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=c, max_size=c)))] = True
+    elif kind == "single":
+        bits[draw(st.integers(0, horizon - 1))] = True
+    elif kind == "ends":
+        bits[[0, horizon - 1]] = True
+        bits[sorted(draw(st.sets(st.integers(0, horizon - 1), max_size=horizon // 8)))] = True
+    elif kind == "runs":
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(st.integers(0, horizon - 1))
+            bits[start : start + draw(st.integers(1, 20))] = True
+    elif kind == "blocks":
+        # Index k is a member when floor(log2 k) = phase (mod period).
+        period = draw(st.integers(2, 5))
+        phase = draw(st.integers(0, period - 1))
+        k = np.arange(1, horizon + 1)
+        bits = np.floor(np.log2(k)).astype(np.int64) % period == phase
+    lengths = draw(st.sets(st.integers(1, horizon), min_size=1, max_size=6))
+    return bits, WindowSchedule(tuple(sorted(lengths)))
+
+
+@given(gap_kernel_case())
+@settings(max_examples=300, deadline=None)
+def test_density_profile_rows_match_oracle(case):
+    # Every row of a multi-row schedule, so the gap kernel's row-to-row seeds
+    # are exercised, not only its first row.
+    bits, schedule = case
+    m = Membership.from_mask(bits)
+    rows = density_profile(m, schedule).rows
+    assert [r.n for r in rows] == list(schedule.lengths)
+    for r in rows:
+        assert (r.min_count, r.max_count) == naive_count_extrema(m, r.n)
+        assert r.offsets_scanned == m.horizon - r.n + 1
+
+
 def test_mean_extrema_alternating():
     p = materialize(fixture("F3"), 100)
     assert mean_extrema(p, 2) == (0.0, 0.0)
