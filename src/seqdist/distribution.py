@@ -96,7 +96,7 @@ def interval_about(center: float, epsilon: float, bound: float) -> IntervalSet:
     Windows entirely outside, or degenerating to a point after clipping,
     come back empty.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidSpecError("epsilon must be positive")
     lo = max(center - epsilon, -bound)
     hi = min(center + epsilon, bound)

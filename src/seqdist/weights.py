@@ -178,11 +178,11 @@ def label_weights(
     Every estimator that splits the indices into disjoint sets (sub-limit
     clusters, distinct values, quantization cells) counts them here, so the
     sets' window counts stay additive.  Each id is one bool mask, counted by
-    ``density_profile``: from the gaps between its members when they are at
-    most ``windows.SPARSE_SHARE`` of the terms (most clusters and cells
-    are), else from an int32 prefix sum.  A caller that reads only the
-    weights, never the per-window rows, passes just the tail of its
-    schedule.  An id absent from ``labels`` yields exactly (0, 0).
+    ``density_profile``: from the gaps between its members (or non-members)
+    when they are at most ``windows.SPARSE_SHARE`` of the terms (most
+    clusters and cells are), else from an int32 prefix sum.  A caller that
+    reads only the weights, never the per-window rows, passes just the tail
+    of its schedule.  An id absent from ``labels`` yields exactly (0, 0).
     """
     labels = np.asarray(labels)
     return tuple(
@@ -200,7 +200,7 @@ def essential_indices(p: Prefix, a: float, epsilon0: float) -> IndexSet:
     half-open so that interval weights and sub-limit weights count the very
     same index set.
     """
-    if epsilon0 <= 0:
+    if not epsilon0 > 0:
         raise InvalidSpecError("epsilon0 must be positive")
     mask = (p.values >= a - epsilon0) & (p.values < a + epsilon0)
     return IndexSet(indices=np.flatnonzero(mask).astype(np.int64) + 1, horizon=p.horizon)
@@ -279,7 +279,7 @@ def detect_sublimits(
     Whether a non-isolated cluster is a true sub-limit of the infinite
     sequence is not decidable from a prefix; the flag is all this reports.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidSpecError("epsilon must be positive")
     if epsilon >= 2 * p.bound:
         raise DegenerateEpsilonError(

@@ -16,9 +16,13 @@ Conventions that the whole package relies on:
 
 Counts come from one of two exact kernels, chosen from the mask itself:
 
-* **Prefix sums** (dense masks, and every window mean): one prefix-sum array
-  per input, then each window read in O(1), i.e. O(N) per window length and
-  O(N log N) for a geometric schedule.
+* **Prefix sums** (every window mean, and masks whose members and
+  non-members each exceed ``SPARSE_SHARE`` of the terms): one prefix-sum
+  array per input, each window sum one subtraction, so O(N) per window
+  length and O(N log N) for a geometric schedule.  The offsets are walked
+  in blocks of ``_BLOCK``, every window length per block, into one reused
+  block-sized buffer: a block of the prefix sums is read from cache by all
+  the lengths, and no length makes an N-length temporary.
 * **Member gaps** (masks with at most ``SPARSE_SHARE`` of the terms as
   members): only the c sorted member positions are kept.  The largest count
   is the largest d such that some d consecutive members fit in one window;
@@ -27,7 +31,9 @@ Counts come from one of two exact kernels, chosen from the mask itself:
   the end) has room for a whole window.  Both tests are monotone in d (m)
   and each costs one O(c) pass, so a row is found by galloping from a seed
   and bisecting: O(c log n) per row after one O(N) scan, and a seed taken
-  from the previous row usually settles it in a few passes.
+  from the previous row usually settles it in a few passes.  A mask with at
+  most ``SPARSE_SHARE`` of the terms as non-members is counted from the gaps
+  of its complement: a window holding k non-members holds n - k members.
 
 ``naive_count_extrema`` recounts every window from scratch in O(N * n) and
 exists purely as the oracle both kernels are tested against; do not "fix"
@@ -134,15 +140,27 @@ class WindowSchedule:
         return cls(tuple(lengths))
 
 
-# A mask with at most this share of its terms as members is counted from the
-# gaps between its members; any denser mask from prefix sums.  Measured at
-# N = 2**21 over 16 rows (one core): F5 masks of share 1/32 take 4 ms by gaps
-# against 70 ms by prefix sums, and analyze on F5 at 10**6 and F7 at 2**20
-# (clusters and cells of share 1/64 to 1/16) runs 2.7 times as many terms per
-# second.  Denser masks lose: share 1/2 takes 149 ms (F5 region [0, 0.5)) and
-# 279 ms (random bits) by gaps against 52-62 ms, since each probe is an O(c)
-# pass and more probes are needed the further the seed misses.
-SPARSE_SHARE = 0.25
+# A mask with at most this share of its terms as members (or as non-members)
+# is counted from the gaps between them; any other mask from prefix sums.
+# Measured against the blocked prefix-sum walk at N = 2**21 over 16 rows (min
+# of 5, one core): at share 1/8 the gaps take 37 ms on random bits against
+# 33 ms, and 16 ms (F5 region [0, 1/8)) and 14 ms (F7 value 1/3) against
+# 29-31 ms; at share 1/4 they lose everywhere, 132 ms (random bits), 68 ms
+# (F5 region [0, 1/4)) and 35 ms (F7 value 1/2) against 29-34 ms, since
+# each probe is an O(c) pass and more probes are needed the further the
+# previous row's seed misses.  F1's zero label (all but 3 of 2**21 terms)
+# takes 0.9 ms from its complement's gaps against 26 ms.
+SPARSE_SHARE = 0.125
+
+# The prefix-sum walk reads the offsets in blocks of this many window sums,
+# every schedule row per block.  Measured at N = 2**21 over 16 rows (min of
+# 7, one core with 2 MiB of L2) for blocks of 2**12 ... 2**17: int32 count
+# rows 95, 44-62, 39-42, 27-32, 34-39 and 45 ms, float64 window means 121,
+# 73, 61, 59, 58 and 73 ms, against 59-65 and 153 ms for one N-length
+# temporary per row.  Smaller blocks pay numpy's per-call overhead on every
+# block and row; larger ones no longer keep a block of prefix sums in cache
+# across the rows.
+_BLOCK = 1 << 15
 
 
 class DensityRow(NamedTuple):
@@ -205,11 +223,41 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _window_extrema(values: np.ndarray, lengths):
-    """Yield (n, min, max) of the length-n window sums for each n in ``lengths``."""
+    """Yield (n, min, max) of the length-n window sums for each n in ``lengths``.
+
+    ``lengths`` must be strictly increasing.  The offsets are walked in blocks
+    of ``_BLOCK``: within a block every row subtracts its slice of the one
+    prefix-sum array into one reused buffer and folds the buffer's min and
+    max into its running extrema, so the block's prefix sums stay in cache
+    across all rows and no row allocates an N-length temporary.  A row drops
+    out once its N - n + 1 offsets are used up, and every longer row with it.
+    The rows are yielded once the walk ends.
+
+    Each window sum is the same single subtraction the whole-row expression
+    ``csum[n:] - csum[:-n]`` makes, so every extremum equals its reduction.
+    The one exception is the sign of a zero: a float window sum is -0.0 only
+    at offset 0, and only when the first n values are all -0.0, and which
+    zero numpy's reduction returns then depends on its SIMD lanes, so such a
+    row whose extremum is zero is reduced over the whole row instead.
+    """
     csum = _prefix_sums(values)
+    buf = np.empty(min(_BLOCK, csum.size - lengths[0]), dtype=csum.dtype)
+    lows, highs = {}, {}
+    for s in range(0, csum.size - lengths[0], _BLOCK):
+        for n in lengths:
+            e = min(s + _BLOCK, csum.size - n)
+            if e <= s:
+                break
+            sums = np.subtract(csum[s + n : e + n], csum[s:e], out=buf[: e - s])
+            lo, hi = sums.min(), sums.max()
+            lows[n] = min(lows.get(n, lo), lo)
+            highs[n] = max(highs.get(n, hi), hi)
     for n in lengths:
-        sums = csum[n:] - csum[:-n]
-        yield n, sums.min(), sums.max()
+        lo, hi = lows[n], highs[n]
+        if np.signbit(csum[n]) and 0 in (lo, hi):
+            sums = csum[n:] - csum[:-n]
+            lo, hi = sums.min(), sums.max()
+        yield n, lo, hi
 
 
 def _first_true(pred, lo: int, hi: int, seed: int) -> int:
@@ -314,14 +362,22 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     """One count-extrema row per scheduled window length.
 
     A mask with at most ``SPARSE_SHARE`` of its terms as members is counted
-    from the gaps between its members, any other from one shared prefix-sum
-    array; both kernels are exact, so the rows do not depend on the choice.
+    from the gaps between its members, one with at most that share as
+    non-members from the gaps between its non-members, any other from one
+    shared prefix-sum array; the kernels are exact, so the rows do not
+    depend on the choice.
     The schedule is walked serially: the gap kernel seeds each row's search
     from the row before it.
     """
     schedule.validate_for(m.horizon)
-    sparse = m.count() <= SPARSE_SHARE * m.horizon
-    extrema = (_gap_extrema if sparse else _window_extrema)(m.bits, schedule.lengths)
+    count = m.count()
+    if count <= SPARSE_SHARE * m.horizon:
+        extrema = _gap_extrema(m.bits, schedule.lengths)
+    elif m.horizon - count <= SPARSE_SHARE * m.horizon:
+        # A window holds n terms, so it holds n minus its non-members.
+        extrema = ((n, n - hi, n - lo) for n, lo, hi in _gap_extrema(~m.bits, schedule.lengths))
+    else:
+        extrema = _window_extrema(m.bits, schedule.lengths)
     rows = tuple(
         DensityRow(n=n, min_count=int(lo), max_count=int(hi), offsets_scanned=m.horizon - n + 1)
         for n, lo, hi in extrema
@@ -332,7 +388,8 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     """One mean-extrema row per scheduled window length.
 
-    Computed from a float64 prefix-sum array; the accumulated rounding in any
+    Computed from a float64 prefix-sum array, walked in blocks of offsets
+    like a dense count (``_window_extrema``); the accumulated rounding in any
     single window mean is at most about N * ulp(N * M), which for the
     horizons this package targets stays far below every reporting tolerance.
     Integer-valued prefixes (indicator-like sequences) are exact.

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from seqdist import windows
 from seqdist.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +43,18 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name", ["analyze_F4.jsonl", "analyze_F5.jsonl", "analyze_F6.jsonl", "weights_F5.jsonl"]
+)
+def test_report_matches_golden_in_small_blocks(name, capsys, monkeypatch):
+    # At N = 4096 every row of the prefix-sum walk fits in one block of the
+    # default size; blocks of 7 split each row into many, the last partial.
+    monkeypatch.setattr(windows, "_BLOCK", 7)
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -14,10 +14,12 @@ from seqdist import (
     Prefix,
     Tolerances,
     WindowSchedule,
+    cross_validate,
     density_profile,
     detect_sublimits,
     essential_indices,
     fixture,
+    interval_about,
     label_weights,
     materialize,
     naive_count_extrema,
@@ -166,6 +168,25 @@ def test_detect_sublimits_degenerate_epsilon():
         detect_sublimits(p, -0.1)
     with pytest.raises(InvalidSpecError):
         detect_sublimits(p, 0.1, recurrence_window=0.0)
+
+
+def test_nan_epsilon_rejected():
+    # NaN fails every comparison: checked as `epsilon <= 0`, it let
+    # detect_sublimits (and cross_validate) run forever and essential_indices
+    # and sublimit_weight return an empty set and weight 0.
+    nan = float("nan")
+    p = materialize(fixture("F4"), 4096)
+    sched = WindowSchedule.geometric(4096)
+    calls = (
+        lambda: detect_sublimits(p, nan),
+        lambda: cross_validate(fixture("F4"), 4096, sublimit_epsilon=nan),
+        lambda: essential_indices(p, 1.0, nan),
+        lambda: sublimit_weight(p, 1.0, nan, sched),
+        lambda: interval_about(0.5, nan, 1.0),
+    )
+    for call in calls:
+        with pytest.raises(InvalidSpecError):
+            call()
 
 
 def docstring_clusters(values, epsilon, recurrence_window=0.25):

@@ -22,7 +22,8 @@ from seqdist import (
     periodic,
     window_counts,
 )
-from seqdist.windows import _count_dtype
+from seqdist import windows
+from seqdist.windows import SPARSE_SHARE, _count_dtype
 
 
 def ones_membership(prefix):
@@ -132,15 +133,16 @@ def test_shift_coherence(bits, k, data):
 def gap_kernel_case(draw):
     """A mask shaped for the gap kernel, and a multi-row schedule over its horizon.
 
-    Shares sit just below, at and just above 1/4 (4c = N exactly when the
-    drawn horizon is a multiple of 4), next to empty and single-member masks,
-    masks with members at index 1 and index N, runs, and doubling blocks.
+    Shares sit just below, at and just above ``SPARSE_SHARE`` (exactly at it
+    when the drawn horizon is a multiple of its reciprocal), next to empty and
+    single-member masks, masks with members at index 1 and index N, runs,
+    and doubling blocks.
     """
     horizon = draw(st.integers(1, 300))
     bits = np.zeros(horizon, dtype=bool)
     kind = draw(st.sampled_from(["share", "empty", "single", "ends", "runs", "blocks"]))
     if kind == "share":
-        c = min(max(horizon // 4 + draw(st.integers(-1, 1)), 0), horizon)
+        c = min(max(int(horizon * SPARSE_SHARE) + draw(st.integers(-1, 1)), 0), horizon)
         bits[sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=c, max_size=c)))] = True
     elif kind == "single":
         bits[draw(st.integers(0, horizon - 1))] = True
@@ -173,6 +175,101 @@ def test_density_profile_rows_match_oracle(case):
     for r in rows:
         assert (r.min_count, r.max_count) == naive_count_extrema(m, r.n)
         assert r.offsets_scanned == m.horizon - r.n + 1
+
+
+BLOCKS = (1, 2, 7, 64)
+
+
+def block_edge_lengths(draw, horizon, block):
+    """A strictly increasing schedule over ``horizon`` that meets the block edges.
+
+    Lengths sit on and next to multiples of ``block`` and next to the
+    horizon, so some row ends exactly on a block boundary, some one past
+    it, and the longest rows (up to n = N, a single offset) have fewer
+    offsets than one block.
+    """
+    edges = {1, horizon, horizon - 1, horizon + 1 - block, horizon + 2 - block}
+    for k in range(1, horizon // block + 1):
+        edges.update((k * block - 1, k * block, k * block + 1))
+    pool = sorted(n for n in edges if 1 <= n <= horizon)
+    lengths = draw(st.sets(st.sampled_from(pool) | st.integers(1, horizon), min_size=1, max_size=6))
+    return WindowSchedule(tuple(sorted(lengths)))
+
+
+@st.composite
+def blocked_count_case(draw):
+    """A mask, a block size and a block-edge schedule for the prefix-sum walk.
+
+    Besides masks of any share, non-member counts sit just below, at and
+    just above ``SPARSE_SHARE`` of the horizon, so near-full masks fall on
+    both sides of the complement rule, and the full mask is drawn too.
+    """
+    block = draw(st.sampled_from(BLOCKS))
+    horizon = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["share", "near_full", "full"]))
+    bits = np.ones(horizon, dtype=bool)
+    if kind == "share":
+        share = draw(st.floats(0, 1))
+        seed = draw(st.integers(0, 2**32 - 1))
+        bits = np.random.default_rng(seed).random(horizon) < share
+    elif kind == "near_full":
+        c = min(max(int(horizon * SPARSE_SHARE) + draw(st.integers(-1, 1)), 0), horizon)
+        bits[sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=c, max_size=c)))] = False
+    return block, bits, block_edge_lengths(draw, horizon, block)
+
+
+@given(blocked_count_case())
+@settings(max_examples=300, deadline=None)
+def test_blocked_walk_count_rows_match_oracle(case):
+    # The walk is called directly as well, so every mask exercises it
+    # whichever kernel density_profile picks for that mask.
+    block, bits, schedule = case
+    m = Membership.from_mask(bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windows, "_BLOCK", block)
+        walked = list(windows._window_extrema(m.bits, schedule.lengths))
+        rows = density_profile(m, schedule).rows
+    assert [n for n, _, _ in walked] == [r.n for r in rows] == list(schedule.lengths)
+    for (n, lo, hi), r in zip(walked, rows):
+        oracle = naive_count_extrema(m, n)
+        assert (int(lo), int(hi)) == oracle
+        assert (r.min_count, r.max_count) == oracle
+
+
+@st.composite
+def blocked_mean_case(draw):
+    """Values holding negatives and signed zeros, a block size and a schedule.
+
+    A prefix that opens with -0.0 terms (as any negative multiple of a
+    sequence starting with zeros does) makes the offset-0 window sum -0.0,
+    the one window sum that can be; ``-1 * F1`` is drawn as it is.
+    """
+    block = draw(st.sampled_from(BLOCKS))
+    kind = draw(st.sampled_from(["table", "negated_F1"]))
+    if kind == "table":
+        head = draw(st.lists(st.just(-0.0), max_size=40))
+        tail = draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]), max_size=200))
+        values = np.array(head + tail or [-0.0])
+    else:
+        horizon = draw(st.integers(1, 300))
+        values = materialize(affine_combo([(-1.0, fixture("F1"))]), horizon).values
+    return block, values, block_edge_lengths(draw, values.size, block)
+
+
+@given(blocked_mean_case())
+@settings(max_examples=300, deadline=None)
+def test_blocked_walk_mean_rows_match_whole_row(case):
+    # repr tells -0.0 from 0.0, which a report would print differently.
+    block, values, schedule = case
+    p = Prefix(values=values, horizon=values.size, bound=1.0)
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windows, "_BLOCK", block)
+        rows = cesaro_profile(p, schedule).rows
+    for r in rows:
+        sums = csum[r.n :] - csum[: -r.n]
+        assert repr(r.min_mean) == repr(float(sums.min() / r.n))
+        assert repr(r.max_mean) == repr(float(sums.max() / r.n))
 
 
 def test_mean_extrema_alternating():
