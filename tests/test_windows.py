@@ -192,7 +192,9 @@ def block_edge_lengths(draw, horizon, block):
     for k in range(1, horizon // block + 1):
         edges.update((k * block - 1, k * block, k * block + 1))
     pool = sorted(n for n in edges if 1 <= n <= horizon)
-    lengths = draw(st.sets(st.sampled_from(pool) | st.integers(1, horizon), min_size=1, max_size=6))
+    lengths = draw(
+        st.sets(st.sampled_from(pool) | st.integers(1, horizon), min_size=1, max_size=6)
+    )
     return WindowSchedule(tuple(sorted(lengths)))
 
 
