@@ -212,24 +212,18 @@ def set_weight(
     return weight_from_membership(m, sched, tolerances)
 
 
-def _merge_values(
-    uniq: np.ndarray, counts: np.ndarray, tol: float
-) -> list[tuple[float, np.ndarray]]:
-    """Group sorted distinct values whose neighbor gaps are <= tol.
+def _group_bounds(uniq: np.ndarray, tol: float) -> np.ndarray:
+    """Bounds of the runs of sorted distinct values whose neighbor gaps are <= tol.
 
-    Representative = the most frequent member (ties toward the smaller
-    value)."""
-    groups: list[np.ndarray] = []
-    start = 0
-    for i in range(1, uniq.size + 1):
-        if i == uniq.size or uniq[i] - uniq[i - 1] > tol:
-            groups.append(np.arange(start, i))
-            start = i
-    out = []
-    for g in groups:
-        best = g[np.lexsort((uniq[g], -counts[g]))[0]]
-        out.append((float(uniq[best]), g))
-    return out
+    Group g is ``uniq[bounds[g]:bounds[g + 1]]``; no values make no group."""
+    if not uniq.size:
+        return np.zeros(1, dtype=np.intp)
+    return np.concatenate(([0], np.flatnonzero(np.diff(uniq) > tol) + 1, [uniq.size]))
+
+
+def _representatives(uniq: np.ndarray, counts: np.ndarray, bounds: np.ndarray) -> list[float]:
+    """The most frequent member of each group, ties toward the smaller value."""
+    return [float(uniq[lo + np.argmax(counts[lo:hi])]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def is_simply_distributed(
@@ -239,45 +233,64 @@ def is_simply_distributed(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
     value_cap: int = DEFAULT_VALUE_CAP,
 ) -> SimpleReport:
-    """Check whether the prefix looks finitely-valued with settled weights."""
+    """Check whether the prefix looks finitely-valued with settled weights.
+
+    Distinct values (``p.index``) whose neighbor gaps are at most
+    ``value_tolerance`` merge into one group, represented by its most
+    frequent member; every term is labelled with its group.
+    """
     if value_tolerance < 0:
         raise InvalidSpecError("value_tolerance must be >= 0")
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
-    uniq, inverse, counts = np.unique(p.values, return_inverse=True, return_counts=True)
-    groups = _merge_values(uniq, counts, value_tolerance)
-    if len(groups) > value_cap:
+    uniq, inverse, counts = p.index
+    bounds = _group_bounds(uniq, value_tolerance)
+    groups = bounds.size - 1
+    if groups > value_cap:
         return SimpleReport(
             values=(),
             weights=(),
             residual_mass=Fraction(1),
             simply_distributed=False,
-            distinct_count=len(groups),
+            distinct_count=groups,
             weight_sum=None,
         )
-    group_of = np.empty(uniq.size, dtype=np.int64)
-    for gid, (_, members) in enumerate(groups):
-        group_of[members] = gid
-    weights = label_weights(group_of[inverse], range(len(groups)), sched, tolerances)
+    group_of = np.repeat(np.arange(groups, dtype=np.int32), np.diff(bounds))
+    weights = label_weights(group_of[inverse], range(groups), sched, tolerances)
     total = sum((w.midpoint for w in weights), Fraction(0))
     verdict = all(w.converged for w in weights) and abs(total - 1) <= tolerances.gap
     return SimpleReport(
-        values=tuple(v for v, _ in groups),
+        values=tuple(_representatives(uniq, counts, bounds)),
         weights=weights,
         residual_mass=Fraction(0),
         simply_distributed=bool(verdict),
-        distinct_count=len(groups),
+        distinct_count=groups,
         weight_sum=total,
     )
 
 
-def _cells(values: np.ndarray, partition: Partition) -> np.ndarray:
-    """Index j of the cell [a_j, a_{j+1}) holding each value; the top cell is closed."""
-    if values.size and (float(values.min()) < partition.lo or float(values.max()) > partition.hi):
+def _cells(uniq: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(cell of each sorted distinct value, occupied cells), both int32.
+
+    Cell j is [a_j, a_{j+1}), except that the top cell is closed.  With at
+    least as many distinct values as cells, interior point a_j splits
+    ``uniq`` before its first value >= a_j, so one search per point gives
+    each cell its run of distinct values: O(m log k + k), not one search
+    per term.  With fewer, each distinct value is searched among the
+    points instead, so a fine partition of a few values makes no m-length
+    array beyond its points.
+    """
+    if uniq.size and (uniq[0] < partition.lo or uniq[-1] > partition.hi):
         raise ValueOutOfBoundsError(
             f"values outside partition span [{partition.lo}, {partition.hi}]"
         )
-    idx = np.searchsorted(partition.points, values, side="right") - 1
-    return np.minimum(idx, len(partition.points) - 2)
+    m = partition.points.size - 1
+    if uniq.size < m:
+        cell_of = np.minimum(np.searchsorted(partition.points, uniq, "right") - 1, m - 1)
+    else:
+        runs = np.diff(np.searchsorted(uniq, partition.points[1:-1]), prepend=0, append=uniq.size)
+        cell_of = np.repeat(np.arange(m), runs)
+    cell_of = cell_of.astype(np.int32)
+    return cell_of, cell_of[np.diff(cell_of, prepend=-1) > 0]
 
 
 def quantize(p: Prefix, partition: Partition) -> Prefix:
@@ -291,7 +304,8 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
     strict bound matters.
     """
     bound = max(p.bound, abs(partition.lo), abs(partition.hi))
-    values = partition.points[_cells(p.values, partition)]
+    cell_of, _ = _cells(p.index.uniq, partition)
+    values = partition.points[cell_of][p.index.inverse]
     return Prefix(values=values, horizon=p.horizon, bound=bound)
 
 
@@ -389,11 +403,13 @@ def quantized_banach_limit(
 ) -> BanachEstimate:
     """Estimate the Banach limit by quantizing at successively finer meshes.
 
-    Each mesh labels every term with its cell (the rule of ``quantize``),
-    weighs the occupied cells with ``label_weights`` and values each at its
-    left endpoint.  No cell's per-window rows are reported, so the cells are
-    counted on the last ``tolerances.tail_rows`` schedule lengths only: the
-    weights, gaps and convergence flags read nothing else.  The point
+    Each mesh gives every distinct value of ``p.index`` its cell (the rule
+    of ``quantize``), labels every term with its value's cell through the
+    index's inverse, weighs the occupied cells with ``label_weights`` and
+    values each at its left endpoint.  No cell's per-window rows are
+    reported, so the cells are counted on the last ``tolerances.tail_rows``
+    schedule lengths only: the weights, gaps and convergence flags read
+    nothing else.  The point
     estimate is the weighted sum over the finest mesh and the error bound
     is that mesh (sup-norm distance to the true prefix) plus the half-width
     of the weight-bounds interval.  The verdict
@@ -417,9 +433,9 @@ def quantized_banach_limit(
     all_converged = True
     for mesh in meshes:
         part = Partition.with_mesh(-p.bound, p.bound, mesh)
-        cells = _cells(p.values, part)
-        occupied = np.flatnonzero(np.bincount(cells))
-        weights = label_weights(cells, occupied, tail, tolerances)
+        cell_of, occupied = _cells(p.index.uniq, part)
+        occupied = occupied.tolist()
+        weights = label_weights(cell_of[p.index.inverse], occupied, tail, tolerances)
         point, lower, upper = _enclosure([(part.points[j], w) for j, w in zip(occupied, weights)])
         points.append(point)
         all_converged = all_converged and all(w.converged for w in weights)

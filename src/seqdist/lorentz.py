@@ -29,7 +29,13 @@ from .distribution import (
     weight_bounds_estimate,
 )
 from .sequences import Prefix, SequenceSpec, materialize
-from .weights import DEFAULT_TOLERANCES, SubLimitReport, Tolerances, detect_sublimits
+from .weights import (
+    DEFAULT_TOLERANCES,
+    SubLimitReport,
+    Tolerances,
+    check_sublimit_epsilon,
+    detect_sublimits,
+)
 from .windows import CesaroProfile, WindowSchedule, cesaro_profile
 
 
@@ -137,11 +143,13 @@ def cross_validate(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> CrossValidation:
     """Run the Cesaro route and the weight/quantization route on one spec."""
+    eps = sublimit_epsilon if sublimit_epsilon is not None else spec.bound / 32
+    if spec.bound > 0:
+        check_sublimit_epsilon(eps, spec.bound)
     p = materialize(spec, horizon)
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     lv = lorentz_verdict(p, sched, tolerances)
     qe = quantized_banach_limit(p, mesh_schedule, sched, tolerances)
-    eps = sublimit_epsilon if sublimit_epsilon is not None else p.bound / 32
     if p.bound > 0:
         rep = detect_sublimits(p, eps, schedule=sched, tolerances=tolerances)
     else:

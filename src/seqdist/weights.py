@@ -252,6 +252,17 @@ class SubLimitReport:
     epsilon: float
 
 
+def check_sublimit_epsilon(epsilon: float, bound: float) -> None:
+    """Reject a clustering epsilon that is not positive (NaN included) or
+    that cannot separate two values within [-bound, bound]."""
+    if not epsilon > 0:
+        raise InvalidSpecError("epsilon must be positive")
+    if epsilon >= 2 * bound:
+        raise DegenerateEpsilonError(
+            f"epsilon {epsilon} cannot separate values within [-{bound}, {bound}]"
+        )
+
+
 def detect_sublimits(
     p: Prefix,
     epsilon: float,
@@ -261,7 +272,9 @@ def detect_sublimits(
 ) -> SubLimitReport:
     """Cluster recurrent values and estimate a weight for each cluster.
 
-    Clustering is greedy on an epsilon grid: distinct values are visited in
+    Clustering is greedy on an epsilon grid over the prefix's distinct-value
+    index (``p.index``), so every term takes its cluster label through the
+    index's inverse in one int32 gather.  Distinct values are visited in
     decreasing occurrence order (ties toward smaller values) and each
     unassigned seed absorbs every still-unassigned value in
     [seed - epsilon, seed + epsilon).  A cluster is a sub-limit candidate iff
@@ -279,17 +292,12 @@ def detect_sublimits(
     Whether a non-isolated cluster is a true sub-limit of the infinite
     sequence is not decidable from a prefix; the flag is all this reports.
     """
-    if not epsilon > 0:
-        raise InvalidSpecError("epsilon must be positive")
-    if epsilon >= 2 * p.bound:
-        raise DegenerateEpsilonError(
-            f"epsilon {epsilon} cannot separate values within [-{p.bound}, {p.bound}]"
-        )
+    check_sublimit_epsilon(epsilon, p.bound)
     if not 0 < recurrence_window <= 1:
         raise InvalidSpecError("recurrence_window must lie in (0, 1]")
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
 
-    uniq, inverse, counts = np.unique(p.values, return_inverse=True, return_counts=True)
+    uniq, inverse, counts = p.index
     last_index = np.zeros(uniq.size, dtype=np.int64)
     np.maximum.at(last_index, inverse, np.arange(1, p.horizon + 1, dtype=np.int64))
 

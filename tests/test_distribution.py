@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from seqdist import (
     weight_bounds_estimate,
     window_counts,
 )
-from seqdist.distribution import quantized_banach_limit
+from seqdist import distribution, sequences
+from seqdist.distribution import _cells, _group_bounds, _representatives, quantized_banach_limit
+from seqdist.sequences import SEARCH_MAX_DISTINCT
 from seqdist.windows import Membership
 
 ALL_FIXTURES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -153,6 +156,46 @@ def test_value_tolerance_merging():
     assert rep.distinct_count == 2
 
 
+def merge_values_oracle(uniq, counts, tol):
+    """(representative, member positions) per group, by a loop over the gaps."""
+    groups = []
+    start = 0
+    for i in range(1, uniq.size + 1):
+        if i == uniq.size or uniq[i] - uniq[i - 1] > tol:
+            groups.append(np.arange(start, i))
+            start = i
+    return [(float(uniq[g[np.lexsort((uniq[g], -counts[g]))[0]]]), g) for g in groups]
+
+
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=200),
+    st.sampled_from([0.0, 0.05, 0.1, 0.25, 1.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_value_groups_match_loop_oracle(twentieths, tol):
+    values = np.array(twentieths) / 20
+    p = Prefix(values=values, horizon=values.size, bound=2.0)
+    uniq, _, counts = p.index
+    want = merge_values_oracle(uniq, counts, tol)
+    bounds = _group_bounds(uniq, tol)
+    assert [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])] == [g.tolist() for _, g in want]
+    assert _representatives(uniq, counts, bounds) == [v for v, _ in want]
+    rep = is_simply_distributed(p, tol, WindowSchedule((1,)), value_cap=len(want))
+    assert rep.values == tuple(v for v, _ in want) and rep.distinct_count == len(want)
+    capped = is_simply_distributed(p, tol, WindowSchedule((1,)), value_cap=len(want) - 1)
+    assert capped.values == () and capped.distinct_count == len(want)
+
+
+def test_over_cap_report_picks_no_representative(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("over-cap report did per-group work")
+
+    monkeypatch.setattr(distribution, "_representatives", fail)
+    monkeypatch.setattr(distribution, "label_weights", fail)
+    rep = is_simply_distributed(materialize(fixture("F5"), 4096))
+    assert (rep.values, rep.distinct_count, rep.simply_distributed) == ((), 4096, False)
+
+
 # -------------------------------------------------------------------- quantize
 
 
@@ -193,10 +236,51 @@ def test_quantize_top_cell_closed():
     assert q.values.tolist() == [0.0, 0.0, -1.0]
 
 
+def test_empty_prefix_quantized_and_grouped():
+    p = Prefix(values=np.array([]), horizon=0, bound=1.0)
+    assert quantize(p, Partition((-1.0, 0.0, 1.0))).values.size == 0
+    rep = is_simply_distributed(p, schedule=WindowSchedule((1,)))
+    assert (rep.values, rep.weights, rep.distinct_count) == ((), (), 0)
+
+
 def test_quantize_out_of_bounds():
     p = materialize(fixture("F3"), 10)
     with pytest.raises(ValueOutOfBoundsError):
         quantize(p, Partition((0.0, 1.0)))
+
+
+@st.composite
+def cell_case(draw):
+    """A prefix on a partition: values on its points, at +-bound, signed
+    zeros and anywhere between; uniform or irregular points; the index's
+    search / argsort cut-off drawn on both sides of the distinct count."""
+    bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    if draw(st.booleans()):
+        points = Partition.with_mesh(-bound, bound, draw(st.sampled_from([2.0, 0.5, 1 / 16]))).points
+    else:
+        inner = draw(st.sets(st.floats(-bound, bound, exclude_min=True, exclude_max=True), max_size=12))
+        points = np.array(sorted({-bound, bound, *inner}))
+    pool = st.one_of(
+        st.sampled_from([*points, -bound, bound, 0.0, -0.0]), st.floats(-bound, bound),
+    )
+    values = np.array(draw(st.lists(pool, min_size=1, max_size=300)))
+    cutoff = draw(st.sampled_from([0, 1, 4, SEARCH_MAX_DISTINCT]))
+    return values, bound, Partition(points), cutoff
+
+
+@given(cell_case())
+@settings(max_examples=200, deadline=None)
+def test_cells_match_per_term_rule(case):
+    values, bound, part, cutoff = case
+    with mock.patch.object(sequences, "SEARCH_MAX_DISTINCT", cutoff):
+        p = Prefix(values=values, horizon=values.size, bound=bound)
+        cell_of, occupied = _cells(p.index.uniq, part)
+    m = len(part.points) - 1
+    want = np.minimum(np.searchsorted(part.points, values, "right") - 1, m - 1)
+    assert cell_of.dtype == occupied.dtype == np.int32
+    assert np.array_equal(cell_of[p.index.inverse], want)
+    assert np.array_equal(occupied, np.unique(want))
+    assert np.array_equal(quantize(p, part).values, part.points[want])
 
 
 def test_partition_helpers():

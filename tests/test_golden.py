@@ -38,11 +38,17 @@ CASES = {
         f"demo_nonmeasure.{ext}": ["demo-nonmeasure", "--horizon", N, "--format", fmt]
         for ext, fmt in (("jsonl", "jsonl"), ("csv", "csv"), ("txt", "table"))
     },
+    # The spec path is part of the report, so it is given relative to the
+    # root of the checkout, where the tests run it.
+    "analyze_mixed_zero.jsonl": [
+        "analyze", "--spec-file", "tests/golden/mixed_zero.spec", "--horizon", N, "--format", "jsonl",
+    ],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, capsys):
+def test_report_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent.parent)
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -1,19 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 
+from seqdist import lorentz
 from seqdist import (
     ALMOST_CONVERGENT,
     INCONCLUSIVE,
+    DegenerateEpsilonError,
+    InvalidSpecError,
     NOT_ALMOST_CONVERGENT,
     WindowSchedule,
     affine_combo,
     cross_validate,
     fixture,
+    is_simply_distributed,
     lorentz_verdict,
     materialize,
     periodic,
     shift,
+    table,
 )
 
 
@@ -119,3 +125,43 @@ def test_verdict_as_estimate_record():
     assert est.lower <= est.point <= est.upper
     assert est.point == lv.estimate
     assert est.verdict == lv.verdict
+
+
+@pytest.mark.parametrize(
+    "epsilon,error",
+    [(math.nan, InvalidSpecError), (-1.0, InvalidSpecError), (0.0, InvalidSpecError),
+     (2.0, DegenerateEpsilonError)],
+)
+def test_cross_validate_checks_epsilon_before_any_work(epsilon, error, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("materialized before checking the epsilon")
+
+    monkeypatch.setattr(lorentz, "materialize", fail)
+    with pytest.raises(error):
+        cross_validate(fixture("F5"), 10**6, sublimit_epsilon=epsilon)
+
+
+# Specs whose zero terms carry both signs, or only one.  -1 x F1 evaluates
+# 0.0 + (-1 * 0.0), so its zero terms are +0.0.
+ZERO_SPECS = {
+    "periodic mixed": periodic((-0.0, 0.0, 1.0, 0.0)),
+    "table mixed": table(
+        np.resize([-0.0] * 5 + [0.0, 1.0, -0.0, 0.5] * 30 + [0.0], 10**5).tolist()
+    ),
+    "periodic -0.0 only": periodic((-0.0, 1.0)),
+    "-1 x F1": affine_combo([(-1.0, fixture("F1"))]),
+}
+
+
+@pytest.mark.parametrize("horizon", [64, 1000, 4096, 10**5])
+@pytest.mark.parametrize("name", sorted(ZERO_SPECS))
+def test_zero_value_sign_follows_the_terms(name, horizon):
+    # The reported zero is +0.0 when any zero term is +0.0, and -0.0 only
+    # when every zero term is, whichever zero a sort puts first.
+    spec = ZERO_SPECS[name]
+    p = materialize(spec, horizon)
+    negative = bool(np.signbit(p.values[p.values == 0]).all())
+    centers = [c.center for c in cross_validate(spec, horizon).sublimits.clusters if c.center == 0]
+    values = [v for v in is_simply_distributed(p).values if v == 0]
+    assert len(centers) == len(values) == 1
+    assert math.copysign(1, centers[0]) == math.copysign(1, values[0]) == (-1 if negative else 1)

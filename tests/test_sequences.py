@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from seqdist import (
     shift,
     table,
 )
-from seqdist.sequences import MAX_HORIZON_ENV
+from seqdist import sequences
+from seqdist.sequences import MAX_HORIZON_ENV, SEARCH_MAX_DISTINCT
 
 
 def test_ones_then_zeros_values():
@@ -183,3 +185,66 @@ def test_non_finite_bounds_and_values_rejected():
 def test_prefix_values_outside_bound_rejected(values):
     with pytest.raises(InvalidSpecError):
         Prefix(values=np.array(values), horizon=2, bound=1.0)
+
+
+# ----------------------------------------------------------- distinct values
+
+
+def unique_oracle(values):
+    """np.unique's (uniq, inverse, counts), its zero signed by the index's rule:
+    +0.0 when any zero term is +0.0, -0.0 only when every zero term is."""
+    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    zero = uniq == 0
+    if zero.any():
+        uniq[zero] = -0.0 if np.signbit(values[values == 0]).all() else 0.0
+    return uniq, inverse, counts
+
+
+def assert_index_matches(p):
+    got = p.index
+    uniq, inverse, counts = unique_oracle(p.values)
+    assert np.array_equal(got.uniq, uniq)
+    assert np.array_equal(np.signbit(got.uniq), np.signbit(uniq))
+    assert got.inverse.dtype == np.int32 and np.array_equal(got.inverse, inverse)
+    assert np.array_equal(got.counts, counts)
+    assert not any(a.flags.writeable for a in got)
+
+
+@st.composite
+def index_case(draw):
+    """Terms from a pool of repeats, points of a uniform grid, +-bound and
+    signed zeros, with the search / argsort cut-off and the probe size drawn
+    so that both builders, and a probe that misses values, are exercised."""
+    bound = draw(st.sampled_from([1.0, 0.75, 3.0]))
+    grid = list(np.linspace(-bound, bound, draw(st.integers(1, 9)) + 1))
+    pool = grid + [bound, -bound, 0.0, -0.0] + draw(
+        st.lists(st.floats(-bound, bound, allow_nan=False), max_size=40)
+    )
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    cutoff = draw(st.sampled_from([0, 1, 2, 5, SEARCH_MAX_DISTINCT]))
+    probe = draw(st.sampled_from([1, 3, 4096]))
+    return np.array(values), bound, cutoff, probe
+
+
+@given(index_case())
+@settings(max_examples=200, deadline=None)
+def test_value_index_matches_unique(case):
+    values, bound, cutoff, probe = case
+    with mock.patch.object(sequences, "SEARCH_MAX_DISTINCT", cutoff), \
+            mock.patch.object(sequences, "_PROBE", probe):
+        p = Prefix(values=values, horizon=values.size, bound=bound)
+        assert_index_matches(p)
+    assert p.index is p.index
+
+
+@pytest.mark.parametrize("distinct", [SEARCH_MAX_DISTINCT, SEARCH_MAX_DISTINCT + 1, 4096])
+def test_value_index_on_both_sides_of_the_cut_off(distinct):
+    rng = np.random.default_rng(distinct)
+    values = rng.permutation(np.resize(np.linspace(-1.0, 1.0, distinct), 4096))
+    values[rng.integers(0, 4096, 64)] = -0.0
+    assert_index_matches(Prefix(values=values, horizon=4096, bound=1.0))
+    # A probe of every 16th term sees one value, so the index takes the
+    # search, which stays exact past the cut-off.
+    hidden = np.where(np.arange(2**16) % 16 == 0, 0.5, np.resize(np.linspace(0, 1, 2048), 2**16))
+    assert np.unique(hidden[::16]).size == 1 and np.unique(hidden).size > SEARCH_MAX_DISTINCT
+    assert_index_matches(Prefix(values=hidden, horizon=2**16, bound=1.0))
