@@ -271,24 +271,16 @@ def is_simply_distributed(
 def _cells(uniq: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(cell of each sorted distinct value, occupied cells), both int32.
 
-    Cell j is [a_j, a_{j+1}), except that the top cell is closed.  With at
-    least as many distinct values as cells, interior point a_j splits
-    ``uniq`` before its first value >= a_j, so one search per point gives
-    each cell its run of distinct values: O(m log k + k), not one search
-    per term.  With fewer, each distinct value is searched among the
-    points instead, so a fine partition of a few values makes no m-length
-    array beyond its points.
+    Cell j is [a_j, a_{j+1}), except that the top cell is closed.  Each
+    distinct value is searched among the points, O(k log m), so neither a
+    fine partition nor a long prefix makes an array longer than k or m.
     """
     if uniq.size and (uniq[0] < partition.lo or uniq[-1] > partition.hi):
         raise ValueOutOfBoundsError(
             f"values outside partition span [{partition.lo}, {partition.hi}]"
         )
     m = partition.points.size - 1
-    if uniq.size < m:
-        cell_of = np.minimum(np.searchsorted(partition.points, uniq, "right") - 1, m - 1)
-    else:
-        runs = np.diff(np.searchsorted(uniq, partition.points[1:-1]), prepend=0, append=uniq.size)
-        cell_of = np.repeat(np.arange(m), runs)
+    cell_of = np.minimum(np.searchsorted(partition.points, uniq, "right") - 1, m - 1)
     cell_of = cell_of.astype(np.int32)
     return cell_of, cell_of[np.diff(cell_of, prepend=-1) > 0]
 

@@ -47,13 +47,14 @@ DEFAULT_MAX_HORIZON = 50_000_000
 
 #: Most distinct values for which ``Prefix.index`` labels each term by a
 #: binary search into the sorted distinct values; beyond it the labels come
-#: from one argsort of the terms.  Building the index at N = 2**21 from
-#: random-order values with k distinct (min of 9, interleaved, one core of
-#: a shared 2-core host, so about +-20%), search against argsort:
-#: 48 / 56 ms at k = 2, 202 / 244 at 256, 258-262 / 320-363 at 1024,
-#: 305-314 / 264-295 at 4096, 463 / 269 at 65536 and 1878 / 443 at k = N.
-#: Terms in runs or periods favour the search further: F1, F4, F6 and F7
-#: (k = 2, 2, 2, 22) took 21-30 ms by search and 43-223 ms by argsort.
+#: from ``np.unique(..., return_inverse=True)``, one argsort of the terms.
+#: Building the index at N = 2**21 from random-order values with k
+#: distinct (min of 9, interleaved, one core of a shared 2-core host, so
+#: about +-20%), search against argsort: 45 / 65 ms at k = 2, 204 / 272 at
+#: 256, 225 / 262 at 1024, 236 / 274 at 2048, 253 / 269 at 4096, 397 / 309
+#: at 65536 and 1632 / 420 at k = N.  Terms in runs or periods favour the
+#: search further: F1, F4, F6 and F7 (k = 2, 2, 2, 22) took 21-30 ms by
+#: search and 43-223 ms by argsort.
 SEARCH_MAX_DISTINCT = 1024
 #: Terms sampled, evenly spaced, to choose the search or the argsort before
 #: sorting: a sample holding more than SEARCH_MAX_DISTINCT values proves
@@ -291,7 +292,9 @@ class ValueIndex(NamedTuple):
     position, so ``uniq[inverse]`` equals the terms (a zero up to its
     sign).  ``inverse`` and ``counts`` are int32 while N < 2**31.  A zero
     among the values is +0.0 when any zero term is +0.0, and -0.0 only
-    when every zero term is.  All three arrays are read-only.
+    when every zero term is.  All three arrays are read-only.  The index
+    is built once from the terms it is given and never re-read, so it
+    describes a prefix only while that prefix's values stay unchanged.
     """
 
     uniq: np.ndarray
@@ -308,22 +311,8 @@ def value_index(values: np.ndarray) -> ValueIndex:
         # A sample can hide values; the search stays exact whatever k is.
         inverse = np.searchsorted(uniq, values).astype(itype)
     else:
-        order = np.argsort(values)
-        ordered = values[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        rank = np.cumsum(first, dtype=itype)
-        rank -= 1
-        inverse = np.empty(n, dtype=itype)
-        inverse[order] = rank
-        # Each N-length temporary goes before the next is made: with k = N
-        # this lowers the peak from 52 to 36 MiB at N = 10**6 (tracemalloc).
-        del order, rank
-        starts = np.flatnonzero(first)
-        uniq = ordered[starts]
-        del ordered
-        counts = np.diff(starts, append=n)
+        uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        inverse = inverse.astype(itype)
     # Either sort may put a -0.0 term first among the zeros.
     z = int(np.searchsorted(uniq, 0.0))
     if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
@@ -342,8 +331,12 @@ class Prefix:
     ``values[k]`` holds ``x(k + 1)``; the array is frozen after
     construction and may be shared freely across workers.  A float64 input
     is not copied: the stored array is a read-only view of the caller's
-    memory, so the caller's own array stays writable.  ``index`` is the
-    prefix's :class:`ValueIndex`, built on first use and kept with it.
+    memory, so the caller's own array stays writable, but the caller must
+    not change it once the prefix exists.  ``index`` is the prefix's
+    :class:`ValueIndex`, built on first use and kept with it; a later
+    write to the caller's array would leave ``index`` describing the old
+    terms, and every estimator that labels terms through it would then
+    disagree with ``values`` without raising.
     """
 
     values: np.ndarray
