@@ -314,8 +314,11 @@ def _emit(rows: list[dict], args) -> int:
     """Render rows in ``args.format`` to ``args.out`` or stdout."""
     text = render(rows, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidSpecError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

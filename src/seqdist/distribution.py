@@ -94,10 +94,12 @@ def interval_about(center: float, epsilon: float, bound: float) -> IntervalSet:
     When the window sticks out past +bound the clipped cell is closed at the
     top, so a sequence sitting exactly on its bound is still covered.
     Windows entirely outside, or degenerating to a point after clipping,
-    come back empty.
+    come back empty; a center that is not finite is rejected.
     """
     if not epsilon > 0:
         raise InvalidSpecError("epsilon must be positive")
+    if not math.isfinite(center):
+        raise InvalidSpecError(f"center must be finite, got {center!r}")
     lo = max(center - epsilon, -bound)
     hi = min(center + epsilon, bound)
     if lo >= hi:
@@ -356,10 +358,7 @@ def weight_bounds_estimate(values_and_weights) -> BanachEstimate:
     )
 
 
-def banach_limit_simply(
-    report: SimpleReport,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> BanachEstimate:
+def banach_limit_simply(report: SimpleReport) -> BanachEstimate:
     """Point estimate sum(value * weight midpoint) for a simple prefix."""
     if not report.simply_distributed:
         raise NotSimplyDistributedError(

@@ -214,38 +214,12 @@ def fixture(name: str, n0: int | None = None) -> SequenceSpec:
     raise InvalidSpecError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
 
 
-def _scalar(spec: SequenceSpec, n: int) -> float:
-    m = n + spec.shift
-    kind = spec.kind
-    if kind == "periodic":
-        return spec.pattern[(m - 1) % len(spec.pattern)]
-    if kind == "ones-then-zeros":
-        return 1.0 if m <= spec.n0 else 0.0
-    if kind == "rotation":
-        v = float(m) * spec.alpha
-        return v - math.floor(v)
-    if kind == "doubling-blocks":
-        return float((m.bit_length() - 1) % 2)
-    if kind == "dyadic-harmonic":
-        j = (m & -m).bit_length()
-        return 1.0 / j
-    if kind == "table":
-        if m > len(spec.values):
-            raise IndexOutOfRangeError(
-                f"table defines x only up to n={len(spec.values) - spec.shift}"
-            )
-        return spec.values[m - 1]
-    if kind == "affine-combo":
-        acc = 0.0
-        for coef, child in spec.terms:
-            acc += coef * _scalar(child, m)
-        return acc
-    raise InvalidSpecError(f"unknown sequence kind {kind!r}")
-
-
 def _block(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
-    # ns holds requested 1-based positions; every arithmetic step mirrors
-    # _scalar exactly so eval_at and materialize agree bit for bit.
+    # ns holds increasing 1-based positions, so the last is the largest; one
+    # evaluator serves eval_at and materialize, so they agree bit for bit.
+    top = int(ns[-1]) + spec.shift
+    if top > 2**63 - 1:
+        raise InvalidSpecError(f"position {top} is past 2**63 - 1")
     ms = ns + spec.shift
     kind = spec.kind
     if kind == "periodic":
@@ -258,13 +232,16 @@ def _block(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
         return v - np.floor(v)
     if kind == "doubling-blocks":
         t = np.frexp(ms.astype(np.float64))[1] - 1
+        if top >= 2**53:
+            # Past 2**53 a position just below a power of two rounds up to it.
+            t -= (ms >> t) == 0
         return (t % 2).astype(np.float64)
     if kind == "dyadic-harmonic":
         j = np.frexp((ms & -ms).astype(np.float64))[1]
         return 1.0 / j
     if kind == "table":
         vals = np.asarray(spec.values, dtype=np.float64)
-        if ms.size and int(ms.max()) > vals.size:
+        if top > vals.size:
             raise IndexOutOfRangeError(
                 f"table defines x only up to n={vals.size - spec.shift}"
             )
@@ -279,9 +256,10 @@ def _block(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
 
 def eval_at(spec: SequenceSpec, n: int) -> float:
     """Evaluate x(n).  Deterministic; ``|x(n)| <= spec.bound``."""
-    if int(n) != n or n < 1:
-        raise InvalidSpecError(f"index must be a positive integer, got {n!r}")
-    return float(_scalar(spec, int(n)))
+    # Range first, so that inf and nan fail it before int() sees them.
+    if not 1 <= n <= 2**63 - 1 or int(n) != n:
+        raise InvalidSpecError(f"index must be an integer in [1, 2**63 - 1], got {n!r}")
+    return float(_block(spec, np.array([int(n)], dtype=np.int64))[0])
 
 
 class ValueIndex(NamedTuple):

@@ -202,6 +202,8 @@ def essential_indices(p: Prefix, a: float, epsilon0: float) -> IndexSet:
     """
     if not epsilon0 > 0:
         raise InvalidSpecError("epsilon0 must be positive")
+    if not np.isfinite(a):
+        raise InvalidSpecError(f"a must be finite, got {a!r}")
     mask = (p.values >= a - epsilon0) & (p.values < a + epsilon0)
     return IndexSet(indices=np.flatnonzero(mask).astype(np.int64) + 1, horizon=p.horizon)
 
@@ -277,10 +279,12 @@ def detect_sublimits(
     index's inverse in one int32 gather.  Distinct values are visited in
     decreasing occurrence order (ties toward smaller values) and each
     unassigned seed absorbs every still-unassigned value in
-    [seed - epsilon, seed + epsilon).  A cluster is a sub-limit candidate iff
-    it recurs past index (1 - recurrence_window) * N; "recurs late" is the
-    finite-scale stand-in for "occurs infinitely often", and values that stop
-    appearing carry weight 0 in the limit anyway.
+    [seed - epsilon, seed + epsilon); what it absorbs is always one run of
+    the sorted distinct values, as a value group or quantization cell is.
+    A cluster is a sub-limit candidate iff it recurs past index
+    (1 - recurrence_window) * N; "recurs late" is the finite-scale stand-in
+    for "occurs infinitely often", and values that stop appearing carry
+    weight 0 in the limit anyway.
 
     Cluster centers are occurrence-weighted means of their member values.
     Each candidate's weight is estimated from the indices of its own members;
@@ -298,18 +302,16 @@ def detect_sublimits(
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
 
     uniq, inverse, counts = p.index
-    last_index = np.zeros(uniq.size, dtype=np.int64)
-    np.maximum.at(last_index, inverse, np.arange(1, p.horizon + 1, dtype=np.int64))
 
     # waiting[r] flags the value order[r] as unassigned, so the next seed is
     # the first flag left in visiting order: argmax jumps over assigned
-    # values instead of walking every distinct value in Python.
-    order = np.lexsort((uniq, -counts))
+    # values instead of walking every distinct value in Python.  A stable
+    # sort keeps ties in ``uniq`` order, toward smaller values.
+    order = np.argsort(-counts, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     waiting = np.ones(uniq.size, dtype=bool)
-    cluster_of = np.full(uniq.size, -1, dtype=np.int32)
-    members_of: list[np.ndarray] = []
+    starts = []
     r = 0
     while True:
         r += int(waiting[r:].argmax())
@@ -321,38 +323,39 @@ def detect_sublimits(
         # seed + epsilon rounds to seed when epsilon is below half an ulp of
         # it; the seed still belongs to its own span.
         hi = max(int(np.searchsorted(uniq, seed + epsilon, side="left")), uid + 1)
-        span = rank[lo:hi]
-        members = lo + np.flatnonzero(waiting[span])
-        waiting[span] = False
-        cluster_of[members] = len(members_of)
-        members_of.append(members)
+        # An earlier seed's span never holds this seed, so it covers only a
+        # prefix (seed below) or a suffix (seed above) of this span: the
+        # values left form one run of ``uniq`` around the seed.
+        free = waiting[rank[lo:hi]]
+        start = lo + int(free.argmax())
+        waiting[rank[start : start + int(free.sum())]] = False
+        starts.append(start)
 
-    centers = np.empty(len(members_of))
-    radii = np.empty(len(members_of))
-    occs = np.empty(len(members_of), dtype=np.int64)
-    lasts = np.empty(len(members_of), dtype=np.int64)
-    for k, members in enumerate(members_of):
-        w = counts[members].astype(np.float64)
-        centers[k] = float(np.dot(uniq[members], w) / w.sum())
-        radii[k] = float(np.max(np.abs(uniq[members] - centers[k])))
-        occs[k] = int(counts[members].sum())
-        lasts[k] = int(last_index[members].max())
+    # The runs tile ``uniq``; number the clusters in value order.
+    starts = np.sort(starts)
+    ends = np.append(starts[1:], uniq.size)
+    cluster_of = np.repeat(np.arange(starts.size, dtype=np.int32), ends - starts)
+    occs = np.add.reduceat(counts, starts, dtype=np.int64)
+    centers = np.array([np.dot(uniq[a:b], counts[a:b]) for a, b in zip(starts, ends)]) / occs
+    # |v - center| is largest at a run's ends.
+    radii = np.maximum(centers - uniq[starts], uniq[ends - 1] - centers)
 
     # Isolation is judged against every detected cluster, recurrent or not.
-    isolated = np.ones(len(members_of), dtype=bool)
     by_center = np.argsort(centers, kind="stable")
-    sorted_centers = centers[by_center]
-    for pos, k in enumerate(by_center):
-        if pos > 0 and sorted_centers[pos] - sorted_centers[pos - 1] < 3 * epsilon:
-            isolated[k] = False
-        if pos + 1 < len(by_center) and sorted_centers[pos + 1] - sorted_centers[pos] < 3 * epsilon:
-            isolated[k] = False
+    apart = np.diff(centers[by_center]) >= 3 * epsilon
+    isolated = np.empty(starts.size, dtype=bool)
+    isolated[by_center] = np.append(True, apart) & np.append(apart, True)
 
-    threshold = (1.0 - recurrence_window) * p.horizon
-    recurrent = by_center[lasts[by_center] > threshold]
+    # Only terms past (1 - recurrence_window) * N decide recurrence, and a
+    # recurrent cluster's last index lies among them.
+    labels = cluster_of[inverse]
+    tail = int((1.0 - recurrence_window) * p.horizon)
+    lasts = np.zeros(starts.size, dtype=np.int64)
+    np.maximum.at(lasts, labels[tail:], np.arange(tail + 1, p.horizon + 1))
+    recurrent = by_center[lasts[by_center] > 0]
     # Python-int ids keep each ``labels == j`` an int32 comparison; an int64
     # scalar id would promote the int32 labels to int64 term by term.
-    weights = label_weights(cluster_of[inverse], recurrent.tolist(), sched, tolerances)
+    weights = label_weights(labels, recurrent.tolist(), sched, tolerances)
     clusters = tuple(
         SubLimitCluster(
             center=float(centers[k]),

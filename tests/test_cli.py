@@ -197,13 +197,21 @@ def test_spec_file_grammar():
         parse_spec_file("kind = periodic\npattern = one\n")
 
 
-def test_bad_usage_exit_codes(capsys):
+def test_bad_usage_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", "--horizon", "100"])
     assert code == 2 and "fixture" in err
     code, _, err = run(
         capsys, ["analyze", "--fixture", "F2", "--horizon", "100", "--lengths", "7,3"]
     )
     assert code == 2
+    out = tmp_path / "missing" / "x.jsonl"
+    code, _, err = run(capsys, ["analyze", "--fixture", "F4", "--horizon", "64", "--out", str(out)])
+    assert code == 2 and err.startswith("seqdist: cannot write")
+    for center in ("inf", "nan"):
+        code, _, err = run(
+            capsys, ["weights", "--fixture", "F4", "--horizon", "64", "--value", center]
+        )
+        assert code == 2 and err.startswith("seqdist:")
 
 
 def test_resource_limit_exit_code(capsys, monkeypatch):

@@ -67,6 +67,11 @@ def test_materialize_rational_rotation():
 def test_doubling_blocks_layout():
     got = materialize(fixture("F6"), 15).values.tolist()
     assert got == [0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]
+    # Positions 2**54 - 1, 2**54 and 2**54 + 1 end block 53 and open block
+    # 54; as floats the first rounds up to 2**54.
+    late = shift(fixture("F6"), 2**54 - 2)
+    assert materialize(late, 3).values.tolist() == [1, 0, 0]
+    assert [eval_at(late, n) for n in (1, 2, 3)] == [1, 0, 0]
 
 
 def test_materialize_matches_eval_pointwise():
@@ -148,6 +153,13 @@ def test_invalid_specs_rejected():
         shift(fixture("F2"), -1)
     with pytest.raises(InvalidSpecError):
         eval_at(fixture("F2"), 0)
+    for n in (2**63, math.inf, math.nan, 1.5):
+        with pytest.raises(InvalidSpecError):
+            eval_at(fixture("F2"), n)
+    with pytest.raises(InvalidSpecError):
+        eval_at(shift(fixture("F2"), 2**62), 2**62)
+    with pytest.raises(InvalidSpecError):
+        materialize(shift(fixture("F2"), 2**63 - 2), 3)
 
 
 def test_horizon_cap(monkeypatch):

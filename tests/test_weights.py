@@ -183,6 +183,12 @@ def test_nan_epsilon_rejected():
         lambda: essential_indices(p, 1.0, nan),
         lambda: sublimit_weight(p, 1.0, nan, sched),
         lambda: interval_about(0.5, nan, 1.0),
+        # A center that is not finite gave an empty set the same way.
+        lambda: essential_indices(p, nan, 0.5),
+        lambda: essential_indices(p, float("inf"), 0.5),
+        lambda: sublimit_weight(p, float("-inf"), 0.5, sched),
+        lambda: interval_about(nan, 0.1, 1.0),
+        lambda: interval_about(float("inf"), 0.1, 1.0),
     )
     for call in calls:
         with pytest.raises(InvalidSpecError):
@@ -190,12 +196,16 @@ def test_nan_epsilon_rejected():
 
 
 def docstring_clusters(values, epsilon, recurrence_window=0.25):
-    """(center, occurrences, last_index) of the recurrent clusters, by center.
+    """(center, occurrences, last_index, radius, isolated) of the recurrent
+    clusters, by center.
 
     Written in plain Python from the ``detect_sublimits`` docstring: distinct
     values visited in decreasing occurrence order, ties toward smaller
     values; each unassigned seed absorbs every still-unassigned value in
-    [seed - epsilon, seed + epsilon); centers are occurrence-weighted means.
+    [seed - epsilon, seed + epsilon); centers are occurrence-weighted means;
+    the radius is the largest distance from the center to a member, and a
+    cluster is isolated when no other cluster's center, recurrent or not,
+    lies within 3 * epsilon of its own.
     """
     counts = Counter(values)
     last = {v: k for k, v in enumerate(values, start=1)}
@@ -208,9 +218,21 @@ def docstring_clusters(values, epsilon, recurrence_window=0.25):
         taken.update(members)
         occurrences = sum(counts[v] for v in members)
         center = sum(v * counts[v] for v in members) / occurrences
-        clusters.append((center, occurrences, max(last[v] for v in members)))
+        radius = max(abs(v - center) for v in members)
+        clusters.append((center, occurrences, max(last[v] for v in members), radius))
     threshold = (1 - recurrence_window) * len(values)
-    return sorted((c for c in clusters if c[2] > threshold), key=lambda c: c[0])
+    return sorted(
+        (
+            (*c, all(abs(c[0] - o[0]) >= 3 * epsilon for o in clusters if o is not c))
+            for c in clusters
+            if c[2] > threshold
+        ),
+        key=lambda c: c[0],
+    )
+
+
+def cluster_rows(rep):
+    return [(c.center, c.occurrences, c.last_index, c.radius, c.isolated) for c in rep.clusters]
 
 
 @given(
@@ -226,10 +248,25 @@ def test_detect_sublimits_matches_docstring_clustering(eighths, epsilon_eighths)
     epsilon = epsilon_eighths / 8
     p = Prefix(values=np.array(values), horizon=len(values), bound=2.0)
     rep = detect_sublimits(p, epsilon, schedule=WindowSchedule((1,)))
-    got = [(c.center, c.occurrences, c.last_index) for c in rep.clusters]
     want = docstring_clusters(values, epsilon)
-    assert got == want
+    assert cluster_rows(rep) == want
     assert rep.residual_count == len(values) - sum(c[1] for c in want)
+
+
+def test_detect_sublimits_earlier_clusters_take_both_ends_of_a_span():
+    # 1/8 and 7/8 seed first and take 5/16 and 11/16; the seed 1/2 then
+    # spans [1/4, 3/4) but keeps only 7/16 and 1/2 from its middle.
+    block = [1 / 8] * 9 + [7 / 8] * 9 + [1 / 2] * 2 + [5 / 16, 7 / 16, 11 / 16]
+    values = block * 4
+    p = Prefix(values=np.array(values), horizon=len(values), bound=1.0)
+    rep = detect_sublimits(p, 1 / 4, schedule=WindowSchedule((1,)))
+    assert cluster_rows(rep) == docstring_clusters(values, 1 / 4)
+    members = ([1 / 8, 5 / 16], [7 / 16, 1 / 2], [11 / 16, 7 / 8])
+    occurrences = [sum(values.count(v) for v in m) for m in members]
+    assert [c.occurrences for c in rep.clusters] == occurrences == [40, 12, 40]
+    for c, m, n in zip(rep.clusters, members, occurrences):
+        assert c.center == sum(v * values.count(v) for v in m) / n
+    assert rep.residual_count == 0
 
 
 def test_detect_sublimits_epsilon_below_ulp_of_seed():
