@@ -80,10 +80,14 @@ class IntervalSet:
         object.__setattr__(self, "intervals", ivs)
 
     def contains(self, values: np.ndarray) -> np.ndarray:
-        mask = np.zeros(np.shape(values), dtype=bool)
-        for a, b in self.intervals:
+        if not self.intervals:
+            return np.zeros(np.shape(values), dtype=bool)
+        (a, b), *rest = self.intervals
+        mask = values >= a
+        mask &= values < b
+        for a, b in rest:
             mask |= (values >= a) & (values < b)
-        if self.top_closed and self.intervals:
+        if self.top_closed:
             mask |= values == self.intervals[-1][1]
         return mask
 

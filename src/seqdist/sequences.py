@@ -346,7 +346,8 @@ class Prefix:
 
 def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     """Evaluate x(1..horizon) into a Prefix."""
-    if int(horizon) != horizon or horizon < 1:
+    # Range first, so that inf and nan fail it before int() sees them.
+    if not 1 <= horizon < math.inf or int(horizon) != horizon:
         raise InvalidSpecError(f"horizon must be a positive integer, got {horizon!r}")
     cap = max_horizon()
     if horizon > cap:
@@ -358,6 +359,6 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
 
 def shift(spec: SequenceSpec, k: int) -> SequenceSpec:
     """Translate: the result y satisfies y(n) = x(n + k) for all n."""
-    if int(k) != k or k < 0:
+    if not 0 <= k < math.inf or int(k) != k:
         raise InvalidSpecError(f"shift must be a nonnegative integer, got {k!r}")
     return dataclasses.replace(spec, shift=spec.shift + int(k))

@@ -180,7 +180,7 @@ def label_weights(
     sets' window counts stay additive.  Each id is one bool mask, counted by
     ``density_profile``: from the gaps between its members (or non-members)
     when they are at most ``windows.SPARSE_SHARE`` of the terms (most
-    clusters and cells are), else from an int32 prefix sum.  A caller that
+    clusters and cells are), else from a uint16 prefix count.  A caller that
     reads only the weights, never the per-window rows, passes just the tail
     of its schedule.  An id absent from ``labels`` yields exactly (0, 0).
     """
@@ -299,6 +299,8 @@ def detect_sublimits(
     check_sublimit_epsilon(epsilon, p.bound)
     if not 0 < recurrence_window <= 1:
         raise InvalidSpecError("recurrence_window must lie in (0, 1]")
+    if p.horizon < 1:
+        raise InvalidSpecError("an empty prefix has no sub-limits to detect")
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
 
     uniq, inverse, counts = p.index

@@ -20,9 +20,16 @@ Counts come from one of two exact kernels, chosen from the mask itself:
   non-members each exceed ``SPARSE_SHARE`` of the terms): one prefix-sum
   array per input, each window sum one subtraction, so O(N) per window
   length and O(N log N) for a geometric schedule.  The offsets are walked
-  in blocks of ``_BLOCK``, every window length per block, into one reused
-  block-sized buffer: a block of the prefix sums is read from cache by all
-  the lengths, and no length makes an N-length temporary.
+  in blocks of ``_BLOCK``, every window length per block, into reused
+  block-sized buffers: a block of the prefix sums is read from cache by all
+  the lengths, and no length makes an N-length temporary.  Window means
+  come from a float64 cumsum.  A mask is counted in 16-bit lanes: its
+  prefix count is kept mod 2**16 as uint16, built eight terms per uint64
+  word with no N-long cumsum, and the walk makes no int32 or int64 array
+  of N entries.  A window count lies in [0, n], so rows with n < 2**16
+  read it exactly mod 2**16; longer rows read each block as an int16
+  offset from the block's first count, which moves by at most 1 per
+  offset.
 * **Member gaps** (masks with at most ``SPARSE_SHARE`` of the terms as
   members): only the c sorted member positions are kept.  The largest count
   is the largest d such that some d consecutive members fit in one window;
@@ -141,26 +148,39 @@ class WindowSchedule:
 
 
 # A mask with at most this share of its terms as members (or as non-members)
-# is counted from the gaps between them; any other mask from prefix sums.
-# Measured against the blocked prefix-sum walk at N = 2**21 over 16 rows (min
-# of 5, one core): at share 1/8 the gaps take 37 ms on random bits against
-# 33 ms, and 16 ms (F5 region [0, 1/8)) and 14 ms (F7 value 1/3) against
-# 29-31 ms; at share 1/4 they lose everywhere, 132 ms (random bits), 68 ms
-# (F5 region [0, 1/4)) and 35 ms (F7 value 1/2) against 29-34 ms, since
-# each probe is an O(c) pass and more probes are needed the further the
-# previous row's seed misses.  F1's zero label (all but 3 of 2**21 terms)
-# takes 0.9 ms from its complement's gaps against 26 ms.
+# is counted from the gaps between them; any other mask from prefix counts.
+# Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 5
+# to 9, interleaved, 2 cores, shared host), gaps against walk: at share 1/8,
+# 17-33 against 17-23 ms (F5 region [0, 1/8)), 10-21 against 19-25 ms (F7
+# value 1/3) and 30-43 against 19-23 ms (random bits); at 3/32 and 1/16 the
+# F5 regions take 7-10 ms by gaps against 23 ms, and random bits tie
+# (19-26 against 18-25 ms); at share 1/4 the gaps lose everywhere, 140 ms
+# (random bits), 73-114 ms (F5 region [0, 1/4)) and 37-50 ms (F7 value 1/2)
+# against 16-25 ms, since each probe is an O(c) pass and more probes are
+# needed the further the previous row's seed misses.  The faster walk moved
+# the crossover of random bits down to about 1/16, but not that of the
+# structured masks the estimators make, so the share stays at 1/8.  F1's
+# zero label (all but 3 of 2**21 terms) takes 0.9 ms from its complement's
+# gaps against 26 ms by the older int32 walk.
 SPARSE_SHARE = 0.125
 
-# The prefix-sum walk reads the offsets in blocks of this many window sums,
-# every schedule row per block.  Measured at N = 2**21 over 16 rows (min of
-# 7, one core with 2 MiB of L2) for blocks of 2**12 ... 2**17: int32 count
-# rows 95, 44-62, 39-42, 27-32, 34-39 and 45 ms, float64 window means 121,
-# 73, 61, 59, 58 and 73 ms, against 59-65 and 153 ms for one N-length
-# temporary per row.  Smaller blocks pay numpy's per-call overhead on every
-# block and row; larger ones no longer keep a block of prefix sums in cache
-# across the rows.
+# The prefix-sum walks read the offsets in blocks of this many window sums,
+# every schedule row per block.  Float64 window means, measured at N = 2**21
+# over 16 rows (min of 7, one core with 2 MiB of L2) for blocks of 2**12 ...
+# 2**17: 121, 73, 61, 59, 58 and 73 ms, against 153 ms for one N-length
+# temporary per row.  16-bit count rows (F5 region [0.1, 0.5), same host,
+# 2 cores) for blocks of 2**12 ... 2**15: 59, 34, 24 and 17-22 ms.  Smaller
+# blocks pay numpy's per-call overhead on every block and row; larger ones
+# no longer keep a block of prefix sums in cache across the rows.  The count
+# walk needs blocks of at most 2**15 offsets: it reads a row of n >= 2**16
+# as int16 offsets from the block's first count.
 _BLOCK = 1 << 15
+
+# The count walk writes up to this many rows of a block into one uint16
+# buffer (1 MiB at 2**15 offsets) and reduces them with one min and one max
+# call.  Same mask and host: 36 ms for 1 row per call, 20-22 ms for 4, 8,
+# 16 and 32 rows.  The cap keeps the buffer fixed however long the schedule.
+_ROWS = 16
 
 
 class DensityRow(NamedTuple):
@@ -209,27 +229,14 @@ def _count_dtype(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    """csum[k] = values[0] + ... + values[k - 1].
-
-    Bool masks are counted into int32 while N < 2**31 and into int64 from
-    there on, so counts stay exact integers at half the memory traffic;
-    any other array (the float64 Cesaro path) keeps its own dtype.
-    """
-    dtype = _count_dtype(values.size) if values.dtype == bool else values.dtype
-    csum = np.zeros(values.size + 1, dtype=dtype)
-    np.cumsum(values, dtype=dtype, out=csum[1:])
-    return csum
-
-
 def _window_extrema(values: np.ndarray, lengths):
-    """Yield (n, min, max) of the length-n window sums for each n in ``lengths``.
+    """Yield (n, min, max) of the length-n window sums of a float array.
 
     ``lengths`` must be strictly increasing.  The offsets are walked in blocks
     of ``_BLOCK``: within a block every row subtracts its slice of the one
-    prefix-sum array into one reused buffer and folds the buffer's min and
-    max into its running extrema, so the block's prefix sums stay in cache
-    across all rows and no row allocates an N-length temporary.  A row drops
+    float64 prefix-sum array into one reused buffer and folds the buffer's
+    min and max into its running extrema, so the block's prefix sums stay in
+    cache across all rows and no row allocates an N-length temporary.  A row drops
     out once its N - n + 1 offsets are used up, and every longer row with it.
     The rows are yielded once the walk ends.
 
@@ -240,8 +247,9 @@ def _window_extrema(values: np.ndarray, lengths):
     zero numpy's reduction returns then depends on its SIMD lanes, so such a
     row whose extremum is zero is reduced over the whole row instead.
     """
-    csum = _prefix_sums(values)
-    buf = np.empty(min(_BLOCK, csum.size - lengths[0]), dtype=csum.dtype)
+    csum = np.zeros(values.size + 1)
+    np.cumsum(values, out=csum[1:])
+    buf = np.empty(min(_BLOCK, csum.size - lengths[0]))
     lows, highs = {}, {}
     for s in range(0, csum.size - lengths[0], _BLOCK):
         for n in lengths:
@@ -257,6 +265,89 @@ def _window_extrema(values: np.ndarray, lengths):
         if np.signbit(csum[n]) and 0 in (lo, hi):
             sums = csum[n:] - csum[:-n]
             lo, hi = sums.min(), sums.max()
+        yield n, lo, hi
+
+
+def _prefix_counts(bits: np.ndarray) -> np.ndarray:
+    """c[k] = (bits[0] + ... + bits[k - 1]) mod 2**16, as N + 1 uint16.
+
+    Counted eight terms per little-endian uint64 word, with no N-long cumsum:
+    the mask is copied into zero-padded bytes, and multiplying a word by
+    0x0101010101010101 leaves in its byte k the count of its bytes 0..k (at
+    most 8, so no byte carries into the next).  Only the N/8 word totals
+    (byte 7) are cumsummed, and each word's running total is added back to
+    its eight bytes.  Every sum wraps mod 2**16 on arrays, never on numpy
+    scalars.
+    """
+    words = -(-bits.size // 8)
+    lanes = np.zeros(8 * words, dtype=np.uint8)
+    lanes[: bits.size] = bits
+    w = lanes.view("<u8")
+    np.multiply(w, 0x0101010101010101, out=w)
+    per_word = lanes.reshape(words, 8)
+    before = np.zeros(words, dtype=np.uint16)
+    np.cumsum(per_word[:-1, 7], dtype=np.uint16, out=before[1:])
+    counts = np.zeros(8 * words + 1, dtype=np.uint16)
+    np.add(before[:, None], per_word, out=counts[1:].reshape(words, 8))
+    return counts[: bits.size + 1]
+
+
+def _count_extrema(bits: np.ndarray, lengths):
+    """Yield (n, min, max) of the length-n window counts of a bool mask.
+
+    Every row is read from one uint16 prefix count taken mod 2**16
+    (``_prefix_counts``), walked in blocks of ``_BLOCK`` offsets like
+    ``_window_extrema``; per block the rows' sums are written into one
+    (rows x block) buffer, ``_ROWS`` rows at a time, and each group is
+    reduced by one ``min(axis=1)`` and one ``max(axis=1)``.  A count lies in
+    [0, n], so a row with n < 2**16 reads its window sums mod 2**16 exactly.
+    A longer row uses that a window count moves by at most 1 per offset:
+    within a block of at most 2**15 offsets it stays within 2**15 - 1 of the
+    block's first window, so the block minus that first count (mod 2**16)
+    read as int16 is exact, and the first count is added back.  That first
+    count is exact from int64 block heads, since a block adds fewer than
+    2**16 members to the running count.
+    """
+    if not 1 <= _BLOCK <= 2**15:
+        raise ValueError(f"_BLOCK must lie in [1, 2**15], got {_BLOCK}")
+    counts = _prefix_counts(bits)
+    size = counts.size
+    heads = np.zeros(-(-size // _BLOCK), dtype=np.int64)
+    np.cumsum(np.diff(counts[::_BLOCK]), dtype=np.int64, out=heads[1:])
+
+    def exact(x: int) -> int:
+        head = x - x % _BLOCK
+        return int(heads[head // _BLOCK]) + (int(counts[x]) - int(counts[head])) % 2**16
+
+    short = sum(n < 2**16 for n in lengths)
+    buf = np.empty(
+        (min(len(lengths), _ROWS), min(_BLOCK, size - lengths[0])), dtype=np.uint16
+    )
+    lows = np.full(len(lengths), np.iinfo(np.int64).max)
+    highs = np.full(len(lengths), -1, dtype=np.int64)
+    for s in range(0, size - lengths[0], _BLOCK):
+        ends = [e for e in (min(s + _BLOCK, size - n) for n in lengths) if e > s]
+        g = 0
+        while g < len(ends):
+            h = min(g + _ROWS, len(ends))
+            if g < short < h:
+                h = short
+            rows = buf[: h - g, : ends[g] - s]
+            for row, n, e in zip(rows, lengths[g:h], ends[g:h]):
+                np.subtract(counts[s + n : e + n], counts[s:e], out=row[: e - s])
+                # A short final block repeats its first sum: no new extremum.
+                row[e - s :] = row[0]
+            if g < short:
+                lo, hi = rows.min(axis=1), rows.max(axis=1)
+            else:
+                first = np.array([exact(s + n) - int(heads[s // _BLOCK]) for n in lengths[g:h]])
+                rows -= first.astype(np.uint16)[:, None]
+                step = rows.view(np.int16)
+                lo, hi = first + step.min(axis=1), first + step.max(axis=1)
+            np.minimum(lows[g:h], lo, out=lows[g:h])
+            np.maximum(highs[g:h], hi, out=highs[g:h])
+            g = h
+    for n, lo, hi in zip(lengths, lows.tolist(), highs.tolist()):
         yield n, lo, hi
 
 
@@ -331,10 +422,19 @@ def _gap_extrema(bits: np.ndarray, lengths):
 
 
 def window_counts(m: Membership, n: int) -> np.ndarray:
-    """Exact member count of every length-n window, ordered by offset."""
+    """Exact member count of every length-n window, ordered by offset, as int64.
+
+    The counts mod 2**16 come from ``_prefix_counts``; consecutive counts
+    differ by at most 1, so each wrapped step read as int16 is exact, and
+    the steps are summed onto the first window's count.
+    """
     _check_window(n, m.horizon)
-    csum = _prefix_sums(m.bits)
-    return csum[n:] - csum[:-n]
+    c = _prefix_counts(m.bits)
+    counts = np.empty(m.horizon - n + 1, dtype=np.int64)
+    counts[0] = np.count_nonzero(m.bits[:n])
+    np.cumsum(np.diff(c[n:] - c[:-n]).view(np.int16), out=counts[1:])
+    counts[1:] += counts[0]
+    return counts
 
 
 def count_extrema(m: Membership, n: int) -> tuple[int, int]:
@@ -377,7 +477,7 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
         # A window holds n terms, so it holds n minus its non-members.
         extrema = ((n, n - hi, n - lo) for n, lo, hi in _gap_extrema(~m.bits, schedule.lengths))
     else:
-        extrema = _window_extrema(m.bits, schedule.lengths)
+        extrema = _count_extrema(m.bits, schedule.lengths)
     rows = tuple(
         DensityRow(n=n, min_count=int(lo), max_count=int(hi), offsets_scanned=m.horizon - n + 1)
         for n, lo, hi in extrema
@@ -389,7 +489,7 @@ def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     """One mean-extrema row per scheduled window length.
 
     Computed from a float64 prefix-sum array, walked in blocks of offsets
-    like a dense count (``_window_extrema``); the accumulated rounding in any
+    one row at a time (``_window_extrema``); the accumulated rounding in any
     single window mean is at most about N * ulp(N * M), which for the
     horizons this package targets stays far below every reporting tolerance.
     Integer-valued prefixes (indicator-like sequences) are exact.

@@ -64,6 +64,24 @@ def test_interval_set_validation():
     assert s.contains(vals).tolist() == [True, False, True, True, True, False]
 
 
+@given(
+    edges=st.lists(st.sampled_from([i / 8 for i in range(-8, 9)]), max_size=8, unique=True),
+    top_closed=st.booleans(),
+    values=st.lists(st.sampled_from([i / 16 for i in range(-17, 18)] + [-0.0]), max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_interval_set_contains_matches_per_value_rule(edges, top_closed, values):
+    edges = sorted(edges)
+    pairs = tuple(zip(edges[::2], edges[1::2]))
+    s = IntervalSet(intervals=pairs, top_closed=top_closed)
+    vals = np.array(values, dtype=np.float64)
+    expected = [
+        any(a <= v < b for a, b in pairs) or (top_closed and bool(pairs) and v == pairs[-1][1])
+        for v in values
+    ]
+    assert s.contains(vals).tolist() == expected
+
+
 def test_interval_about_clipping():
     s = interval_about(1.0, 0.1, 1.0)
     assert s.intervals == ((0.9, 1.0),) and s.top_closed

@@ -162,6 +162,17 @@ def test_invalid_specs_rejected():
         materialize(shift(fixture("F2"), 2**63 - 2), 3)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1.5])
+def test_non_finite_horizon_and_shift_rejected(bad):
+    # int() of inf or nan raised OverflowError or ValueError before the range check.
+    with pytest.raises(InvalidSpecError):
+        materialize(fixture("F2"), bad)
+    with pytest.raises(InvalidSpecError):
+        shift(fixture("F2"), bad)
+    assert materialize(fixture("F2"), 3.0).horizon == 3
+    assert shift(fixture("F2"), 2.0).shift == 2
+
+
 def test_horizon_cap(monkeypatch):
     monkeypatch.setenv(MAX_HORIZON_ENV, "100")
     with pytest.raises(ResourceLimitError):

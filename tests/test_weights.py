@@ -195,6 +195,15 @@ def test_nan_epsilon_rejected():
             call()
 
 
+def test_detect_sublimits_rejects_an_empty_prefix():
+    # With an explicit schedule the seed loop used to reach numpy's
+    # "argmax of an empty sequence".
+    empty = Prefix(values=np.zeros(0), horizon=0, bound=1.0)
+    for schedule in (WindowSchedule((1,)), None):
+        with pytest.raises(InvalidSpecError):
+            detect_sublimits(empty, 0.1, schedule=schedule)
+
+
 def docstring_clusters(values, epsilon, recurrence_window=0.25):
     """(center, occurrences, last_index, radius, isolated) of the recurrent
     clusters, by center.

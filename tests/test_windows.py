@@ -200,13 +200,14 @@ def block_edge_lengths(draw, horizon, block):
 
 @st.composite
 def blocked_count_case(draw):
-    """A mask, a block size and a block-edge schedule for the prefix-sum walk.
+    """A mask, block and row-group sizes and a block-edge schedule for the count walk.
 
     Besides masks of any share, non-member counts sit just below, at and
     just above ``SPARSE_SHARE`` of the horizon, so near-full masks fall on
     both sides of the complement rule, and the full mask is drawn too.
     """
     block = draw(st.sampled_from(BLOCKS))
+    group = draw(st.sampled_from((1, 2, 16)))
     horizon = draw(st.integers(1, 300))
     kind = draw(st.sampled_from(["share", "near_full", "full"]))
     bits = np.ones(horizon, dtype=bool)
@@ -217,7 +218,7 @@ def blocked_count_case(draw):
     elif kind == "near_full":
         c = min(max(int(horizon * SPARSE_SHARE) + draw(st.integers(-1, 1)), 0), horizon)
         bits[sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=c, max_size=c)))] = False
-    return block, bits, block_edge_lengths(draw, horizon, block)
+    return block, group, bits, block_edge_lengths(draw, horizon, block)
 
 
 @given(blocked_count_case())
@@ -225,17 +226,68 @@ def blocked_count_case(draw):
 def test_blocked_walk_count_rows_match_oracle(case):
     # The walk is called directly as well, so every mask exercises it
     # whichever kernel density_profile picks for that mask.
-    block, bits, schedule = case
+    block, group, bits, schedule = case
     m = Membership.from_mask(bits)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(windows, "_BLOCK", block)
-        walked = list(windows._window_extrema(m.bits, schedule.lengths))
+        mp.setattr(windows, "_ROWS", group)
+        walked = list(windows._count_extrema(m.bits, schedule.lengths))
         rows = density_profile(m, schedule).rows
     assert [n for n, _, _ in walked] == [r.n for r in rows] == list(schedule.lengths)
     for (n, lo, hi), r in zip(walked, rows):
         oracle = naive_count_extrema(m, n)
         assert (int(lo), int(hi)) == oracle
         assert (r.min_count, r.max_count) == oracle
+
+
+# Past 2**17, not a multiple of 8, with rows on both sides of 2**16 (the
+# widest count a uint16 lane reads directly) and of 2**8, and one long row
+# whose windows end far from a block head.
+WIDE_HORIZON = 2**17 + 2**15 + 5
+WIDE_LENGTHS = (255, 256, 65535, 65536, 65537, 3 * 2**15 - 3, WIDE_HORIZON)
+
+
+def wide_masks():
+    rng = np.random.default_rng(20261018)
+    k = np.arange(WIDE_HORIZON)
+    return {
+        "random": rng.random(WIDE_HORIZON) < 0.5,
+        # A count falls by 1 at every offset of a block: the largest change
+        # a block can hold, read as int16 around the block's first count.
+        "ones_then_zeros": k < 2**15 + 7,
+        "inner_run": (k >= 70001) & (k < 70001 + 2**15 + 2**14),
+        "all_ones": np.ones(WIDE_HORIZON, dtype=bool),
+        # The running count passes 2**16 inside a block, between its head
+        # and the end of a window of the long row.
+        "zeros_then_ones": k >= 1000,
+        "strided": (rng.random(2 * WIDE_HORIZON) < 0.5)[::2],
+    }
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("kind", sorted(wide_masks()))
+def test_count_kernel_matches_int64_cumsum(kind, rows, monkeypatch):
+    bits = wide_masks()[kind]
+    if rows is not None:
+        # Groups of 1 or 2 rows split the short rows from the long ones.
+        monkeypatch.setattr(windows, "_ROWS", rows)
+    csum = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    oracle = []
+    for n in WIDE_LENGTHS:
+        sums = csum[n:] - csum[:-n]
+        oracle.append((n, int(sums.min()), int(sums.max())))
+    assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == oracle
+    m = Membership.from_mask(bits)
+    profile = density_profile(m, WindowSchedule(WIDE_LENGTHS))
+    assert [(r.n, r.min_count, r.max_count) for r in profile.rows] == oracle
+    for n in (255, 65536, WIDE_HORIZON):
+        assert np.array_equal(window_counts(m, n), csum[n:] - csum[:-n])
+
+
+def test_count_kernel_needs_blocks_of_at_most_2_15(monkeypatch):
+    monkeypatch.setattr(windows, "_BLOCK", 2**15 + 1)
+    with pytest.raises(ValueError):
+        list(windows._count_extrema(np.ones(8, dtype=bool), (1,)))
 
 
 @st.composite
