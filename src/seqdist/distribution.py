@@ -146,9 +146,10 @@ class Partition:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, cells: float) -> "Partition":
-        if cells < 1:
+        # Negated so that NaN fails the first check and a count that
+        # overflowed to inf hits the cap.
+        if not cells >= 1:
             raise InvalidSpecError("need at least one cell")
-        # Negated so that a count that overflowed to inf also hits the cap.
         if not cells <= max_horizon():
             raise ResourceLimitError(
                 f"{cells:.0f} partition cells exceed the cap of {max_horizon()}"
@@ -243,12 +244,13 @@ def is_simply_distributed(
 
     Distinct values (``p.index``) whose neighbor gaps are at most
     ``value_tolerance`` merge into one group, represented by its most
-    frequent member; every term is labelled with its group.
+    frequent member; every term is labelled with its group, one run of ``uniq``.
     """
-    if value_tolerance < 0:
+    # Negated so that NaN, which fails every comparison, is rejected too.
+    if not value_tolerance >= 0:
         raise InvalidSpecError("value_tolerance must be >= 0")
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
-    uniq, inverse, counts = p.index
+    uniq, counts = p.index
     bounds = _group_bounds(uniq, value_tolerance)
     groups = bounds.size - 1
     if groups > value_cap:
@@ -260,8 +262,8 @@ def is_simply_distributed(
             distinct_count=groups,
             weight_sum=None,
         )
-    group_of = np.repeat(np.arange(groups, dtype=np.int32), np.diff(bounds))
-    weights = label_weights(group_of[inverse], range(groups), sched, tolerances)
+    labels = p.run_labels(bounds[:-1])
+    weights = label_weights(labels, range(groups), sched, tolerances)
     total = sum((w.midpoint for w in weights), Fraction(0))
     verdict = all(w.converged for w in weights) and abs(total - 1) <= tolerances.gap
     return SimpleReport(
@@ -275,7 +277,7 @@ def is_simply_distributed(
 
 
 def _cells(uniq: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """(cell of each sorted distinct value, occupied cells), both int32.
+    """(run starts, cell of each run) of the sorted distinct values by cell.
 
     Cell j is [a_j, a_{j+1}), except that the top cell is closed.  Each
     distinct value is searched among the points, O(k log m), so neither a
@@ -287,8 +289,8 @@ def _cells(uniq: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarr
         )
     m = partition.points.size - 1
     cell_of = np.minimum(np.searchsorted(partition.points, uniq, "right") - 1, m - 1)
-    cell_of = cell_of.astype(np.int32)
-    return cell_of, cell_of[np.diff(cell_of, prepend=-1) > 0]
+    starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
+    return starts, cell_of[starts]
 
 
 def quantize(p: Prefix, partition: Partition) -> Prefix:
@@ -302,8 +304,8 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
     strict bound matters.
     """
     bound = max(p.bound, abs(partition.lo), abs(partition.hi))
-    cell_of, _ = _cells(p.index.uniq, partition)
-    values = partition.points[cell_of][p.index.inverse]
+    starts, occupied = _cells(p.index.uniq, partition)
+    values = partition.points[occupied][p.run_labels(starts)]
     return Prefix(values=values, horizon=p.horizon, bound=bound)
 
 
@@ -398,10 +400,10 @@ def quantized_banach_limit(
 ) -> BanachEstimate:
     """Estimate the Banach limit by quantizing at successively finer meshes.
 
-    Each mesh gives every distinct value of ``p.index`` its cell (the rule
-    of ``quantize``), labels every term with its value's cell through the
-    index's inverse, weighs the occupied cells with ``label_weights`` and
-    values each at its left endpoint.  No cell's per-window rows are
+    Each mesh splits the distinct values of ``p.index`` into runs by cell
+    (the rule of ``quantize``), labels every term with its run by one
+    search, weighs the occupied cells with ``label_weights`` and values
+    each at its left endpoint.  No cell's per-window rows are
     reported, so the cells are counted on the last ``tolerances.tail_rows``
     schedule lengths only: the weights, gaps and convergence flags read
     nothing else.  The point
@@ -413,7 +415,8 @@ def quantized_banach_limit(
     two meshes involved; unsettled weights leave the verdict inconclusive.
     """
     meshes = [float(m) for m in mesh_schedule]
-    if not meshes or any(m <= 0 for m in meshes):
+    # Negated so that NaN, which fails every comparison, is rejected too.
+    if not meshes or not all(m > 0 for m in meshes):
         raise InvalidSpecError("meshes must be positive")
     if any(b >= a for a, b in zip(meshes, meshes[1:])):
         raise InvalidSpecError("meshes must be strictly decreasing")
@@ -428,10 +431,10 @@ def quantized_banach_limit(
     all_converged = True
     for mesh in meshes:
         part = Partition.with_mesh(-p.bound, p.bound, mesh)
-        cell_of, occupied = _cells(p.index.uniq, part)
-        occupied = occupied.tolist()
-        weights = label_weights(cell_of[p.index.inverse], occupied, tail, tolerances)
-        point, lower, upper = _enclosure([(part.points[j], w) for j, w in zip(occupied, weights)])
+        starts, occupied = _cells(p.index.uniq, part)
+        labels = p.run_labels(starts)
+        weights = label_weights(labels, range(occupied.size), tail, tolerances)
+        point, lower, upper = _enclosure(list(zip(part.points[occupied], weights)))
         points.append(point)
         all_converged = all_converged and all(w.converged for w in weights)
     steady = all(

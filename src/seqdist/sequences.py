@@ -45,23 +45,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_HORIZON_ENV = "SEQDIST_MAX_HORIZON"
 DEFAULT_MAX_HORIZON = 50_000_000
 
-#: Most distinct values for which ``Prefix.index`` labels each term by a
-#: binary search into the sorted distinct values; beyond it the labels come
-#: from ``np.unique(..., return_inverse=True)``, one argsort of the terms.
-#: Building the index at N = 2**21 from random-order values with k
-#: distinct (min of 9, interleaved, one core of a shared 2-core host, so
-#: about +-20%), search against argsort: 45 / 65 ms at k = 2, 204 / 272 at
-#: 256, 225 / 262 at 1024, 236 / 274 at 2048, 253 / 269 at 4096, 397 / 309
-#: at 65536 and 1632 / 420 at k = N.  Terms in runs or periods favour the
-#: search further: F1, F4, F6 and F7 (k = 2, 2, 2, 22) took 21-30 ms by
-#: search and 43-223 ms by argsort.
-SEARCH_MAX_DISTINCT = 1024
-#: Terms sampled, evenly spaced, to choose the search or the argsort before
-#: sorting: a sample holding more than SEARCH_MAX_DISTINCT values proves
-#: the prefix does too, so no prefix is sorted twice.
-_PROBE = 4096
-
-
 def max_horizon() -> int:
     """Materialization cap, overridable through SEQDIST_MAX_HORIZON."""
     raw = os.environ.get(MAX_HORIZON_ENV)
@@ -263,43 +246,13 @@ def eval_at(spec: SequenceSpec, n: int) -> float:
 
 
 class ValueIndex(NamedTuple):
-    """The distinct values of a prefix and the label of every term.
-
-    ``uniq`` holds the sorted distinct values, ``inverse[k]`` the position
-    in ``uniq`` of term k + 1 and ``counts`` the number of terms at each
-    position, so ``uniq[inverse]`` equals the terms (a zero up to its
-    sign).  ``inverse`` and ``counts`` are int32 while N < 2**31.  A zero
-    among the values is +0.0 when any zero term is +0.0, and -0.0 only
-    when every zero term is.  All three arrays are read-only.  The index
-    is built once from the terms it is given and never re-read, so it
-    describes a prefix only while that prefix's values stay unchanged.
+    """The sorted distinct values of a prefix, ``uniq``, and the number of
+    terms at each, ``counts``; both read-only.  A zero among the values is
+    +0.0 when any zero term is +0.0, and -0.0 only when every zero term is.
     """
 
     uniq: np.ndarray
-    inverse: np.ndarray
     counts: np.ndarray
-
-
-def value_index(values: np.ndarray) -> ValueIndex:
-    """The :class:`ValueIndex` of ``values``, a finite float64 array."""
-    n = values.size
-    itype = np.int32 if n < 2**31 else np.int64
-    if np.unique(values[:: max(1, n // _PROBE)]).size <= SEARCH_MAX_DISTINCT:
-        uniq, counts = np.unique(values, return_counts=True)
-        # A sample can hide values; the search stays exact whatever k is.
-        inverse = np.searchsorted(uniq, values).astype(itype)
-    else:
-        uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-        inverse = inverse.astype(itype)
-    # Either sort may put a -0.0 term first among the zeros.
-    z = int(np.searchsorted(uniq, 0.0))
-    if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
-        if not np.signbit(values[inverse == z]).all():
-            uniq[z] = 0.0
-    counts = counts.astype(itype)
-    for a in (uniq, inverse, counts):
-        a.flags.writeable = False
-    return ValueIndex(uniq, inverse, counts)
 
 
 @dataclass(frozen=True)
@@ -335,7 +288,21 @@ class Prefix:
 
     @cached_property
     def index(self) -> ValueIndex:
-        return value_index(self.values)
+        uniq, counts = np.unique(self.values, return_counts=True)
+        # The sort may put a -0.0 term first among the zeros.
+        z = int(np.searchsorted(uniq, 0.0))
+        if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
+            if not np.signbit(self.values[self.values == 0]).all():
+                uniq[z] = 0.0
+        for a in (uniq, counts):
+            a.flags.writeable = False
+        return ValueIndex(uniq, counts)
+
+    def run_labels(self, starts: np.ndarray) -> np.ndarray:
+        """Run of every term, run g being ``index.uniq[starts[g]:starts[g + 1]]``
+        (``starts[0] == 0``): int16 below 2**15 runs, else int32."""
+        labels = np.searchsorted(self.index.uniq[starts[1:]], self.values, "right")
+        return labels.astype(np.int16 if len(starts) < 2**15 else np.int32)
 
     def value_at(self, n: int) -> float:
         """1-based access: value_at(1) == x(1)."""

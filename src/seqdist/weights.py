@@ -191,6 +191,15 @@ def label_weights(
     )
 
 
+def _interval_mask(p: Prefix, a: float, epsilon: float) -> np.ndarray:
+    """Flags of the terms in [a - epsilon, a + epsilon), for finite a and epsilon > 0."""
+    if not epsilon > 0:
+        raise InvalidSpecError("epsilon must be positive")
+    if not np.isfinite(a):
+        raise InvalidSpecError(f"a must be finite, got {a!r}")
+    return (p.values >= a - epsilon) & (p.values < a + epsilon)
+
+
 def essential_indices(p: Prefix, a: float, epsilon0: float) -> IndexSet:
     """All indices n with x(n) in [a - epsilon0, a + epsilon0).
 
@@ -200,11 +209,7 @@ def essential_indices(p: Prefix, a: float, epsilon0: float) -> IndexSet:
     half-open so that interval weights and sub-limit weights count the very
     same index set.
     """
-    if not epsilon0 > 0:
-        raise InvalidSpecError("epsilon0 must be positive")
-    if not np.isfinite(a):
-        raise InvalidSpecError(f"a must be finite, got {a!r}")
-    mask = (p.values >= a - epsilon0) & (p.values < a + epsilon0)
+    mask = _interval_mask(p, a, epsilon0)
     return IndexSet(indices=np.flatnonzero(mask).astype(np.int64) + 1, horizon=p.horizon)
 
 
@@ -222,7 +227,8 @@ def sublimit_weight(
     essential subsequence are the same index set, so the two estimates are
     identical by construction, not merely close.
     """
-    return subsequence_weights(essential_indices(p, a, epsilon), schedule, tolerances)
+    mask = _interval_mask(p, a, epsilon)
+    return weight_from_membership(Membership.from_mask(mask), schedule, tolerances)
 
 
 @dataclass(frozen=True)
@@ -275,12 +281,12 @@ def detect_sublimits(
     """Cluster recurrent values and estimate a weight for each cluster.
 
     Clustering is greedy on an epsilon grid over the prefix's distinct-value
-    index (``p.index``), so every term takes its cluster label through the
-    index's inverse in one int32 gather.  Distinct values are visited in
+    index (``p.index``).  Distinct values are visited in
     decreasing occurrence order (ties toward smaller values) and each
     unassigned seed absorbs every still-unassigned value in
     [seed - epsilon, seed + epsilon); what it absorbs is always one run of
-    the sorted distinct values, as a value group or quantization cell is.
+    the sorted distinct values, as a value group or quantization cell is,
+    so every term takes its cluster label from one search of the runs.
     A cluster is a sub-limit candidate iff it recurs past index
     (1 - recurrence_window) * N; "recurs late" is the finite-scale stand-in
     for "occurs infinitely often", and values that stop appearing carry
@@ -303,7 +309,7 @@ def detect_sublimits(
         raise InvalidSpecError("an empty prefix has no sub-limits to detect")
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
 
-    uniq, inverse, counts = p.index
+    uniq, counts = p.index
 
     # waiting[r] flags the value order[r] as unassigned, so the next seed is
     # the first flag left in visiting order: argmax jumps over assigned
@@ -336,7 +342,6 @@ def detect_sublimits(
     # The runs tile ``uniq``; number the clusters in value order.
     starts = np.sort(starts)
     ends = np.append(starts[1:], uniq.size)
-    cluster_of = np.repeat(np.arange(starts.size, dtype=np.int32), ends - starts)
     occs = np.add.reduceat(counts, starts, dtype=np.int64)
     centers = np.array([np.dot(uniq[a:b], counts[a:b]) for a, b in zip(starts, ends)]) / occs
     # |v - center| is largest at a run's ends.
@@ -350,13 +355,13 @@ def detect_sublimits(
 
     # Only terms past (1 - recurrence_window) * N decide recurrence, and a
     # recurrent cluster's last index lies among them.
-    labels = cluster_of[inverse]
+    labels = p.run_labels(starts)
     tail = int((1.0 - recurrence_window) * p.horizon)
     lasts = np.zeros(starts.size, dtype=np.int64)
     np.maximum.at(lasts, labels[tail:], np.arange(tail + 1, p.horizon + 1))
     recurrent = by_center[lasts[by_center] > 0]
-    # Python-int ids keep each ``labels == j`` an int32 comparison; an int64
-    # scalar id would promote the int32 labels to int64 term by term.
+    # Python-int ids keep each ``labels == j`` in the labels' narrow dtype;
+    # an int64 scalar id would promote the labels to int64 term by term.
     weights = label_weights(labels, recurrent.tolist(), sched, tolerances)
     clusters = tuple(
         SubLimitCluster(

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,9 +35,8 @@ from seqdist import (
     weight_bounds_estimate,
     window_counts,
 )
-from seqdist import distribution, sequences
+from seqdist import distribution
 from seqdist.distribution import _cells, _group_bounds, _representatives, quantized_banach_limit
-from seqdist.sequences import SEARCH_MAX_DISTINCT
 from seqdist.windows import Membership
 
 ALL_FIXTURES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -174,6 +172,14 @@ def test_value_tolerance_merging():
     assert rep.distinct_count == 2
 
 
+def test_nan_value_tolerance_rejected():
+    # Checked as `value_tolerance < 0`, NaN passed: no gap exceeds NaN, so
+    # F5's 4096 distinct values merged into one group of weight 1 and the
+    # prefix was reported simply distributed.
+    with pytest.raises(InvalidSpecError):
+        is_simply_distributed(materialize(fixture("F5"), 4096), value_tolerance=math.nan)
+
+
 def merge_values_oracle(uniq, counts, tol):
     """(representative, member positions) per group, by a loop over the gaps."""
     groups = []
@@ -193,7 +199,7 @@ def merge_values_oracle(uniq, counts, tol):
 def test_value_groups_match_loop_oracle(twentieths, tol):
     values = np.array(twentieths) / 20
     p = Prefix(values=values, horizon=values.size, bound=2.0)
-    uniq, _, counts = p.index
+    uniq, counts = p.index
     want = merge_values_oracle(uniq, counts, tol)
     bounds = _group_bounds(uniq, tol)
     assert [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])] == [g.tolist() for _, g in want]
@@ -270,8 +276,7 @@ def test_quantize_out_of_bounds():
 @st.composite
 def cell_case(draw):
     """A prefix on a partition: values on its points, at +-bound, signed
-    zeros and anywhere between; uniform or irregular points; the index's
-    search / argsort cut-off drawn on both sides of the distinct count."""
+    zeros and anywhere between; uniform or irregular points."""
     bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
     if draw(st.booleans()):
         points = Partition.with_mesh(-bound, bound, draw(st.sampled_from([2.0, 0.5, 1 / 16]))).points
@@ -282,21 +287,18 @@ def cell_case(draw):
         st.sampled_from([*points, -bound, bound, 0.0, -0.0]), st.floats(-bound, bound),
     )
     values = np.array(draw(st.lists(pool, min_size=1, max_size=300)))
-    cutoff = draw(st.sampled_from([0, 1, 4, SEARCH_MAX_DISTINCT]))
-    return values, bound, Partition(points), cutoff
+    return values, bound, Partition(points)
 
 
 @given(cell_case())
 @settings(max_examples=200, deadline=None)
 def test_cells_match_per_term_rule(case):
-    values, bound, part, cutoff = case
-    with mock.patch.object(sequences, "SEARCH_MAX_DISTINCT", cutoff):
-        p = Prefix(values=values, horizon=values.size, bound=bound)
-        cell_of, occupied = _cells(p.index.uniq, part)
+    values, bound, part = case
+    p = Prefix(values=values, horizon=values.size, bound=bound)
+    starts, occupied = _cells(p.index.uniq, part)
     m = len(part.points) - 1
     want = np.minimum(np.searchsorted(part.points, values, "right") - 1, m - 1)
-    assert cell_of.dtype == occupied.dtype == np.int32
-    assert np.array_equal(cell_of[p.index.inverse], want)
+    assert np.array_equal(occupied[p.run_labels(starts)], want)
     assert np.array_equal(occupied, np.unique(want))
     assert np.array_equal(quantize(p, part).values, part.points[want])
 
@@ -314,6 +316,13 @@ def test_partition_helpers():
             Partition(bad)
     with pytest.raises(InvalidSpecError):
         Partition.with_mesh(-1.0, 1.0, math.nan)
+
+
+def test_nan_cell_count_is_invalid_not_over_the_cap():
+    # Checked as `cells < 1`, NaN passed and then failed the cap check with
+    # a ResourceLimitError (exit 3) instead.
+    with pytest.raises(InvalidSpecError):
+        Partition.uniform(0.0, 1.0, math.nan)
 
 
 # ------------------------------------------------------- Banach limit estimates
@@ -418,6 +427,15 @@ def test_quantization_validates_meshes():
         banach_limit_via_quantization(fixture("F2"), 100, ())
     with pytest.raises(InvalidSpecError):
         banach_limit_via_quantization(fixture("F2"), 100, (1 / 4, 1 / 2))
+
+
+def test_nan_mesh_rejected():
+    # Checked as `m <= 0`, NaN passed: a zero-bound prefix came back
+    # almost-convergent, and any other failed later on the partition.
+    zero = Prefix(values=np.zeros(64), horizon=64, bound=0.0)
+    for p in (zero, materialize(fixture("F4"), 64)):
+        with pytest.raises(InvalidSpecError, match="meshes must be positive"):
+            quantized_banach_limit(p, (math.nan,))
 
 
 @st.composite

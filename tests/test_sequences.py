@@ -1,10 +1,9 @@
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdist import (
@@ -22,8 +21,7 @@ from seqdist import (
     shift,
     table,
 )
-from seqdist import sequences
-from seqdist.sequences import MAX_HORIZON_ENV, SEARCH_MAX_DISTINCT
+from seqdist.sequences import MAX_HORIZON_ENV
 
 
 def test_ones_then_zeros_values():
@@ -214,60 +212,83 @@ def test_prefix_values_outside_bound_rejected(values):
 
 
 def unique_oracle(values):
-    """np.unique's (uniq, inverse, counts), its zero signed by the index's rule:
+    """np.unique's (uniq, counts), its zero signed by the index's rule:
     +0.0 when any zero term is +0.0, -0.0 only when every zero term is."""
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    uniq, counts = np.unique(values, return_counts=True)
     zero = uniq == 0
     if zero.any():
         uniq[zero] = -0.0 if np.signbit(values[values == 0]).all() else 0.0
-    return uniq, inverse, counts
-
-
-def assert_index_matches(p):
-    got = p.index
-    uniq, inverse, counts = unique_oracle(p.values)
-    assert np.array_equal(got.uniq, uniq)
-    assert np.array_equal(np.signbit(got.uniq), np.signbit(uniq))
-    assert got.inverse.dtype == np.int32 and np.array_equal(got.inverse, inverse)
-    assert np.array_equal(got.counts, counts)
-    assert not any(a.flags.writeable for a in got)
+    return uniq, counts
 
 
 @st.composite
-def index_case(draw):
+def index_case(draw, min_size=1):
     """Terms from a pool of repeats, points of a uniform grid, +-bound and
-    signed zeros, with the search / argsort cut-off and the probe size drawn
-    so that both builders, and a probe that misses values, are exercised."""
+    signed zeros."""
     bound = draw(st.sampled_from([1.0, 0.75, 3.0]))
     grid = list(np.linspace(-bound, bound, draw(st.integers(1, 9)) + 1))
     pool = grid + [bound, -bound, 0.0, -0.0] + draw(
         st.lists(st.floats(-bound, bound, allow_nan=False), max_size=40)
     )
-    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
-    cutoff = draw(st.sampled_from([0, 1, 2, 5, SEARCH_MAX_DISTINCT]))
-    probe = draw(st.sampled_from([1, 3, 4096]))
-    return np.array(values), bound, cutoff, probe
+    values = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=300))
+    return np.array(values, dtype=np.float64), bound
 
 
-@given(index_case())
-@settings(max_examples=200, deadline=None)
-def test_value_index_matches_unique(case):
-    values, bound, cutoff, probe = case
-    with mock.patch.object(sequences, "SEARCH_MAX_DISTINCT", cutoff), \
-            mock.patch.object(sequences, "_PROBE", probe):
-        p = Prefix(values=values, horizon=values.size, bound=bound)
-        assert_index_matches(p)
-    assert p.index is p.index
-
-
-@pytest.mark.parametrize("distinct", [SEARCH_MAX_DISTINCT, SEARCH_MAX_DISTINCT + 1, 4096])
-def test_value_index_on_both_sides_of_the_cut_off(distinct):
+def spread(distinct):
+    """4096 terms over ``distinct`` evenly spaced values in random order,
+    64 of them set to -0.0."""
     rng = np.random.default_rng(distinct)
     values = rng.permutation(np.resize(np.linspace(-1.0, 1.0, distinct), 4096))
     values[rng.integers(0, 4096, 64)] = -0.0
-    assert_index_matches(Prefix(values=values, horizon=4096, bound=1.0))
-    # A probe of every 16th term sees one value, so the index takes the
-    # search, which stays exact past the cut-off.
-    hidden = np.where(np.arange(2**16) % 16 == 0, 0.5, np.resize(np.linspace(0, 1, 2048), 2**16))
-    assert np.unique(hidden[::16]).size == 1 and np.unique(hidden).size > SEARCH_MAX_DISTINCT
-    assert_index_matches(Prefix(values=hidden, horizon=2**16, bound=1.0))
+    return values, 1.0
+
+
+@given(index_case())
+@example(spread(1024))
+@example(spread(1025))
+@example(spread(4096))
+@settings(max_examples=200, deadline=None)
+def test_value_index_matches_unique(case):
+    values, bound = case
+    p = Prefix(values=values, horizon=values.size, bound=bound)
+    uniq, counts = unique_oracle(values)
+    assert np.array_equal(p.index.uniq, uniq)
+    assert np.array_equal(np.signbit(p.index.uniq), np.signbit(uniq))
+    assert np.array_equal(p.index.counts, counts)
+    assert not any(a.flags.writeable for a in p.index)
+    assert p.index is p.index
+
+
+@st.composite
+def run_case(draw):
+    """Terms as in index_case, the empty prefix included, and run starts
+    cut anywhere among their distinct values, often at a signed zero."""
+    values, bound = draw(index_case(min_size=0))
+    uniq = np.unique(values)
+    cuts = draw(st.sets(st.integers(1, max(uniq.size - 1, 1)), max_size=max(uniq.size - 1, 0)))
+    z = int(np.searchsorted(uniq, 0.0))
+    if 0 < z < uniq.size and uniq[z] == 0 and draw(st.booleans()):
+        cuts.add(z)
+    return values, bound, np.array([0, *sorted(cuts)])
+
+
+def many_runs():
+    """2**15 + 1 distinct values in random order, each its own run."""
+    values = np.random.default_rng(7).permutation(np.linspace(-1.0, 1.0, 2**15 + 1))
+    return values, 1.0, np.arange(values.size)
+
+
+@given(run_case())
+@example((np.array([0.0, -0.0, 0.5, -0.5]), 1.0, np.array([0])))
+@example((np.array([-0.0, 0.5, -0.5, 0.0]), 1.0, np.array([0, 1])))
+@example((np.array([]), 1.0, np.array([0])))
+@example(many_runs())
+@settings(max_examples=200, deadline=None)
+def test_run_labels_match_repeat_of_unique_inverse(case):
+    values, bound, starts = case
+    p = Prefix(values=values, horizon=values.size, bound=bound)
+    uniq, inverse = np.unique(values, return_inverse=True)
+    runs = np.repeat(np.arange(starts.size), np.diff(np.append(starts, uniq.size)))
+    labels = p.run_labels(starts)
+    assert labels.dtype == (np.int16 if starts.size < 2**15 else np.int32)
+    assert np.array_equal(labels, runs[inverse.ravel()])
