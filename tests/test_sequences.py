@@ -243,20 +243,33 @@ def spread(distinct):
     return values, 1.0
 
 
-@given(index_case())
-@example(spread(1024))
-@example(spread(1025))
-@example(spread(4096))
-@settings(max_examples=200, deadline=None)
-def test_value_index_matches_unique(case):
-    values, bound = case
-    p = Prefix(values=values, horizon=values.size, bound=bound)
-    uniq, counts = unique_oracle(values)
+def assert_index_matches(p):
+    uniq, counts = unique_oracle(p.values)
     assert np.array_equal(p.index.uniq, uniq)
     assert np.array_equal(np.signbit(p.index.uniq), np.signbit(uniq))
     assert np.array_equal(p.index.counts, counts)
     assert not any(a.flags.writeable for a in p.index)
     assert p.index is p.index
+
+
+@given(index_case())
+@settings(max_examples=200, deadline=None)
+def test_value_index_matches_unique(case):
+    values, bound = case
+    assert_index_matches(Prefix(values=values, horizon=values.size, bound=bound))
+
+
+@pytest.mark.parametrize("distinct", [1024, 1025, 4096])
+def test_value_index_on_both_sides_of_the_cut_off(distinct):
+    # 1024 distinct values was the old cut-off between a search and an
+    # argsort; the one sort must agree with np.unique on either side of it.
+    values, bound = spread(distinct)
+    assert_index_matches(Prefix(values=values, horizon=4096, bound=bound))
+    # Every 16th term one value, the rest 2048 distinct ones: a sample of
+    # the terms would miss nearly all of the distinct values.
+    hidden = np.where(np.arange(2**16) % 16 == 0, 0.5, np.resize(np.linspace(0, 1, 2048), 2**16))
+    assert np.unique(hidden[::16]).size == 1 and np.unique(hidden).size > 1024
+    assert_index_matches(Prefix(values=hidden, horizon=2**16, bound=1.0))
 
 
 @st.composite
