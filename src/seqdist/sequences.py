@@ -43,7 +43,12 @@ from .errors import IndexOutOfRangeError, InvalidSpecError, ResourceLimitError
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_HORIZON_ENV = "SEQDIST_MAX_HORIZON"
-DEFAULT_MAX_HORIZON = 50_000_000
+# From a 2 GiB peak-RSS budget, a quarter of an 8 GB host.  cross_validate on
+# F5, whose terms are all distinct, is the heaviest run; one fresh process
+# each on a 2-core x86-64 Linux host (numpy 2.4) measured 421 MiB / 3.3 s at
+# 8e6, 824 MiB / 7.4 s at 1.6e7, 1271 MiB / 11.4 s at 2.5e7 and 2014 MiB /
+# 20.5 s at 4e7: about 52 B/term, most of it the sort behind Prefix.index.
+DEFAULT_MAX_HORIZON = 40_000_000
 
 def max_horizon() -> int:
     """Materialization cap, overridable through SEQDIST_MAX_HORIZON."""
@@ -51,11 +56,14 @@ def max_horizon() -> int:
     if raw is None:
         return DEFAULT_MAX_HORIZON
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise InvalidSpecError(
             f"{MAX_HORIZON_ENV} must be an integer, got {raw!r}"
         ) from exc
+    if cap < 1:
+        raise InvalidSpecError(f"{MAX_HORIZON_ENV} must be at least 1, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -197,44 +205,65 @@ def fixture(name: str, n0: int | None = None) -> SequenceSpec:
     raise InvalidSpecError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
 
 
-def _block(spec: SequenceSpec, ns: np.ndarray) -> np.ndarray:
-    # ns holds increasing 1-based positions, so the last is the largest; one
-    # evaluator serves eval_at and materialize, so they agree bit for bit.
-    top = int(ns[-1]) + spec.shift
+#: Positions that materialize evaluates at a time, so that its temporaries
+#: take a few 512 KiB blocks rather than several N-long arrays.
+_CHUNK = 1 << 16
+
+
+def _evaluator(spec: SequenceSpec, last: int):
+    """Check ``spec`` up to the 1-based position ``last`` and return the
+    function that evaluates it on an increasing int64 array of positions
+    ``<= last``.
+
+    The per-spec work (the 2**63 limit, a table's length, converting a
+    pattern or table to an array) is done here once, for the last position.
+    materialize calls the result on consecutive chunks and eval_at on one
+    position, so the two agree bit for bit.
+    """
+    top = last + spec.shift
     if top > 2**63 - 1:
         raise InvalidSpecError(f"position {top} is past 2**63 - 1")
-    ms = ns + spec.shift
     kind = spec.kind
     if kind == "periodic":
         pat = np.asarray(spec.pattern, dtype=np.float64)
-        return pat[(ms - 1) % len(pat)]
-    if kind == "ones-then-zeros":
-        return np.where(ms <= spec.n0, 1.0, 0.0)
-    if kind == "rotation":
-        v = ms.astype(np.float64) * spec.alpha
-        return v - np.floor(v)
-    if kind == "doubling-blocks":
-        t = np.frexp(ms.astype(np.float64))[1] - 1
-        if top >= 2**53:
-            # Past 2**53 a position just below a power of two rounds up to it.
-            t -= (ms >> t) == 0
-        return (t % 2).astype(np.float64)
-    if kind == "dyadic-harmonic":
-        j = np.frexp((ms & -ms).astype(np.float64))[1]
-        return 1.0 / j
-    if kind == "table":
+        def f(ms):
+            return pat[(ms - 1) % len(pat)]
+    elif kind == "ones-then-zeros":
+        def f(ms):
+            return np.where(ms <= spec.n0, 1.0, 0.0)
+    elif kind == "rotation":
+        def f(ms):
+            v = ms.astype(np.float64) * spec.alpha
+            return v - np.floor(v)
+    elif kind == "doubling-blocks":
+        def f(ms):
+            t = np.frexp(ms.astype(np.float64))[1] - 1
+            if top >= 2**53:
+                # Past 2**53 a position just below a power of two rounds up
+                # to it; below, the correction subtracts nothing.
+                t -= (ms >> t) == 0
+            return (t % 2).astype(np.float64)
+    elif kind == "dyadic-harmonic":
+        def f(ms):
+            return 1.0 / np.frexp((ms & -ms).astype(np.float64))[1]
+    elif kind == "table":
         vals = np.asarray(spec.values, dtype=np.float64)
         if top > vals.size:
             raise IndexOutOfRangeError(
                 f"table defines x only up to n={vals.size - spec.shift}"
             )
-        return vals[ms - 1]
-    if kind == "affine-combo":
-        acc = np.zeros(ms.shape, dtype=np.float64)
-        for coef, child in spec.terms:
-            acc += coef * _block(child, ms)
-        return acc
-    raise InvalidSpecError(f"unknown sequence kind {kind!r}")
+        def f(ms):
+            return vals[ms - 1]
+    elif kind == "affine-combo":
+        children = [(coef, _evaluator(child, top)) for coef, child in spec.terms]
+        def f(ms):
+            acc = np.zeros(ms.shape, dtype=np.float64)
+            for coef, child in children:
+                acc += coef * child(ms)
+            return acc
+    else:
+        raise InvalidSpecError(f"unknown sequence kind {kind!r}")
+    return (lambda ns: f(ns + spec.shift)) if spec.shift else f
 
 
 def eval_at(spec: SequenceSpec, n: int) -> float:
@@ -242,7 +271,7 @@ def eval_at(spec: SequenceSpec, n: int) -> float:
     # Range first, so that inf and nan fail it before int() sees them.
     if not 1 <= n <= 2**63 - 1 or int(n) != n:
         raise InvalidSpecError(f"index must be an integer in [1, 2**63 - 1], got {n!r}")
-    return float(_block(spec, np.array([int(n)], dtype=np.int64))[0])
+    return float(_evaluator(spec, int(n))(np.array([int(n)], dtype=np.int64))[0])
 
 
 class ValueIndex(NamedTuple):
@@ -319,9 +348,13 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     cap = max_horizon()
     if horizon > cap:
         raise ResourceLimitError(f"horizon {horizon} exceeds the cap of {cap}")
-    ns = np.arange(1, int(horizon) + 1, dtype=np.int64)
-    vals = np.asarray(_block(spec, ns), dtype=np.float64)
-    return Prefix(values=vals, horizon=int(horizon), bound=spec.bound)
+    n = int(horizon)
+    f = _evaluator(spec, n)
+    vals = np.empty(n, dtype=np.float64)
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        vals[a:b] = f(np.arange(a + 1, b + 1, dtype=np.int64))
+    return Prefix(values=vals, horizon=n, bound=spec.bound)
 
 
 def shift(spec: SequenceSpec, k: int) -> SequenceSpec:

@@ -221,6 +221,13 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     assert "resource" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_non_positive_cap_exits_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv(MAX_HORIZON_ENV, cap)
+    code, out, err = run(capsys, ["analyze", "--fixture", "F2", "--horizon", "64"])
+    assert code == 2 and out == "" and MAX_HORIZON_ENV in err
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.jsonl"
     code, out, _ = run(

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import timeit
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from seqdist import (
     shift,
     table,
 )
-from seqdist.sequences import MAX_HORIZON_ENV
+from seqdist.sequences import _CHUNK, MAX_HORIZON_ENV, _evaluator
 
 
 def test_ones_then_zeros_values():
@@ -178,6 +180,14 @@ def test_horizon_cap(monkeypatch):
     assert materialize(fixture("F2"), 100).horizon == 100
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_non_positive_horizon_cap_rejected(monkeypatch, cap):
+    # A cap below 1 used to be accepted, and every run then hit it.
+    monkeypatch.setenv(MAX_HORIZON_ENV, cap)
+    with pytest.raises(InvalidSpecError):
+        materialize(fixture("F2"), 1)
+
+
 def test_golden_rotation_default():
     spec = fixture("F5")
     assert spec.alpha == pytest.approx((math.sqrt(5) - 1) / 2)
@@ -206,6 +216,93 @@ def test_non_finite_bounds_and_values_rejected():
 def test_prefix_values_outside_bound_rejected(values):
     with pytest.raises(InvalidSpecError):
         Prefix(values=np.array(values), horizon=2, bound=1.0)
+
+
+# ---------------------------------------------------------- chunked evaluation
+
+CHUNK_HORIZONS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+@st.composite
+def chunk_case(draw):
+    """A horizon on either side of a chunk edge and a spec of any kind, often
+    shifted; doubling blocks are shifted so that a power of two, below or
+    past 2**53, is the first position of a chunk."""
+    n = draw(st.sampled_from(CHUNK_HORIZONS))
+    kind = draw(st.sampled_from(
+        ["periodic", "table", "rotation", "doubling-blocks", "dyadic-harmonic", "affine-combo"]
+    ))
+    k = draw(st.sampled_from([0, 1, 2**20 + 3, 2**53 - _CHUNK, 2**60 + 7]))
+    if kind == "periodic":
+        spec = periodic(draw(st.lists(st.floats(-4, 4), min_size=1, max_size=7)))
+    elif kind == "table":
+        k = draw(st.integers(0, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spec = table(rng.uniform(-1.0, 1.0, n + k))
+    elif kind == "rotation":
+        spec = rotation(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    elif kind == "doubling-blocks":
+        edge = draw(st.integers(0, (n - 1) // _CHUNK)) * _CHUNK
+        k = 2 ** draw(st.sampled_from([18, 53, 54, 62])) - (edge + 1)
+        spec = fixture("F6")
+    elif kind == "dyadic-harmonic":
+        spec = fixture("F7")
+    else:
+        child = shift(fixture("F6"), draw(st.sampled_from([1, 2**18 - _CHUNK - 1, 2**54 - 1])))
+        spec = affine_combo([(0.75, child), (-0.5, fixture("F7")), (0.25, fixture("F5"))])
+    picks = draw(st.lists(st.integers(1, n), max_size=50))
+    return shift(spec, k), n, picks
+
+
+@given(chunk_case())
+@settings(max_examples=60, deadline=None)
+def test_materialize_matches_eval_at_on_chunk_edges(case):
+    spec, n, picks = case
+    got = materialize(spec, n).values
+    # Every position within two of a chunk edge, the last ones and the
+    # drawn ones, each evaluated on its own.
+    edges = [a + d for a in range(0, n + 1, _CHUNK) for d in (-1, 0, 1, 2)]
+    positions = sorted({m for m in [*edges, n - 1, n, *picks] if 1 <= m <= n})
+    ref = np.array([eval_at(spec, m) for m in positions])
+    assert np.array_equal(got[np.array(positions) - 1].view(np.int64), ref.view(np.int64))
+    # Every position, against one call of the evaluator on all of them.
+    whole = _evaluator(spec, n)(np.arange(1, n + 1, dtype=np.int64))
+    assert np.array_equal(got.view(np.int64), whole.view(np.int64))
+
+
+def test_materialize_rejects_a_last_position_out_of_range():
+    n = CHUNK_HORIZONS[-1]
+    short = table(np.zeros(n - 1))
+    for spec in (short, shift(table(np.zeros(n)), 1), affine_combo([(1.0, short)])):
+        with pytest.raises(IndexOutOfRangeError):
+            materialize(spec, n)
+    assert materialize(table(np.zeros(n)), n).horizon == n
+    with pytest.raises(InvalidSpecError):
+        materialize(shift(fixture("F2"), 2**63 - n), n)
+    with pytest.raises(InvalidSpecError):
+        materialize(affine_combo([(1.0, shift(fixture("F2"), 2**63 - n))]), n)
+    assert materialize(shift(fixture("F2"), 2**63 - 1 - n), n).values.all()
+
+
+def test_materialize_peak_is_the_output_plus_a_chunk():
+    tracemalloc.start()
+    try:
+        p = materialize(fixture("F5"), 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= p.values.nbytes + 3 * 2**20
+
+
+def test_materialize_converts_a_table_once():
+    # Converting the table's tuple per chunk made this about 13x slower.
+    n = 10**6
+    spec = table(np.random.default_rng(1).uniform(-1.0, 1.0, n))
+    chunked = min(timeit.repeat(lambda: materialize(spec, n), number=1, repeat=3))
+    whole = min(timeit.repeat(
+        lambda: _evaluator(spec, n)(np.arange(1, n + 1, dtype=np.int64)), number=1, repeat=3
+    ))
+    assert chunked <= 2 * whole
 
 
 # ----------------------------------------------------------- distinct values
