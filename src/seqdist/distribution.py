@@ -279,18 +279,19 @@ def is_simply_distributed(
 def _cells(uniq: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """(run starts, cell of each run) of the sorted distinct values by cell.
 
-    Cell j is [a_j, a_{j+1}), except that the top cell is closed.  Each
-    distinct value is searched among the points, O(k log m), so neither a
-    fine partition nor a long prefix makes an array longer than k or m.
+    Cell j is [a_j, a_{j+1}), except that the top cell is closed: it holds
+    ``uniq[edges[j]:edges[j + 1]]``, edges[j] being the number of values
+    below a_j.  The points are searched among the distinct values, O(m log
+    k), and no array is longer than the partition's own points or the index.
     """
     if uniq.size and (uniq[0] < partition.lo or uniq[-1] > partition.hi):
         raise ValueOutOfBoundsError(
             f"values outside partition span [{partition.lo}, {partition.hi}]"
         )
-    m = partition.points.size - 1
-    cell_of = np.minimum(np.searchsorted(partition.points, uniq, "right") - 1, m - 1)
-    starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
-    return starts, cell_of[starts]
+    edges = np.searchsorted(uniq, partition.points, "left")
+    edges[-1] = uniq.size
+    occupied = np.flatnonzero(edges[1:] != edges[:-1])
+    return edges[occupied], occupied
 
 
 def quantize(p: Prefix, partition: Partition) -> Prefix:

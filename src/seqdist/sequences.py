@@ -45,10 +45,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_HORIZON_ENV = "SEQDIST_MAX_HORIZON"
 # From a 2 GiB peak-RSS budget, a quarter of an 8 GB host.  cross_validate on
 # F5, whose terms are all distinct, is the heaviest run; one fresh process
-# each on a 2-core x86-64 Linux host (numpy 2.4) measured 421 MiB / 3.3 s at
-# 8e6, 824 MiB / 7.4 s at 1.6e7, 1271 MiB / 11.4 s at 2.5e7 and 2014 MiB /
-# 20.5 s at 4e7: about 52 B/term, most of it the sort behind Prefix.index.
-DEFAULT_MAX_HORIZON = 40_000_000
+# each on a 2-core x86-64 Linux host (numpy 2.4) measured 284 MiB / 2.9 s at
+# 8e6, 568 MiB / 5.2 s at 1.6e7, 1288 MiB / 16.4 s at 4e7 and 1919 MiB /
+# 23.7 s at 6e7: about 33 B/term, most of it the sort behind Prefix.index.
+DEFAULT_MAX_HORIZON = 60_000_000
 
 def max_horizon() -> int:
     """Materialization cap, overridable through SEQDIST_MAX_HORIZON."""
@@ -276,8 +276,9 @@ def eval_at(spec: SequenceSpec, n: int) -> float:
 
 class ValueIndex(NamedTuple):
     """The sorted distinct values of a prefix, ``uniq``, and the number of
-    terms at each, ``counts``; both read-only.  A zero among the values is
-    +0.0 when any zero term is +0.0, and -0.0 only when every zero term is.
+    terms at each, ``counts`` (int32 below 2**31 terms, else int64); both
+    read-only.  A zero among the values is +0.0 when any zero term is +0.0,
+    and -0.0 only when every zero term is.
     """
 
     uniq: np.ndarray
@@ -317,7 +318,18 @@ class Prefix:
 
     @cached_property
     def index(self) -> ValueIndex:
-        uniq, counts = np.unique(self.values, return_counts=True)
+        # np.unique's steps, each N-long temporary freed once it is spent.
+        srt = np.sort(self.values)
+        first = np.empty(srt.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(srt[1:], srt[:-1], out=first[1:])
+        uniq = srt[first]
+        del srt
+        counts = np.flatnonzero(first)
+        del first
+        np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+        counts[-1:] = self.horizon - counts[-1:]
+        counts = counts.astype(np.int32 if self.horizon < 2**31 else np.int64, copy=False)
         # The sort may put a -0.0 term first among the zeros.
         z = int(np.searchsorted(uniq, 0.0))
         if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
@@ -329,9 +341,13 @@ class Prefix:
 
     def run_labels(self, starts: np.ndarray) -> np.ndarray:
         """Run of every term, run g being ``index.uniq[starts[g]:starts[g + 1]]``
-        (``starts[0] == 0``): int16 below 2**15 runs, else int32."""
-        labels = np.searchsorted(self.index.uniq[starts[1:]], self.values, "right")
-        return labels.astype(np.int16 if len(starts) < 2**15 else np.int32)
+        (``starts[0] == 0``): int16 below 2**15 runs, else int32, searched
+        ``_CHUNK`` terms at a time so no N-long int64 result is made."""
+        edges = self.index.uniq[starts[1:]]
+        labels = np.empty(self.horizon, np.int16 if len(starts) < 2**15 else np.int32)
+        for a in range(0, self.horizon, _CHUNK):
+            labels[a : a + _CHUNK] = np.searchsorted(edges, self.values[a : a + _CHUNK], "right")
+        return labels
 
     def value_at(self, n: int) -> float:
         """1-based access: value_at(1) == x(1)."""

@@ -314,10 +314,12 @@ def detect_sublimits(
     # waiting[r] flags the value order[r] as unassigned, so the next seed is
     # the first flag left in visiting order: argmax jumps over assigned
     # values instead of walking every distinct value in Python.  A stable
-    # sort keeps ties in ``uniq`` order, toward smaller values.
-    order = np.argsort(-counts, kind="stable")
+    # sort keeps ties in ``uniq`` order, toward smaller values.  order and
+    # rank take the counts' dtype (int32 below 2**31 terms) and, with
+    # waiting, are freed before the terms are labelled.
+    order = np.argsort(-counts, kind="stable").astype(counts.dtype)
     rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
+    rank[order] = np.arange(order.size, dtype=order.dtype)
     waiting = np.ones(uniq.size, dtype=bool)
     starts = []
     r = 0
@@ -338,6 +340,7 @@ def detect_sublimits(
         start = lo + int(free.argmax())
         waiting[rank[start : start + int(free.sum())]] = False
         starts.append(start)
+    del order, rank, waiting
 
     # The runs tile ``uniq``; number the clusters in value order.
     starts = np.sort(starts)

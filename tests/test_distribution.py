@@ -37,6 +37,7 @@ from seqdist import (
 )
 from seqdist import distribution
 from seqdist.distribution import _cells, _group_bounds, _representatives, quantized_banach_limit
+from seqdist.sequences import _CHUNK
 from seqdist.windows import Membership
 
 ALL_FIXTURES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
@@ -290,10 +291,39 @@ def cell_case(draw):
     return values, bound, Partition(points)
 
 
+@st.composite
+def lopsided_cell_case(draw):
+    """A fine mesh over a few distinct values (m >> k) or a few cells over
+    many (k >> m), with values on the points, on the top point and between;
+    _CHUNK - 1 to _CHUNK + 1 terms, or twice the distinct values."""
+    bound = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        part = Partition.with_mesh(-bound, bound, bound / draw(st.sampled_from([1000, 2**12])))
+        k = draw(st.integers(1, 4))
+    else:
+        part = Partition.with_mesh(-bound, bound, bound * draw(st.sampled_from([0.75, 1.0, 2.0])))
+        k = draw(st.integers(1000, 4000))
+    pool = np.concatenate((
+        rng.choice(part.points, k), rng.uniform(-bound, bound, k), [bound, 0.0, -0.0],
+    ))
+    n = draw(st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * pool.size]))
+    return rng.choice(pool, n), bound, part
+
+
 @given(cell_case())
 @settings(max_examples=200, deadline=None)
 def test_cells_match_per_term_rule(case):
-    values, bound, part = case
+    assert_cells_match(*case)
+
+
+@given(lopsided_cell_case())
+@settings(max_examples=40, deadline=None)
+def test_cells_on_lopsided_partitions_and_chunk_edges(case):
+    assert_cells_match(*case)
+
+
+def assert_cells_match(values, bound, part):
     p = Prefix(values=values, horizon=values.size, bound=bound)
     starts, occupied = _cells(p.index.uniq, part)
     m = len(part.points) - 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from seqdist import windows
+from seqdist import sequences, windows
 from seqdist.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,13 +54,15 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize(
-    "name", ["analyze_F4.jsonl", "analyze_F5.jsonl", "analyze_F6.jsonl", "weights_F5.jsonl"]
-)
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden_in_small_blocks(name, capsys, monkeypatch):
     # At N = 4096 every row of the prefix-sum walk fits in one block of the
-    # default size; blocks of 7 split each row into many, the last partial.
+    # default size, and the prefix in one chunk of materialize and
+    # run_labels; blocks of 7 and chunks of 100 split each into many, the
+    # last partial.
     monkeypatch.setattr(windows, "_BLOCK", 7)
+    monkeypatch.setattr(sequences, "_CHUNK", 100)
+    monkeypatch.chdir(GOLDEN.parent.parent)
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")

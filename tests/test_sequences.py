@@ -14,6 +14,7 @@ from seqdist import (
     Prefix,
     ResourceLimitError,
     affine_combo,
+    detect_sublimits,
     eval_at,
     fixture,
     materialize,
@@ -23,6 +24,7 @@ from seqdist import (
     shift,
     table,
 )
+from seqdist.distribution import quantized_banach_limit
 from seqdist.sequences import _CHUNK, MAX_HORIZON_ENV, _evaluator
 
 
@@ -294,6 +296,22 @@ def test_materialize_peak_is_the_output_plus_a_chunk():
     assert peak <= p.values.nbytes + 3 * 2**20
 
 
+def test_index_quantization_and_sublimit_peaks_on_distinct_terms():
+    # F5's terms are all distinct, so the index is as long as the prefix.
+    # Beside the values, the index (12 B/term) and a label array, a stage
+    # may hold one more N-long int64 array at a time, not two.
+    n = 2**20
+    for stage in (lambda p: p.index, quantized_banach_limit, lambda p: detect_sublimits(p, 1 / 32)):
+        p = materialize(fixture("F5"), n)
+        tracemalloc.start()
+        try:
+            stage(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.values.nbytes + peak <= 36 * n
+
+
 def test_materialize_converts_a_table_once():
     # Converting the table's tuple per chunk made this about 13x slower.
     n = 10**6
@@ -344,7 +362,7 @@ def assert_index_matches(p):
     uniq, counts = unique_oracle(p.values)
     assert np.array_equal(p.index.uniq, uniq)
     assert np.array_equal(np.signbit(p.index.uniq), np.signbit(uniq))
-    assert np.array_equal(p.index.counts, counts)
+    assert np.array_equal(p.index.counts, counts) and p.index.counts.dtype == np.int32
     assert not any(a.flags.writeable for a in p.index)
     assert p.index is p.index
 
@@ -354,6 +372,12 @@ def assert_index_matches(p):
 def test_value_index_matches_unique(case):
     values, bound = case
     assert_index_matches(Prefix(values=values, horizon=values.size, bound=bound))
+
+
+@given(st.sampled_from([0.0, -0.0, 0.5, -1.0]), st.sampled_from([1, 2, _CHUNK + 1]))
+@settings(max_examples=20, deadline=None)
+def test_value_index_of_equal_terms(value, n):
+    assert_index_matches(Prefix(values=np.full(n, value), horizon=n, bound=1.0))
 
 
 @pytest.mark.parametrize("distinct", [1024, 1025, 4096])
@@ -370,10 +394,10 @@ def test_value_index_on_both_sides_of_the_cut_off(distinct):
 
 
 @st.composite
-def run_case(draw):
+def run_case(draw, min_size=0):
     """Terms as in index_case, the empty prefix included, and run starts
     cut anywhere among their distinct values, often at a signed zero."""
-    values, bound = draw(index_case(min_size=0))
+    values, bound = draw(index_case(min_size=min_size))
     uniq = np.unique(values)
     cuts = draw(st.sets(st.integers(1, max(uniq.size - 1, 1)), max_size=max(uniq.size - 1, 0)))
     z = int(np.searchsorted(uniq, 0.0))
@@ -395,10 +419,28 @@ def many_runs():
 @example(many_runs())
 @settings(max_examples=200, deadline=None)
 def test_run_labels_match_repeat_of_unique_inverse(case):
-    values, bound, starts = case
+    assert_run_labels_match(*case)
+
+
+def assert_run_labels_match(values, bound, starts):
     p = Prefix(values=values, horizon=values.size, bound=bound)
     uniq, inverse = np.unique(values, return_inverse=True)
     runs = np.repeat(np.arange(starts.size), np.diff(np.append(starts, uniq.size)))
     labels = p.run_labels(starts)
     assert labels.dtype == (np.int16 if starts.size < 2**15 else np.int32)
     assert np.array_equal(labels, runs[inverse.ravel()])
+
+
+@st.composite
+def chunk_edge_case(draw):
+    """A run case resampled to _CHUNK - 1, _CHUNK or _CHUNK + 1 terms; each
+    of its at most 300 terms is drawn about 200 times, so none is missed."""
+    values, bound, starts = draw(run_case(min_size=1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(values, _CHUNK + draw(st.integers(-1, 1))), bound, starts
+
+
+@given(chunk_edge_case())
+@settings(max_examples=20, deadline=None)
+def test_run_labels_across_a_chunk_edge(case):
+    assert_run_labels_match(*case)
