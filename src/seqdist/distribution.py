@@ -51,7 +51,6 @@ INCONCLUSIVE = "inconclusive"
 METHOD_SIMPLE_SUM = "simple-sum"
 METHOD_WEIGHT_BOUNDS = "weight-bounds"
 METHOD_QUANTIZATION = "quantization"
-METHOD_CESARO = "cesaro"
 
 DEFAULT_VALUE_CAP = 64
 DEFAULT_MESHES = (1.0 / 16.0, 1.0 / 64.0)

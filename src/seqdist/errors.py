@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer parameter."""
+
+import math
 
 
 class SeqdistError(Exception):
@@ -36,3 +39,13 @@ class ValueOutOfBoundsError(SeqdistError, ValueError):
 
 class OverweightError(SeqdistError, ValueError):
     """Known weights already exhaust (or exceed) total mass 1."""
+
+
+def whole(value, what: str, low: int = 1, high: float = math.inf) -> int:
+    """``value`` as an int, or InvalidSpecError unless it is a whole number
+    in [low, high]."""
+    # Range first, so that inf and nan fail it before int() sees them.
+    if not (low <= value <= high and value < math.inf) or int(value) != value:
+        span = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise InvalidSpecError(f"{what} must be an integer {span}, got {value!r}")
+    return int(value)

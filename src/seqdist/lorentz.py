@@ -22,7 +22,6 @@ from .distribution import (
     ALMOST_CONVERGENT,
     DEFAULT_MESHES,
     INCONCLUSIVE,
-    METHOD_CESARO,
     NOT_ALMOST_CONVERGENT,
     BanachEstimate,
     quantized_banach_limit,
@@ -64,17 +63,6 @@ class LorentzVerdict:
     def error_bound(self) -> float:
         """Half-width of the last row's mean range."""
         return self.uniform_gap / 2
-
-    def as_estimate(self) -> BanachEstimate:
-        """Repackage as an estimate record: the last row's mean range."""
-        return BanachEstimate(
-            point=self.estimate,
-            lower=self.estimate - self.error_bound,
-            upper=self.estimate + self.error_bound,
-            error_bound=self.error_bound,
-            method=METHOD_CESARO,
-            verdict=self.verdict,
-        )
 
 
 def lorentz_verdict(

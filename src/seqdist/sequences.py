@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, InvalidSpecError, ResourceLimitError
+from .errors import IndexOutOfRangeError, InvalidSpecError, ResourceLimitError, whole
 
 #: Fractional part of the golden ratio, the default rotation angle.
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -131,9 +131,7 @@ def periodic(pattern) -> SequenceSpec:
 
 
 def ones_then_zeros(n0: int) -> SequenceSpec:
-    if int(n0) != n0 or n0 < 1:
-        raise InvalidSpecError(f"n0 must be a positive integer, got {n0!r}")
-    return SequenceSpec(kind="ones-then-zeros", bound=1.0, n0=int(n0))
+    return SequenceSpec(kind="ones-then-zeros", bound=1.0, n0=whole(n0, "n0"))
 
 
 def rotation(alpha: float) -> SequenceSpec:
@@ -268,10 +266,8 @@ def _evaluator(spec: SequenceSpec, last: int):
 
 def eval_at(spec: SequenceSpec, n: int) -> float:
     """Evaluate x(n).  Deterministic; ``|x(n)| <= spec.bound``."""
-    # Range first, so that inf and nan fail it before int() sees them.
-    if not 1 <= n <= 2**63 - 1 or int(n) != n:
-        raise InvalidSpecError(f"index must be an integer in [1, 2**63 - 1], got {n!r}")
-    return float(_evaluator(spec, int(n))(np.array([int(n)], dtype=np.int64))[0])
+    n = whole(n, "index", high=2**63 - 1)
+    return float(_evaluator(spec, n)(np.array([n], dtype=np.int64))[0])
 
 
 class ValueIndex(NamedTuple):
@@ -349,22 +345,13 @@ class Prefix:
             labels[a : a + _CHUNK] = np.searchsorted(edges, self.values[a : a + _CHUNK], "right")
         return labels
 
-    def value_at(self, n: int) -> float:
-        """1-based access: value_at(1) == x(1)."""
-        if not 1 <= n <= self.horizon:
-            raise IndexOutOfRangeError(f"n={n} outside 1..{self.horizon}")
-        return float(self.values[n - 1])
-
 
 def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     """Evaluate x(1..horizon) into a Prefix."""
-    # Range first, so that inf and nan fail it before int() sees them.
-    if not 1 <= horizon < math.inf or int(horizon) != horizon:
-        raise InvalidSpecError(f"horizon must be a positive integer, got {horizon!r}")
+    n = whole(horizon, "horizon")
     cap = max_horizon()
-    if horizon > cap:
-        raise ResourceLimitError(f"horizon {horizon} exceeds the cap of {cap}")
-    n = int(horizon)
+    if n > cap:
+        raise ResourceLimitError(f"horizon {n} exceeds the cap of {cap}")
     f = _evaluator(spec, n)
     vals = np.empty(n, dtype=np.float64)
     for a in range(0, n, _CHUNK):
@@ -375,6 +362,4 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
 
 def shift(spec: SequenceSpec, k: int) -> SequenceSpec:
     """Translate: the result y satisfies y(n) = x(n + k) for all n."""
-    if not 0 <= k < math.inf or int(k) != k:
-        raise InvalidSpecError(f"shift must be a nonnegative integer, got {k!r}")
-    return dataclasses.replace(spec, shift=spec.shift + int(k))
+    return dataclasses.replace(spec, shift=spec.shift + whole(k, "shift", low=0))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateEpsilonError, InvalidSpecError
+from .errors import DegenerateEpsilonError, InvalidSpecError, whole
 from .sequences import Prefix
 from .windows import DensityProfile, Membership, WindowSchedule, density_profile
 
@@ -45,38 +45,10 @@ class Tolerances:
         # Negated so that NaN, which fails every comparison, is rejected too.
         if not all(0 < v < np.inf for v in (self.gap, self.trend, self.divergence_floor)):
             raise InvalidSpecError("tolerances must be positive and finite")
-        if not self.tail_rows >= 1:
-            raise InvalidSpecError("tolerance tail_rows must be at least 1")
+        object.__setattr__(self, "tail_rows", whole(self.tail_rows, "tolerance tail_rows"))
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing 1-based indices of a subsequence.
-
-    ``indices`` is kept as a read-only int64 array.  An int64 input is not
-    copied: the stored array is a read-only view of the caller's memory.
-    """
-
-    indices: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).view()
-        if idx.ndim != 1:
-            raise InvalidSpecError("indices must be one-dimensional")
-        if idx.size:
-            if np.any(np.diff(idx) <= 0):
-                raise InvalidSpecError("indices must be strictly increasing")
-            if idx[0] < 1 or idx[-1] > self.horizon:
-                raise InvalidSpecError("indices must lie in [1, horizon]")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
 
 
 @dataclass(frozen=True)
@@ -113,15 +85,6 @@ class WeightEstimate:
         return self.per_window.rows[-self.tail_rows_used].n
 
 
-def exact_weight(value: Fraction | int) -> WeightEstimate:
-    """A weight known exactly (no profile behind it)."""
-    f = Fraction(value)
-    return WeightEstimate(
-        w_l_hat=f, w_u_hat=f, gap=Fraction(0), per_window=None,
-        converged=True, tail_rows_used=0,
-    )
-
-
 def weight_from_membership(
     m: Membership,
     schedule: WindowSchedule,
@@ -152,21 +115,6 @@ def weight_from_membership(
     )
 
 
-def subsequence_weights(
-    idx: IndexSet,
-    schedule: WindowSchedule,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> WeightEstimate:
-    """Upper/lower weight estimate of the subsequence indexed by ``idx``.
-
-    The full index set 1..N yields exactly (1, 1) for every schedule; the
-    empty set yields exactly (0, 0).
-    """
-    mask = np.zeros(idx.horizon, dtype=bool)
-    mask[idx.indices - 1] = True
-    return weight_from_membership(Membership.from_mask(mask), schedule, tolerances)
-
-
 def label_weights(
     labels: np.ndarray,
     ids,
@@ -191,28 +139,6 @@ def label_weights(
     )
 
 
-def _interval_mask(p: Prefix, a: float, epsilon: float) -> np.ndarray:
-    """Flags of the terms in [a - epsilon, a + epsilon), for finite a and epsilon > 0."""
-    if not epsilon > 0:
-        raise InvalidSpecError("epsilon must be positive")
-    if not np.isfinite(a):
-        raise InvalidSpecError(f"a must be finite, got {a!r}")
-    return (p.values >= a - epsilon) & (p.values < a + epsilon)
-
-
-def essential_indices(p: Prefix, a: float, epsilon0: float) -> IndexSet:
-    """All indices n with x(n) in [a - epsilon0, a + epsilon0).
-
-    When ``a`` is an isolated candidate sub-limit and epsilon0 is below its
-    separation, this is the canonical essential subsequence for a: every
-    subsequence converging to a is eventually inside it.  The window is
-    half-open so that interval weights and sub-limit weights count the very
-    same index set.
-    """
-    mask = _interval_mask(p, a, epsilon0)
-    return IndexSet(indices=np.flatnonzero(mask).astype(np.int64) + 1, horizon=p.horizon)
-
-
 def sublimit_weight(
     p: Prefix,
     a: float,
@@ -223,11 +149,16 @@ def sublimit_weight(
     """Weight estimate of the terms lying in [a - epsilon, a + epsilon).
 
     For an isolated candidate sub-limit with separation >= epsilon this
-    estimates the weight of ``a`` itself: the interval membership and the
-    essential subsequence are the same index set, so the two estimates are
-    identical by construction, not merely close.
+    estimates the weight of ``a`` itself: those terms are its essential
+    subsequence, which every subsequence converging to ``a`` eventually
+    lies in.  The window is half-open so that interval weights and
+    sub-limit weights count the very same index set.
     """
-    mask = _interval_mask(p, a, epsilon)
+    if not epsilon > 0:
+        raise InvalidSpecError("epsilon must be positive")
+    if not np.isfinite(a):
+        raise InvalidSpecError(f"a must be finite, got {a!r}")
+    mask = (p.values >= a - epsilon) & (p.values < a + epsilon)
     return weight_from_membership(Membership.from_mask(mask), schedule, tolerances)
 
 
@@ -295,9 +226,9 @@ def detect_sublimits(
     Cluster centers are occurrence-weighted means of their member values.
     Each candidate's weight is estimated from the indices of its own members;
     for an isolated cluster whose separation exceeds epsilon this equals
-    subsequence_weights(essential_indices(p, center, epsilon), ...) exactly,
-    and for abutting clusters it keeps the per-cluster index sets disjoint so
-    their window counts stay additive.
+    sublimit_weight(p, center, epsilon, ...) exactly, and for abutting
+    clusters it keeps the per-cluster index sets disjoint so their window
+    counts stay additive.
 
     Whether a non-isolated cluster is a true sub-limit of the infinite
     sequence is not decidable from a prefix; the flag is all this reports.

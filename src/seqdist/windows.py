@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidSpecError, WindowTooLongError
+from .errors import InvalidSpecError, WindowTooLongError, whole
 from .sequences import Prefix
 
 
@@ -85,16 +85,6 @@ class Membership:
         object.__setattr__(self, "bits", bits)
 
     @classmethod
-    def from_indices(cls, indices, horizon: int) -> "Membership":
-        idx = np.asarray(list(indices), dtype=np.int64)
-        bits = np.zeros(horizon, dtype=bool)
-        if idx.size:
-            if idx.min() < 1 or idx.max() > horizon:
-                raise InvalidSpecError("indices must lie in [1, horizon]")
-            bits[idx - 1] = True
-        return cls(bits=bits, horizon=horizon)
-
-    @classmethod
     def from_mask(cls, mask) -> "Membership":
         m = np.asarray(mask, dtype=bool)
         return cls(bits=m, horizon=m.size)
@@ -110,10 +100,10 @@ class WindowSchedule:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        ls = tuple(int(n) for n in self.lengths)
+        ls = tuple(whole(n, "window length") for n in self.lengths)
         if not ls:
             raise InvalidSpecError("schedule must contain at least one length")
-        if ls[0] < 1 or any(b <= a for a, b in zip(ls, ls[1:])):
+        if any(b <= a for a, b in zip(ls, ls[1:])):
             raise InvalidSpecError("schedule lengths must be strictly increasing")
         object.__setattr__(self, "lengths", ls)
 
@@ -132,10 +122,8 @@ class WindowSchedule:
         still separating scales.  Tiny horizons fall back to the single
         length max(1, horizon // 4).
         """
-        if horizon < 1:
-            raise InvalidSpecError("horizon must be positive")
-        if base < 1 or ratio < 2:
-            raise InvalidSpecError("need base >= 1 and ratio >= 2")
+        horizon, base = whole(horizon, "horizon"), whole(base, "base")
+        ratio = whole(ratio, "ratio", low=2)
         cap = max(horizon // 4, 1)
         lengths = []
         n = base
@@ -222,11 +210,6 @@ def _check_window(n: int, horizon: int) -> None:
         raise InvalidSpecError(f"window length must be >= 1, got {n}")
     if n > horizon:
         raise WindowTooLongError(f"window length {n} exceeds horizon {horizon}")
-
-
-def _count_dtype(size: int) -> type:
-    """Narrowest integer dtype that holds every count of ``size`` bits exactly."""
-    return np.int32 if size < 2**31 else np.int64
 
 
 def _window_extrema(values: np.ndarray, lengths):
@@ -401,7 +384,8 @@ def _gap_extrema(bits: np.ndarray, lengths):
     horizon = bits.size
     members = np.flatnonzero(bits)
     c = members.size
-    fenced = np.empty(c + 2, dtype=_count_dtype(horizon + 1))
+    # The fenced positions and their differences reach horizon + 1.
+    fenced = np.empty(c + 2, dtype=np.int32 if horizon + 1 < 2**31 else np.int64)
     fenced[0], fenced[1:-1], fenced[-1] = -1, members, horizon
     pos = fenced[1:-1]
     prev = None
@@ -421,22 +405,6 @@ def _gap_extrema(bits: np.ndarray, lengths):
         yield prev
 
 
-def window_counts(m: Membership, n: int) -> np.ndarray:
-    """Exact member count of every length-n window, ordered by offset, as int64.
-
-    The counts mod 2**16 come from ``_prefix_counts``; consecutive counts
-    differ by at most 1, so each wrapped step read as int16 is exact, and
-    the steps are summed onto the first window's count.
-    """
-    _check_window(n, m.horizon)
-    c = _prefix_counts(m.bits)
-    counts = np.empty(m.horizon - n + 1, dtype=np.int64)
-    counts[0] = np.count_nonzero(m.bits[:n])
-    np.cumsum(np.diff(c[n:] - c[:-n]).view(np.int16), out=counts[1:])
-    counts[1:] += counts[0]
-    return counts
-
-
 def count_extrema(m: Membership, n: int) -> tuple[int, int]:
     """(min, max) window count over offsets 1..N-n+1: one ``density_profile`` row."""
     _check_window(n, m.horizon)
@@ -449,13 +417,6 @@ def naive_count_extrema(m: Membership, n: int) -> tuple[int, int]:
     _check_window(n, m.horizon)
     sums = sliding_window_view(m.bits, n).sum(axis=1, dtype=np.int64)
     return int(sums.min()), int(sums.max())
-
-
-def mean_extrema(p: Prefix, n: int) -> tuple[float, float]:
-    """(min, max) window mean over offsets 1..N-n+1: one ``cesaro_profile`` row."""
-    _check_window(n, p.horizon)
-    row = cesaro_profile(p, WindowSchedule((n,))).rows[0]
-    return row.min_mean, row.max_mean
 
 
 def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:

@@ -21,19 +21,19 @@ from seqdist import (
     banach_limit_bounds,
     banach_limit_simply,
     banach_limit_via_quantization,
-    exact_weight,
+    density_profile,
     fixture,
     interval_about,
     is_simply_distributed,
     limit_point_weight,
     materialize,
+    naive_count_extrema,
     quantize,
     set_weight,
     Tolerances,
     label_weights,
     table,
     weight_bounds_estimate,
-    window_counts,
 )
 from seqdist import distribution
 from seqdist.distribution import _cells, _group_bounds, _representatives, quantized_banach_limit
@@ -41,6 +41,15 @@ from seqdist.sequences import _CHUNK
 from seqdist.windows import Membership
 
 ALL_FIXTURES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
+
+
+def exact_weight(value):
+    """A weight known exactly, with no profile behind it."""
+    f = Fraction(value)
+    return WeightEstimate(
+        w_l_hat=f, w_u_hat=f, gap=Fraction(0), per_window=None,
+        converged=True, tail_rows_used=0,
+    )
 
 
 def safe_partition(bound, cells):
@@ -123,18 +132,22 @@ def test_set_weight_empty_interval_set():
 
 
 def test_set_weight_count_additivity():
-    # Disjoint interval sets have pointwise-additive window counts.
+    # Disjoint interval sets have pointwise-additive window counts, so the
+    # union's count extrema are bounded by the sums of the parts' extrema.
     p = materialize(fixture("F5"), 3000)
     a = IntervalSet(intervals=((0.0, 0.3),))
     b = IntervalSet(intervals=((0.3, 0.7),))
     union = IntervalSet(intervals=((0.0, 0.3), (0.3, 0.7)))
-    ma = Membership.from_mask(a.contains(p.values))
-    mb = Membership.from_mask(b.contains(p.values))
-    mu = Membership.from_mask(union.contains(p.values))
-    for n in (7, 64, 600):
-        assert np.array_equal(
-            window_counts(ma, n) + window_counts(mb, n), window_counts(mu, n)
-        )
+    sched = WindowSchedule((7, 64, 600))
+    masks = [Membership.from_mask(s.contains(p.values)) for s in (a, b, union)]
+    rows_a, rows_b, rows_u = (density_profile(m, sched).rows for m in masks)
+    for ra, rb, ru in zip(rows_a, rows_b, rows_u):
+        assert ru.max_count <= ra.max_count + rb.max_count
+        assert ru.min_count >= ra.min_count + rb.min_count
+    for m, rows in zip(masks, (rows_a, rows_b, rows_u)):
+        assert [(r.min_count, r.max_count) for r in rows] == [
+            naive_count_extrema(m, n) for n in sched.lengths
+        ]
 
 
 # ------------------------------------------------------- is_simply_distributed

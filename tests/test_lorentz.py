@@ -118,15 +118,6 @@ def test_estimate_normalization():
     assert lorentz_verdict(materialize(fixture("F2"), 10_000)).estimate == 1.0
 
 
-def test_verdict_as_estimate_record():
-    lv = lorentz_verdict(materialize(fixture("F4"), 10_000))
-    est = lv.as_estimate()
-    assert est.method == "cesaro"
-    assert est.lower <= est.point <= est.upper
-    assert est.point == lv.estimate
-    assert est.verdict == lv.verdict
-
-
 @pytest.mark.parametrize(
     "epsilon,error",
     [(math.nan, InvalidSpecError), (-1.0, InvalidSpecError), (0.0, InvalidSpecError),

@@ -82,7 +82,7 @@ def test_materialize_matches_eval_pointwise():
     for spec in specs:
         p = materialize(spec, 3000)
         for n in (1, 2, 3, 17, 256, 999, 3000):
-            assert p.value_at(n) == eval_at(spec, n)
+            assert p.values[n - 1] == eval_at(spec, n)
 
 
 def test_bound_certified_on_samples():
@@ -173,6 +173,15 @@ def test_non_finite_horizon_and_shift_rejected(bad):
         shift(fixture("F2"), bad)
     assert materialize(fixture("F2"), 3.0).horizon == 3
     assert shift(fixture("F2"), 2.0).shift == 2
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5])
+def test_non_finite_n0_rejected(bad):
+    # int() of inf or nan raised OverflowError or ValueError before the range check.
+    with pytest.raises(InvalidSpecError):
+        ones_then_zeros(bad)
+    with pytest.raises(InvalidSpecError):
+        fixture("F1", n0=bad)
 
 
 def test_horizon_cap(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqdist import (
     DegenerateEpsilonError,
-    IndexSet,
+    IntervalSet,
     InvalidSpecError,
     Membership,
     Prefix,
@@ -17,39 +17,36 @@ from seqdist import (
     cross_validate,
     density_profile,
     detect_sublimits,
-    essential_indices,
     fixture,
     interval_about,
     label_weights,
     materialize,
     naive_count_extrema,
+    set_weight,
     sublimit_weight,
-    subsequence_weights,
+    weight_from_membership,
 )
 
 
-def full_index_set(horizon):
-    return IndexSet(np.arange(1, horizon + 1, dtype=np.int64), horizon)
+def mask_weight(mask, schedule):
+    return weight_from_membership(Membership.from_mask(mask), schedule)
 
 
 @pytest.mark.parametrize("lengths", [(1, 2, 3), (5, 50), (16, 32, 64, 128)])
 def test_full_sequence_weight_is_one(lengths):
-    idx = full_index_set(600)
-    w = subsequence_weights(idx, WindowSchedule(lengths))
+    w = mask_weight(np.ones(600, dtype=bool), WindowSchedule(lengths))
     assert (w.w_l_hat, w.w_u_hat) == (Fraction(1), Fraction(1))
     assert w.converged and w.gap == 0
 
 
 def test_empty_subsequence_weight_is_zero():
-    idx = IndexSet(np.array([], dtype=np.int64), 500)
-    w = subsequence_weights(idx, WindowSchedule.geometric(500))
+    w = mask_weight(np.zeros(500, dtype=bool), WindowSchedule.geometric(500))
     assert (w.w_l_hat, w.w_u_hat) == (Fraction(0), Fraction(0))
 
 
 def test_finite_support_weight_vanishes():
     # Three fixed indices: the windowed density dies like 3/n.
-    idx = IndexSet(np.array([1, 2, 3], dtype=np.int64), 10_000)
-    w = subsequence_weights(idx, WindowSchedule.geometric(10_000))
+    w = mask_weight(np.arange(10_000) < 3, WindowSchedule.geometric(10_000))
     assert w.w_l_hat == 0
     assert w.w_u_hat <= Fraction(3, w.n_tail)
     assert w.converged
@@ -58,40 +55,42 @@ def test_finite_support_weight_vanishes():
 def test_arithmetic_progression_weight():
     # Indices 1 mod 3.  At N=300 with lengths divisible by 3 the density is
     # exactly 1/3 (naive recount: every window of length 3k holds k members).
-    horizon = 300
-    idx = IndexSet(np.arange(1, horizon + 1, 3, dtype=np.int64), horizon)
-    w = subsequence_weights(idx, WindowSchedule((30, 60, 75)))
+    w = mask_weight(np.arange(300) % 3 == 0, WindowSchedule((30, 60, 75)))
     assert w.w_l_hat == Fraction(1, 3) == w.w_u_hat
     # At scale, an arbitrary geometric schedule stays within 1/n_tail.
     horizon = 30_000
-    idx = IndexSet(np.arange(1, horizon + 1, 3, dtype=np.int64), horizon)
-    w = subsequence_weights(idx, WindowSchedule.geometric(horizon))
+    w = mask_weight(np.arange(horizon) % 3 == 0, WindowSchedule.geometric(horizon))
     assert abs(w.midpoint - Fraction(1, 3)) <= Fraction(1, w.n_tail)
     assert w.converged
 
 
 def test_essential_indices_examples():
-    p3 = materialize(fixture("F3"), 40)
-    assert essential_indices(p3, 1.0, 0.5).indices.tolist() == list(range(2, 41, 2))
-    p1 = materialize(fixture("F1"), 100)
-    assert essential_indices(p1, 1.0, 0.5).indices.tolist() == [1, 2, 3]
-    p4 = materialize(fixture("F4"), 30)
-    got = essential_indices(p4, 0.0, 0.5).indices.tolist()
-    assert got == [n for n in range(1, 31) if n % 3 != 1]
-    assert len(got) == 20
+    # The terms in [a - 1/2, a + 1/2) weigh what the mask of their indices
+    # weighs, row for row over every window length.
+    cases = [
+        ("F3", 40, 1.0, np.arange(40) % 2 == 1),
+        ("F1", 100, 1.0, np.arange(100) < 3),
+        ("F4", 30, 0.0, np.arange(30) % 3 != 0),
+    ]
+    for name, horizon, a, mask in cases:
+        p = materialize(fixture(name), horizon)
+        sched = WindowSchedule(tuple(range(1, horizon + 1)))
+        assert sublimit_weight(p, a, 0.5, sched) == mask_weight(mask, sched)
 
 
 def test_essential_indices_window_is_half_open():
     p3 = materialize(fixture("F3"), 10)
-    # [0, 1) excludes the value 1 itself.
-    assert essential_indices(p3, 0.5, 0.5).indices.size == 0
+    sched = WindowSchedule((10,))
+    # [0, 1) excludes the value 1 itself; [1, 2) holds it.
+    assert sublimit_weight(p3, 0.5, 0.5, sched).per_window.rows[0].max_count == 0
+    assert sublimit_weight(p3, 1.5, 0.5, sched).per_window.rows[0].max_count == 5
 
 
 def test_sublimit_weight_matches_composition():
     p = materialize(fixture("F4"), 5000)
     sched = WindowSchedule.geometric(5000)
     direct = sublimit_weight(p, 1.0, 0.1, sched)
-    composed = subsequence_weights(essential_indices(p, 1.0, 0.1), sched)
+    composed = set_weight(p, IntervalSet(((0.9, 1.1),)), sched)
     assert direct == composed  # bit-identical, not merely close
 
 
@@ -172,20 +171,19 @@ def test_detect_sublimits_degenerate_epsilon():
 
 def test_nan_epsilon_rejected():
     # NaN fails every comparison: checked as `epsilon <= 0`, it let
-    # detect_sublimits (and cross_validate) run forever and essential_indices
-    # and sublimit_weight return an empty set and weight 0.
+    # detect_sublimits (and cross_validate) run forever and sublimit_weight
+    # return weight 0.
     nan = float("nan")
     p = materialize(fixture("F4"), 4096)
     sched = WindowSchedule.geometric(4096)
     calls = (
         lambda: detect_sublimits(p, nan),
         lambda: cross_validate(fixture("F4"), 4096, sublimit_epsilon=nan),
-        lambda: essential_indices(p, 1.0, nan),
         lambda: sublimit_weight(p, 1.0, nan, sched),
         lambda: interval_about(0.5, nan, 1.0),
         # A center that is not finite gave an empty set the same way.
-        lambda: essential_indices(p, nan, 0.5),
-        lambda: essential_indices(p, float("inf"), 0.5),
+        lambda: sublimit_weight(p, nan, 0.5, sched),
+        lambda: sublimit_weight(p, float("inf"), 0.5, sched),
         lambda: sublimit_weight(p, float("-inf"), 0.5, sched),
         lambda: interval_about(nan, 0.1, 1.0),
         lambda: interval_about(float("inf"), 0.1, 1.0),
@@ -321,14 +319,13 @@ def test_tolerances_reject_non_positive_and_non_finite(field, value):
         Tolerances(**{field: value})
 
 
-def test_index_set_validation():
+@pytest.mark.parametrize("tail_rows", [2.5, float("inf")])
+def test_tolerances_tail_rows_must_be_an_integer(tail_rows):
+    # Both were accepted, and lorentz_verdict then sliced its rows with them.
     with pytest.raises(InvalidSpecError):
-        IndexSet(np.array([3, 3]), 5)
-    with pytest.raises(InvalidSpecError):
-        IndexSet(np.array([0]), 5)
-    with pytest.raises(InvalidSpecError):
-        IndexSet(np.array([6]), 5)
-    assert len(IndexSet(np.array([], dtype=np.int64), 5)) == 0
+        Tolerances(tail_rows=tail_rows)
+    tol = Tolerances(tail_rows=2.0)
+    assert tol.tail_rows == 2 and type(tol.tail_rows) is int
 
 
 @st.composite
