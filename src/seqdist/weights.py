@@ -277,7 +277,9 @@ def detect_sublimits(
     starts = np.sort(starts)
     ends = np.append(starts[1:], uniq.size)
     occs = np.add.reduceat(counts, starts, dtype=np.int64)
-    centers = np.array([np.dot(uniq[a:b], counts[a:b]) for a, b in zip(starts, ends)]) / occs
+    # One fixed-order reduction: np.dot would call BLAS, whose sum order and
+    # so whose last digits depend on its thread count.
+    centers = np.add.reduceat(uniq * counts, starts) / occs
     # |v - center| is largest at a run's ends.
     radii = np.maximum(centers - uniq[starts], uniq[ends - 1] - centers)
 
