@@ -38,7 +38,7 @@ from .weights import (
     DEFAULT_TOLERANCES,
     Tolerances,
     WeightEstimate,
-    label_weights,
+    run_weights,
     weight_from_membership,
 )
 from .windows import Membership, WindowSchedule
@@ -261,8 +261,7 @@ def is_simply_distributed(
             distinct_count=groups,
             weight_sum=None,
         )
-    labels = p.run_labels(bounds[:-1])
-    weights = label_weights(labels, range(groups), sched, tolerances)
+    weights = run_weights(p, bounds[:-1], range(groups), sched, tolerances)
     total = sum((w.midpoint for w in weights), Fraction(0))
     verdict = all(w.converged for w in weights) and abs(total - 1) <= tolerances.gap
     return SimpleReport(
@@ -432,8 +431,7 @@ def quantized_banach_limit(
     for mesh in meshes:
         part = Partition.with_mesh(-p.bound, p.bound, mesh)
         starts, occupied = _cells(p.index.uniq, part)
-        labels = p.run_labels(starts)
-        weights = label_weights(labels, range(occupied.size), tail, tolerances)
+        weights = run_weights(p, starts, range(occupied.size), tail, tolerances)
         point, lower, upper = _enclosure(list(zip(part.points[occupied], weights)))
         points.append(point)
         all_converged = all_converged and all(w.converged for w in weights)

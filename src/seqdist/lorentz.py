@@ -137,7 +137,8 @@ def cross_validate(
     p = materialize(spec, horizon)
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     lv = lorentz_verdict(p, sched, tolerances)
-    qe = quantized_banach_limit(p, mesh_schedule, sched, tolerances)
+    # The clusters are counted on the whole schedule and kept in p.run_rows;
+    # a quantization cell holding the same values reads its tail rows there.
     if p.bound > 0:
         rep = detect_sublimits(p, eps, schedule=sched, tolerances=tolerances)
     else:
@@ -145,6 +146,7 @@ def cross_validate(
             clusters=(), residual_count=p.horizon,
             residual_mass=Fraction(1), horizon=p.horizon, epsilon=0.0,
         )
+    qe = quantized_banach_limit(p, mesh_schedule, sched, tolerances)
     bounds = weight_bounds_estimate([(c.center, c.weight) for c in rep.clusters])
     difference = qe.point - lv.estimate
     combined = (qe.error_bound or 0.0) + lv.error_bound

@@ -290,10 +290,12 @@ class Prefix:
     is not copied: the stored array is a read-only view of the caller's
     memory, so the caller's own array stays writable, but the caller must
     not change it once the prefix exists.  ``index`` is the prefix's
-    :class:`ValueIndex`, built on first use and kept with it; a later
-    write to the caller's array would leave ``index`` describing the old
-    terms, and every estimator that labels terms through it would then
-    disagree with ``values`` without raising.
+    :class:`ValueIndex`, built on first use and kept with it, and
+    ``run_rows`` keeps the window-count extrema of every run of
+    ``index.uniq`` counted so far; a later write to the caller's array
+    would leave both describing the old terms, and every estimator that
+    labels terms or reads counts through them would then disagree with
+    ``values`` without raising.
     """
 
     values: np.ndarray
@@ -335,14 +337,27 @@ class Prefix:
             a.flags.writeable = False
         return ValueIndex(uniq, counts)
 
-    def run_labels(self, starts: np.ndarray) -> np.ndarray:
-        """Run of every term, run g being ``index.uniq[starts[g]:starts[g + 1]]``
-        (``starts[0] == 0``): int16 below 2**15 runs, else int32, searched
-        ``_CHUNK`` terms at a time so no N-long int64 result is made."""
+    @cached_property
+    def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
+        """Count extrema of the runs of ``index.uniq`` counted so far.
+
+        ``run_rows[(first, end)][n]`` is the (min, max) count, over the
+        length-n windows, of the terms whose value lies in
+        ``index.uniq[first:end]``; ``weights.run_weights`` fills and reads it,
+        so a run shared by several estimators is counted once per length.
+        """
+        return {}
+
+    def run_labels(self, starts: np.ndarray, first: int = 0) -> np.ndarray:
+        """Run of every term from index ``first + 1`` on, run g being
+        ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): int16
+        below 2**15 runs, else int32, searched ``_CHUNK`` terms at a time so
+        no N-long int64 result is made."""
         edges = self.index.uniq[starts[1:]]
-        labels = np.empty(self.horizon, np.int16 if len(starts) < 2**15 else np.int32)
-        for a in range(0, self.horizon, _CHUNK):
-            labels[a : a + _CHUNK] = np.searchsorted(edges, self.values[a : a + _CHUNK], "right")
+        values = self.values[first:]
+        labels = np.empty(values.size, np.int16 if len(starts) < 2**15 else np.int32)
+        for a in range(0, values.size, _CHUNK):
+            labels[a : a + _CHUNK] = np.searchsorted(edges, values[a : a + _CHUNK], "right")
         return labels
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateEpsilonError, InvalidSpecError, whole
 from .sequences import Prefix
-from .windows import DensityProfile, Membership, WindowSchedule, density_profile
+from .windows import DensityProfile, DensityRow, Membership, WindowSchedule, density_profile
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,8 @@ class WeightEstimate:
         return self.per_window.rows[-self.tail_rows_used].n
 
 
-def weight_from_membership(
-    m: Membership,
-    schedule: WindowSchedule,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> WeightEstimate:
-    """Weight estimate of an index set given as an indicator."""
-    prof = density_profile(m, schedule)
+def _estimate(prof: DensityProfile, tolerances: Tolerances) -> WeightEstimate:
+    """Weight estimate from the count rows of one index set."""
     k = min(tolerances.tail_rows, len(prof.rows))
     tail = prof.rows[-k:]
     w_u = max(Fraction(r.max_count, r.n) for r in tail)
@@ -115,26 +110,69 @@ def weight_from_membership(
     )
 
 
-def label_weights(
-    labels: np.ndarray,
+def weight_from_membership(
+    m: Membership,
+    schedule: WindowSchedule,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> WeightEstimate:
+    """Weight estimate of an index set given as an indicator."""
+    return _estimate(density_profile(m, schedule), tolerances)
+
+
+def run_weights(
+    p: Prefix,
+    starts: np.ndarray,
     ids,
     schedule: WindowSchedule,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[WeightEstimate, ...]:
-    """One weight estimate per id j, for the index set {k : labels[k-1] == j}.
+    """One weight estimate per run j in ``ids`` of the sorted distinct values.
 
-    Every estimator that splits the indices into disjoint sets (sub-limit
-    clusters, distinct values, quantization cells) counts them here, so the
-    sets' window counts stay additive.  Each id is one bool mask, counted by
-    ``density_profile``: from the gaps between its members (or non-members)
-    when they are at most ``windows.SPARSE_SHARE`` of the terms (most
-    clusters and cells are), else from a uint16 prefix count.  A caller that
-    reads only the weights, never the per-window rows, passes just the tail
-    of its schedule.  An id absent from ``labels`` yields exactly (0, 0).
+    Run j is ``p.index.uniq[starts[j]:starts[j + 1]]`` (the last run ends at
+    the last value, and ``starts[0] == 0``); its index set is the terms
+    whose value lies in it.  Every estimator that splits the indices into
+    disjoint sets (sub-limit clusters, distinct-value groups, quantization
+    cells) splits the values into such runs and is weighed here, so the
+    sets' window counts stay additive.  The count rows are kept in
+    ``p.run_rows`` under the run's (first, end), so a run that several
+    estimators share is counted once per window length: a call labels the
+    terms with ``p.run_labels`` and counts a run's mask with
+    ``density_profile`` only for the lengths no earlier call counted.  When
+    the runs are exactly two, only the one with fewer terms is counted: a
+    window holding k of its terms holds n - k of the other's.  A caller
+    that reads only the weights, never the per-window rows, passes just the
+    tail of its schedule.
     """
-    labels = np.asarray(labels)
+    edges = np.append(starts, p.index.uniq.size).tolist()
+    runs = list(zip(edges, edges[1:]))
+    lengths = schedule.lengths
+    ids = [int(j) for j in ids]
+    memo = p.run_rows
+    todo = [j for j in ids if any(n not in memo.get(runs[j], ()) for n in lengths)]
+    if todo and len(runs) == 2:
+        sizes = [int(p.index.counts[a:b].sum()) for a, b in runs]
+        todo = [int(sizes[1] < sizes[0])]
+    labels = None
+    for j in todo:
+        rows = memo.setdefault(runs[j], {})
+        missing = tuple(n for n in lengths if n not in rows)
+        if missing:
+            if labels is None:
+                labels = p.run_labels(starts)
+            # A Python-int j keeps the compare in the labels' narrow dtype.
+            prof = density_profile(Membership.from_mask(labels == j), WindowSchedule(missing))
+            rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)
+        if len(runs) == 2:
+            memo.setdefault(runs[1 - j], {}).update(
+                (n, (n - rows[n][1], n - rows[n][0])) for n in lengths
+            )
     return tuple(
-        weight_from_membership(Membership.from_mask(labels == j), schedule, tolerances)
+        _estimate(
+            DensityProfile(rows=tuple(
+                DensityRow(n, *memo[runs[j]][n], p.horizon - n + 1) for n in lengths
+            )),
+            tolerances,
+        )
         for j in ids
     )
 
@@ -291,14 +329,11 @@ def detect_sublimits(
 
     # Only terms past (1 - recurrence_window) * N decide recurrence, and a
     # recurrent cluster's last index lies among them.
-    labels = p.run_labels(starts)
     tail = int((1.0 - recurrence_window) * p.horizon)
     lasts = np.zeros(starts.size, dtype=np.int64)
-    np.maximum.at(lasts, labels[tail:], np.arange(tail + 1, p.horizon + 1))
+    np.maximum.at(lasts, p.run_labels(starts, tail), np.arange(tail + 1, p.horizon + 1))
     recurrent = by_center[lasts[by_center] > 0]
-    # Python-int ids keep each ``labels == j`` in the labels' narrow dtype;
-    # an int64 scalar id would promote the labels to int64 term by term.
-    weights = label_weights(labels, recurrent.tolist(), sched, tolerances)
+    weights = run_weights(p, starts, recurrent, sched, tolerances)
     clusters = tuple(
         SubLimitCluster(
             center=float(centers[k]),

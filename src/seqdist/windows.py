@@ -86,7 +86,7 @@ class Membership:
 
     @classmethod
     def from_mask(cls, mask) -> "Membership":
-        m = np.asarray(mask, dtype=bool)
+        m = np.asarray(mask)
         return cls(bits=m, horizon=m.size)
 
     def count(self) -> int:

@@ -31,7 +31,7 @@ from seqdist import (
     quantize,
     set_weight,
     Tolerances,
-    label_weights,
+    run_weights,
     table,
     weight_bounds_estimate,
 )
@@ -229,7 +229,7 @@ def test_over_cap_report_picks_no_representative(monkeypatch):
         raise AssertionError("over-cap report did per-group work")
 
     monkeypatch.setattr(distribution, "_representatives", fail)
-    monkeypatch.setattr(distribution, "label_weights", fail)
+    monkeypatch.setattr(distribution, "run_weights", fail)
     rep = is_simply_distributed(materialize(fixture("F5"), 4096))
     assert (rep.values, rep.distinct_count, rep.simply_distributed) == ((), 4096, False)
 
@@ -548,10 +548,12 @@ def test_tail_rows_only_change_nothing(case, data):
     def summary(w):
         return w.w_l_hat, w.w_u_hat, w.gap, w.converged, w.n_tail
 
-    labels = np.searchsorted(np.unique(p.values), p.values)
-    ids = range(int(labels.max()) + 2)
+    # A fresh prefix for the tail, so its rows are counted, not kept ones.
+    runs = np.arange(p.index.uniq.size)
     tail = WindowSchedule(sched.lengths[-tol.tail_rows:])
-    full_ws, tail_ws = label_weights(labels, ids, sched, tol), label_weights(labels, ids, tail, tol)
+    fresh = Prefix(values=p.values, horizon=p.horizon, bound=p.bound)
+    full_ws = run_weights(p, runs, range(runs.size), sched, tol)
+    tail_ws = run_weights(fresh, runs, range(runs.size), tail, tol)
     assert [summary(w) for w in full_ws] == [summary(w) for w in tail_ws]
 
 

@@ -19,13 +19,14 @@ from seqdist import (
     detect_sublimits,
     fixture,
     interval_about,
-    label_weights,
     materialize,
     naive_count_extrema,
+    run_weights,
     set_weight,
     sublimit_weight,
     weight_from_membership,
 )
+from seqdist import weights
 
 
 def mask_weight(mask, schedule):
@@ -329,34 +330,66 @@ def test_tolerances_tail_rows_must_be_an_integer(tail_rows):
 
 
 @st.composite
-def labeled_prefix(draw):
-    """Labels of length <= 400 over <= 6 ids, and a geometric or explicit schedule."""
+def run_case(draw):
+    """A prefix of <= 400 small integers, its distinct values cut into runs
+    (one and two runs included), and one to three calls on that one prefix,
+    each a schedule (geometric, its tail, or explicit lengths, so calls
+    overlap in any order) with the runs it weighs."""
     n = draw(st.integers(1, 400))
     k = draw(st.integers(1, 6))
-    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    if draw(st.booleans()):
-        sched = WindowSchedule.geometric(n, base=draw(st.integers(1, 8)), ratio=draw(st.integers(2, 3)))
-    else:
-        lengths = draw(st.sets(st.integers(1, n), min_size=1, max_size=5))
-        sched = WindowSchedule(tuple(sorted(lengths)))
-    return labels, k, sched
+    values = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=float)
+    distinct = np.unique(values).size
+    runs = draw(st.integers(1, distinct))
+    cuts = draw(st.sets(st.integers(1, max(distinct - 1, 1)), min_size=runs - 1, max_size=runs - 1))
+    starts = np.array([0, *sorted(cuts)])
+    geo = WindowSchedule.geometric(n, base=draw(st.integers(1, 8)), ratio=draw(st.integers(2, 3)))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["full", "tail", "explicit"]))
+        if kind == "full":
+            sched = geo
+        elif kind == "tail":
+            sched = WindowSchedule(geo.lengths[-draw(st.integers(1, len(geo.lengths))):])
+        else:
+            sched = WindowSchedule(tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=5)))))
+        calls.append((sched, draw(st.lists(st.integers(0, runs - 1), unique=True))))
+    return Prefix(values=values, horizon=n, bound=float(k)), starts, calls
 
 
-@given(labeled_prefix())
-@settings(max_examples=80, deadline=None)
-def test_label_weights_match_oracle(case):
-    labels, k, sched = case
-    n = len(labels)
-    # Id k never occurs; the last pair gives one id to every index.
-    runs = [(labels, list(range(k + 1))), ([7] * n, [7])]
-    for labs, ids in runs:
-        estimates = label_weights(np.array(labs), ids, sched)
+@given(run_case())
+@settings(max_examples=120, deadline=None)
+def test_run_weights_match_oracle(case):
+    p, starts, calls = case
+    uniq = np.unique(p.values)
+    edges = [*starts.tolist(), uniq.size]
+
+    def member(a, b):
+        return Membership.from_mask((p.values >= uniq[a]) & (p.values <= uniq[b - 1]))
+
+    for sched, ids in calls:
+        estimates = run_weights(p, starts, ids, sched)
         assert len(estimates) == len(ids)
         for j, w in zip(ids, estimates):
-            m = Membership(bits=[1 if lab == j else 0 for lab in labs], horizon=n)
-            rows = w.per_window.rows
-            assert [r.n for r in rows] == list(sched.lengths)
-            for r in rows:
-                assert (r.min_count, r.max_count) == naive_count_extrema(m, r.n)
-            if j not in labs:
-                assert (w.w_l_hat, w.w_u_hat) == (0, 0)
+            assert w == weight_from_membership(member(edges[j], edges[j + 1]), sched)
+    # Whichever calls filled them, the kept rows are the oracle's.
+    assert set(p.run_rows) <= set(zip(edges, edges[1:]))
+    for (a, b), rows in p.run_rows.items():
+        m = member(a, b)
+        assert rows == {n: naive_count_extrema(m, n) for n in rows}
+
+
+@pytest.mark.parametrize("name, masks", [("F4", 1), ("F6", 1), ("F1", 1), ("F7", None), ("F5", None)])
+def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
+    # F1, F4 and F6 take two values: every estimator splits them into the
+    # same two runs, and only the smaller is counted, on the full schedule.
+    counted = []
+
+    def recording(m, schedule):
+        counted.extend((m.bits.tobytes(), n) for n in schedule.lengths)
+        return density_profile(m, schedule)
+
+    monkeypatch.setattr(weights, "density_profile", recording)
+    cross_validate(fixture(name), 4096)
+    assert counted and len(set(counted)) == len(counted)
+    if masks is not None:
+        assert len({bits for bits, _ in counted}) == masks

@@ -478,6 +478,13 @@ def test_membership_validation():
     assert m.horizon == 5 and m.count() == 2
 
 
+@pytest.mark.parametrize("mask", [[0, 2, -1], [0.5, 1.0], np.array([1, 3], dtype=np.int8)])
+def test_from_mask_rejects_bits_other_than_0_and_1(mask):
+    # Cast straight to bool, these became True where the constructor raises.
+    with pytest.raises(InvalidSpecError):
+        Membership.from_mask(mask)
+
+
 def test_membership_is_narrow():
     mask = np.array([True, False, True, True])
     m = Membership(bits=mask, horizon=4)
