@@ -339,13 +339,9 @@ class Prefix:
 
     @cached_property
     def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
-        """Count extrema of the runs of ``index.uniq`` counted so far.
-
-        ``run_rows[(first, end)][n]`` is the (min, max) count, over the
-        length-n windows, of the terms whose value lies in
-        ``index.uniq[first:end]``; ``weights.run_weights`` fills and reads it,
-        so a run shared by several estimators is counted once per length.
-        """
+        """``run_rows[(first, end)][n]``: the (min, max) length-n window count
+        of the terms valued in ``index.uniq[first:end]``, kept by
+        ``weights.run_weights`` for each run and length it has counted."""
         return {}
 
     def run_labels(self, starts: np.ndarray, first: int = 0) -> np.ndarray:

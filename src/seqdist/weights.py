@@ -128,30 +128,24 @@ def run_weights(
 ) -> tuple[WeightEstimate, ...]:
     """One weight estimate per run j in ``ids`` of the sorted distinct values.
 
-    Run j is ``p.index.uniq[starts[j]:starts[j + 1]]`` (the last run ends at
-    the last value, and ``starts[0] == 0``); its index set is the terms
-    whose value lies in it.  Every estimator that splits the indices into
-    disjoint sets (sub-limit clusters, distinct-value groups, quantization
-    cells) splits the values into such runs and is weighed here, so the
-    sets' window counts stay additive.  The count rows are kept in
-    ``p.run_rows`` under the run's (first, end), so a run that several
-    estimators share is counted once per window length: a call labels the
-    terms with ``p.run_labels`` and counts a run's mask with
-    ``density_profile`` only for the lengths no earlier call counted.  When
-    the runs are exactly two, only the one with fewer terms is counted: a
+    Run j is ``p.index.uniq[starts[j]:starts[j + 1]]`` (``starts[0] == 0``,
+    the last run ends at the last value) and weighs the terms whose value
+    lies in it.  Sub-limit clusters, distinct-value groups and quantization
+    cells are all such runs, so their window counts stay additive.  A run's
+    count rows are kept in ``p.run_rows``: a call labels the terms and
+    counts a run's mask only for the lengths no earlier call counted, and
+    of exactly two runs it counts only the one with fewer terms, since a
     window holding k of its terms holds n - k of the other's.  A caller
-    that reads only the weights, never the per-window rows, passes just the
-    tail of its schedule.
+    that reads only the weights passes just the tail of its schedule.
     """
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))
     lengths = schedule.lengths
     ids = [int(j) for j in ids]
     memo = p.run_rows
-    todo = [j for j in ids if any(n not in memo.get(runs[j], ()) for n in lengths)]
+    todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
     if todo and len(runs) == 2:
-        sizes = [int(p.index.counts[a:b].sum()) for a, b in runs]
-        todo = [int(sizes[1] < sizes[0])]
+        todo = [int(2 * p.index.counts[: edges[1]].sum() > p.horizon)]
     labels = None
     for j in todo:
         rows = memo.setdefault(runs[j], {})
@@ -163,9 +157,8 @@ def run_weights(
             prof = density_profile(Membership.from_mask(labels == j), WindowSchedule(missing))
             rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)
         if len(runs) == 2:
-            memo.setdefault(runs[1 - j], {}).update(
-                (n, (n - rows[n][1], n - rows[n][0])) for n in lengths
-            )
+            other = memo.setdefault(runs[1 - j], {})
+            other.update((n, (n - rows[n][1], n - rows[n][0])) for n in lengths)
     return tuple(
         _estimate(
             DensityProfile(rows=tuple(
