@@ -243,7 +243,7 @@ def is_simply_distributed(
 
     Distinct values (``p.index``) whose neighbor gaps are at most
     ``value_tolerance`` merge into one group, represented by its most
-    frequent member; every term is labelled with its group, one run of ``uniq``.
+    frequent member; each group is one run of ``uniq``, weighed by ``run_weights``.
     """
     # Negated so that NaN, which fails every comparison, is rejected too.
     if not value_tolerance >= 0:
@@ -400,12 +400,11 @@ def quantized_banach_limit(
     """Estimate the Banach limit by quantizing at successively finer meshes.
 
     Each mesh splits the distinct values of ``p.index`` into runs by cell
-    (the rule of ``quantize``), labels every term with its run by one
-    search, weighs the occupied cells with ``label_weights`` and values
-    each at its left endpoint.  No cell's per-window rows are
-    reported, so the cells are counted on the last ``tolerances.tail_rows``
-    schedule lengths only: the weights, gaps and convergence flags read
-    nothing else.  The point
+    (the rule of ``quantize``), weighs the occupied cells with
+    ``run_weights`` and values each at its left endpoint.  No cell's
+    per-window rows are reported, so the cells are weighed on the last
+    ``tolerances.tail_rows`` schedule lengths only: the weights, gaps and
+    convergence flags read nothing else.  The point
     estimate is the weighted sum over the finest mesh and the error bound
     is that mesh (sup-norm distance to the true prefix) plus the half-width
     of the weight-bounds interval.  The verdict
