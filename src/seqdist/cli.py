@@ -342,9 +342,10 @@ def _resolve_spec(args) -> tuple[str, SequenceSpec]:
 def _parse_schedule(args, horizon: int) -> WindowSchedule:
     if args.lengths:
         try:
-            return WindowSchedule(tuple(int(tok) for tok in args.lengths.split(",")))
+            lengths = tuple(int(tok) for tok in args.lengths.split(","))
         except ValueError as exc:
             raise InvalidSpecError(f"bad --lengths {args.lengths!r}") from exc
+        return WindowSchedule(lengths)
     base, ratio = 16, 2
     if args.schedule:
         try:

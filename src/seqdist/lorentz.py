@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .distribution import (
     ALMOST_CONVERGENT,
     DEFAULT_MESHES,
@@ -27,15 +29,16 @@ from .distribution import (
     quantized_banach_limit,
     weight_bounds_estimate,
 )
-from .sequences import Prefix, SequenceSpec, materialize
+from .sequences import _CHUNK, Prefix, SequenceSpec, materialize
 from .weights import (
     DEFAULT_TOLERANCES,
     SubLimitReport,
     Tolerances,
     check_sublimit_epsilon,
     detect_sublimits,
+    run_weights,
 )
-from .windows import CesaroProfile, WindowSchedule, cesaro_profile
+from .windows import CesaroProfile, CesaroRow, WindowSchedule, cesaro_profile
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,42 @@ class LorentzVerdict:
         return self.uniform_gap / 2
 
 
+def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | None:
+    """The Cesaro rows of a prefix of at most two values, from its counted run.
+
+    For values a <= b, a length-n window holding c terms valued b has mean
+    a + (b - a) * c / n, so each row is read from the count extrema of b's
+    run, which ``run_weights`` keeps in ``p.run_rows``.  None unless every
+    float partial sum is exact: all values multiples of 2**-k with
+    N * max|v| * 2**k <= 2**53.  Then ``cesaro_profile`` divides the exact
+    window sum S by n and this path rounds S / n from a Fraction, both
+    correctly rounded, so the rows agree bit for bit.  A -0.0 first term
+    falls back too: which zero the float walk reports for it depends on
+    numpy's SIMD lanes.
+    """
+    sched.validate_for(p.horizon)
+    v = p.values
+    lo, hi = float(v.min()), float(v.max())
+    a, b = Fraction(lo), Fraction(hi)
+    if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53:
+        return None
+    if v[0] == 0 and np.signbit(v[0]):
+        return None
+    for i in range(0, v.size, _CHUNK):
+        part = v[i : i + _CHUNK]
+        if np.any((part > lo) & (part < hi)):
+            return None
+    if lo == hi:
+        counts = dict.fromkeys(sched.lengths, (0, 0))
+    else:
+        run_weights(p, [0, 1], [1], sched)
+        counts = p.run_rows[(1, 2)]
+    return CesaroProfile(rows=tuple(
+        CesaroRow(n, *(float(a + (b - a) * Fraction(c, n)) for c in counts[n]))
+        for n in sched.lengths
+    ))
+
+
 def lorentz_verdict(
     p: Prefix,
     schedule: WindowSchedule | None = None,
@@ -76,9 +115,14 @@ def lorentz_verdict(
     the tail gaps are non-increasing.  not-almost-convergent: every tail-row
     gap sits at or above tolerances.divergence_floor * 2M even as the window
     lengths grow.  Anything else is inconclusive.
+
+    A prefix of at most two values whose float sums are exact reads its
+    rows from the window counts of one run, kept in ``p.run_rows`` where
+    the sub-limit clusters and quantization cells read them again; any
+    other prefix takes ``cesaro_profile``'s float walk.
     """
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
-    prof = cesaro_profile(p, sched)
+    prof = _two_valued_profile(p, sched) or cesaro_profile(p, sched)
     gaps = tuple(r.max_mean - r.min_mean for r in prof.rows)
     k = min(tolerances.tail_rows, len(gaps))
     tail = gaps[-k:]

@@ -200,10 +200,14 @@ def test_spec_file_grammar():
 def test_bad_usage_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", "--horizon", "100"])
     assert code == 2 and "fixture" in err
-    code, _, err = run(
-        capsys, ["analyze", "--fixture", "F2", "--horizon", "100", "--lengths", "7,3"]
-    )
-    assert code == 2
+    for lengths, cause in (
+        ("7,3", "strictly increasing"), ("5,3", "strictly increasing"),
+        ("0,5", "window length"), ("4,x", "bad --lengths"),
+    ):
+        code, _, err = run(
+            capsys, ["analyze", "--fixture", "F2", "--horizon", "100", "--lengths", lengths]
+        )
+        assert code == 2 and cause in err
     out = tmp_path / "missing" / "x.jsonl"
     code, _, err = run(capsys, ["analyze", "--fixture", "F4", "--horizon", "64", "--out", str(out)])
     assert code == 2 and err.startswith("seqdist: cannot write")

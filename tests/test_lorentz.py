@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqdist import lorentz
+from seqdist import lorentz, windows
 from seqdist import (
     ALMOST_CONVERGENT,
     INCONCLUSIVE,
     DegenerateEpsilonError,
     InvalidSpecError,
     NOT_ALMOST_CONVERGENT,
+    Prefix,
     WindowSchedule,
     affine_combo,
+    cesaro_profile,
     cross_validate,
     fixture,
     is_simply_distributed,
@@ -156,3 +160,76 @@ def test_zero_value_sign_follows_the_terms(name, horizon):
     values = [v for v in is_simply_distributed(p).values if v == 0]
     assert len(centers) == len(values) == 1
     assert math.copysign(1, centers[0]) == math.copysign(1, values[0]) == (-1 if negative else 1)
+
+
+@st.composite
+def two_valued_case(draw):
+    """(prefix, schedule, exact): a periodic prefix of at most two values
+    m * 2**-k, each m odd or 0, so ``exact`` is N * max|m| <= 2**53.  In the
+    "edge" draws the larger |m| puts that product within a few N of 2**53."""
+    horizon = draw(st.integers(2, 600))
+    k = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        top = (2**53 // horizon + draw(st.integers(-3, 2))) | 1
+        ms = [top * draw(st.sampled_from([-1, 1]))]
+        ms.append(draw(st.integers(-top // 2, top // 2)) * 2 + 1)
+    else:
+        ms = [draw(st.integers(-2**10, 2**10)) * 2 + 1, 0]
+    ms = draw(st.permutations(ms))
+    pattern = draw(st.lists(st.sampled_from(ms), min_size=1, max_size=12))
+    values = np.resize(np.array(pattern, dtype=np.float64) * 2.0**-k, horizon)
+    lengths = draw(st.sets(st.integers(1, horizon), min_size=1, max_size=6))
+    p = Prefix(values=values, horizon=horizon, bound=float(np.abs(values).max()))
+    exact = horizon * max(map(abs, pattern[:horizon])) <= 2**53
+    return p, WindowSchedule(tuple(sorted(lengths))), exact
+
+
+def assert_rows_match_float_walk(p, sched):
+    got = lorentz_verdict(p, sched).profile.rows
+    want = cesaro_profile(p, sched).rows
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+@given(two_valued_case())
+@settings(max_examples=300, deadline=None)
+def test_two_valued_rows_match_float_walk(case):
+    # Rows read from one run's counts repeat the float walk's bytes, and the
+    # counted path is taken exactly when every float partial sum is exact.
+    p, sched, exact = case
+    assert (lorentz._two_valued_profile(p, sched) is not None) == exact
+    assert_rows_match_float_walk(p, sched)
+
+
+@pytest.mark.parametrize("horizon", [64, 5000])
+@pytest.mark.parametrize(
+    "pattern,counted",
+    [
+        ((0.7,), False),
+        ((-0.6699043212455988,), False),
+        ((0.7, 0.25), False),
+        ((-0.0,), False),
+        ((-0.0, 1.0), False),
+        ((-0.0, 0.0, 1.0), False),
+        ((0.0, -0.0, 1.0), True),
+        ((0.0, -0.0), True),
+        ((1.0, 0.5, 0.25), False),
+    ],
+)
+def test_fallback_and_signed_zero_rows(pattern, counted, horizon):
+    # Non-dyadic values, a -0.0 first term and a third value take the float
+    # walk; zeros of both signs after a +0.0 first term read +0.0 rows.
+    p = materialize(periodic(pattern), horizon)
+    sched = WindowSchedule.geometric(horizon)
+    assert (lorentz._two_valued_profile(p, sched) is not None) == counted
+    assert_rows_match_float_walk(p, sched)
+
+
+def test_two_valued_fixtures_walk_no_float_prefix(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("walked the float prefix sum")
+
+    monkeypatch.setattr(windows, "_window_extrema", fail)
+    for name in ("F1", "F2", "F3", "F4", "F6"):
+        cross_validate(fixture(name), 4096)
+    with pytest.raises(AssertionError, match="float prefix"):
+        cross_validate(fixture("F5"), 4096)
