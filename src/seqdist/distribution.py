@@ -145,22 +145,31 @@ class Partition:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, cells: float) -> "Partition":
-        # Negated so that NaN fails the first check and a count that
-        # overflowed to inf hits the cap.
-        if not cells >= 1:
-            raise InvalidSpecError("need at least one cell")
-        if not cells <= max_horizon():
-            raise ResourceLimitError(
-                f"{cells:.0f} partition cells exceed the cap of {max_horizon()}"
-            )
-        return cls(points=np.linspace(lo, hi, int(cells) + 1))
+        return cls(points=np.linspace(lo, hi, _cell_count(cells) + 1))
 
     @classmethod
     def with_mesh(cls, lo: float, hi: float, mesh: float) -> "Partition":
         """Uniform partition of [lo, hi] with spacing <= mesh."""
-        if not (mesh > 0 and hi > lo):
-            raise InvalidSpecError("need mesh > 0 and hi > lo")
-        return cls.uniform(lo, hi, np.ceil((hi - lo) / mesh))
+        return cls.uniform(lo, hi, _mesh_cells(lo, hi, mesh))
+
+
+def _cell_count(cells: float) -> int:
+    # Negated so that NaN fails the first check and a count that
+    # overflowed to inf hits the cap.
+    if not cells >= 1:
+        raise InvalidSpecError("need at least one cell")
+    if not cells <= max_horizon():
+        raise ResourceLimitError(
+            f"{cells:.0f} partition cells exceed the cap of {max_horizon()}"
+        )
+    return int(cells)
+
+
+def _mesh_cells(lo: float, hi: float, mesh: float) -> int:
+    """Cells of the uniform partition of [lo, hi] with spacing <= mesh."""
+    if not (mesh > 0 and hi > lo):
+        raise InvalidSpecError("need mesh > 0 and hi > lo")
+    return _cell_count(np.ceil((hi - lo) / mesh))
 
 
 @dataclass(frozen=True)
@@ -274,22 +283,45 @@ def is_simply_distributed(
     )
 
 
-def _cells(uniq: np.ndarray, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """(run starts, cell of each run) of the sorted distinct values by cell.
+def _cells(uniq: np.ndarray, lefts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run starts, cell of each run) of the sorted distinct values, none
+    below ``lefts[0]``, by the cells whose left endpoints are ``lefts``.
 
     Cell j is [a_j, a_{j+1}), except that the top cell is closed: it holds
     ``uniq[edges[j]:edges[j + 1]]``, edges[j] being the number of values
     below a_j.  The points are searched among the distinct values, O(m log
-    k), and no array is longer than the partition's own points or the index.
+    k), and no array is longer than the points or the index.
     """
-    if uniq.size and (uniq[0] < partition.lo or uniq[-1] > partition.hi):
-        raise ValueOutOfBoundsError(
-            f"values outside partition span [{partition.lo}, {partition.hi}]"
-        )
-    edges = np.searchsorted(uniq, partition.points, "left")
-    edges[-1] = uniq.size
-    occupied = np.flatnonzero(edges[1:] != edges[:-1])
+    edges = np.searchsorted(uniq, lefts, "left")
+    occupied = np.flatnonzero(np.diff(edges, append=uniq.size))
     return edges[occupied], occupied
+
+
+def _uniform_cells(uniq: np.ndarray, lo: float, hi: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """(run starts, cell left endpoints) of the sorted distinct values in
+    [lo, hi] by the cells of ``Partition.uniform(lo, hi, cells)``, without
+    building all of its points.
+
+    Point j is ``j * step + lo``, the expression ``np.linspace`` evaluates,
+    and the last is ``hi``; the top cell is closed.  With fewer cells than
+    values the cells' points are searched among the values (``_cells``).
+    Otherwise each value's cell is estimated as ``floor((v - lo) / step)``
+    and corrected by one comparison each way against those points; below
+    the cell cap the estimate is off by less than a cell.  Either way no
+    array is longer than the smaller of the two counts.
+    """
+    step = (hi - lo) / cells
+    if cells < uniq.size:
+        starts, occupied = _cells(uniq, np.arange(cells) * step + lo)
+        return starts, occupied * step + lo
+    j = uniq - lo
+    j /= step
+    np.floor(j, out=j)
+    np.minimum(j, cells - 1, out=j)
+    j -= uniq < j * step + lo
+    j += (uniq >= (j + 1) * step + lo) & (j < cells - 1)
+    starts = np.flatnonzero(np.diff(j, prepend=-1))
+    return starts, j[starts] * step + lo
 
 
 def quantize(p: Prefix, partition: Partition) -> Prefix:
@@ -302,8 +334,13 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
     width of the final cell, so keep that cell no wider than the rest if the
     strict bound matters.
     """
+    uniq = p.index.uniq
+    if uniq.size and (uniq[0] < partition.lo or uniq[-1] > partition.hi):
+        raise ValueOutOfBoundsError(
+            f"values outside partition span [{partition.lo}, {partition.hi}]"
+        )
     bound = max(p.bound, abs(partition.lo), abs(partition.hi))
-    starts, occupied = _cells(p.index.uniq, partition)
+    starts, occupied = _cells(uniq, partition.points[:-1])
     values = partition.points[occupied][p.run_labels(starts)]
     return Prefix(values=values, horizon=p.horizon, bound=bound)
 
@@ -400,7 +437,8 @@ def quantized_banach_limit(
     """Estimate the Banach limit by quantizing at successively finer meshes.
 
     Each mesh splits the distinct values of ``p.index`` into runs by cell
-    (the rule of ``quantize``), weighs the occupied cells with
+    (the rule of ``quantize`` on ``Partition.with_mesh(-M, M, mesh)``, found
+    by arithmetic so no point is built), weighs the occupied cells with
     ``run_weights`` and values each at its left endpoint.  No cell's
     per-window rows are reported, so the cells are weighed on the last
     ``tolerances.tail_rows`` schedule lengths only: the weights, gaps and
@@ -428,10 +466,10 @@ def quantized_banach_limit(
     points: list[Fraction] = []
     all_converged = True
     for mesh in meshes:
-        part = Partition.with_mesh(-p.bound, p.bound, mesh)
-        starts, occupied = _cells(p.index.uniq, part)
-        weights = run_weights(p, starts, range(occupied.size), tail, tolerances)
-        point, lower, upper = _enclosure(list(zip(part.points[occupied], weights)))
+        cells = _mesh_cells(-p.bound, p.bound, mesh)
+        starts, lefts = _uniform_cells(p.index.uniq, -p.bound, p.bound, cells)
+        weights = run_weights(p, starts, range(starts.size), tail, tolerances)
+        point, lower, upper = _enclosure(list(zip(lefts, weights)))
         points.append(point)
         all_converged = all_converged and all(w.converged for w in weights)
     steady = all(

@@ -29,7 +29,7 @@ from .distribution import (
     quantized_banach_limit,
     weight_bounds_estimate,
 )
-from .sequences import _CHUNK, Prefix, SequenceSpec, materialize
+from .sequences import Prefix, SequenceSpec, materialize
 from .weights import (
     DEFAULT_TOLERANCES,
     SubLimitReport,
@@ -79,7 +79,10 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
     window sum S by n and this path rounds S / n from a Fraction, both
     correctly rounded, so the rows agree bit for bit.  A -0.0 first term
     falls back too: which zero the float walk reports for it depends on
-    numpy's SIMD lanes.
+    numpy's SIMD lanes.  The exactness test reads only the min and the
+    max; the count of distinct values comes from ``p.index``, which a
+    prefix of at most two values builds without a sort and which a
+    many-valued prefix whose sums are exact builds for the later stages.
     """
     sched.validate_for(p.horizon)
     v = p.values
@@ -89,10 +92,8 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
         return None
     if v[0] == 0 and np.signbit(v[0]):
         return None
-    for i in range(0, v.size, _CHUNK):
-        part = v[i : i + _CHUNK]
-        if np.any((part > lo) & (part < hi)):
-            return None
+    if p.index.uniq.size > 2:
+        return None
     if lo == hi:
         counts = dict.fromkeys(sched.lengths, (0, 0))
     else:

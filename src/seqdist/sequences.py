@@ -210,64 +210,75 @@ _CHUNK = 1 << 16
 
 def _evaluator(spec: SequenceSpec, last: int):
     """Check ``spec`` up to the 1-based position ``last`` and return the
-    function that evaluates it on an increasing int64 array of positions
-    ``<= last``.
+    function ``f(first, stop)`` that evaluates it on the positions
+    ``first, ..., stop - 1`` (``1 <= first <= stop <= last + 1``).
 
     The per-spec work (the 2**63 limit, a table's length, converting a
     pattern or table to an array) is done here once, for the last position.
-    materialize calls the result on consecutive chunks and eval_at on one
-    position, so the two agree bit for bit.
+    materialize calls the result on consecutive chunks and eval_at on a
+    range of one position, so the two agree bit for bit.  A periodic range
+    is the pattern tiled from the range's start; ones-then-zeros, doubling
+    blocks and the dyadic harmonic are slice and strided fills between
+    Python-int edges, so no position is rounded to a float.
     """
     top = last + spec.shift
     if top > 2**63 - 1:
         raise InvalidSpecError(f"position {top} is past 2**63 - 1")
     kind = spec.kind
     if kind == "periodic":
-        pat = np.asarray(spec.pattern, dtype=np.float64)
-        def f(ms):
-            return pat[(ms - 1) % len(pat)]
+        size = len(spec.pattern)
+        twice = np.asarray(spec.pattern * 2, dtype=np.float64)
+        def f(first, stop):
+            r = (first - 1) % size
+            return np.tile(twice[r : r + size], -((first - stop) // size))[: stop - first]
     elif kind == "ones-then-zeros":
-        def f(ms):
-            return np.where(ms <= spec.n0, 1.0, 0.0)
+        def f(first, stop):
+            out = np.zeros(stop - first)
+            out[: max(spec.n0 - first + 1, 0)] = 1.0
+            return out
     elif kind == "rotation":
-        def f(ms):
-            v = ms.astype(np.float64) * spec.alpha
+        def f(first, stop):
+            v = (np.arange(stop - first, dtype=np.int64) + first).astype(np.float64) * spec.alpha
             return v - np.floor(v)
     elif kind == "doubling-blocks":
-        def f(ms):
-            t = np.frexp(ms.astype(np.float64))[1] - 1
-            if top >= 2**53:
-                # Past 2**53 a position just below a power of two rounds up
-                # to it; below, the correction subtracts nothing.
-                t -= (ms >> t) == 0
-            return (t % 2).astype(np.float64)
+        def f(first, stop):
+            # Block t holds the positions [2**t, 2**(t + 1)).
+            out = np.empty(stop - first)
+            for t in range(first.bit_length() - 1, (stop - 1).bit_length()):
+                out[max(2**t - first, 0) : 2 ** (t + 1) - first] = t % 2
+            return out
     elif kind == "dyadic-harmonic":
-        def f(ms):
-            return 1.0 / np.frexp((ms & -ms).astype(np.float64))[1]
+        def f(first, stop):
+            # x = 1/j on the positions 2**(j - 1) mod 2**j.
+            out = np.empty(stop - first)
+            for j in range(1, (stop - 1).bit_length() + 1):
+                out[(2 ** (j - 1) - first) % 2**j :: 2**j] = 1.0 / j
+            return out
     elif kind == "table":
         vals = np.asarray(spec.values, dtype=np.float64)
         if top > vals.size:
             raise IndexOutOfRangeError(
                 f"table defines x only up to n={vals.size - spec.shift}"
             )
-        def f(ms):
-            return vals[ms - 1]
+        def f(first, stop):
+            return vals[first - 1 : stop - 1]
     elif kind == "affine-combo":
         children = [(coef, _evaluator(child, top)) for coef, child in spec.terms]
-        def f(ms):
-            acc = np.zeros(ms.shape, dtype=np.float64)
+        def f(first, stop):
+            acc = np.zeros(stop - first)
             for coef, child in children:
-                acc += coef * child(ms)
+                acc += coef * child(first, stop)
             return acc
     else:
         raise InvalidSpecError(f"unknown sequence kind {kind!r}")
-    return (lambda ns: f(ns + spec.shift)) if spec.shift else f
+    k = spec.shift
+    return (lambda first, stop: f(first + k, stop + k)) if k else f
 
 
 def eval_at(spec: SequenceSpec, n: int) -> float:
     """Evaluate x(n).  Deterministic; ``|x(n)| <= spec.bound``."""
     n = whole(n, "index", high=2**63 - 1)
-    return float(_evaluator(spec, n)(np.array([n], dtype=np.int64))[0])
+    return float(_evaluator(spec, n)(n, n + 1)[0])
 
 
 class ValueIndex(NamedTuple):
@@ -316,26 +327,51 @@ class Prefix:
 
     @cached_property
     def index(self) -> ValueIndex:
-        # np.unique's steps, each N-long temporary freed once it is spent.
-        srt = np.sort(self.values)
-        first = np.empty(srt.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(srt[1:], srt[:-1], out=first[1:])
-        uniq = srt[first]
-        del srt
-        counts = np.flatnonzero(first)
-        del first
-        np.subtract(counts[1:], counts[:-1], out=counts[:-1])
-        counts[-1:] = self.horizon - counts[-1:]
-        counts = counts.astype(np.int32 if self.horizon < 2**31 else np.int64, copy=False)
-        # The sort may put a -0.0 term first among the zeros.
+        v = self.values
+        dtype = np.int32 if self.horizon < 2**31 else np.int64
+        two = self._two_values()
+        if two is not None:
+            uniq, counts = np.array(two[0]), np.array(two[1], dtype=dtype)
+        else:
+            # np.unique's steps, each N-long temporary freed once it is spent.
+            srt = np.sort(v)
+            first = np.empty(srt.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(srt[1:], srt[:-1], out=first[1:])
+            uniq = srt[first]
+            del srt
+            counts = np.flatnonzero(first)
+            del first
+            np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+            counts[-1:] = self.horizon - counts[-1:]
+            counts = counts.astype(dtype, copy=False)
+        # The sort, min or max may pick a -0.0 term among the zeros.
         z = int(np.searchsorted(uniq, 0.0))
         if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
-            if not np.signbit(self.values[self.values == 0]).all():
+            if not np.signbit(v[v == 0]).all():
                 uniq[z] = 0.0
         for a in (uniq, counts):
             a.flags.writeable = False
         return ValueIndex(uniq, counts)
+
+    def _two_values(self) -> tuple[list[float], list[int]] | None:
+        """(values, counts) of a prefix of one or two distinct values, found
+        without a sort, else None.  The scan stops at the first chunk that
+        holds a term other than the min and the max."""
+        v = self.values
+        if not v.size:
+            return None
+        lo, hi = v.min(), v.max()
+        if lo == hi:
+            return [lo], [v.size]
+        top = 0
+        for a in range(0, v.size, _CHUNK):
+            part = v[a : a + _CHUNK]
+            k = np.count_nonzero(part == hi)
+            if k + np.count_nonzero(part == lo) < part.size:
+                return None
+            top += k
+        return [lo, hi], [v.size - top, top]
 
     @cached_property
     def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
@@ -350,12 +386,16 @@ class Prefix:
         """Run of every term from index ``first + 1`` on, run g being
         ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): int16
         below 2**15 runs, else int32, searched ``_CHUNK`` terms at a time so
-        no N-long int64 result is made."""
+        no N-long int64 result is made.  Two runs need no search: a term is
+        in the second when it is at least its first value."""
         edges = self.index.uniq[starts[1:]]
         values = self.values[first:]
         labels = np.empty(values.size, np.int16 if len(starts) < 2**15 else np.int32)
         for a in range(0, values.size, _CHUNK):
-            labels[a : a + _CHUNK] = np.searchsorted(edges, values[a : a + _CHUNK], "right")
+            part = values[a : a + _CHUNK]
+            labels[a : a + _CHUNK] = (
+                part >= edges[0] if edges.size == 1 else np.searchsorted(edges, part, "right")
+            )
         return labels
 
 
@@ -369,7 +409,7 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     vals = np.empty(n, dtype=np.float64)
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
-        vals[a:b] = f(np.arange(a + 1, b + 1, dtype=np.int64))
+        vals[a:b] = f(a + 1, b + 1)
     return Prefix(values=vals, horizon=n, bound=spec.bound)
 
 

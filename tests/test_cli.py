@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -276,3 +277,21 @@ def test_huge_partition_exits_3(capsys, tmp_path, bound):
     code, out, err = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "4096"])
     assert code == 3 and out == ""
     assert "resource limit" in err
+
+
+def test_a_large_bound_builds_no_partition_points(capsys, tmp_path):
+    # At bound 468000 the finer mesh has 6e7 cells, just under the cap, but
+    # only the 4 cells holding a value are found, so the report peaks as it
+    # does at bound 1.
+    peaks = []
+    for bound in ("468000", "1"):
+        path = tmp_path / "seq.spec"
+        path.write_text(f"kind = periodic\npattern = 0.1, 0.4, 0.7, 0.9\nbound = {bound}\n")
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "4096"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[0] <= peaks[1] + 10 * 2**20

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqdist import (
@@ -36,7 +36,13 @@ from seqdist import (
     weight_bounds_estimate,
 )
 from seqdist import distribution
-from seqdist.distribution import _cells, _group_bounds, _representatives, quantized_banach_limit
+from seqdist.distribution import (
+    _cells,
+    _group_bounds,
+    _representatives,
+    _uniform_cells,
+    quantized_banach_limit,
+)
 from seqdist.sequences import _CHUNK
 from seqdist.windows import Membership
 
@@ -338,12 +344,41 @@ def test_cells_on_lopsided_partitions_and_chunk_edges(case):
 
 def assert_cells_match(values, bound, part):
     p = Prefix(values=values, horizon=values.size, bound=bound)
-    starts, occupied = _cells(p.index.uniq, part)
+    starts, occupied = _cells(p.index.uniq, part.points[:-1])
     m = len(part.points) - 1
     want = np.minimum(np.searchsorted(part.points, values, "right") - 1, m - 1)
     assert np.array_equal(occupied[p.run_labels(starts)], want)
     assert np.array_equal(occupied, np.unique(want))
     assert np.array_equal(quantize(p, part).values, part.points[want])
+
+
+@st.composite
+def uniform_cell_case(draw):
+    """Sorted distinct values on a uniform mesh's points, one float either
+    side of them and between, fewer or more of them than cells; bounds from
+    1e-3 to 468000 and meshes of the analyze path and others."""
+    bound = draw(st.sampled_from([1e-3, 0.3, 1.0, 3.0, 1000.0, 468000.0]))
+    mesh = draw(st.sampled_from([1 / 16, 1 / 64, 0.1, 1 / 3, bound / 1000, bound / 2**12, bound]))
+    cells = math.ceil(2 * bound / mesh)
+    assume(cells <= 2**17)
+    part = Partition.with_mesh(-bound, bound, mesh)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on = rng.choice(part.points, draw(st.sampled_from([1, 3, 40, 2 * cells])))
+    values = np.concatenate((
+        on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+        rng.uniform(-bound, bound, on.size), [bound, -bound, 0.0],
+    ))
+    return np.unique(np.clip(values, -bound, bound)), bound, part
+
+
+@given(uniform_cell_case())
+@settings(max_examples=300, deadline=None)
+def test_uniform_cells_match_a_search_on_the_points(case):
+    uniq, bound, part = case
+    starts, lefts = _uniform_cells(uniq, -bound, bound, part.points.size - 1)
+    want_starts, occupied = _cells(uniq, part.points[:-1])
+    assert np.array_equal(starts, want_starts)
+    assert np.array_equal(lefts.view(np.int64), part.points[occupied].view(np.int64))
 
 
 def test_partition_helpers():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import timeit
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from seqdist import (
     Prefix,
     ResourceLimitError,
     affine_combo,
+    cross_validate,
     detect_sublimits,
     eval_at,
     fixture,
@@ -24,6 +26,7 @@ from seqdist import (
     shift,
     table,
 )
+from seqdist.cli import parse_spec_file
 from seqdist.distribution import quantized_banach_limit
 from seqdist.sequences import _CHUNK, MAX_HORIZON_ENV, _evaluator
 
@@ -277,8 +280,76 @@ def test_materialize_matches_eval_at_on_chunk_edges(case):
     ref = np.array([eval_at(spec, m) for m in positions])
     assert np.array_equal(got[np.array(positions) - 1].view(np.int64), ref.view(np.int64))
     # Every position, against one call of the evaluator on all of them.
-    whole = _evaluator(spec, n)(np.arange(1, n + 1, dtype=np.int64))
+    whole = _evaluator(spec, n)(1, n + 1)
     assert np.array_equal(got.view(np.int64), whole.view(np.int64))
+
+
+def oracle(spec, m):
+    """x(m) from each kind's definition in pure-Python integer arithmetic."""
+    m += spec.shift
+    if spec.kind == "periodic":
+        return spec.pattern[(m - 1) % len(spec.pattern)]
+    if spec.kind == "table":
+        return spec.values[m - 1]
+    if spec.kind == "ones-then-zeros":
+        return 1.0 if m <= spec.n0 else 0.0
+    if spec.kind == "rotation":
+        v = float(m) * spec.alpha
+        return v - math.floor(v)
+    if spec.kind == "doubling-blocks":
+        # Block t holds 2**t <= m < 2**(t + 1) and has the value t mod 2.
+        return float((m.bit_length() - 1) % 2)
+    if spec.kind == "dyadic-harmonic":
+        # 2**(j - 1) is the largest power of two dividing m.
+        return 1.0 / (m & -m).bit_length()
+    acc = 0.0
+    for coef, child in spec.terms:
+        acc += coef * oracle(child, m)
+    return acc
+
+
+@st.composite
+def oracle_case(draw):
+    """A spec of any kind shifted so that a chunk edge falls near 2**53,
+    2**54 or 2**62 (a table only a little), and a horizon around an edge."""
+    n = draw(st.sampled_from(CHUNK_HORIZONS))
+    kind = draw(st.sampled_from(
+        ["periodic", "ones-then-zeros", "rotation", "doubling-blocks", "dyadic-harmonic",
+         "affine-combo"]
+    ))
+    edge = draw(st.integers(0, (n - 1) // _CHUNK)) * _CHUNK
+    k = max(2 ** draw(st.sampled_from([18, 53, 54, 62])) - edge + draw(st.integers(-3, 3)), 0)
+    if kind == "periodic":
+        spec = periodic(draw(st.lists(st.floats(-4, 4), min_size=1, max_size=7)))
+    elif kind == "ones-then-zeros":
+        spec = ones_then_zeros(k + edge + draw(st.integers(-3, 3)))
+    elif kind == "rotation":
+        spec = rotation(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    elif kind in ("doubling-blocks", "dyadic-harmonic"):
+        spec = fixture("F6" if kind == "doubling-blocks" else "F7")
+    else:
+        spec = affine_combo([
+            (0.75, shift(fixture("F6"), draw(st.integers(0, 2**20)))),
+            (-0.5, fixture("F7")),
+            (0.25, fixture("F5")),
+        ])
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spec = table(rng.uniform(-1.0, 1.0, n + k))
+    return shift(spec, k), n
+
+
+@given(oracle_case())
+@settings(max_examples=80, deadline=None)
+def test_materialize_and_eval_at_match_the_definitions(case):
+    spec, n = case
+    got = materialize(spec, n).values
+    positions = sorted({m for a in range(0, n + 1, _CHUNK) for m in range(a - 2, a + 3) if 1 <= m <= n})
+    want = np.array([oracle(spec, m) for m in positions])
+    at = np.array([eval_at(spec, m) for m in positions])
+    for seen in (got[np.array(positions) - 1], at):
+        assert np.array_equal(seen.view(np.int64), want.view(np.int64))
 
 
 def test_materialize_rejects_a_last_position_out_of_range():
@@ -327,7 +398,7 @@ def test_materialize_converts_a_table_once():
     spec = table(np.random.default_rng(1).uniform(-1.0, 1.0, n))
     chunked = min(timeit.repeat(lambda: materialize(spec, n), number=1, repeat=3))
     whole = min(timeit.repeat(
-        lambda: _evaluator(spec, n)(np.arange(1, n + 1, dtype=np.int64)), number=1, repeat=3
+        lambda: _evaluator(spec, n)(1, n + 1), number=1, repeat=3
     ))
     assert chunked <= 2 * whole
 
@@ -387,6 +458,59 @@ def test_value_index_matches_unique(case):
 @settings(max_examples=20, deadline=None)
 def test_value_index_of_equal_terms(value, n):
     assert_index_matches(Prefix(values=np.full(n, value), horizon=n, bound=1.0))
+
+
+@st.composite
+def few_valued_case(draw):
+    """Terms of one or two values, zeros of both signs often among them:
+    +-bound, signed zeros or any value of the range, over a few terms or
+    _CHUNK - 1 to _CHUNK + 1 of them."""
+    bound = draw(st.sampled_from([1.0, 0.75, 3.0]))
+    pool = st.one_of(st.sampled_from([0.0, -0.0, bound, -bound]), st.floats(-bound, bound))
+    values = draw(st.lists(pool, min_size=1, max_size=2))
+    if 0.0 in values and draw(st.booleans()):
+        values += [0.0, -0.0]
+    n = draw(st.sampled_from([1, 2, 7, 300, _CHUNK - 1, _CHUNK, _CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(values, n), bound
+
+
+@given(few_valued_case())
+@settings(max_examples=200, deadline=None)
+def test_value_index_of_two_values_needs_no_sort(case):
+    values, bound = case
+    p = Prefix(values=values, horizon=values.size, bound=bound)
+    assert p._two_values() is not None
+    assert_index_matches(p)
+
+
+@pytest.mark.parametrize("n", [_CHUNK + 1, 2 * _CHUNK, 3 * _CHUNK - 1])
+@pytest.mark.parametrize("middle", [0.25, -0.0, 0.0])
+@pytest.mark.parametrize("at", [-1, "chunk"])
+def test_value_index_with_a_third_value_in_the_last_chunk(n, middle, at):
+    # The scan stops at the first chunk holding a third value; here only
+    # the last one does, at its first or its last term.
+    values = np.resize([-1.0, 1.0, 1.0], n)
+    values[(n - 1) // _CHUNK * _CHUNK if at == "chunk" else at] = middle
+    p = Prefix(values=values, horizon=n, bound=1.0)
+    assert p._two_values() is None
+    assert_index_matches(p)
+
+
+def test_two_valued_cross_validate_sorts_no_terms(monkeypatch):
+    sort = np.sort
+
+    def no_term_sort(a, *args, **kwargs):
+        if np.size(a) >= 4096:
+            raise AssertionError("sorted the terms")
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", no_term_sort)
+    mixed_zero = (Path(__file__).parent / "golden" / "mixed_zero.spec").read_text()
+    for spec in [*(fixture(f) for f in ("F1", "F2", "F3", "F4", "F6")), parse_spec_file(mixed_zero)]:
+        cross_validate(spec, 4096)
+    with pytest.raises(AssertionError, match="sorted the terms"):
+        cross_validate(fixture("F5"), 4096)
 
 
 @pytest.mark.parametrize("distinct", [1024, 1025, 4096])
