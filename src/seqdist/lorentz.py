@@ -79,10 +79,8 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
     window sum S by n and this path rounds S / n from a Fraction, both
     correctly rounded, so the rows agree bit for bit.  A -0.0 first term
     falls back too: which zero the float walk reports for it depends on
-    numpy's SIMD lanes.  The exactness test reads only the min and the
-    max; the count of distinct values comes from ``p.index``, which a
-    prefix of at most two values builds without a sort and which a
-    many-valued prefix whose sums are exact builds for the later stages.
+    numpy's SIMD lanes.  Exactness is judged before ``p.index`` is read,
+    so a prefix whose sums are inexact, such as F5's, builds no index here.
     """
     sched.validate_for(p.horizon)
     v = p.values
@@ -120,7 +118,10 @@ def lorentz_verdict(
     A prefix of at most two values whose float sums are exact reads its
     rows from the window counts of one run, kept in ``p.run_rows`` where
     the sub-limit clusters and quantization cells read them again; any
-    other prefix takes ``cesaro_profile``'s float walk.
+    other prefix takes ``cesaro_profile``'s float walk.  Exactness is
+    judged from the min and the max, and the number of values is read from
+    ``p.index``, which a prefix of at most two values builds without a
+    sort and which the later stages reuse.
     """
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     prof = _two_valued_profile(p, sched) or cesaro_profile(p, sched)
