@@ -49,6 +49,12 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/two_valued_inexact.spec", "--horizon", N,
         "--format", "jsonl",
     ],
+    # Three terms of transient, then period 3 over four values: the Cesaro
+    # rows take the float walk.
+    "analyze_transient_combo.jsonl": [
+        "analyze", "--spec-file", "tests/golden/transient_combo.spec", "--horizon", N,
+        "--format", "jsonl",
+    ],
 }
 
 
