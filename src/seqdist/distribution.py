@@ -342,7 +342,7 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
     bound = max(p.bound, abs(partition.lo), abs(partition.hi))
     starts, occupied = _cells(uniq, partition.points[:-1])
     values = partition.points[occupied][p.run_labels(starts)]
-    return Prefix(values=values, horizon=p.horizon, bound=bound)
+    return Prefix(values=values, horizon=p.horizon, bound=bound, period=p.period)
 
 
 def _enclosure(pairs) -> tuple[Fraction, Fraction, Fraction]:

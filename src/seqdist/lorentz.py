@@ -79,20 +79,20 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
     window sum S by n and this path rounds S / n from a Fraction, both
     correctly rounded, so the rows agree bit for bit.  A -0.0 first term
     falls back too: which zero the float walk reports for it depends on
-    numpy's SIMD lanes.  Exactness is judged before ``p.index`` is read,
-    so a prefix whose sums are inexact, such as F5's, builds no index here.
+    numpy's SIMD lanes.  Exactness is judged from ``p.span``, the min and
+    max the bound check found, before ``p.index`` is read, so a prefix
+    whose sums are inexact, such as F5's, builds no index here.
     """
     sched.validate_for(p.horizon)
-    v = p.values
-    lo, hi = float(v.min()), float(v.max())
-    a, b = Fraction(lo), Fraction(hi)
+    a, b = map(Fraction, p.span)
     if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53:
         return None
-    if v[0] == 0 and np.signbit(v[0]):
+    first = p.values[0]
+    if first == 0 and np.signbit(first):
         return None
     if p.index.uniq.size > 2:
         return None
-    if lo == hi:
+    if a == b:
         counts = dict.fromkeys(sched.lengths, (0, 0))
     else:
         run_weights(p, [0, 1], [1], sched)
@@ -119,7 +119,7 @@ def lorentz_verdict(
     rows from the window counts of one run, kept in ``p.run_rows`` where
     the sub-limit clusters and quantization cells read them again; any
     other prefix takes ``cesaro_profile``'s float walk.  Exactness is
-    judged from the min and the max, and the number of values is read from
+    judged from ``p.span``, and the number of values is read from
     ``p.index``, which a prefix of at most two values builds without a
     sort and which the later stages reuse.
     """

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -111,6 +111,31 @@ class SequenceSpec:
             parts.append(f"shift={self.shift}")
         parts.append(f"bound={self.bound!r}")
         return " ".join(parts)
+
+    def period(self) -> tuple[int, int] | None:
+        """(t, q) such that x(n + q) == x(n) bit for bit for every n > t, or
+        None when no such pair is known.
+
+        A periodic spec repeats from its first term and ones-then-zeros is
+        constant after term n0 - shift.  An affine combination repeats
+        where all its children do, with the lcm of their periods: its
+        shift is added to each child's, and each child's terms combine in
+        the same order at n and n + q.  Rotations, doubling blocks, the
+        dyadic harmonic and tables have none.
+        """
+        if self.kind == "periodic":
+            return 0, len(self.pattern)
+        if self.kind == "ones-then-zeros":
+            return max(self.n0 - self.shift, 0), 1
+        if self.kind == "affine-combo":
+            found = [
+                dataclasses.replace(child, shift=child.shift + self.shift).period()
+                for _, child in self.terms
+            ]
+            if None in found:
+                return None
+            return max(t for t, _ in found), math.lcm(*(q for _, q in found))
+        return None
 
 
 def _finite_reals(values, what: str) -> tuple[float, ...]:
@@ -307,11 +332,18 @@ class Prefix:
     would leave both describing the old terms, and every estimator that
     labels terms or reads counts through them would then disagree with
     ``values`` without raising.
+
+    ``period`` is None or a pair (t, q) such that ``values[k + q]`` equals
+    ``values[k]`` bit for bit for every k >= t; it is checked here, as the
+    bound is.  ``span`` is the (min, max) of the values that the bound
+    check finds, None for an empty prefix.
     """
 
     values: np.ndarray
     horizon: int
     bound: float
+    period: tuple[int, int] | None = None
+    span: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64).view()
@@ -319,9 +351,20 @@ class Prefix:
             raise InvalidSpecError("prefix length must equal its horizon")
         if not math.isfinite(self.bound):
             raise InvalidSpecError(f"prefix bound must be finite, got {self.bound!r}")
-        # Negated so that NaN, which fails every comparison, is rejected too.
-        if vals.size and not (vals.max() <= self.bound and vals.min() >= -self.bound):
-            raise InvalidSpecError("prefix values must be finite and within the certified bound")
+        if vals.size:
+            lo, hi = vals.min(), vals.max()
+            # Negated so that NaN, which fails every comparison, is rejected too.
+            if not (hi <= self.bound and lo >= -self.bound):
+                raise InvalidSpecError("prefix values must be finite and within the certified bound")
+            object.__setattr__(self, "span", (lo, hi))
+        if self.period is not None:
+            t, q = self.period
+            t, q = whole(t, "period start", low=0), whole(q, "period")
+            # int64 views compare bits, so -0.0 differs from 0.0.
+            tail = vals[t:].view(np.int64)
+            if tail.size > q and not np.array_equal(tail[q:], tail[:-q]):
+                raise InvalidSpecError(f"prefix values do not repeat with period {q} after term {t}")
+            object.__setattr__(self, "period", (t, q))
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -361,7 +404,7 @@ class Prefix:
         v = self.values
         if not v.size:
             return None
-        lo, hi = v.min(), v.max()
+        lo, hi = self.span
         if lo == hi:
             return [lo], [v.size]
         top = 0
@@ -382,14 +425,15 @@ class Prefix:
         prefix from here too."""
         return {}
 
-    def run_labels(self, starts: np.ndarray, first: int = 0) -> np.ndarray:
-        """Run of every term from index ``first + 1`` on, run g being
-        ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): int16
-        below 2**15 runs, else int32, searched ``_CHUNK`` terms at a time so
-        no N-long int64 result is made.  Two runs need no search: a term is
-        in the second when it is at least its first value."""
+    def run_labels(self, starts: np.ndarray, first: int = 0, stop: int | None = None) -> np.ndarray:
+        """Run of every term from index ``first + 1`` to index ``stop`` (the
+        last when None), run g being ``index.uniq[starts[g]:starts[g + 1]]``
+        (``starts[0] == 0``): int16 below 2**15 runs, else int32, searched
+        ``_CHUNK`` terms at a time so no N-long int64 result is made.  Two
+        runs need no search: a term is in the second when it is at least its
+        first value."""
         edges = self.index.uniq[starts[1:]]
-        values = self.values[first:]
+        values = self.values[first:stop]
         labels = np.empty(values.size, np.int16 if len(starts) < 2**15 else np.int32)
         for a in range(0, values.size, _CHUNK):
             part = values[a : a + _CHUNK]
@@ -410,7 +454,7 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
         vals[a:b] = f(a + 1, b + 1)
-    return Prefix(values=vals, horizon=n, bound=spec.bound)
+    return Prefix(values=vals, horizon=n, bound=spec.bound, period=spec.period())
 
 
 def shift(spec: SequenceSpec, k: int) -> SequenceSpec:

@@ -141,6 +141,10 @@ def run_weights(
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))
     lengths = schedule.lengths
+    # A window of a periodic prefix at an offset t + q or later equals the
+    # window q terms earlier, so rows up to length n need only the first
+    # t + q + n - 1 terms.
+    stop = p.horizon if p.period is None else min(p.horizon, sum(p.period) + lengths[-1] - 1)
     ids = [int(j) for j in ids]
     memo = p.run_rows
     todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
@@ -152,7 +156,7 @@ def run_weights(
         missing = tuple(n for n in lengths if n not in rows)
         if missing:
             if labels is None:
-                labels = p.run_labels(starts)
+                labels = p.run_labels(starts, stop=stop)
             # A Python-int j keeps the compare in the labels' narrow dtype.
             prof = density_profile(Membership.from_mask(labels == j), WindowSchedule(missing))
             rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)

@@ -577,3 +577,76 @@ def chunk_edge_case(draw):
 @settings(max_examples=20, deadline=None)
 def test_run_labels_across_a_chunk_edge(case):
     assert_run_labels_match(*case)
+
+
+def periodic_specs():
+    """Specs that repeat after a transient: patterns holding +-0.0,
+    ones-then-zeros with n0 on either side of its shift, and nested affine
+    combos of shifted children whose periods need an lcm; all shifted."""
+    patterns = st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-4, 4), min_size=1, max_size=5
+    ).map(periodic)
+    steps = st.integers(1, 12).map(ones_then_zeros)
+    coefs = st.sampled_from([1.0, -0.5, 0.1]) | st.floats(-2, 2)
+    shifted = lambda specs: st.builds(shift, specs, st.integers(0, 12))
+    tree = st.recursive(
+        patterns | steps,
+        lambda kids: st.lists(st.tuples(coefs, shifted(kids)), min_size=1, max_size=3).map(affine_combo),
+        max_leaves=6,
+    )
+    return shifted(tree)
+
+
+@given(periodic_specs(), st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_materialized_spec_repeats_bitwise_after_its_transient(spec, extra):
+    t, q = spec.period()
+    n = t + 2 * q + extra
+    p = materialize(spec, n)
+    assert p.period == (t, q)
+    x = p.values.view(np.int64)
+    assert np.array_equal(x[t + q :], x[t : n - q])
+
+
+@pytest.mark.parametrize("spec, period", [
+    (fixture("F4"), (0, 3)),
+    (shift(fixture("F3"), 5), (0, 2)),
+    (ones_then_zeros(5), (5, 1)),
+    (shift(ones_then_zeros(5), 2), (3, 1)),
+    (shift(ones_then_zeros(5), 7), (0, 1)),
+    (affine_combo([(1.0, fixture("F1")), (0.5, fixture("F4"))]), (3, 3)),
+    (shift(affine_combo([(1.0, shift(fixture("F1"), 1)), (2.0, fixture("F3"))]), 1), (1, 2)),
+    (affine_combo([(1.0, fixture("F3")), (1.0, affine_combo([(1.0, fixture("F4"))]))]), (0, 6)),
+])
+def test_spec_periods(spec, period):
+    assert spec.period() == period
+
+
+@pytest.mark.parametrize("spec", [
+    fixture("F5"), fixture("F6"), fixture("F7"), table([1.0, 0.0]), shift(fixture("F7"), 3),
+    affine_combo([(1.0, fixture("F4")), (1.0, fixture("F6"))]),
+])
+def test_specs_without_a_period(spec):
+    assert spec.period() is None
+    assert materialize(spec, 2).period is None
+
+
+@pytest.mark.parametrize("values, period", [
+    ([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (0, 2)),
+    ([1.0, 1.0, 0.0, 1.0, 0.0], (0, 2)),
+    # Bitwise: -0.0 is not a repeat of 0.0.
+    ([0.0, -0.0, 0.0, -0.0], (0, 1)),
+    ([1.0, 0.0, 0.0], (-1, 3)),
+    ([1.0, 0.0, 0.0], (0, 0)),
+    ([1.0, 0.0, 0.0], (0.5, 3)),
+])
+def test_prefix_rejects_a_wrong_period(values, period):
+    with pytest.raises(InvalidSpecError):
+        Prefix(values=np.array(values), horizon=len(values), bound=1.0, period=period)
+
+
+@pytest.mark.parametrize("period", [(1, 2), (2, 2), (7, 1), (0, 10)])
+def test_prefix_accepts_a_period_it_holds_or_too_long_to_check(period):
+    values = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
+    p = Prefix(values=values, horizon=5, bound=1.0, period=period)
+    assert p.period == period

@@ -393,3 +393,50 @@ def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
     assert counted and len(set(counted)) == len(counted)
     if masks is not None:
         assert len({bits for bits, _ in counted}) == masks
+
+
+@st.composite
+def periodic_run_case(draw):
+    """Small integers that repeat with period q after t terms, their
+    distinct values cut into runs, and a schedule up to N: geometric, its
+    tail, or explicit lengths."""
+    head = draw(st.lists(st.integers(0, 4), max_size=20))
+    pattern = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    n = draw(st.integers(1, 300))
+    values = np.array((head + pattern * n)[:n], dtype=float)
+    distinct = np.unique(values).size
+    cuts = draw(st.sets(st.integers(1, max(distinct - 1, 1)), max_size=distinct - 1))
+    starts = np.array([0, *sorted(cuts)])
+    geo = WindowSchedule.geometric(n, base=draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(["full", "tail", "explicit"]))
+    if kind == "full":
+        sched = geo
+    elif kind == "tail":
+        sched = WindowSchedule(geo.lengths[-3:])
+    else:
+        lengths = draw(st.sets(st.sampled_from([1, n]) | st.integers(1, n), min_size=1, max_size=5))
+        sched = WindowSchedule(tuple(sorted(lengths)))
+    return values, (len(head), len(pattern)), starts, sched
+
+
+@given(periodic_run_case())
+@settings(max_examples=200, deadline=None)
+def test_run_weights_of_a_periodic_prefix_count_one_period(case):
+    values, period, starts, sched = case
+    n = values.size
+    p = Prefix(values=values, horizon=n, bound=4.0, period=period)
+    plain = Prefix(values=values, horizon=n, bound=4.0)
+    counted = []
+
+    def recording(m, schedule):
+        counted.append(m.horizon)
+        return density_profile(m, schedule)
+
+    ids = range(starts.size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "density_profile", recording)
+        got = run_weights(p, starts, ids, sched)
+    # Every window at an offset past t + q repeats one q terms earlier.
+    assert set(counted) <= {min(n, sum(period) + sched.lengths[-1] - 1)}
+    assert got == run_weights(plain, starts, ids, sched)
+    assert p.run_rows == plain.run_rows
