@@ -135,8 +135,11 @@ def run_weights(
     count rows are kept in ``p.run_rows``: a call labels the terms and
     counts a run's mask only for the lengths no earlier call counted, and
     of exactly two runs it counts only the one with fewer terms, since a
-    window holding k of its terms holds n - k of the other's.  A caller
-    that reads only the weights passes just the tail of its schedule.
+    window holding k of its terms holds n - k of the other's.  A prefix
+    with a period (t, q) is labelled and counted over its first
+    t + q + n - 1 terms only, n the longest scheduled length; the rows'
+    offsets are still those of the whole prefix.  A caller that reads only
+    the weights passes just the tail of its schedule.
     """
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))

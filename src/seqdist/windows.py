@@ -14,10 +14,11 @@ Conventions that the whole package relies on:
   observed range, so a reported max is a lower bound for the true supremum
   over all offsets and a reported min an upper bound for the infimum.
 
-Counts come from one of two exact kernels, chosen from the mask itself:
+Counts come from one of three exact kernels, chosen from the mask itself:
 
 * **Prefix sums** (every window mean, and masks whose members and
-  non-members each exceed ``SPARSE_SHARE`` of the terms): one prefix-sum
+  non-members each exceed ``SPARSE_SHARE`` of the terms and whose value
+  changes more than N // ``CHANGE_SPACING`` times): one prefix-sum
   array per input, each window sum one subtraction, so O(N) per window
   length and O(N log N) for a geometric schedule.  The offsets are walked
   in blocks of ``_BLOCK``, every window length per block, into reused
@@ -41,9 +42,16 @@ Counts come from one of two exact kernels, chosen from the mask itself:
   from the previous row usually settles it in a few passes.  A mask with at
   most ``SPARSE_SHARE`` of the terms as non-members is counted from the gaps
   of its complement: a window holding k non-members holds n - k members.
+* **Run starts** (any other mask whose value changes at most
+  N // ``CHANGE_SPACING`` times): some extreme window starts at a run start
+  or at the last offset, so each row reads the count at those R offsets,
+  and n terms past them, from the run starts and the members before each:
+  O(R log R) per row.  The changes are counted a block at a time and the
+  count stops past the limit, so a mask that changes often is walked after
+  one block.
 
 ``naive_count_extrema`` recounts every window from scratch in O(N * n) and
-exists purely as the oracle both kernels are tested against; do not "fix"
+exists purely as the oracle the kernels are tested against; do not "fix"
 it to share work with them.
 """
 
@@ -154,12 +162,13 @@ SPARSE_SHARE = 0.125
 
 # A mask that takes neither gap kernel, and changes value at most
 # horizon // CHANGE_SPACING times, is counted from its run starts; any other
-# from the count walk.  Its changes are counted a block at a time, and the
-# count stops once it passes the limit, so a mask that changes often pays
-# for one block rather than a pass over every term: a full flatnonzero of
-# the changes made F7's analyze about 10% slower.  Measured at N = 2**21
-# over 16 rows, run starts against the walk: 0.7 against 17 ms at 64 runs,
-# 10 against 18 ms at N/512 runs and 44 against 17 ms at N/128 runs.
+# from the count walk.  Measured at N = 2**21 over 16 rows (alternating runs
+# of random lengths, min of 7, 2 cores), run starts against the walk: 1.6
+# against 16 ms at 64 runs, 4.0 against 16 ms at N/1024, 6.4 against 15 ms
+# at N/512, 11 against 12 ms at N/256 and 18 against 13 ms at N/128 runs.
+# The changes are counted a block at a time, and the count stops once it
+# passes the limit: on the F5 region [0.1, 0.5) that takes 0.01 ms, against
+# 2.1 ms for a flatnonzero of every change.
 CHANGE_SPACING = 1024
 
 # The prefix-sum walks read the offsets in blocks of this many window sums,
