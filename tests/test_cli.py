@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from seqdist.cli import main, parse_spec_file
+from seqdist.cli import main, parse_spec_file, render
 from seqdist.errors import InvalidSpecError
 from seqdist.sequences import MAX_HORIZON_ENV, eval_at
 
@@ -22,6 +22,30 @@ def test_analyze_table_report(capsys):
     assert "sub-limit candidate at 1" in out
     assert "verdict almost-convergent" in out
     assert "consistent" in out
+
+
+def test_table_prints_the_flagged_words():
+    # No fixture at small N reports an inconsistency, so the rows are built
+    # here; the words come from flags the renderer reads, not stored fields.
+    fractions = {"w_l": 0.125, "w_u": 0.375, "w_l_num": 1, "w_l_den": 8,
+                 "w_u_num": 3, "w_u_den": 8, "converged": False}
+    rows = [
+        {"record": "sublimit", "center": 0.25, "radius": 0.01, "occurrences": 7,
+         "isolated": False, **fractions},
+        {"record": "sublimit_window", "n": 16, "min_count": 1, "max_count": 3,
+         "center": 0.25},
+        {"record": "weight", "label": "[0, 0.5)", "gap": 0.25, **fractions},
+        {"record": "consistency", "difference": 0.5, "combined_bound": 0.125,
+         "consistent": False},
+    ]
+    assert render(rows, "table") == (
+        "sub-limit candidate at 0.25 (non-isolated, 7 occurrences): "
+        "weight in [0.125, 0.375]  [not converged]\n"
+        "           n          min          max\n"
+        "          16            1            3\n"
+        "weight of [0, 0.5): [0.125, 0.375] = [1/8, 3/8]  [not converged]\n"
+        "route difference 0.5 vs combined bound 0.125: INCONSISTENT\n"
+    )
 
 
 def test_analyze_jsonl_is_deterministic_and_exact(capsys):

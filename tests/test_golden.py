@@ -26,6 +26,8 @@ CASES = {
         for f in ("F4", "F6")
         for ext, fmt in (("csv", "csv"), ("txt", "table"))
     },
+    # F7 prints non-isolated sub-limit candidates, which F4 and F6 do not.
+    "analyze_F7.txt": ["analyze", "--fixture", "F7", "--horizon", N],
     **{
         f"weights_F5.{ext}": [
             "weights", "--fixture", "F5", "--horizon", N,
