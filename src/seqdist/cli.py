@@ -178,24 +178,17 @@ def _row(record: str, obj, names, **extra) -> dict:
     return {"record": record, **{name: getattr(obj, name) for name in names}, **extra}
 
 
-def _window_rows(record: str, key: str, label, profile) -> list[dict]:
-    """One row per density-profile row, tagged ``key: label``."""
+def _estimate_rows(record: str, key: str, w, **head) -> list[dict]:
+    """A weight estimate's ``record`` row, then one ``{record}_window`` row per
+    density-profile row, each tagged ``key: head[key]``."""
     return [
-        _row(record, r, ("n", "min_count", "max_count"), offsets=r.offsets_scanned,
-             min_density=r.min_count / r.n, max_density=r.max_count / r.n, **{key: label})
-        for r in profile.rows
-    ]
-
-
-def _weight_rows(label: str, w) -> list[dict]:
-    return [
-        {
-            "record": "weight",
-            "label": label,
-            "gap": float(w.gap),
-            **_weight_fields(w),
-        },
-        *_window_rows("weight_window", "label", label, w.per_window),
+        {"record": record, **head, **_weight_fields(w)},
+        *(
+            _row(f"{record}_window", r, ("n", "min_count", "max_count"),
+                 offsets=r.offsets_scanned, min_density=r.min_count / r.n,
+                 max_density=r.max_count / r.n, **{key: head[key]})
+            for r in w.per_window.rows
+        ),
     ]
 
 
@@ -203,11 +196,10 @@ def analyze_rows(meta: dict, record) -> list[dict]:
     """Flatten a CrossValidation into report rows after the ``meta`` row."""
     rows = [meta]
     for c in record.sublimits.clusters:
-        rows.append(
-            _row("sublimit", c, ("center", "radius", "occurrences", "isolated"),
-                 **_weight_fields(c.weight))
-        )
-        rows.extend(_window_rows("sublimit_window", "center", c.center, c.weight.per_window))
+        rows.extend(_estimate_rows(
+            "sublimit", "center", c.weight,
+            **{name: getattr(c, name) for name in ("center", "radius", "occurrences", "isolated")},
+        ))
     rows.append(
         _row("residual", record.sublimits, ("residual_count",),
              value=float(record.sublimits.residual_mass))
@@ -227,73 +219,50 @@ def analyze_rows(meta: dict, record) -> list[dict]:
     return rows
 
 
+# The table format: one str.format template per record.  Besides the row's
+# fields a template may name three words the renderer spells from its flags:
+# {tag} (isolated), {unconverged} (converged) and {flag} (consistent).
+_TABLE_LINES = {
+    "meta": "sequence {source}: {label}\n"
+            "horizon {horizon}  schema {schema}  (all quantities prefix-relative)",
+    "sublimit": "sub-limit candidate at {center:.6g} ({tag}, {occurrences} occurrences): "
+                "weight in [{w_l:.6g}, {w_u:.6g}]{unconverged}",
+    "weight": "weight of {label}: [{w_l:.6g}, {w_u:.6g}]"
+              " = [{w_l_num}/{w_l_den}, {w_u_num}/{w_u_den}]{unconverged}",
+    "residual": "terms outside recurrent clusters: {residual_count}",
+    "weight_bounds": "weight-bounds interval: [{lower:.6g}, {upper:.6g}]"
+                     " around {point:.6g}, verdict {verdict}",
+    "quantization": "quantization estimate: {point:.6g} (+/- {error_bound:.3g}),"
+                    " verdict {verdict}",
+    "lorentz": "uniform-Cesaro estimate: {estimate:.6g}, gap {uniform_gap:.3g}, verdict {verdict}",
+    "consistency": "route difference {difference:.3g} vs combined bound"
+                   " {combined_bound:.3g}: {flag}",
+    "note": "{value}",
+}
+# A run of ``*_window`` rows prints the header once, then counts or means.
+_WINDOW_HEADER = f"    {'n':>8} {'min':>12} {'max':>12}"
+_COUNT_LINE = "    {n:>8} {min_count:>12} {max_count:>12}"
+_MEAN_LINE = "    {n:>8} {min_mean:>12.6g} {max_mean:>12.6g}"
+
+
 def _render_table(rows: list[dict]) -> str:
     out: list[str] = []
-    windows: list[dict] = []
-
-    def flush_windows():
-        if not windows:
-            return
-        out.append(f"    {'n':>8} {'min':>12} {'max':>12}")
-        for w in windows:
-            if "min_count" in w:
-                out.append(f"    {w['n']:>8} {w['min_count']:>12} {w['max_count']:>12}")
-            else:
-                out.append(f"    {w['n']:>8} {w['min_mean']:>12.6g} {w['max_mean']:>12.6g}")
-        windows.clear()
-
+    in_windows = False
     for row in rows:
-        rec = row["record"]
-        if rec.endswith("_window"):
-            windows.append(row)
-            continue
-        flush_windows()
-        if rec == "meta":
-            out.append(f"sequence {row['source']}: {row['label']}")
-            out.append(
-                f"horizon {row['horizon']}  schema {row['schema']}  "
-                "(all quantities prefix-relative)"
-            )
-        elif rec == "sublimit":
-            tag = "isolated" if row["isolated"] else "non-isolated"
-            out.append(
-                f"sub-limit candidate at {row['center']:.6g} ({tag}, "
-                f"{row['occurrences']} occurrences): weight in "
-                f"[{row['w_l']:.6g}, {row['w_u']:.6g}]"
-                + ("" if row["converged"] else "  [not converged]")
-            )
-        elif rec == "weight":
-            out.append(
-                f"weight of {row['label']}: [{row['w_l']:.6g}, {row['w_u']:.6g}]"
-                f" = [{row['w_l_num']}/{row['w_l_den']}, {row['w_u_num']}/{row['w_u_den']}]"
-                + ("" if row["converged"] else "  [not converged]")
-            )
-        elif rec == "residual":
-            out.append(f"terms outside recurrent clusters: {row['residual_count']}")
-        elif rec == "weight_bounds":
-            out.append(
-                f"weight-bounds interval: [{row['lower']:.6g}, {row['upper']:.6g}]"
-                f" around {row['point']:.6g}, verdict {row['verdict']}"
-            )
-        elif rec == "quantization":
-            out.append(
-                f"quantization estimate: {row['point']:.6g} "
-                f"(+/- {row['error_bound']:.3g}), verdict {row['verdict']}"
-            )
-        elif rec == "lorentz":
-            out.append(
-                f"uniform-Cesaro estimate: {row['estimate']:.6g}, "
-                f"gap {row['uniform_gap']:.3g}, verdict {row['verdict']}"
-            )
-        elif rec == "consistency":
-            flag = "consistent" if row["consistent"] else "INCONSISTENT"
-            out.append(
-                f"route difference {row['difference']:.3g} vs combined bound "
-                f"{row['combined_bound']:.3g}: {flag}"
-            )
-        elif rec == "note":
-            out.append(row["value"])
-    flush_windows()
+        windowed = row["record"].endswith("_window")
+        if windowed and not in_windows:
+            out.append(_WINDOW_HEADER)
+        in_windows = windowed
+        if windowed:
+            template = _COUNT_LINE if "min_count" in row else _MEAN_LINE
+        else:
+            template = _TABLE_LINES[row["record"]]
+        out.append(template.format(
+            **row,
+            tag="isolated" if row.get("isolated") else "non-isolated",
+            unconverged="" if row.get("converged", True) else "  [not converged]",
+            flag="consistent" if row.get("consistent") else "INCONSISTENT",
+        ))
     return "\n".join(out) + "\n"
 
 
@@ -403,7 +372,8 @@ def cmd_weights(args) -> int:
             (f"[{v!r} +/- {args.epsilon!r})", interval_about(v, args.epsilon, p.bound))
         )
     for label, region in targets:
-        rows.extend(_weight_rows(label, set_weight(p, region, schedule, tol)))
+        w = set_weight(p, region, schedule, tol)
+        rows.extend(_estimate_rows("weight", "label", w, label=label, gap=float(w.gap)))
     return _emit(rows, args)
 
 
@@ -433,7 +403,7 @@ def cmd_demo_nonmeasure(args) -> int:
     cases = [(f"ones-then-zeros(n0={n0}) near 1", ones_then_zeros(n0)) for n0 in (1, 10, 100)]
     for label, spec in [*cases, ("all-ones near 1", fixture("F2"))]:
         w = set_weight(materialize(spec, horizon), interval_about(1.0, 0.1, 1.0), schedule)
-        rows.extend(_weight_rows(label, w))
+        rows.extend(_estimate_rows("weight", "label", w, label=label, gap=float(w.gap)))
     return _emit(rows, args)
 
 

@@ -32,6 +32,7 @@ from .errors import (
     OverweightError,
     ResourceLimitError,
     ValueOutOfBoundsError,
+    whole,
 )
 from .sequences import Prefix, SequenceSpec, materialize, max_horizon
 from .weights import (
@@ -162,7 +163,7 @@ def _cell_count(cells: float) -> int:
         raise ResourceLimitError(
             f"{cells:.0f} partition cells exceed the cap of {max_horizon()}"
         )
-    return int(cells)
+    return whole(cells, "cell count")
 
 
 def _mesh_cells(lo: float, hi: float, mesh: float) -> int:

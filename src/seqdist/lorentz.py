@@ -73,7 +73,7 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
 
     For values a <= b, a length-n window holding c terms valued b has mean
     a + (b - a) * c / n, so each row is read from the count extrema of b's
-    run, which ``run_weights`` keeps in ``p.run_rows``.  None unless every
+    run, as ``run_weights`` returns them.  None unless every
     float partial sum is exact: all values multiples of 2**-k with
     N * max|v| * 2**k <= 2**53.  Then ``cesaro_profile`` divides the exact
     window sum S by n and this path rounds S / n from a Fraction, both
@@ -95,8 +95,8 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
     if a == b:
         counts = dict.fromkeys(sched.lengths, (0, 0))
     else:
-        run_weights(p, [0, 1], [1], sched)
-        counts = p.run_rows[(1, 2)]
+        (w,) = run_weights(p, [0, 1], [1], sched)
+        counts = {r.n: (r.min_count, r.max_count) for r in w.per_window.rows}
     return CesaroProfile(rows=tuple(
         CesaroRow(n, *(float(a + (b - a) * Fraction(c, n)) for c in counts[n]))
         for n in sched.lengths

@@ -420,9 +420,7 @@ class Prefix:
     def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
         """``run_rows[(first, end)][n]``: the (min, max) length-n window count
         of the terms valued in ``index.uniq[first:end]``, kept by
-        ``weights.run_weights`` for each run and length it has counted.
-        ``lorentz.lorentz_verdict`` reads the Cesaro rows of a two-valued
-        prefix from here too."""
+        ``weights.run_weights`` for each run and length it has counted."""
         return {}
 
     def run_labels(self, starts: np.ndarray, first: int = 0, stop: int | None = None) -> np.ndarray:

@@ -224,13 +224,6 @@ class CesaroProfile:
     rows: tuple[CesaroRow, ...]
 
 
-def _check_window(n: int, horizon: int) -> None:
-    if n < 1:
-        raise InvalidSpecError(f"window length must be >= 1, got {n}")
-    if n > horizon:
-        raise WindowTooLongError(f"window length {n} exceeds horizon {horizon}")
-
-
 def _window_extrema(values: np.ndarray, lengths):
     """Yield (n, min, max) of the length-n window sums of a float array.
 
@@ -475,15 +468,15 @@ def _gap_extrema(bits: np.ndarray, lengths):
 
 def count_extrema(m: Membership, n: int) -> tuple[int, int]:
     """(min, max) window count over offsets 1..N-n+1: one ``density_profile`` row."""
-    _check_window(n, m.horizon)
     row = density_profile(m, WindowSchedule((n,))).rows[0]
     return row.min_count, row.max_count
 
 
 def naive_count_extrema(m: Membership, n: int) -> tuple[int, int]:
     """Brute-force oracle: recount every window independently, O(N * n)."""
-    _check_window(n, m.horizon)
-    sums = sliding_window_view(m.bits, n).sum(axis=1, dtype=np.int64)
+    sched = WindowSchedule((n,))
+    sched.validate_for(m.horizon)
+    sums = sliding_window_view(m.bits, sched.lengths[0]).sum(axis=1, dtype=np.int64)
     return int(sums.min()), int(sums.max())
 
 

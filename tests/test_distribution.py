@@ -15,6 +15,7 @@ from seqdist import (
     OverweightError,
     Partition,
     Prefix,
+    ResourceLimitError,
     ValueOutOfBoundsError,
     WeightEstimate,
     WindowSchedule,
@@ -396,11 +397,19 @@ def test_partition_helpers():
         Partition.with_mesh(-1.0, 1.0, math.nan)
 
 
-def test_nan_cell_count_is_invalid_not_over_the_cap():
+@pytest.mark.parametrize("cells, error", [
+    (math.nan, InvalidSpecError), (2.5, InvalidSpecError), (2.9, InvalidSpecError),
+    (3.0, None), (math.inf, ResourceLimitError),
+])
+def test_cell_count_must_be_whole(cells, error):
     # Checked as `cells < 1`, NaN passed and then failed the cap check with
-    # a ResourceLimitError (exit 3) instead.
-    with pytest.raises(InvalidSpecError):
-        Partition.uniform(0.0, 1.0, math.nan)
+    # a ResourceLimitError (exit 3); int() truncated 2.5 and 2.9 cells to 2.
+    # inf is over the cap.
+    if error is None:
+        assert len(Partition.uniform(0.0, 1.0, cells).points) == 4
+    else:
+        with pytest.raises(error):
+            Partition.uniform(0.0, 1.0, cells)
 
 
 # ------------------------------------------------------- Banach limit estimates

@@ -65,14 +65,20 @@ def test_empty_membership():
         assert naive_count_extrema(m, n) == (0, 0)
 
 
-def test_window_too_long():
-    m = Membership.from_mask(np.arange(10) == 0)
-    with pytest.raises(WindowTooLongError):
-        count_extrema(m, 11)
-    with pytest.raises(WindowTooLongError):
-        naive_count_extrema(m, 11)
-    with pytest.raises(InvalidSpecError):
-        count_extrema(m, 0)
+@pytest.mark.parametrize("count", [count_extrema, naive_count_extrema])
+@pytest.mark.parametrize("n, error", [
+    (0, InvalidSpecError), (2.5, InvalidSpecError), (math.nan, InvalidSpecError),
+    (math.inf, InvalidSpecError), (3.0, None), (11, WindowTooLongError),
+])
+def test_window_length_is_checked_once(count, n, error):
+    # Both read the length through WindowSchedule; the oracle used to pass
+    # 2.5, nan and 3.0 on to sliding_window_view, which raised TypeError.
+    m = Membership.from_mask(np.arange(10) % 3 == 0)
+    if error is None:
+        assert count(m, n) == (1, 1)
+    else:
+        with pytest.raises(error):
+            count(m, n)
 
 
 @given(
