@@ -242,7 +242,8 @@ def _evaluator(spec: SequenceSpec, last: int):
     pattern or table to an array) is done here once, for the last position.
     materialize calls the result on consecutive chunks and eval_at on a
     range of one position, so the two agree bit for bit.  A periodic range
-    is the pattern tiled from the range's start; ones-then-zeros, doubling
+    of at most ``_CHUNK`` positions is a slice of one block of the tiled
+    pattern, built here, and a longer one is tiled afresh; ones-then-zeros, doubling
     blocks and the dyadic harmonic are slice and strided fills between
     Python-int edges, so no position is rounded to a float.
     """
@@ -251,11 +252,14 @@ def _evaluator(spec: SequenceSpec, last: int):
         raise InvalidSpecError(f"position {top} is past 2**63 - 1")
     kind = spec.kind
     if kind == "periodic":
-        size = len(spec.pattern)
-        twice = np.asarray(spec.pattern * 2, dtype=np.float64)
+        pattern = np.asarray(spec.pattern, dtype=np.float64)
+        size = pattern.size
+        block = np.tile(pattern, 2 + min(last, _CHUNK) // size)
         def f(first, stop):
             r = (first - 1) % size
-            return np.tile(twice[r : r + size], -((first - stop) // size))[: stop - first]
+            if stop - first > block.size - r:
+                return np.tile(np.roll(pattern, -r), -((first - stop) // size))[: stop - first]
+            return block[r : r + stop - first]
     elif kind == "ones-then-zeros":
         def f(first, stop):
             out = np.zeros(stop - first)
@@ -334,9 +338,12 @@ class Prefix:
     ``values`` without raising.
 
     ``period`` is None or a pair (t, q) such that ``values[k + q]`` equals
-    ``values[k]`` bit for bit for every k >= t; it is checked here, as the
-    bound is.  ``span`` is the (min, max) of the values that the bound
-    check finds, None for an empty prefix.
+    ``values[k]`` bit for bit for every k >= t; it is checked here, before
+    the bound.  Every term of such a prefix repeats one of its first
+    min(N, t + q), ``head``, so ``span``, the (min, max) of the values that
+    the bound check finds (None for an empty prefix), and ``index`` are
+    read from the head alone, the counts scaled by the split
+    N - t = f * q + r into whole periods and a partial one.
     """
 
     values: np.ndarray
@@ -351,26 +358,50 @@ class Prefix:
             raise InvalidSpecError("prefix length must equal its horizon")
         if not math.isfinite(self.bound):
             raise InvalidSpecError(f"prefix bound must be finite, got {self.bound!r}")
-        if vals.size:
-            lo, hi = vals.min(), vals.max()
-            # Negated so that NaN, which fails every comparison, is rejected too.
-            if not (hi <= self.bound and lo >= -self.bound):
-                raise InvalidSpecError("prefix values must be finite and within the certified bound")
-            object.__setattr__(self, "span", (lo, hi))
         if self.period is not None:
             t, q = self.period
             t, q = whole(t, "period start", low=0), whole(q, "period")
-            # int64 views compare bits, so -0.0 differs from 0.0.
+            # int64 views compare bits, so -0.0 differs from 0.0, and a NaN
+            # or out-of-bound term past the head repeats one in it.
             tail = vals[t:].view(np.int64)
             if tail.size > q and not np.array_equal(tail[q:], tail[:-q]):
                 raise InvalidSpecError(f"prefix values do not repeat with period {q} after term {t}")
             object.__setattr__(self, "period", (t, q))
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        if vals.size:
+            lo, hi = self.head.min(), self.head.max()
+            # Negated so that NaN, which fails every comparison, is rejected too.
+            if not (hi <= self.bound and lo >= -self.bound):
+                raise InvalidSpecError("prefix values must be finite and within the certified bound")
+            object.__setattr__(self, "span", (lo, hi))
+
+    @property
+    def head(self) -> np.ndarray:
+        """The terms every other term repeats: the first min(N, t + q) of a
+        prefix with a period (t, q), else all of them."""
+        return self.values if self.period is None else self.values[: sum(self.period)]
+
+    def _tally(self, uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The terms at each of ``uniq`` among all N, from ``counts``, those
+        among the head.  Past the transient t, the N - t terms are f whole
+        periods and the first r terms of one more (N - t = f * q + r), and
+        the head holds one period."""
+        if self.period is None or self.horizon <= sum(self.period):
+            return counts
+        t, q = self.period
+        f, r = divmod(self.horizon - t, q)
+        # A -0.0 term finds the one zero of uniq, as a +0.0 does.
+        at = np.searchsorted(uniq, self.values[t : t + q])
+        return (
+            counts
+            + (f - 1) * np.bincount(at, minlength=uniq.size)
+            + np.bincount(at[:r], minlength=uniq.size)
+        )
 
     @cached_property
     def index(self) -> ValueIndex:
-        v = self.values
+        v = self.head
         dtype = np.int32 if self.horizon < 2**31 else np.int64
         two = self._two_values()
         if two is not None:
@@ -386,8 +417,8 @@ class Prefix:
             counts = np.flatnonzero(first)
             del first
             np.subtract(counts[1:], counts[:-1], out=counts[:-1])
-            counts[-1:] = self.horizon - counts[-1:]
-            counts = counts.astype(dtype, copy=False)
+            counts[-1:] = v.size - counts[-1:]
+            counts = self._tally(uniq, counts).astype(dtype, copy=False)
         # The sort, min or max may pick a -0.0 term among the zeros.
         z = int(np.searchsorted(uniq, 0.0))
         if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
@@ -399,14 +430,14 @@ class Prefix:
 
     def _two_values(self) -> tuple[list[float], list[int]] | None:
         """(values, counts) of a prefix of one or two distinct values, found
-        without a sort, else None.  The scan stops at the first chunk that
-        holds a term other than the min and the max."""
-        v = self.values
+        without a sort, else None.  The scan of the head stops at the first
+        chunk that holds a term other than the min and the max."""
+        v = self.head
         if not v.size:
             return None
         lo, hi = self.span
         if lo == hi:
-            return [lo], [v.size]
+            return [lo], [self.horizon]
         top = 0
         for a in range(0, v.size, _CHUNK):
             part = v[a : a + _CHUNK]
@@ -414,7 +445,7 @@ class Prefix:
             if k + np.count_nonzero(part == lo) < part.size:
                 return None
             top += k
-        return [lo, hi], [v.size - top, top]
+        return [lo, hi], self._tally(np.array([lo, hi]), np.array([v.size - top, top])).tolist()
 
     @cached_property
     def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
@@ -439,6 +470,18 @@ class Prefix:
                 part >= edges[0] if edges.size == 1 else np.searchsorted(edges, part, "right")
             )
         return labels
+
+    def last_index(self, edge: float, above: bool, first: int = 0) -> int:
+        """Index of the last term past index ``first`` that is at least
+        ``edge`` (``above``) or below it (not ``above``), 0 when none is;
+        searched backward ``_CHUNK`` terms at a time, so a term near the end
+        is found in the last chunk."""
+        for end in range(self.horizon, first, -_CHUNK):
+            a = max(end - _CHUNK, first)
+            hit = np.flatnonzero((self.values[a:end] >= edge) == above)
+            if hit.size:
+                return a + int(hit[-1]) + 1
+        return 0
 
 
 def materialize(spec: SequenceSpec, horizon: int) -> Prefix:

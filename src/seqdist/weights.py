@@ -20,7 +20,15 @@ import numpy as np
 
 from .errors import DegenerateEpsilonError, InvalidSpecError, whole
 from .sequences import Prefix
-from .windows import DensityProfile, DensityRow, Membership, WindowSchedule, density_profile
+from .windows import (
+    PERIOD_TERMS,
+    DensityProfile,
+    DensityRow,
+    Membership,
+    WindowSchedule,
+    density_profile,
+    period_profile,
+)
 
 
 @dataclass(frozen=True)
@@ -132,22 +140,31 @@ def run_weights(
     the last run ends at the last value) and weighs the terms whose value
     lies in it.  Sub-limit clusters, distinct-value groups and quantization
     cells are all such runs, so their window counts stay additive.  A run's
-    count rows are kept in ``p.run_rows``: a call labels the terms and
-    counts a run's mask only for the lengths no earlier call counted, and
-    of exactly two runs it counts only the one with fewer terms, since a
-    window holding k of its terms holds n - k of the other's.  A prefix
-    with a period (t, q) is labelled and counted over its first
-    t + q + n - 1 terms only, n the longest scheduled length; the rows'
-    offsets are still those of the whole prefix.  A caller that reads only
-    the weights passes just the tail of its schedule.
+    count rows are kept in ``p.run_rows``: a call counts a run's mask only
+    for the lengths no earlier call counted, and of exactly two runs it
+    counts only the one with fewer terms, since a window holding k of its
+    terms holds n - k of the other's.  Of two runs the counted mask is one
+    compare of the terms with the second run's first value; more runs are
+    told apart by ``p.run_labels``.  A prefix with a period (t, q) is
+    counted over its first t + q terms by ``period_profile`` when t + q is
+    below ``PERIOD_TERMS``, else by ``density_profile`` over its first
+    t + q + n - 1 terms, n the longest scheduled length; the rows' offsets
+    are still those of the whole prefix.  A caller that reads only the
+    weights passes just the tail of its schedule.
     """
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))
     lengths = schedule.lengths
     # A window of a periodic prefix at an offset t + q or later equals the
     # window q terms earlier, so rows up to length n need only the first
-    # t + q + n - 1 terms.
-    stop = p.horizon if p.period is None else min(p.horizon, sum(p.period) + lengths[-1] - 1)
+    # t + q + n - 1 terms, and the period kernel only the first t + q.
+    period = p.period
+    if period is None:
+        stop = p.horizon
+    elif sum(period) < PERIOD_TERMS:
+        stop = min(p.horizon, sum(period))
+    else:
+        stop, period = min(p.horizon, sum(period) + lengths[-1] - 1), None
     ids = [int(j) for j in ids]
     memo = p.run_rows
     todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
@@ -158,10 +175,18 @@ def run_weights(
         rows = memo.setdefault(runs[j], {})
         missing = tuple(n for n in lengths if n not in rows)
         if missing:
-            if labels is None:
-                labels = p.run_labels(starts, stop=stop)
-            # A Python-int j keeps the compare in the labels' narrow dtype.
-            prof = density_profile(Membership.from_mask(labels == j), WindowSchedule(missing))
+            if len(runs) == 2:
+                above = p.values[:stop] >= p.index.uniq[edges[1]]
+                m = Membership.from_mask(above if j else ~above)
+            else:
+                if labels is None:
+                    labels = p.run_labels(starts, stop=stop)
+                # A Python-int j keeps the compare in the labels' narrow dtype.
+                m = Membership.from_mask(labels == j)
+            if period is None:
+                prof = density_profile(m, WindowSchedule(missing))
+            else:
+                prof = period_profile(m, period, p.horizon, WindowSchedule(missing))
             rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)
         if len(runs) == 2:
             other = memo.setdefault(runs[1 - j], {})
@@ -259,7 +284,10 @@ def detect_sublimits(
     A cluster is a sub-limit candidate iff it recurs past index
     (1 - recurrence_window) * N; "recurs late" is the finite-scale stand-in
     for "occurs infinitely often", and values that stop appearing carry
-    weight 0 in the limit anyway.
+    weight 0 in the limit anyway.  Of two clusters, the one holding the
+    last term recurs at N and the other's last index is one backward
+    search (``Prefix.last_index``); more are labelled over the recurrence
+    tail by ``Prefix.run_labels``.
 
     Cluster centers are occurrence-weighted means of their member values.
     Each candidate's weight is estimated from the indices of its own members;
@@ -331,7 +359,15 @@ def detect_sublimits(
     # recurrent cluster's last index lies among them.
     tail = int((1.0 - recurrence_window) * p.horizon)
     lasts = np.zeros(starts.size, dtype=np.int64)
-    np.maximum.at(lasts, p.run_labels(starts, tail), np.arange(tail + 1, p.horizon + 1))
+    if starts.size == 2 and tail < p.horizon:
+        # The run of the last term ends at N; the other's last term is the
+        # last on its side of the second run's first value.
+        edge = uniq[starts[1]]
+        top = int(p.values[-1] >= edge)
+        lasts[top] = p.horizon
+        lasts[1 - top] = p.last_index(edge, not top, tail)
+    else:
+        np.maximum.at(lasts, p.run_labels(starts, tail), np.arange(tail + 1, p.horizon + 1))
     recurrent = by_center[lasts[by_center] > 0]
     weights = run_weights(p, starts, recurrent, sched, tolerances)
     clusters = tuple(

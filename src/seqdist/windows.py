@@ -14,7 +14,9 @@ Conventions that the whole package relies on:
   observed range, so a reported max is a lower bound for the true supremum
   over all offsets and a reported min an upper bound for the infimum.
 
-Counts come from one of three exact kernels, chosen from the mask itself:
+Counts come from one of four exact kernels.  ``density_profile`` chooses
+among the first three from the mask itself; ``period_profile`` is the
+fourth, for a prefix known to repeat:
 
 * **Prefix sums** (every window mean, and masks whose members and
   non-members each exceed ``SPARSE_SHARE`` of the terms and whose value
@@ -49,6 +51,12 @@ Counts come from one of three exact kernels, chosen from the mask itself:
   O(R log R) per row.  The changes are counted a block at a time and the
   count stops past the limit, so a mask that changes often is walked after
   one block.
+* **One period** (a prefix that repeats with period q after t terms): only
+  the mask of the first min(N, t + q) terms is kept.  Its member counts c
+  extend to every k <= N as C(k) = c(t + (k - t) mod q) + floor((k - t) / q)
+  * (c(t + q) - c(t)) for k >= t, and a window at an offset t + q or later
+  equals the window q terms earlier, so each row reads only the offsets
+  below min(t + q, N - n + 1): O(t + q) per row, however long the prefix.
 
 ``naive_count_extrema`` recounts every window from scratch in O(N * n) and
 exists purely as the oracle the kernels are tested against; do not "fix"
@@ -170,6 +178,22 @@ SPARSE_SHARE = 0.125
 # passes the limit: on the F5 region [0.1, 0.5) that takes 0.01 ms, against
 # 2.1 ms for a flatnonzero of every change.
 CHANGE_SPACING = 1024
+
+# A run of a prefix with a period (t, q) is counted over one period
+# (``period_profile``) when t + q is below this many terms, else by
+# ``density_profile`` over its first t + q + n - 1 terms.  The kernel reads
+# t + q offsets per row, the walk t + q + n - 1 terms, so the crossover
+# grows with N.  Measured through ``run_weights`` on two-valued prefixes,
+# mask included (16 rows at N = 2**21, min of 5, 2 cores), kernel against
+# walk at t + q = 2**14 + 1: 0.8 against 0.9 ms (ones then zeros, run
+# starts), 0.9 against 1.3 ms (a third of each period, run starts), 0.9
+# against 2.0 ms (random, share 1/32, gaps), 0.9 against 4.5 ms (random,
+# share 1/2, count walk); at 2**15 + 1 ones then zeros lose, 1.4 against
+# 1.1 ms, and at 2**16 + 1 both run-start masks, 1.9-2.1 against 0.9-1.1
+# ms.  At N = 2**19 ones then zeros tie at 2**13 + 1 (0.39 against 0.37 ms)
+# and lose at 2**14 + 1 (0.75 against 0.60 ms); at N = 2**23 the kernel
+# still wins every mask at 2**15 + 1.
+PERIOD_TERMS = 1 << 14
 
 # The prefix-sum walks read the offsets in blocks of this many window sums,
 # every schedule row per block.  Float64 window means, measured at N = 2**21
@@ -466,6 +490,33 @@ def _gap_extrema(bits: np.ndarray, lengths):
         yield prev
 
 
+def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
+    """Yield (n, min, max) window counts of a ``horizon``-term mask that
+    repeats with period q after t terms, from ``bits``, its first
+    min(horizon, t + q) terms.
+
+    C(k), the members among the first k terms, is tabulated once for
+    k <= 2 * (t + q).  For k >= t, C(k + q) = C(k) + p with p the members
+    of one period, so a row of length n = n' + a * q, with a whole periods
+    past the transient and n' < t + q, reads C(i + n) - C(i) as
+    C(i + n') - C(i) + a * p: one slice of the table per row.
+    """
+    size = bits.size
+    table = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(bits, out=table[1:])
+    per = 0
+    if size == t + q:
+        per = int(table[size] - table[t])
+        k = np.arange(2 * size + 1)
+        whole_periods = np.maximum(k - t, 0) // q
+        table = table[k - whole_periods * q] + whole_periods * per
+    for n in lengths:
+        m = min(t + q, horizon - n + 1)
+        a = max(n - t, 0) // q
+        sums = table[n - a * q : n - a * q + m] - table[:m]
+        yield n, int(sums.min()) + a * per, int(sums.max()) + a * per
+
+
 def count_extrema(m: Membership, n: int) -> tuple[int, int]:
     """(min, max) window count over offsets 1..N-n+1: one ``density_profile`` row."""
     row = density_profile(m, WindowSchedule((n,))).rows[0]
@@ -511,6 +562,23 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
         for n, lo, hi in extrema
     )
     return DensityProfile(rows=rows)
+
+
+def period_profile(
+    m: Membership, period: tuple[int, int], horizon: int, schedule: WindowSchedule
+) -> DensityProfile:
+    """``density_profile`` of a ``horizon``-term mask that repeats with
+    ``period`` (t, q) after t terms, given as ``m``, its first
+    min(horizon, t + q) terms.  The rows range over all horizon - n + 1
+    offsets, as ``density_profile``'s of the whole mask do."""
+    t, q = period
+    schedule.validate_for(horizon)
+    if m.horizon != min(horizon, t + q):
+        raise InvalidSpecError("a period mask holds the first min(N, t + q) terms")
+    return DensityProfile(rows=tuple(
+        DensityRow(n=n, min_count=lo, max_count=hi, offsets_scanned=horizon - n + 1)
+        for n, lo, hi in _period_extrema(m.bits, t, q, horizon, schedule.lengths)
+    ))
 
 
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:

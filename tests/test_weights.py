@@ -27,6 +27,7 @@ from seqdist import (
     weight_from_membership,
 )
 from seqdist import weights
+from seqdist.windows import PERIOD_TERMS, period_profile
 
 
 def mask_weight(mask, schedule):
@@ -382,13 +383,19 @@ def test_run_weights_match_oracle(case):
 def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
     # F1, F4 and F6 take two values: every estimator splits them into the
     # same two runs, and only the smaller is counted, on the full schedule.
+    # F1 and F4 are periodic, so their run takes the period kernel.
     counted = []
 
     def recording(m, schedule):
         counted.extend((m.bits.tobytes(), n) for n in schedule.lengths)
         return density_profile(m, schedule)
 
+    def recording_period(m, period, horizon, schedule):
+        counted.extend((m.bits.tobytes(), n) for n in schedule.lengths)
+        return period_profile(m, period, horizon, schedule)
+
     monkeypatch.setattr(weights, "density_profile", recording)
+    monkeypatch.setattr(weights, "period_profile", recording_period)
     cross_validate(fixture(name), 4096)
     assert counted and len(set(counted)) == len(counted)
     if masks is not None:
@@ -419,9 +426,9 @@ def periodic_run_case(draw):
     return values, (len(head), len(pattern)), starts, sched
 
 
-@given(periodic_run_case())
+@given(periodic_run_case(), st.sampled_from([1, 8, PERIOD_TERMS]))
 @settings(max_examples=200, deadline=None)
-def test_run_weights_of_a_periodic_prefix_count_one_period(case):
+def test_run_weights_of_a_periodic_prefix_count_one_period(case, terms):
     values, period, starts, sched = case
     n = values.size
     p = Prefix(values=values, horizon=n, bound=4.0, period=period)
@@ -429,14 +436,24 @@ def test_run_weights_of_a_periodic_prefix_count_one_period(case):
     counted = []
 
     def recording(m, schedule):
-        counted.append(m.horizon)
+        counted.append(("walk", m.horizon))
         return density_profile(m, schedule)
+
+    def recording_period(m, period, horizon, schedule):
+        counted.append(("period", m.horizon))
+        return period_profile(m, period, horizon, schedule)
 
     ids = range(starts.size)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "density_profile", recording)
+        mp.setattr(weights, "period_profile", recording_period)
+        mp.setattr(weights, "PERIOD_TERMS", terms)
         got = run_weights(p, starts, ids, sched)
-    # Every window at an offset past t + q repeats one q terms earlier.
-    assert set(counted) <= {min(n, sum(period) + sched.lengths[-1] - 1)}
+    # Every window at an offset past t + q repeats one q terms earlier: the
+    # period kernel reads the first t + q terms, the walk t + q + n - 1.
+    if sum(period) < terms:
+        assert set(counted) <= {("period", min(n, sum(period)))}
+    else:
+        assert set(counted) <= {("walk", min(n, sum(period) + sched.lengths[-1] - 1))}
     assert got == run_weights(plain, starts, ids, sched)
     assert p.run_rows == plain.run_rows
