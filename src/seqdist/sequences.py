@@ -242,9 +242,9 @@ def _evaluator(spec: SequenceSpec, last: int):
     pattern or table to an array) is done here once, for the last position.
     materialize calls the result on consecutive chunks and eval_at on a
     range of one position, so the two agree bit for bit.  A periodic range
-    of at most ``_CHUNK`` positions is a slice of one block of the tiled
-    pattern, built here, and a longer one is tiled afresh; ones-then-zeros, doubling
-    blocks and the dyadic harmonic are slice and strided fills between
+    is a slice of one block of the tiled pattern, tiled again only for a
+    range longer than any before, so materialize tiles once; ones-then-zeros,
+    doubling blocks and the dyadic harmonic are slice and strided fills between
     Python-int edges, so no position is rounded to a float.
     """
     top = last + spec.shift
@@ -254,11 +254,12 @@ def _evaluator(spec: SequenceSpec, last: int):
     if kind == "periodic":
         pattern = np.asarray(spec.pattern, dtype=np.float64)
         size = pattern.size
-        block = np.tile(pattern, 2 + min(last, _CHUNK) // size)
+        block = pattern
         def f(first, stop):
+            nonlocal block
             r = (first - 1) % size
-            if stop - first > block.size - r:
-                return np.tile(np.roll(pattern, -r), -((first - stop) // size))[: stop - first]
+            if r + stop - first > block.size:
+                block = np.tile(pattern, 2 + (stop - first) // size)
             return block[r : r + stop - first]
     elif kind == "ones-then-zeros":
         def f(first, stop):

@@ -5,7 +5,7 @@ import pytest
 
 from seqdist.cli import main, parse_spec_file, render
 from seqdist.errors import InvalidSpecError
-from seqdist.sequences import MAX_HORIZON_ENV, eval_at
+from seqdist.sequences import MAX_HORIZON_ENV, Prefix, eval_at
 
 
 def run(capsys, argv):
@@ -319,3 +319,23 @@ def test_a_large_bound_builds_no_partition_points(capsys, tmp_path):
             tracemalloc.stop()
         assert code == 0
     assert peaks[0] <= peaks[1] + 10 * 2**20
+
+
+@pytest.mark.parametrize("fixture", ["F1", "F4", "F6"])
+def test_two_valued_analyze_labels_no_term(fixture, capsys, monkeypatch):
+    # Two values make two runs everywhere: the counted run's mask is one
+    # compare with the larger value, and the other cluster's last index one
+    # backward search, so no term is labelled.
+    labelled = []
+    run_labels = Prefix.run_labels
+
+    def spy(self, *args, **kwargs):
+        labelled.append(args)
+        return run_labels(self, *args, **kwargs)
+
+    monkeypatch.setattr(Prefix, "run_labels", spy)
+    code, out, err = run(
+        capsys, ["analyze", "--fixture", fixture, "--horizon", str(2**21), "--format", "jsonl"]
+    )
+    assert code == 0 and err == "" and out
+    assert labelled == []

@@ -650,3 +650,51 @@ def test_prefix_accepts_a_period_it_holds_or_too_long_to_check(period):
     values = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
     p = Prefix(values=values, horizon=5, bound=1.0, period=period)
     assert p.period == period
+
+
+@st.composite
+def periodic_case(draw):
+    """Terms that repeat with period q after t: signed zeros, +-bound and
+    any value of the range, often only two of them, over N below, at or
+    past t + q, a partial last period and more than one chunk."""
+    pool = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1, 1)
+    if draw(st.booleans()):
+        pool = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=2)))
+    head = draw(st.lists(pool, max_size=10))
+    pattern = draw(st.lists(pool, min_size=1, max_size=6))
+    t, q = len(head), len(pattern)
+    n = draw(st.integers(1, 3 * (t + q) + 5) | st.sampled_from([t + q, t + q + 1, _CHUNK + 1]))
+    values = np.array((head + pattern * (n // q + 1))[:n], dtype=np.float64)
+    return values, (t, q)
+
+
+@given(periodic_case())
+@example((np.array([0.0, -0.0, 0.0, -0.0, 0.0]), (1, 2)))
+@example((np.array([-0.0, 0.0, -0.0, 0.0]), (0, 2)))
+@settings(max_examples=300, deadline=None)
+def test_span_and_index_of_a_periodic_prefix_match_all_terms(case):
+    values, period = case
+    p = Prefix(values=values, horizon=values.size, bound=1.0, period=period)
+    assert p.head.size == min(values.size, sum(period))
+    assert p.span == (values.min(), values.max())
+    uniq, counts = unique_oracle(values)
+    two = p._two_values()
+    if uniq.size <= 2:
+        assert two[0] == uniq.tolist() and two[1] == counts.tolist()
+    else:
+        assert two is None
+    assert_index_matches(p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -math.inf])
+@pytest.mark.parametrize("at", [0, 2, 4, -1])
+def test_periodic_prefix_rejects_a_bad_term_in_its_transient_or_period(bad, at):
+    # Terms 0-1 are the transient and 2-4 the period, repeated to the end; a
+    # bad term past the head is copied to every period, or the period breaks.
+    values = np.concatenate([[0.0, 1.0], np.resize([0.5, -0.5, 0.0], 40)])
+    if at < 0:
+        values[at] = bad
+    else:
+        values[at :: 3 if at >= 2 else values.size] = bad
+    with pytest.raises(InvalidSpecError):
+        Prefix(values=values, horizon=values.size, bound=1.0, period=(2, 3))

@@ -14,6 +14,7 @@ from seqdist import (
     Prefix,
     Tolerances,
     WindowSchedule,
+    WindowTooLongError,
     cross_validate,
     density_profile,
     detect_sublimits,
@@ -26,7 +27,8 @@ from seqdist import (
     sublimit_weight,
     weight_from_membership,
 )
-from seqdist import weights
+from seqdist import sequences, weights
+from seqdist.sequences import _CHUNK
 from seqdist.windows import PERIOD_TERMS, period_profile
 
 
@@ -379,6 +381,21 @@ def test_run_weights_match_oracle(case):
         assert rows == {n: naive_count_extrema(m, n) for n in rows}
 
 
+@given(
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=300),
+    st.sampled_from([0.01, 0.25, 0.5, 1.0]),
+    st.sampled_from([7, 64, _CHUNK]),
+)
+@settings(max_examples=150, deadline=None)
+def test_last_index_of_two_clusters_matches_docstring_clustering(values, window, chunk):
+    # The other cluster's last term is searched backward a chunk at a time.
+    p = Prefix(values=np.array(values), horizon=len(values), bound=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_CHUNK", chunk)
+        rep = detect_sublimits(p, 0.25, recurrence_window=window, schedule=WindowSchedule((1,)))
+    assert cluster_rows(rep) == docstring_clusters(values, 0.25, window)
+
+
 @pytest.mark.parametrize("name, masks", [("F4", 1), ("F6", 1), ("F1", 1), ("F7", None), ("F5", None)])
 def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
     # F1, F4 and F6 take two values: every estimator splits them into the
@@ -409,7 +426,9 @@ def periodic_run_case(draw):
     tail, or explicit lengths."""
     head = draw(st.lists(st.integers(0, 4), max_size=20))
     pattern = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
-    n = draw(st.integers(1, 300))
+    # Often just below, at or just past one transient and period.
+    near = [len(head) + len(pattern) + d for d in (-1, 0, 1)]
+    n = draw(st.integers(1, 300) | st.sampled_from([k for k in near if k > 0]))
     values = np.array((head + pattern * n)[:n], dtype=float)
     distinct = np.unique(values).size
     cuts = draw(st.sets(st.integers(1, max(distinct - 1, 1)), max_size=distinct - 1))
@@ -424,6 +443,32 @@ def periodic_run_case(draw):
         lengths = draw(st.sets(st.sampled_from([1, n]) | st.integers(1, n), min_size=1, max_size=5))
         sched = WindowSchedule(tuple(sorted(lengths)))
     return values, (len(head), len(pattern)), starts, sched
+
+
+@given(periodic_run_case())
+@settings(max_examples=300, deadline=None)
+def test_period_kernel_matches_oracle(case):
+    # Transients, N below, at and past t + q, a partial last period, and
+    # rows with fewer than t + q offsets (explicit lengths up to N).
+    values, (t, q), starts, sched = case
+    n = values.size
+    uniq = np.unique(values)
+    edges = [*starts.tolist(), uniq.size]
+    for a, b in zip(edges, edges[1:]):
+        bits = (values >= uniq[a]) & (values <= uniq[b - 1])
+        prof = period_profile(Membership.from_mask(bits[: t + q]), (t, q), n, sched)
+        whole = Membership.from_mask(bits)
+        assert [(r.n, r.min_count, r.max_count, r.offsets_scanned) for r in prof.rows] == [
+            (k, *naive_count_extrema(whole, k), n - k + 1) for k in sched.lengths
+        ]
+
+
+def test_period_kernel_wants_the_first_t_plus_q_terms():
+    bits = Membership.from_mask(np.array([True, False, False]))
+    with pytest.raises(InvalidSpecError):
+        period_profile(bits, (0, 2), 6, WindowSchedule((2,)))
+    with pytest.raises(WindowTooLongError):
+        period_profile(bits, (0, 3), 6, WindowSchedule((7,)))
 
 
 @given(periodic_run_case(), st.sampled_from([1, 8, PERIOD_TERMS]))
