@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DegenerateEpsilonError, InvalidSpecError, whole
 from .sequences import Prefix
 from .windows import (
-    PERIOD_TERMS,
     DensityProfile,
     DensityRow,
     Membership,
@@ -146,25 +145,17 @@ def run_weights(
     terms holds n - k of the other's.  Of two runs the counted mask is one
     compare of the terms with the second run's first value; more runs are
     told apart by ``p.run_labels``.  A prefix with a period (t, q) is
-    counted over its first t + q terms by ``period_profile`` when t + q is
-    below ``PERIOD_TERMS``, else by ``density_profile`` over its first
-    t + q + n - 1 terms, n the longest scheduled length; the rows' offsets
-    are still those of the whole prefix.  A caller that reads only the
-    weights passes just the tail of its schedule.
+    counted over its first t + q terms by ``period_profile``; the rows'
+    offsets are still those of the whole prefix.  A caller that reads only
+    the weights passes just the tail of its schedule.
     """
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))
     lengths = schedule.lengths
     # A window of a periodic prefix at an offset t + q or later equals the
-    # window q terms earlier, so rows up to length n need only the first
-    # t + q + n - 1 terms, and the period kernel only the first t + q.
+    # window q terms earlier, so the period kernel needs the first t + q.
     period = p.period
-    if period is None:
-        stop = p.horizon
-    elif sum(period) < PERIOD_TERMS:
-        stop = min(p.horizon, sum(period))
-    else:
-        stop, period = min(p.horizon, sum(period) + lengths[-1] - 1), None
+    stop = p.horizon if period is None else min(p.horizon, sum(period))
     ids = [int(j) for j in ids]
     memo = p.run_rows
     todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]

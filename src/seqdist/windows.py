@@ -179,22 +179,6 @@ SPARSE_SHARE = 0.125
 # 2.1 ms for a flatnonzero of every change.
 CHANGE_SPACING = 1024
 
-# A run of a prefix with a period (t, q) is counted over one period
-# (``period_profile``) when t + q is below this many terms, else by
-# ``density_profile`` over its first t + q + n - 1 terms.  The kernel reads
-# t + q offsets per row, the walk t + q + n - 1 terms, so the crossover
-# grows with N.  Measured through ``run_weights`` on two-valued prefixes,
-# mask included (16 rows at N = 2**21, min of 5, 2 cores), kernel against
-# walk at t + q = 2**14 + 1: 0.8 against 0.9 ms (ones then zeros, run
-# starts), 0.9 against 1.3 ms (a third of each period, run starts), 0.9
-# against 2.0 ms (random, share 1/32, gaps), 0.9 against 4.5 ms (random,
-# share 1/2, count walk); at 2**15 + 1 ones then zeros lose, 1.4 against
-# 1.1 ms, and at 2**16 + 1 both run-start masks, 1.9-2.1 against 0.9-1.1
-# ms.  At N = 2**19 ones then zeros tie at 2**13 + 1 (0.39 against 0.37 ms)
-# and lose at 2**14 + 1 (0.75 against 0.60 ms); at N = 2**23 the kernel
-# still wins every mask at 2**15 + 1.
-PERIOD_TERMS = 1 << 14
-
 # The prefix-sum walks read the offsets in blocks of this many window sums,
 # every schedule row per block.  Float64 window means, measured at N = 2**21
 # over 16 rows (min of 7, one core with 2 MiB of L2) for blocks of 2**12 ...
@@ -496,20 +480,18 @@ def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
     min(horizon, t + q) terms.
 
     C(k), the members among the first k terms, is tabulated once for
-    k <= 2 * (t + q).  For k >= t, C(k + q) = C(k) + p with p the members
-    of one period, so a row of length n = n' + a * q, with a whole periods
-    past the transient and n' < t + q, reads C(i + n) - C(i) as
-    C(i + n') - C(i) + a * p: one slice of the table per row.
+    k <= min(horizon, 2 * (t + q)) from the mask with its period repeated.
+    For k >= t, C(k + q) = C(k) + p with p the members of one period, so a
+    row of length n = n' + a * q, with a whole periods past the transient
+    and n' < t + q, reads C(i + n) - C(i) as C(i + n') - C(i) + a * p: one
+    slice of the table per row, ending at i + n' <= horizon.
     """
     size = bits.size
-    table = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(bits, out=table[1:])
-    per = 0
+    per = int(bits[t:].sum())
     if size == t + q:
-        per = int(table[size] - table[t])
-        k = np.arange(2 * size + 1)
-        whole_periods = np.maximum(k - t, 0) // q
-        table = table[k - whole_periods * q] + whole_periods * per
+        bits = np.concatenate([bits, np.resize(bits[t:], min(horizon, 2 * size) - size)])
+    table = np.zeros(bits.size + 1, dtype=np.int64)
+    np.cumsum(bits, out=table[1:])
     for n in lengths:
         m = min(t + q, horizon - n + 1)
         a = max(n - t, 0) // q

@@ -57,8 +57,8 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/transient_combo.spec", "--horizon", N,
         "--format", "jsonl",
     ],
-    # A transient of 20000 terms: t + q is above windows.PERIOD_TERMS, so the
-    # counted run is walked over t + q + n - 1 terms, not over one period.
+    # A transient of 20000 terms: the period kernel tabulates 2 (t + q)
+    # counts and reads 20001 offsets per row.
     "analyze_long_transient.jsonl": [
         "analyze", "--spec-file", "tests/golden/long_transient.spec", "--horizon", "65536",
         "--format", "jsonl",

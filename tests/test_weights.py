@@ -29,7 +29,7 @@ from seqdist import (
 )
 from seqdist import sequences, weights
 from seqdist.sequences import _CHUNK
-from seqdist.windows import PERIOD_TERMS, period_profile
+from seqdist.windows import period_profile
 
 
 def mask_weight(mask, schedule):
@@ -471,9 +471,9 @@ def test_period_kernel_wants_the_first_t_plus_q_terms():
         period_profile(bits, (0, 3), 6, WindowSchedule((7,)))
 
 
-@given(periodic_run_case(), st.sampled_from([1, 8, PERIOD_TERMS]))
+@given(periodic_run_case())
 @settings(max_examples=200, deadline=None)
-def test_run_weights_of_a_periodic_prefix_count_one_period(case, terms):
+def test_run_weights_of_a_periodic_prefix_count_one_period(case):
     values, period, starts, sched = case
     n = values.size
     p = Prefix(values=values, horizon=n, bound=4.0, period=period)
@@ -492,13 +492,9 @@ def test_run_weights_of_a_periodic_prefix_count_one_period(case, terms):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "density_profile", recording)
         mp.setattr(weights, "period_profile", recording_period)
-        mp.setattr(weights, "PERIOD_TERMS", terms)
         got = run_weights(p, starts, ids, sched)
-    # Every window at an offset past t + q repeats one q terms earlier: the
-    # period kernel reads the first t + q terms, the walk t + q + n - 1.
-    if sum(period) < terms:
-        assert set(counted) <= {("period", min(n, sum(period)))}
-    else:
-        assert set(counted) <= {("walk", min(n, sum(period) + sched.lengths[-1] - 1))}
+    # Every window at an offset past t + q repeats one q terms earlier, so
+    # the period kernel reads the first t + q terms and nothing is walked.
+    assert set(counted) <= {("period", min(n, sum(period)))}
     assert got == run_weights(plain, starts, ids, sched)
     assert p.run_rows == plain.run_rows
