@@ -489,8 +489,9 @@ def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
     size = bits.size
     per = int(bits[t:].sum())
     if size == t + q:
-        bits = np.concatenate([bits, np.resize(bits[t:], min(horizon, 2 * size) - size)])
-    table = np.zeros(bits.size + 1, dtype=np.int64)
+        extra = min(horizon, 2 * size) - size
+        bits = np.concatenate([bits, np.tile(bits[t:], -(-extra // q))[:extra]])
+    table = np.zeros(bits.size + 1, dtype=np.int32 if horizon < 2**31 else np.int64)
     np.cumsum(bits, out=table[1:])
     for n in lengths:
         m = min(t + q, horizon - n + 1)
