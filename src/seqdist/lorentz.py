@@ -77,18 +77,20 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
     float partial sum is exact: all values multiples of 2**-k with
     N * max|v| * 2**k <= 2**53.  Then ``cesaro_profile`` divides the exact
     window sum S by n and this path rounds S / n from a Fraction, both
-    correctly rounded, so the rows agree bit for bit.  A -0.0 first term
-    falls back too: which zero the float walk reports for it depends on
-    numpy's SIMD lanes.  Exactness is judged from ``p.span``, the min and
-    max the bound check found, before ``p.index`` is read, so a prefix
-    whose sums are inexact, such as F5's, builds no index here.
+    correctly rounded, so the rows agree bit for bit.  A prefix whose first
+    n terms are all -0.0, n the shortest window, falls back too: only then
+    is a float window sum -0.0, and which zero the float walk reports for
+    it depends on numpy's SIMD lanes.  Those terms are read from the head,
+    which every later term repeats.  Exactness is judged from ``p.span``,
+    the min and max the bound check found, before ``p.index`` is read, so a
+    prefix whose sums are inexact, such as F5's, builds no index here.
     """
     sched.validate_for(p.horizon)
     a, b = map(Fraction, p.span)
     if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53:
         return None
-    first = p.values[0]
-    if first == 0 and np.signbit(first):
+    lead = p.head[: sched.lengths[0]]
+    if not lead.any() and np.signbit(lead).all():
         return None
     if p.index.uniq.size > 2:
         return None

@@ -322,15 +322,79 @@ class ValueIndex(NamedTuple):
     counts: np.ndarray
 
 
-@dataclass(frozen=True)
-class Prefix:
-    """Materialized values x(1..N).
+def _terms(f, first: int, stop: int) -> np.ndarray:
+    """x(first..stop - 1) evaluated by ``f``, an ``_evaluator`` result, into
+    a new float64 array, ``_CHUNK`` positions at a time."""
+    out = np.empty(stop - first)
+    for a in range(0, out.size, _CHUNK):
+        b = min(a + _CHUNK, out.size)
+        out[a:b] = f(first + a, first + b)
+    return out
 
-    ``values[k]`` holds ``x(k + 1)``; the array is frozen after
-    construction and may be shared freely across workers.  A float64 input
-    is not copied: the stored array is a read-only view of the caller's
-    memory, so the caller's own array stays writable, but the caller must
-    not change it once the prefix exists.  ``index`` is the prefix's
+
+def _period_error(t: int, q: int) -> InvalidSpecError:
+    return InvalidSpecError(f"prefix values do not repeat with period {q} after term {t}")
+
+
+def _check_period(values: np.ndarray, t: int, q: int) -> None:
+    """Raise unless ``values[k + q]`` equals ``values[k]`` bit for bit for
+    every k >= t, compared ``_CHUNK`` terms at a time, so no N-long
+    temporary is made."""
+    # int64 views compare bits, so -0.0 differs from 0.0, and a NaN or
+    # out-of-bound term past the head repeats one in it.
+    x = values.view(np.int64)
+    for a in range(t + q, x.size, _CHUNK):
+        b = min(a + _CHUNK, x.size)
+        if not np.array_equal(x[a:b], x[a - q : b - q]):
+            raise _period_error(t, q)
+
+
+def _scan(v: np.ndarray) -> tuple[tuple[float, float] | None, np.ndarray | None]:
+    """(span, top) of the terms ``v``, from one pass of ``_CHUNK`` terms at a
+    time.
+
+    ``span`` is their (min, max), None when there are none.  ``top`` is a
+    read-only mask of the terms equal to the max when they take at most two
+    distinct values, else None.  Each chunk's terms are compared with its
+    own max, and counted with those equal to its own min, until a chunk
+    holds a third value; a chunk whose max is the overall min then holds
+    none of the max.
+    """
+    if not v.size:
+        return None, None
+    chunks = range(0, v.size, _CHUNK)
+    lows, highs = np.empty(len(chunks)), np.empty(len(chunks))
+    top = np.empty(v.size, dtype=bool)
+    for c, a in enumerate(chunks):
+        part = v[a : a + _CHUNK]
+        lo = lows[c] = part.min()
+        hi = highs[c] = part.max()
+        if top is not None:
+            eq = np.equal(part, hi, out=top[a : a + _CHUNK])
+            if lo != hi and np.count_nonzero(eq) + np.count_nonzero(part == lo) < part.size:
+                top = None
+    lo, hi = lows.min(), highs.max()
+    if top is not None:
+        ends = np.concatenate([lows, highs])
+        if ((ends == lo) | (ends == hi)).all():
+            for c in np.flatnonzero(highs != hi):
+                top[chunks[c] : chunks[c] + _CHUNK] = False
+            top.flags.writeable = False
+        else:
+            top = None
+    return (lo, hi), top
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Prefix:
+    """The values x(1..N) of a bounded sequence.
+
+    ``values[k]`` holds ``x(k + 1)``, read-only, and the prefix may be
+    shared freely across workers.  ``Prefix(values, horizon, bound,
+    period=None)`` keeps the terms it is given: a float64 input is not
+    copied, so the stored array is a read-only view of the caller's memory
+    and the caller's own array stays writable, but the caller must not
+    change it once the prefix exists.  ``index`` is the prefix's
     :class:`ValueIndex`, built on first use and kept with it, and
     ``run_rows`` keeps the window-count extrema of every run of
     ``index.uniq`` counted so far; a later write to the caller's array
@@ -339,61 +403,103 @@ class Prefix:
     ``values`` without raising.
 
     ``period`` is None or a pair (t, q) such that ``values[k + q]`` equals
-    ``values[k]`` bit for bit for every k >= t; it is checked here, before
-    the bound.  Every term of such a prefix repeats one of its first
-    min(N, t + q), ``head``, so ``span``, the (min, max) of the values that
-    the bound check finds (None for an empty prefix), and ``index`` are
-    read from the head alone, the counts scaled by the split
-    N - t = f * q + r into whole periods and a partial one.
+    ``values[k]`` bit for bit for every k >= t.  Every term of such a prefix
+    repeats one of its first min(N, t + q), ``head`` (all N terms when there
+    is no period), so ``span``, the (min, max) of the values that the bound
+    check finds (None for an empty prefix), ``index``, ``last`` and
+    ``last_index`` are read from the head alone, the counts scaled by the
+    split N - t = f * q + r into whole periods and a partial one.  ``top``
+    marks the head's terms equal to its max when the prefix takes at most
+    two distinct values, else it is None; the same pass over the head finds
+    it and ``span``.
+
+    Given its values, a prefix checks the period over all of them, before
+    the bound.  ``materialize`` of a spec with a period and more than t + q
+    terms evaluates only the head and the last period, x(N - q + 1..N),
+    which must repeat the head's bit for bit; ``values`` is then evaluated
+    on first read, by the same evaluator, and checked over every term.
     """
 
-    values: np.ndarray
     horizon: int
     bound: float
-    period: tuple[int, int] | None = None
-    span: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
+    period: tuple[int, int] | None
+    head: np.ndarray = field(repr=False)
+    span: tuple[float, float] | None = field(repr=False)
+    top: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).view()
-        if vals.ndim != 1 or vals.size != self.horizon:
+    def __init__(self, values, horizon: int, bound: float, period: tuple[int, int] | None = None):
+        vals = np.asarray(values, dtype=np.float64).view()
+        if vals.ndim != 1 or vals.size != horizon:
             raise InvalidSpecError("prefix length must equal its horizon")
-        if not math.isfinite(self.bound):
-            raise InvalidSpecError(f"prefix bound must be finite, got {self.bound!r}")
-        if self.period is not None:
-            t, q = self.period
-            t, q = whole(t, "period start", low=0), whole(q, "period")
-            # int64 views compare bits, so -0.0 differs from 0.0, and a NaN
-            # or out-of-bound term past the head repeats one in it.
-            tail = vals[t:].view(np.int64)
-            if tail.size > q and not np.array_equal(tail[q:], tail[:-q]):
-                raise InvalidSpecError(f"prefix values do not repeat with period {q} after term {t}")
-            object.__setattr__(self, "period", (t, q))
+        if period is not None:
+            t, q = period
+            period = whole(t, "period start", low=0), whole(q, "period")
+            _check_period(vals, *period)
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if vals.size:
-            lo, hi = self.head.min(), self.head.max()
-            # Negated so that NaN, which fails every comparison, is rejected too.
-            if not (hi <= self.bound and lo >= -self.bound):
-                raise InvalidSpecError("prefix values must be finite and within the certified bound")
-            object.__setattr__(self, "span", (lo, hi))
+        # Stored where the ``values`` cached_property looks first, so it is
+        # never evaluated.
+        self.__dict__["values"] = vals
+        self._settle(vals if period is None else vals[: sum(period)], horizon, bound, period)
+
+    @classmethod
+    def _from_head(cls, f, horizon: int, bound: float, period: tuple[int, int]) -> "Prefix":
+        """The prefix x(1..horizon) of ``f``, an ``_evaluator`` result, that
+        repeats with ``period`` (t, q) past its head (t + q < horizon)."""
+        t, q = period
+        head = _terms(f, 1, t + q + 1)
+        # x(N - q + 1..N) is the head's period rotated to start at its term
+        # (N - t) mod q.
+        last = np.roll(head[t:], -((horizon - t) % q))
+        if not np.array_equal(
+            _terms(f, horizon - q + 1, horizon + 1).view(np.int64), last.view(np.int64)
+        ):
+            raise _period_error(t, q)
+        p = cls.__new__(cls)
+        p.__dict__["_evaluate"] = f
+        p._settle(head, horizon, bound, period)
+        return p
+
+    def _settle(self, head: np.ndarray, horizon: int, bound: float, period) -> None:
+        if not math.isfinite(bound):
+            raise InvalidSpecError(f"prefix bound must be finite, got {bound!r}")
+        head.flags.writeable = False
+        span, top = _scan(head)
+        # Negated so that NaN, which fails every comparison, is rejected too.
+        if span is not None and not (span[1] <= bound and span[0] >= -bound):
+            raise InvalidSpecError("prefix values must be finite and within the certified bound")
+        self.__dict__.update(horizon=horizon, bound=bound, period=period, head=head, span=span, top=top)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """x(1..N), read-only; evaluated here, on first read, only for a
+        prefix ``materialize`` built from its head, and by the same chunks
+        as a prefix without a period."""
+        vals = _terms(self._evaluate, 1, self.horizon + 1)
+        _check_period(vals, *self.period)
+        vals.flags.writeable = False
+        return vals
 
     @property
-    def head(self) -> np.ndarray:
-        """The terms every other term repeats: the first min(N, t + q) of a
-        prefix with a period (t, q), else all of them."""
-        return self.values if self.period is None else self.values[: sum(self.period)]
+    def last(self) -> float:
+        """x(N), read from the head: past the transient t, x(N) repeats
+        x(t + 1 + (N - 1 - t) mod q)."""
+        k = self.horizon - 1
+        if k >= self.head.size:
+            t, q = self.period
+            k = t + (k - t) % q
+        return self.head[k]
 
     def _tally(self, uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The terms at each of ``uniq`` among all N, from ``counts``, those
         among the head.  Past the transient t, the N - t terms are f whole
         periods and the first r terms of one more (N - t = f * q + r), and
         the head holds one period."""
-        if self.period is None or self.horizon <= sum(self.period):
+        if self.horizon == self.head.size:
             return counts
         t, q = self.period
         f, r = divmod(self.horizon - t, q)
         # A -0.0 term finds the one zero of uniq, as a +0.0 does.
-        at = np.searchsorted(uniq, self.values[t : t + q])
+        at = np.searchsorted(uniq, self.head[t:])
         return (
             counts
             + (f - 1) * np.bincount(at, minlength=uniq.size)
@@ -430,23 +536,15 @@ class Prefix:
         return ValueIndex(uniq, counts)
 
     def _two_values(self) -> tuple[list[float], list[int]] | None:
-        """(values, counts) of a prefix of one or two distinct values, found
-        without a sort, else None.  The scan of the head stops at the first
-        chunk that holds a term other than the min and the max."""
-        v = self.head
-        if not v.size:
+        """(values, counts) of a prefix of one or two distinct values, read
+        from ``span`` and ``top`` without a sort, else None."""
+        if self.top is None:
             return None
         lo, hi = self.span
         if lo == hi:
             return [lo], [self.horizon]
-        top = 0
-        for a in range(0, v.size, _CHUNK):
-            part = v[a : a + _CHUNK]
-            k = np.count_nonzero(part == hi)
-            if k + np.count_nonzero(part == lo) < part.size:
-                return None
-            top += k
-        return [lo, hi], self._tally(np.array([lo, hi]), np.array([v.size - top, top])).tolist()
+        top = np.count_nonzero(self.top)
+        return [lo, hi], self._tally(np.array([lo, hi]), np.array([self.head.size - top, top])).tolist()
 
     @cached_property
     def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
@@ -461,9 +559,10 @@ class Prefix:
         (``starts[0] == 0``): int16 below 2**15 runs, else int32, searched
         ``_CHUNK`` terms at a time so no N-long int64 result is made.  Two
         runs need no search: a term is in the second when it is at least its
-        first value."""
+        first value.  Terms within the head are read from it."""
         edges = self.index.uniq[starts[1:]]
-        values = self.values[first:stop]
+        within = stop is not None and stop <= self.head.size
+        values = (self.head if within else self.values)[first:stop]
         labels = np.empty(values.size, np.int16 if len(starts) < 2**15 else np.int32)
         for a in range(0, values.size, _CHUNK):
             part = values[a : a + _CHUNK]
@@ -474,29 +573,46 @@ class Prefix:
 
     def last_index(self, edge: float, above: bool, first: int = 0) -> int:
         """Index of the last term past index ``first`` that is at least
-        ``edge`` (``above``) or below it (not ``above``), 0 when none is;
-        searched backward ``_CHUNK`` terms at a time, so a term near the end
-        is found in the last chunk."""
-        for end in range(self.horizon, first, -_CHUNK):
-            a = max(end - _CHUNK, first)
-            hit = np.flatnonzero((self.values[a:end] >= edge) == above)
+        ``edge`` (``above``) or below it (not ``above``), 0 when none is.
+
+        Of a prefix longer than its head, the last period, x(N - q + 1..N),
+        holds every value the period takes, so the last such term is there
+        when the period takes one, and else in the transient.  The search
+        runs backward through the head ``_CHUNK`` terms at a time, so a term
+        near its end is found in the last chunk."""
+        end = self.horizon
+        if end > self.head.size:
+            t, q = self.period
+            hit = np.flatnonzero((self.head[t:] >= edge) == above)
+            if hit.size:
+                # The period's term j, x(t + 1 + j), lies at
+                # N - q + 1 + (j - N + t) mod q.
+                k = end - q + 1 + int(((hit - (end - t)) % q).max())
+                return k if k > first else 0
+            end = t
+        for stop in range(end, first, -_CHUNK):
+            a = max(stop - _CHUNK, first)
+            hit = np.flatnonzero((self.head[a:stop] >= edge) == above)
             if hit.size:
                 return a + int(hit[-1]) + 1
         return 0
 
 
 def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
-    """Evaluate x(1..horizon) into a Prefix."""
+    """Evaluate x(1..horizon) into a Prefix.
+
+    A spec whose period (t, q) is shorter than the horizon gets a prefix
+    that evaluates its first t + q terms and its last q, and the rest only
+    when its ``values`` are read."""
     n = whole(horizon, "horizon")
     cap = max_horizon()
     if n > cap:
         raise ResourceLimitError(f"horizon {n} exceeds the cap of {cap}")
     f = _evaluator(spec, n)
-    vals = np.empty(n, dtype=np.float64)
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
-        vals[a:b] = f(a + 1, b + 1)
-    return Prefix(values=vals, horizon=n, bound=spec.bound, period=spec.period())
+    period = spec.period()
+    if period is not None and n > sum(period):
+        return Prefix._from_head(f, n, spec.bound, period)
+    return Prefix(values=_terms(f, 1, n + 1), horizon=n, bound=spec.bound, period=period)
 
 
 def shift(spec: SequenceSpec, k: int) -> SequenceSpec:

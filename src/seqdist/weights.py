@@ -153,9 +153,8 @@ def run_weights(
     runs = list(zip(edges, edges[1:]))
     lengths = schedule.lengths
     # A window of a periodic prefix at an offset t + q or later equals the
-    # window q terms earlier, so the period kernel needs the first t + q.
+    # window q terms earlier, so the period kernel needs only the head.
     period = p.period
-    stop = p.horizon if period is None else min(p.horizon, sum(period))
     ids = [int(j) for j in ids]
     memo = p.run_rows
     todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
@@ -167,11 +166,12 @@ def run_weights(
         missing = tuple(n for n in lengths if n not in rows)
         if missing:
             if len(runs) == 2:
-                above = p.values[:stop] >= p.index.uniq[edges[1]]
+                # Of two values, the larger one's terms are the prefix's top.
+                above = p.top if p.index.uniq.size == 2 else p.head >= p.index.uniq[edges[1]]
                 m = Membership.from_mask(above if j else ~above)
             else:
                 if labels is None:
-                    labels = p.run_labels(starts, stop=stop)
+                    labels = p.run_labels(starts, stop=p.head.size)
                 # A Python-int j keeps the compare in the labels' narrow dtype.
                 m = Membership.from_mask(labels == j)
             if period is None:
@@ -275,8 +275,8 @@ def detect_sublimits(
     A cluster is a sub-limit candidate iff it recurs past index
     (1 - recurrence_window) * N; "recurs late" is the finite-scale stand-in
     for "occurs infinitely often", and values that stop appearing carry
-    weight 0 in the limit anyway.  Of two clusters, the one holding the
-    last term recurs at N and the other's last index is one backward
+    weight 0 in the limit anyway.  Of one or two clusters, the one holding
+    the last term recurs at N and the other's last index is one backward
     search (``Prefix.last_index``); more are labelled over the recurrence
     tail by ``Prefix.run_labels``.
 
@@ -350,11 +350,13 @@ def detect_sublimits(
     # recurrent cluster's last index lies among them.
     tail = int((1.0 - recurrence_window) * p.horizon)
     lasts = np.zeros(starts.size, dtype=np.int64)
-    if starts.size == 2 and tail < p.horizon:
+    if starts.size == 1 and tail < p.horizon:
+        lasts[0] = p.horizon
+    elif starts.size == 2 and tail < p.horizon:
         # The run of the last term ends at N; the other's last term is the
         # last on its side of the second run's first value.
         edge = uniq[starts[1]]
-        top = int(p.values[-1] >= edge)
+        top = int(p.last >= edge)
         lasts[top] = p.horizon
         lasts[1 - top] = p.last_index(edge, not top, tail)
     else:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from seqdist import cli
 from seqdist.cli import main, parse_spec_file, render
 from seqdist.errors import InvalidSpecError
 from seqdist.sequences import MAX_HORIZON_ENV, Prefix, eval_at
@@ -339,3 +340,50 @@ def test_two_valued_analyze_labels_no_term(fixture, capsys, monkeypatch):
     )
     assert code == 0 and err == "" and out
     assert labelled == []
+
+
+def test_main_reuses_one_parser_and_reads_the_cap_on_every_call(capsys, monkeypatch):
+    # An append flag's list must not carry over from one call to the next,
+    # and the horizon cap is read from the environment, not the parser.
+    base = ["weights", "--fixture", "F5", "--horizon", "256", "--format", "jsonl"]
+    two = base + ["--interval", "0:0.5", "--interval", "0.25:0.75"]
+    one = base + ["--interval", "0:0.5"]
+    fresh = []
+    for argv in (two, one):
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert run(capsys, two) == fresh[0] and run(capsys, one) == fresh[1]
+    assert fresh[0][1].count('"record": "weight"') == 2
+    assert fresh[1][1].count('"record": "weight"') == 1
+    assert cli._parser() is cli._parser()
+    monkeypatch.setenv(MAX_HORIZON_ENV, "100")
+    code, out, err = run(capsys, one)
+    assert code == 3 and out == "" and "resource limit" in err
+    monkeypatch.delenv(MAX_HORIZON_ENV)
+    assert run(capsys, one) == fresh[1]
+
+
+def test_periodic_two_valued_analyze_never_fills_the_prefix(capsys, monkeypatch):
+    # Counts, span, index, the last term and last indices of these come
+    # from the first t + q terms and the last period; the float walk of the
+    # transient combo and an interval's mask read every term.
+    filled = []
+    fill = Prefix.values.func
+
+    def spy(self):
+        filled.append(self.horizon)
+        return fill(self)
+
+    monkeypatch.setattr(Prefix.values, "func", spy)
+    big = str(2**21)
+    fixtures = [["--fixture", f] for f in ("F1", "F2", "F3", "F4")]
+    for source in (*fixtures, ["--spec-file", "tests/golden/mixed_zero.spec"]):
+        code, out, err = run(capsys, ["analyze", *source, "--horizon", big, "--format", "jsonl"])
+        assert code == 0 and err == "" and out
+    assert filled == []
+    code, _, _ = run(capsys, ["analyze", "--spec-file", "tests/golden/transient_combo.spec",
+                              "--horizon", "4096", "--format", "jsonl"])
+    assert code == 0 and filled == [4096]
+    code, _, _ = run(capsys, ["weights", "--fixture", "F4", "--horizon", "4096",
+                              "--interval", "0:0.5", "--format", "jsonl"])
+    assert code == 0 and filled == [4096, 4096]

@@ -208,16 +208,19 @@ def test_two_valued_rows_match_float_walk(case):
         ((-0.6699043212455988,), False),
         ((0.7, 0.25), False),
         ((-0.0,), False),
-        ((-0.0, 1.0), False),
-        ((-0.0, 0.0, 1.0), False),
+        ((-0.0, 1.0), True),
+        ((-0.0, 0.0, 1.0), True),
         ((0.0, -0.0, 1.0), True),
         ((0.0, -0.0), True),
         ((1.0, 0.5, 0.25), False),
+        ((-0.0,) * 16 + (1.0,), False),
+        ((-0.0,) * 15 + (1.0,), True),
     ],
 )
 def test_fallback_and_signed_zero_rows(pattern, counted, horizon):
-    # Non-dyadic values, a -0.0 first term and a third value take the float
-    # walk; zeros of both signs after a +0.0 first term read +0.0 rows.
+    # Non-dyadic values, a third value and a first window of 16 (the
+    # shortest here) all -0.0 take the float walk; any other zeros of
+    # either sign read +0.0 rows, as the walk gives them.
     p = materialize(periodic(pattern), horizon)
     sched = WindowSchedule.geometric(horizon)
     assert (lorentz._two_valued_profile(p, sched) is not None) == counted

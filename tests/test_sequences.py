@@ -698,3 +698,102 @@ def test_periodic_prefix_rejects_a_bad_term_in_its_transient_or_period(bad, at):
         values[at :: 3 if at >= 2 else values.size] = bad
     with pytest.raises(InvalidSpecError):
         Prefix(values=values, horizon=values.size, bound=1.0, period=(2, 3))
+
+
+@pytest.mark.parametrize("spec, period, n", [
+    # The head's period [1, 1, 1] holds transient terms: x(6) on is 0.
+    (ones_then_zeros(5), (2, 3), 1000),
+    # Every term but the last repeats the head [1]; only x(N) = 0, in the
+    # far-end period, shows the claim is wrong.
+    (ones_then_zeros(10**5 - 1), (0, 1), 10**5),
+])
+def test_materialize_rejects_a_wrong_period(spec, period, n, monkeypatch):
+    monkeypatch.setattr(type(spec), "period", lambda self: period)
+    with pytest.raises(InvalidSpecError, match="do not repeat"):
+        materialize(spec, n)
+
+
+def test_a_wrong_period_between_the_head_and_the_far_end_fails_the_fill(monkeypatch):
+    # Head [1, 0] and far end [1, 0] agree with period 2; x(6) = 1 does not.
+    # Nothing read from the head sees it, and filling the values checks it.
+    spec = table([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+    monkeypatch.setattr(type(spec), "period", lambda self: (0, 2))
+    p = materialize(spec, 10)
+    assert p.head.tolist() == [1.0, 0.0] and p.last == 0.0
+    with pytest.raises(InvalidSpecError, match="do not repeat"):
+        p.values
+
+
+@pytest.mark.parametrize("at", [_CHUNK + 4, 2 * _CHUNK - 1, 2 * _CHUNK, -1])
+def test_period_check_reads_every_chunk_bit_for_bit(at):
+    # One 0.0 past the first chunk turned to -0.0 breaks the period 3.
+    values = np.resize([1.0, 0.0, 0.0], 2 * _CHUNK + 6)
+    assert values[at] == 0.0
+    values[at] = -0.0
+    with pytest.raises(InvalidSpecError, match="do not repeat"):
+        Prefix(values=values, horizon=values.size, bound=1.0, period=(0, 3))
+
+
+@given(periodic_specs(), st.sampled_from(["below", "at", "past"]), st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_a_prefix_read_from_its_head_matches_its_filled_terms(spec, where, extra):
+    # span, index, the last term and last_index of a materialized periodic
+    # prefix come from its head and its last period; a prefix of the same
+    # terms given in full, with no period, reads every term.
+    t, q = spec.period()
+    n = {"below": max(1, t + q - 1 - extra), "at": t + q, "past": t + q + 1 + extra}[where]
+    p = materialize(spec, n)
+    values = np.array(materialize(spec, n).values)
+    full = Prefix(values=values, horizon=n, bound=spec.bound)
+    assert p.span == full.span
+    assert np.float64(p.last).view(np.int64) == values[-1:].view(np.int64)[0]
+    for mine, theirs in zip(p.index, full.index):
+        assert np.array_equal(mine, theirs) and np.array_equal(np.signbit(mine), np.signbit(theirs))
+    edges = np.concatenate([full.index.uniq, full.index.uniq + 0.25])
+    for edge in edges:
+        for above in (False, True):
+            for first in {0, t, n // 2, n - 1}:
+                assert p.last_index(edge, above, first) == full.last_index(edge, above, first)
+    if n > t + q:
+        assert "values" not in vars(p)
+
+
+@st.composite
+def chunk_layout_case(draw):
+    """Terms of up to four chunks (the last one partial), each all the
+    smaller value, all the larger, both, or those and a third value."""
+    lo, hi = sorted(draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=2,
+                                  max_size=2, unique_by=lambda v: (v, math.copysign(1, v)))))
+    kinds = draw(st.lists(st.sampled_from(["lo", "hi", "both", "third"]), min_size=1, max_size=4))
+    parts = []
+    for k, kind in enumerate(kinds):
+        size = _CHUNK if k < len(kinds) - 1 else draw(st.integers(1, _CHUNK))
+        part = {"lo": [lo], "hi": [hi], "both": [lo, hi], "third": [lo, 0.25, hi]}[kind]
+        parts.append(np.resize(part, size))
+    return np.concatenate(parts)
+
+
+@given(chunk_layout_case())
+@settings(max_examples=60, deadline=None)
+def test_one_scan_finds_the_span_and_the_larger_values_terms(values):
+    p = Prefix(values=values, horizon=values.size, bound=1.0)
+    assert p.span == (values.min(), values.max())
+    if np.unique(values).size <= 2:
+        assert np.array_equal(p.top, values == values.max())
+    else:
+        assert p.top is None
+
+
+def test_scan_of_many_values_compares_only_the_first_chunk(monkeypatch):
+    # F5's first chunk holds a third value, so its other chunks are only
+    # reduced to their min and max, and its index then needs a sort.
+    sizes = []
+    count = np.count_nonzero
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return count(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    p = materialize(fixture("F5"), 4 * _CHUNK)
+    assert p.top is None and p._two_values() is None and sizes == [_CHUNK, _CHUNK]
