@@ -406,12 +406,12 @@ class Prefix:
     ``values[k]`` bit for bit for every k >= t.  Every term of such a prefix
     repeats one of its first min(N, t + q), ``head`` (all N terms when there
     is no period), so ``span``, the (min, max) of the values that the bound
-    check finds (None for an empty prefix), ``index``, ``last`` and
-    ``last_index`` are read from the head alone, the counts scaled by the
-    split N - t = f * q + r into whole periods and a partial one.  ``top``
+    check finds (None for an empty prefix), ``index`` and ``last_indices``
+    are read from the head alone, the counts scaled by the split
+    N - t = f * q + r into whole periods and a partial one.  ``top``
     marks the head's terms equal to its max when the prefix takes at most
     two distinct values, else it is None; the same pass over the head finds
-    it and ``span``.
+    it and ``span``, and ``index`` then needs no sort.
 
     Given its values, a prefix checks the period over all of them, before
     the bound.  ``materialize`` of a spec with a period and more than t + q
@@ -479,16 +479,6 @@ class Prefix:
         vals.flags.writeable = False
         return vals
 
-    @property
-    def last(self) -> float:
-        """x(N), read from the head: past the transient t, x(N) repeats
-        x(t + 1 + (N - 1 - t) mod q)."""
-        k = self.horizon - 1
-        if k >= self.head.size:
-            t, q = self.period
-            k = t + (k - t) % q
-        return self.head[k]
-
     def _tally(self, uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The terms at each of ``uniq`` among all N, from ``counts``, those
         among the head.  Past the transient t, the N - t terms are f whole
@@ -509,10 +499,13 @@ class Prefix:
     @cached_property
     def index(self) -> ValueIndex:
         v = self.head
-        dtype = np.int32 if self.horizon < 2**31 else np.int64
-        two = self._two_values()
-        if two is not None:
-            uniq, counts = np.array(two[0]), np.array(two[1], dtype=dtype)
+        if self.top is not None:
+            # One or two values need no sort: they are the span, and the
+            # larger one's terms are ``top``.
+            lo, hi = self.span
+            uniq = np.array([lo] if lo == hi else [lo, hi])
+            top = np.count_nonzero(self.top)
+            counts = np.array([v.size - top, top][-uniq.size :])
         else:
             # np.unique's steps, each N-long temporary freed once it is spent.
             srt = np.sort(v)
@@ -525,7 +518,8 @@ class Prefix:
             del first
             np.subtract(counts[1:], counts[:-1], out=counts[:-1])
             counts[-1:] = v.size - counts[-1:]
-            counts = self._tally(uniq, counts).astype(dtype, copy=False)
+        dtype = np.int32 if self.horizon < 2**31 else np.int64
+        counts = self._tally(uniq, counts).astype(dtype, copy=False)
         # The sort, min or max may pick a -0.0 term among the zeros.
         z = int(np.searchsorted(uniq, 0.0))
         if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
@@ -534,17 +528,6 @@ class Prefix:
         for a in (uniq, counts):
             a.flags.writeable = False
         return ValueIndex(uniq, counts)
-
-    def _two_values(self) -> tuple[list[float], list[int]] | None:
-        """(values, counts) of a prefix of one or two distinct values, read
-        from ``span`` and ``top`` without a sort, else None."""
-        if self.top is None:
-            return None
-        lo, hi = self.span
-        if lo == hi:
-            return [lo], [self.horizon]
-        top = np.count_nonzero(self.top)
-        return [lo, hi], self._tally(np.array([lo, hi]), np.array([self.head.size - top, top])).tolist()
 
     @cached_property
     def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
@@ -571,31 +554,34 @@ class Prefix:
             )
         return labels
 
-    def last_index(self, edge: float, above: bool, first: int = 0) -> int:
-        """Index of the last term past index ``first`` that is at least
-        ``edge`` (``above``) or below it (not ``above``), 0 when none is.
+    def last_indices(self, starts: np.ndarray, first: int = 0) -> np.ndarray:
+        """1-based index of the last term past index ``first`` of every run
+        of ``index.uniq`` (runs as in ``run_labels``), 0 for a run with no
+        term there, as int64.
 
         Of a prefix longer than its head, the last period, x(N - q + 1..N),
-        holds every value the period takes, so the last such term is there
-        when the period takes one, and else in the transient.  The search
-        runs backward through the head ``_CHUNK`` terms at a time, so a term
-        near its end is found in the last chunk."""
+        holds every value the period takes, so a run's last term is there
+        when the period takes one of its values, and else in the
+        transient.  Any other search runs backward from the end through
+        the head, in steps that double from ``_CHUNK // 64`` terms to
+        ``_CHUNK``, so runs that recur near the end are found in a short
+        first step, and stops once every run is found."""
+        lasts = np.zeros(len(starts), dtype=np.int64)
         end = self.horizon
         if end > self.head.size:
             t, q = self.period
-            hit = np.flatnonzero((self.head[t:] >= edge) == above)
-            if hit.size:
-                # The period's term j, x(t + 1 + j), lies at
-                # N - q + 1 + (j - N + t) mod q.
-                k = end - q + 1 + int(((hit - (end - t)) % q).max())
-                return k if k > first else 0
+            # The period's term j, x(t + 1 + j), lies last at
+            # N - q + 1 + (j - N + t) mod q.
+            at = end - q + 1 + (np.arange(q) - (end - t)) % q
+            np.maximum.at(lasts, self.run_labels(starts, t, t + q), at)
+            lasts[lasts <= first] = 0
             end = t
-        for stop in range(end, first, -_CHUNK):
-            a = max(stop - _CHUNK, first)
-            hit = np.flatnonzero((self.head[a:stop] >= edge) == above)
-            if hit.size:
-                return a + int(hit[-1]) + 1
-        return 0
+        step = max(_CHUNK // 64, 1)
+        while end > first and not lasts.all():
+            a = max(end - step, first)
+            np.maximum.at(lasts, self.run_labels(starts, a, end), np.arange(a + 1, end + 1))
+            end, step = a, min(2 * step, _CHUNK)
+        return lasts
 
 
 def materialize(spec: SequenceSpec, horizon: int) -> Prefix:

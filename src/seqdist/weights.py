@@ -275,10 +275,9 @@ def detect_sublimits(
     A cluster is a sub-limit candidate iff it recurs past index
     (1 - recurrence_window) * N; "recurs late" is the finite-scale stand-in
     for "occurs infinitely often", and values that stop appearing carry
-    weight 0 in the limit anyway.  Of one or two clusters, the one holding
-    the last term recurs at N and the other's last index is one backward
-    search (``Prefix.last_index``); more are labelled over the recurrence
-    tail by ``Prefix.run_labels``.
+    weight 0 in the limit anyway.  Every cluster's last index comes from
+    ``Prefix.last_indices``, which reads a periodic prefix from its head
+    and searches any other backward from N until every cluster is found.
 
     Cluster centers are occurrence-weighted means of their member values.
     Each candidate's weight is estimated from the indices of its own members;
@@ -348,19 +347,7 @@ def detect_sublimits(
 
     # Only terms past (1 - recurrence_window) * N decide recurrence, and a
     # recurrent cluster's last index lies among them.
-    tail = int((1.0 - recurrence_window) * p.horizon)
-    lasts = np.zeros(starts.size, dtype=np.int64)
-    if starts.size == 1 and tail < p.horizon:
-        lasts[0] = p.horizon
-    elif starts.size == 2 and tail < p.horizon:
-        # The run of the last term ends at N; the other's last term is the
-        # last on its side of the second run's first value.
-        edge = uniq[starts[1]]
-        top = int(p.last >= edge)
-        lasts[top] = p.horizon
-        lasts[1 - top] = p.last_index(edge, not top, tail)
-    else:
-        np.maximum.at(lasts, p.run_labels(starts, tail), np.arange(tail + 1, p.horizon + 1))
+    lasts = p.last_indices(starts, int((1.0 - recurrence_window) * p.horizon))
     recurrent = by_center[lasts[by_center] > 0]
     weights = run_weights(p, starts, recurrent, sched, tolerances)
     clusters = tuple(

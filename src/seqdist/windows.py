@@ -18,14 +18,14 @@ Counts come from one of four exact kernels.  ``density_profile`` chooses
 among the first three from the mask itself; ``period_profile`` is the
 fourth, for a prefix known to repeat:
 
-* **Prefix sums** (every window mean, and masks whose members and
-  non-members each exceed ``SPARSE_SHARE`` of the terms and whose value
-  changes more than N // ``CHANGE_SPACING`` times): one prefix-sum
-  array per input, each window sum one subtraction, so O(N) per window
-  length and O(N log N) for a geometric schedule.  The offsets are walked
-  in blocks of ``_BLOCK``, every window length per block, into reused
-  block-sized buffers: a block of the prefix sums is read from cache by all
-  the lengths, and no length makes an N-length temporary.  Window means
+* **Prefix sums** (every window mean, and masks whose members exceed
+  ``SPARSE_SHARE`` of the terms and whose value changes more than
+  N // ``CHANGE_SPACING`` times): one prefix-sum array per input, each
+  window sum one subtraction, so O(N) per window length and O(N log N)
+  for a geometric schedule.  The offsets are walked in blocks of
+  ``_BLOCK``, every window length per block, into reused block-sized
+  buffers: a block of the prefix sums is read from cache by all the
+  lengths, and no length makes an N-length temporary.  Window means
   come from a float64 cumsum.  A mask is counted in 16-bit lanes: its
   prefix count is kept mod 2**16 as uint16, built eight terms per uint64
   word with no N-long cumsum, and the walk makes no int32 or int64 array
@@ -41,9 +41,7 @@ fourth, for a prefix known to repeat:
   the end) has room for a whole window.  Both tests are monotone in d (m)
   and each costs one O(c) pass, so a row is found by galloping from a seed
   and bisecting: O(c log n) per row after one O(N) scan, and a seed taken
-  from the previous row usually settles it in a few passes.  A mask with at
-  most ``SPARSE_SHARE`` of the terms as non-members is counted from the gaps
-  of its complement: a window holding k non-members holds n - k members.
+  from the previous row usually settles it in a few passes.
 * **Run starts** (any other mask whose value changes at most
   N // ``CHANGE_SPACING`` times): some extreme window starts at a run start
   or at the last offset, so each row reads the count at those R offsets,
@@ -151,8 +149,8 @@ class WindowSchedule:
         return cls(tuple(lengths))
 
 
-# A mask with at most this share of its terms as members (or as non-members)
-# is counted from the gaps between them; any other mask from prefix counts.
+# A mask with at most this share of its terms as members is counted from the
+# gaps between them; any other mask from its run starts or prefix counts.
 # Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 5
 # to 9, interleaved, 2 cores, shared host), gaps against walk: at share 1/8,
 # 17-33 against 17-23 ms (F5 region [0, 1/8)), 10-21 against 19-25 ms (F7
@@ -163,12 +161,10 @@ class WindowSchedule:
 # against 16-25 ms, since each probe is an O(c) pass and more probes are
 # needed the further the previous row's seed misses.  The faster walk moved
 # the crossover of random bits down to about 1/16, but not that of the
-# structured masks the estimators make, so the share stays at 1/8.  F1's
-# zero label (all but 3 of 2**21 terms) takes 0.9 ms from its complement's
-# gaps against 26 ms by the older int32 walk.
+# structured masks the estimators make, so the share stays at 1/8.
 SPARSE_SHARE = 0.125
 
-# A mask that takes neither gap kernel, and changes value at most
+# A mask that does not take the gap kernel, and changes value at most
 # horizon // CHANGE_SPACING times, is counted from its run starts; any other
 # from the count walk.  Measured at N = 2**21 over 16 rows (alternating runs
 # of random lengths, min of 7, 2 cores), run starts against the walk: 1.6
@@ -518,22 +514,17 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     """One count-extrema row per scheduled window length.
 
     A mask with at most ``SPARSE_SHARE`` of its terms as members is counted
-    from the gaps between its members, one with at most that share as
-    non-members from the gaps between its non-members.  Any other mask is
-    counted from its run starts when its value changes at most
-    N // ``CHANGE_SPACING`` times, else from one shared prefix-sum array.
+    from the gaps between its members.  Any other mask is counted from its
+    run starts when its value changes at most N // ``CHANGE_SPACING``
+    times, else from one shared prefix-sum array.
     The kernels are exact, so the rows do not depend on the choice.
     The schedule is walked serially: the gap kernel seeds each row's search
     from the row before it.
     """
     lengths = schedule.lengths
     schedule.validate_for(m.horizon)
-    count = m.count()
-    if count <= SPARSE_SHARE * m.horizon:
+    if m.count() <= SPARSE_SHARE * m.horizon:
         extrema = _gap_extrema(m.bits, lengths)
-    elif m.horizon - count <= SPARSE_SHARE * m.horizon:
-        # A window holds n terms, so it holds n minus its non-members.
-        extrema = ((n, n - hi, n - lo) for n, lo, hi in _gap_extrema(~m.bits, lengths))
     else:
         starts = _run_starts(m.bits, m.horizon // CHANGE_SPACING)
         if starts is None:

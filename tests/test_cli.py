@@ -322,24 +322,26 @@ def test_a_large_bound_builds_no_partition_points(capsys, tmp_path):
     assert peaks[0] <= peaks[1] + 10 * 2**20
 
 
-@pytest.mark.parametrize("fixture", ["F1", "F4", "F6"])
-def test_two_valued_analyze_labels_no_term(fixture, capsys, monkeypatch):
-    # Two values make two runs everywhere: the counted run's mask is one
-    # compare with the larger value, and the other cluster's last index one
-    # backward search, so no term is labelled.
+@pytest.mark.parametrize("fixture, size", [("F1", 1), ("F4", 3), ("F6", 1024)])
+def test_two_valued_analyze_labels_only_the_last_terms(fixture, size, capsys, monkeypatch):
+    # Two values make two runs everywhere, and the counted run's mask is one
+    # compare with the larger value.  Only the last indices label terms:
+    # the one period of F1 and F4, and F6's first backward step, which
+    # holds both values.
     labelled = []
     run_labels = Prefix.run_labels
 
     def spy(self, *args, **kwargs):
-        labelled.append(args)
-        return run_labels(self, *args, **kwargs)
+        labels = run_labels(self, *args, **kwargs)
+        labelled.append(labels.size)
+        return labels
 
     monkeypatch.setattr(Prefix, "run_labels", spy)
     code, out, err = run(
         capsys, ["analyze", "--fixture", fixture, "--horizon", str(2**21), "--format", "jsonl"]
     )
     assert code == 0 and err == "" and out
-    assert labelled == []
+    assert labelled == [size]
 
 
 def test_main_reuses_one_parser_and_reads_the_cap_on_every_call(capsys, monkeypatch):
@@ -364,8 +366,8 @@ def test_main_reuses_one_parser_and_reads_the_cap_on_every_call(capsys, monkeypa
 
 
 def test_periodic_two_valued_analyze_never_fills_the_prefix(capsys, monkeypatch):
-    # Counts, span, index, the last term and last indices of these come
-    # from the first t + q terms and the last period; the float walk of the
+    # Counts, span, index and last indices of these come from the first
+    # t + q terms and the last period; the float walk of the
     # transient combo and an interval's mask read every term.
     filled = []
     fill = Prefix.values.func

@@ -447,6 +447,21 @@ def assert_index_matches(p):
     assert p.index is p.index
 
 
+def index_calls(p):
+    """Build ``p.index`` and return the sizes of the arrays it passed to
+    ``np.sort`` and to ``np.count_nonzero``."""
+    calls = {"sort": [], "count_nonzero": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, sizes in calls.items():
+            def spy(a, *args, real=getattr(np, name), sizes=sizes, **kwargs):
+                sizes.append(np.size(a))
+                return real(a, *args, **kwargs)
+
+            mp.setattr(np, name, spy)
+        p.index
+    return calls
+
+
 @given(index_case())
 @settings(max_examples=200, deadline=None)
 def test_value_index_matches_unique(case):
@@ -480,7 +495,8 @@ def few_valued_case(draw):
 def test_value_index_of_two_values_needs_no_sort(case):
     values, bound = case
     p = Prefix(values=values, horizon=values.size, bound=bound)
-    assert p._two_values() is not None
+    # The larger value's terms are counted once, from the scan's mask.
+    assert index_calls(p) == {"sort": [], "count_nonzero": [values.size]}
     assert_index_matches(p)
 
 
@@ -493,7 +509,7 @@ def test_value_index_with_a_third_value_in_the_last_chunk(n, middle, at):
     values = np.resize([-1.0, 1.0, 1.0], n)
     values[(n - 1) // _CHUNK * _CHUNK if at == "chunk" else at] = middle
     p = Prefix(values=values, horizon=n, bound=1.0)
-    assert p._two_values() is None
+    assert index_calls(p) == {"sort": [n], "count_nonzero": []}
     assert_index_matches(p)
 
 
@@ -677,12 +693,11 @@ def test_span_and_index_of_a_periodic_prefix_match_all_terms(case):
     p = Prefix(values=values, horizon=values.size, bound=1.0, period=period)
     assert p.head.size == min(values.size, sum(period))
     assert p.span == (values.min(), values.max())
-    uniq, counts = unique_oracle(values)
-    two = p._two_values()
-    if uniq.size <= 2:
-        assert two[0] == uniq.tolist() and two[1] == counts.tolist()
-    else:
-        assert two is None
+    uniq, _ = unique_oracle(values)
+    # One or two values are read from the head's scan; more sort the head.
+    calls = index_calls(p)
+    assert calls["sort"] == ([] if uniq.size <= 2 else [p.head.size])
+    assert calls["count_nonzero"] == ([p.head.size] if uniq.size <= 2 else [])
     assert_index_matches(p)
 
 
@@ -719,7 +734,8 @@ def test_a_wrong_period_between_the_head_and_the_far_end_fails_the_fill(monkeypa
     spec = table([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0])
     monkeypatch.setattr(type(spec), "period", lambda self: (0, 2))
     p = materialize(spec, 10)
-    assert p.head.tolist() == [1.0, 0.0] and p.last == 0.0
+    assert p.head.tolist() == [1.0, 0.0] and p.span == (0.0, 1.0)
+    assert p.last_indices(np.array([0, 1])).tolist() == [10, 9]
     with pytest.raises(InvalidSpecError, match="do not repeat"):
         p.values
 
@@ -734,26 +750,32 @@ def test_period_check_reads_every_chunk_bit_for_bit(at):
         Prefix(values=values, horizon=values.size, bound=1.0, period=(0, 3))
 
 
-@given(periodic_specs(), st.sampled_from(["below", "at", "past"]), st.integers(0, 40))
+@given(
+    periodic_specs(),
+    st.sampled_from(["below", "at", "past"]),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
 @settings(max_examples=200, deadline=None)
-def test_a_prefix_read_from_its_head_matches_its_filled_terms(spec, where, extra):
-    # span, index, the last term and last_index of a materialized periodic
-    # prefix come from its head and its last period; a prefix of the same
-    # terms given in full, with no period, reads every term.
+def test_a_prefix_read_from_its_head_matches_its_filled_terms(spec, where, extra, seed):
+    # span, index and last_indices of a materialized periodic prefix come
+    # from its head and its last period; a prefix of the same terms given
+    # in full, with no period, reads every term.
     t, q = spec.period()
     n = {"below": max(1, t + q - 1 - extra), "at": t + q, "past": t + q + 1 + extra}[where]
     p = materialize(spec, n)
     values = np.array(materialize(spec, n).values)
     full = Prefix(values=values, horizon=n, bound=spec.bound)
     assert p.span == full.span
-    assert np.float64(p.last).view(np.int64) == values[-1:].view(np.int64)[0]
     for mine, theirs in zip(p.index, full.index):
         assert np.array_equal(mine, theirs) and np.array_equal(np.signbit(mine), np.signbit(theirs))
-    edges = np.concatenate([full.index.uniq, full.index.uniq + 0.25])
-    for edge in edges:
-        for above in (False, True):
-            for first in {0, t, n // 2, n - 1}:
-                assert p.last_index(edge, above, first) == full.last_index(edge, above, first)
+    rng = np.random.default_rng(seed)
+    k = full.index.uniq.size
+    for _ in range(3):
+        cuts = rng.choice(np.arange(1, k), rng.integers(0, k), replace=False)
+        starts = np.array([0, *np.sort(cuts)])
+        for first in {0, t, n // 2, n - 1}:
+            assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
     if n > t + q:
         assert "values" not in vars(p)
 
@@ -796,4 +818,5 @@ def test_scan_of_many_values_compares_only_the_first_chunk(monkeypatch):
 
     monkeypatch.setattr(np, "count_nonzero", spy)
     p = materialize(fixture("F5"), 4 * _CHUNK)
-    assert p.top is None and p._two_values() is None and sizes == [_CHUNK, _CHUNK]
+    assert p.top is None and sizes == [_CHUNK, _CHUNK]
+    assert index_calls(p) == {"sort": [4 * _CHUNK], "count_nonzero": []}

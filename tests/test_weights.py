@@ -22,6 +22,7 @@ from seqdist import (
     interval_about,
     materialize,
     naive_count_extrema,
+    periodic,
     run_weights,
     set_weight,
     sublimit_weight,
@@ -381,19 +382,46 @@ def test_run_weights_match_oracle(case):
         assert rows == {n: naive_count_extrema(m, n) for n in rows}
 
 
+@st.composite
+def few_cluster_values(draw):
+    """Up to 300 terms of 1 to 4 values half apart, each its own cluster at
+    epsilon 1/4."""
+    grid = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=1, max_size=4, unique=True))
+    return draw(st.lists(st.sampled_from(grid), min_size=1, max_size=300))
+
+
 @given(
-    st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=300),
+    few_cluster_values(),
     st.sampled_from([0.01, 0.25, 0.5, 1.0]),
     st.sampled_from([7, 64, _CHUNK]),
 )
 @settings(max_examples=150, deadline=None)
 def test_last_index_of_two_clusters_matches_docstring_clustering(values, window, chunk):
-    # The other cluster's last term is searched backward a chunk at a time.
-    p = Prefix(values=np.array(values), horizon=len(values), bound=1.0)
+    # Of two clusters and of one, three or four: each cluster's last term
+    # is searched backward, in steps that double up to a chunk, until every
+    # cluster is found.
+    p = Prefix(values=np.array(values), horizon=len(values), bound=2.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "_CHUNK", chunk)
         rep = detect_sublimits(p, 0.25, recurrence_window=window, schedule=WindowSchedule((1,)))
     assert cluster_rows(rep) == docstring_clusters(values, 0.25, window)
+
+
+def test_three_clusters_of_a_periodic_prefix_leave_it_unfilled(monkeypatch):
+    # Each cluster's last index lies in the last period, read from the head:
+    # N = 2 mod 3, so x(N) = 0.5.
+    filled = []
+    fill = Prefix.values.func
+
+    def spy(self):
+        filled.append(self.horizon)
+        return fill(self)
+
+    monkeypatch.setattr(Prefix.values, "func", spy)
+    n = 2**21
+    rep = detect_sublimits(materialize(periodic((0.0, 0.5, 1.0)), n), 0.1)
+    assert [c.last_index for c in rep.clusters] == [n - 1, n, n - 2]
+    assert filled == []
 
 
 @pytest.mark.parametrize("name, masks", [("F4", 1), ("F6", 1), ("F1", 1), ("F7", None), ("F5", None)])

@@ -208,8 +208,9 @@ def blocked_count_case(draw):
     """A mask, block and row-group sizes and a block-edge schedule for the count walk.
 
     Besides masks of any share, non-member counts sit just below, at and
-    just above ``SPARSE_SHARE`` of the horizon, so near-full masks fall on
-    both sides of the complement rule, and the full mask is drawn too.
+    just above ``SPARSE_SHARE`` of the horizon, and the full mask is drawn
+    too; like any mask above that share, a near-full one is counted from
+    its run starts or by the walk.
     """
     block = draw(st.sampled_from(BLOCKS))
     group = draw(st.sampled_from((1, 2, 16)))
