@@ -19,8 +19,9 @@ file holding one sequence as flat ``key = value`` lines, e.g.::
     pattern = 1, 0, 0     #     affine-combo + coefficients + children, ...
 
 Lists are comma-separated; ``#`` starts a comment; an optional ``bound``
-line may widen (never narrow) the certified bound; affine children are
-fixture names.  Exit codes: 0 success, 2 usage or parse error, 3 resource
+line may widen (never narrow) the certified bound, and an optional ``shift``
+line translates the sequence (term n becomes term n + shift); affine
+children are fixture names.  Exit codes: 0 success, 2 usage or parse error, 3 resource
 limit.  Machine formats (jsonl, csv) are deterministic for a fixed
 configuration and carry a schema field; every density decimal travels with
 its exact (count, n) pair.
@@ -51,6 +52,7 @@ from .sequences import (
     ones_then_zeros,
     periodic,
     rotation,
+    shift,
     table,
 )
 from .weights import DEFAULT_TOLERANCES, Tolerances
@@ -90,6 +92,7 @@ def parse_spec_file(text: str) -> SequenceSpec:
         raise InvalidSpecError("spec file must declare a kind")
     kind = fields.pop("kind")
     declared_bound = fields.pop("bound", None)
+    declared_shift = fields.pop("shift", None)
 
     def floats(key: str) -> list[float]:
         raw = fields.pop(key, None)
@@ -134,6 +137,11 @@ def parse_spec_file(text: str) -> SequenceSpec:
         raise InvalidSpecError(f"unknown kind {kind!r}")
     if fields:
         raise InvalidSpecError(f"unrecognized keys: {sorted(fields)}")
+    if declared_shift is not None:
+        try:
+            spec = shift(spec, int(declared_shift))
+        except ValueError as exc:
+            raise InvalidSpecError(f"could not parse shift: {declared_shift!r}") from exc
     if declared_bound is not None:
         try:
             explicit = float(declared_bound)

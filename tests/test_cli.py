@@ -213,6 +213,11 @@ def test_spec_file_grammar():
     assert eval_at(spec, 2) == 0.75
     spec = parse_spec_file("kind = table\nvalues = 1, 2, 3\nbound = 5\n")
     assert spec.bound == 5.0
+    spec = parse_spec_file("kind = doubling-blocks\nshift = 5\n")
+    assert spec.shift == 5 and [eval_at(spec, n) for n in (1, 2, 3, 4)] == [0.0, 0.0, 1.0, 1.0]
+    for bad in ("-1", "1.5"):
+        with pytest.raises(InvalidSpecError):
+            parse_spec_file(f"kind = doubling-blocks\nshift = {bad}\n")
     with pytest.raises(InvalidSpecError):
         parse_spec_file("pattern = 1\n")  # no kind
     with pytest.raises(InvalidSpecError):

@@ -63,6 +63,12 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/long_transient.spec", "--horizon", "65536",
         "--format", "jsonl",
     ],
+    # Doubling blocks shifted by 5: no period, and runs that start off the
+    # powers of two.
+    "analyze_shifted_doubling.jsonl": [
+        "analyze", "--spec-file", "tests/golden/shifted_doubling.spec", "--horizon", "65536",
+        "--format", "jsonl",
+    ],
 }
 
 
