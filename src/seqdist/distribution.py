@@ -39,10 +39,10 @@ from .weights import (
     DEFAULT_TOLERANCES,
     Tolerances,
     WeightEstimate,
+    head_weight,
     run_weights,
-    weight_from_membership,
 )
-from .windows import Membership, WindowSchedule
+from .windows import WindowSchedule
 
 # Verdicts shared across estimation paths.
 ALMOST_CONVERGENT = "almost-convergent"
@@ -221,11 +221,12 @@ def set_weight(
 
     The gap field is the uniformity diagnostic: a small gap across the tail
     rows is consistent with the windowed density of the region converging
-    uniformly in the offset.  An empty region yields exactly (0, 0).
+    uniformly in the offset.  An empty region yields exactly (0, 0).  The
+    region's mask is taken over ``p.head`` and counted by ``head_weight``,
+    so a prefix read from its head is not filled.
     """
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
-    m = Membership.from_mask(region.contains(p.values))
-    return weight_from_membership(m, sched, tolerances)
+    return head_weight(p, region.contains(p.head), sched, tolerances)
 
 
 def _group_bounds(uniq: np.ndarray, tol: float) -> np.ndarray:

@@ -137,6 +137,34 @@ class SequenceSpec:
             return max(t for t, _ in found), math.lcm(*(q for _, q in found))
         return None
 
+    def breaks(self, last: int) -> list[int] | None:
+        """The sorted positions b in [2, last] where x(b) may differ from
+        x(b - 1), or None when they are not known.
+
+        Between two breaks the value is one float, bit for bit.
+        Ones-then-zeros changes once, at n0 + 1 - shift, and doubling blocks
+        at every power of two, less the shift.  An affine combination
+        changes only where a child does, so its breaks are the union of its
+        children's, each child's shift added to its own.  Periodic specs,
+        rotations, the dyadic harmonic and tables have none.
+        """
+        k = self.shift
+        if self.kind == "ones-then-zeros":
+            b = self.n0 + 1 - k
+            return [b] if 2 <= b <= last else []
+        if self.kind == "doubling-blocks":
+            # The powers 2**t with k + 2 <= 2**t <= last + k.
+            return [2**t - k for t in range((k + 1).bit_length(), (last + k).bit_length())]
+        if self.kind == "affine-combo":
+            found = [
+                dataclasses.replace(child, shift=child.shift + k).breaks(last)
+                for _, child in self.terms
+            ]
+            if None in found:
+                return None
+            return sorted(set().union(*found))
+        return None
+
 
 def _finite_reals(values, what: str) -> tuple[float, ...]:
     out = []
@@ -235,17 +263,21 @@ _CHUNK = 1 << 16
 
 def _evaluator(spec: SequenceSpec, last: int):
     """Check ``spec`` up to the 1-based position ``last`` and return the
-    function ``f(first, stop)`` that evaluates it on the positions
-    ``first, ..., stop - 1`` (``1 <= first <= stop <= last + 1``).
+    function ``f(first, stop, out=None)`` that evaluates it on the positions
+    ``first, ..., stop - 1`` (``1 <= first <= stop <= last + 1``) into
+    ``out``, a float64 array of ``stop - first`` terms (a new one when
+    None), and returns ``out``.
 
     The per-spec work (the 2**63 limit, a table's length, converting a
     pattern or table to an array) is done here once, for the last position.
-    materialize calls the result on consecutive chunks and eval_at on a
-    range of one position, so the two agree bit for bit.  A periodic range
-    is a slice of one block of the tiled pattern, tiled again only for a
-    range longer than any before, so materialize tiles once; ones-then-zeros,
-    doubling blocks and the dyadic harmonic are slice and strided fills between
-    Python-int edges, so no position is rounded to a float.
+    materialize calls the result on consecutive chunks of the prefix and
+    eval_at on a range of one position, so the two agree bit for bit.  A
+    periodic range is copied from one block of the tiled pattern, tiled
+    again only for a range longer than any before, so materialize tiles
+    once; ones-then-zeros, doubling blocks and the dyadic harmonic are slice
+    and strided fills between Python-int edges, so no position is rounded
+    to a float.  Only an affine combination needs a buffer, one chunk long,
+    that each child writes into in turn.
     """
     top = last + spec.shift
     if top > 2**63 - 1:
@@ -255,54 +287,58 @@ def _evaluator(spec: SequenceSpec, last: int):
         pattern = np.asarray(spec.pattern, dtype=np.float64)
         size = pattern.size
         block = pattern
-        def f(first, stop):
+        def f(first, stop, out):
             nonlocal block
             r = (first - 1) % size
             if r + stop - first > block.size:
                 block = np.tile(pattern, 2 + (stop - first) // size)
-            return block[r : r + stop - first]
+            out[:] = block[r : r + stop - first]
     elif kind == "ones-then-zeros":
-        def f(first, stop):
-            out = np.zeros(stop - first)
+        def f(first, stop, out):
+            out.fill(0.0)
             out[: max(spec.n0 - first + 1, 0)] = 1.0
-            return out
     elif kind == "rotation":
-        def f(first, stop):
-            v = (np.arange(stop - first, dtype=np.int64) + first).astype(np.float64) * spec.alpha
-            return v - np.floor(v)
+        def f(first, stop, out):
+            np.multiply(np.arange(first, stop, dtype=np.int64), spec.alpha, out=out)
+            out -= np.floor(out)
     elif kind == "doubling-blocks":
-        def f(first, stop):
+        def f(first, stop, out):
             # Block t holds the positions [2**t, 2**(t + 1)).
-            out = np.empty(stop - first)
             for t in range(first.bit_length() - 1, (stop - 1).bit_length()):
                 out[max(2**t - first, 0) : 2 ** (t + 1) - first] = t % 2
-            return out
     elif kind == "dyadic-harmonic":
-        def f(first, stop):
+        def f(first, stop, out):
             # x = 1/j on the positions 2**(j - 1) mod 2**j.
-            out = np.empty(stop - first)
             for j in range(1, (stop - 1).bit_length() + 1):
                 out[(2 ** (j - 1) - first) % 2**j :: 2**j] = 1.0 / j
-            return out
     elif kind == "table":
         vals = np.asarray(spec.values, dtype=np.float64)
         if top > vals.size:
             raise IndexOutOfRangeError(
                 f"table defines x only up to n={vals.size - spec.shift}"
             )
-        def f(first, stop):
-            return vals[first - 1 : stop - 1]
+        def f(first, stop, out):
+            out[:] = vals[first - 1 : stop - 1]
     elif kind == "affine-combo":
         children = [(coef, _evaluator(child, top)) for coef, child in spec.terms]
-        def f(first, stop):
-            acc = np.zeros(stop - first)
+        def f(first, stop, out):
+            out.fill(0.0)
+            term = np.empty(stop - first)
             for coef, child in children:
-                acc += coef * child(first, stop)
-            return acc
+                child(first, stop, term)
+                term *= coef
+                out += term
     else:
         raise InvalidSpecError(f"unknown sequence kind {kind!r}")
     k = spec.shift
-    return (lambda first, stop: f(first + k, stop + k)) if k else f
+
+    def evaluate(first, stop, out=None):
+        if out is None:
+            out = np.empty(stop - first)
+        f(first + k, stop + k, out)
+        return out
+
+    return evaluate
 
 
 def eval_at(spec: SequenceSpec, n: int) -> float:
@@ -323,12 +359,12 @@ class ValueIndex(NamedTuple):
 
 
 def _terms(f, first: int, stop: int) -> np.ndarray:
-    """x(first..stop - 1) evaluated by ``f``, an ``_evaluator`` result, into
-    a new float64 array, ``_CHUNK`` positions at a time."""
+    """x(first..stop - 1) evaluated by ``f``, an ``_evaluator`` result,
+    ``_CHUNK`` positions at a time, each chunk written in place into one new
+    float64 array."""
     out = np.empty(stop - first)
     for a in range(0, out.size, _CHUNK):
-        b = min(a + _CHUNK, out.size)
-        out[a:b] = f(first + a, first + b)
+        f(first + a, first + min(a + _CHUNK, out.size), out[a : a + _CHUNK])
     return out
 
 
@@ -347,6 +383,20 @@ def _check_period(values: np.ndarray, t: int, q: int) -> None:
         b = min(a + _CHUNK, x.size)
         if not np.array_equal(x[a:b], x[a - q : b - q]):
             raise _period_error(t, q)
+
+
+_RUNS_ERROR = "prefix values are not constant between the spec's breaks"
+
+
+def _check_runs(values: np.ndarray, runs: np.ndarray, head: np.ndarray) -> None:
+    """Raise unless every term of run k, ``values[runs[k]:runs[k + 1]]``,
+    equals ``head[k]`` bit for bit, compared ``_CHUNK`` terms at a time."""
+    x, h = values.view(np.int64), head.view(np.int64).tolist()
+    ends = [*runs[1:].tolist(), x.size]
+    for s, e, v in zip(runs.tolist(), ends, h):
+        for a in range(s, e, _CHUNK):
+            if not (x[a : min(a + _CHUNK, e)] == v).all():
+                raise InvalidSpecError(_RUNS_ERROR)
 
 
 def _scan(v: np.ndarray) -> tuple[tuple[float, float] | None, np.ndarray | None]:
@@ -402,27 +452,40 @@ class Prefix:
     labels terms or reads counts through them would then disagree with
     ``values`` without raising.
 
-    ``period`` is None or a pair (t, q) such that ``values[k + q]`` equals
-    ``values[k]`` bit for bit for every k >= t.  Every term of such a prefix
-    repeats one of its first min(N, t + q), ``head`` (all N terms when there
-    is no period), so ``span``, the (min, max) of the values that the bound
-    check finds (None for an empty prefix), ``index`` and ``last_indices``
-    are read from the head alone, the counts scaled by the split
-    N - t = f * q + r into whole periods and a partial one.  ``top``
-    marks the head's terms equal to its max when the prefix takes at most
+    Every term repeats an entry of ``head``, which is read in place of the
+    N terms:
+
+    * ``period`` is None or a pair (t, q) such that ``values[k + q]``
+      equals ``values[k]`` bit for bit for every k >= t.  The head of such
+      a prefix is its first min(N, t + q) terms.
+    * ``runs`` is None or, for a prefix that ``materialize`` built from a
+      spec's breaks, the 0-based first term of every run of equal terms
+      (``runs[0] == 0``, int64).  The head then holds one term per run, and
+      ``head[k]`` is every term of ``values[runs[k]:runs[k + 1]]``.
+    * Otherwise the head is all N terms.
+
+    ``span``, the (min, max) of the values that the bound check finds (None
+    for an empty prefix), ``index`` and ``last_indices`` are read from the
+    head alone, and a mask over the head is counted by
+    ``windows.head_profile``.  Of a prefix longer than its head, ``copies``
+    gives each head entry's number of terms and last position.  ``top``
+    marks the head entries equal to its max when the prefix takes at most
     two distinct values, else it is None; the same pass over the head finds
     it and ``span``, and ``index`` then needs no sort.
 
     Given its values, a prefix checks the period over all of them, before
     the bound.  ``materialize`` of a spec with a period and more than t + q
     terms evaluates only the head and the last period, x(N - q + 1..N),
-    which must repeat the head's bit for bit; ``values`` is then evaluated
-    on first read, by the same evaluator, and checked over every term.
+    which must repeat the head's bit for bit.  Of a spec with breaks and no
+    period it evaluates the first and the last term of every run, which
+    must agree bit for bit.  Either way ``values`` is evaluated on first
+    read, by the same evaluator, and checked over every term.
     """
 
     horizon: int
     bound: float
     period: tuple[int, int] | None
+    runs: np.ndarray | None = field(repr=False)
     head: np.ndarray = field(repr=False)
     span: tuple[float, float] | None = field(repr=False)
     top: np.ndarray | None = field(repr=False)
@@ -459,7 +522,25 @@ class Prefix:
         p._settle(head, horizon, bound, period)
         return p
 
-    def _settle(self, head: np.ndarray, horizon: int, bound: float, period) -> None:
+    @classmethod
+    def _from_runs(cls, f, horizon: int, bound: float, breaks: list[int]) -> "Prefix":
+        """The prefix x(1..horizon) of ``f``, an ``_evaluator`` result, that
+        is constant from each of ``breaks``, sorted positions in
+        [2, horizon], up to the next."""
+        firsts = [1, *breaks]
+        lasts = [b - 1 for b in breaks] + [horizon]
+        head, tail = np.empty(len(firsts)), np.empty(len(firsts))
+        for k, (a, b) in enumerate(zip(firsts, lasts)):
+            f(a, a + 1, head[k : k + 1])
+            f(b, b + 1, tail[k : k + 1])
+        if not np.array_equal(head.view(np.int64), tail.view(np.int64)):
+            raise InvalidSpecError(_RUNS_ERROR)
+        p = cls.__new__(cls)
+        p.__dict__["_evaluate"] = f
+        p._settle(head, horizon, bound, None, np.array(firsts, dtype=np.int64) - 1)
+        return p
+
+    def _settle(self, head: np.ndarray, horizon: int, bound: float, period, runs=None) -> None:
         if not math.isfinite(bound):
             raise InvalidSpecError(f"prefix bound must be finite, got {bound!r}")
         head.flags.writeable = False
@@ -467,34 +548,55 @@ class Prefix:
         # Negated so that NaN, which fails every comparison, is rejected too.
         if span is not None and not (span[1] <= bound and span[0] >= -bound):
             raise InvalidSpecError("prefix values must be finite and within the certified bound")
-        self.__dict__.update(horizon=horizon, bound=bound, period=period, head=head, span=span, top=top)
+        self.__dict__.update(
+            horizon=horizon, bound=bound, period=period, runs=runs, head=head, span=span, top=top
+        )
 
     @cached_property
     def values(self) -> np.ndarray:
         """x(1..N), read-only; evaluated here, on first read, only for a
         prefix ``materialize`` built from its head, and by the same chunks
-        as a prefix without a period."""
+        as a prefix without a period or breaks."""
         vals = _terms(self._evaluate, 1, self.horizon + 1)
-        _check_period(vals, *self.period)
+        if self.runs is None:
+            _check_period(vals, *self.period)
+        else:
+            _check_runs(vals, self.runs, self.head)
         vals.flags.writeable = False
         return vals
 
+    @cached_property
+    def copies(self) -> tuple[np.ndarray, np.ndarray]:
+        """(terms, last) of a prefix longer than its head, both int64: the
+        number of the N terms that repeat each head entry, and the 1-based
+        position of the last of them.
+
+        A run's terms end where the next run starts.  Past the transient t,
+        the N - t terms are f whole periods and the first r terms of one
+        more (N - t = f * q + r), and the period's term j, x(t + 1 + j),
+        lies last at N - q + 1 + (j - N + t) mod q.
+        """
+        n = self.horizon
+        if self.runs is not None:
+            ends = np.append(self.runs[1:], n)
+            return ends - self.runs, ends
+        t, q = self.period
+        f, r = divmod(n - t, q)
+        j = np.arange(q)
+        return (
+            np.concatenate([np.ones(t, np.int64), f + (j < r)]),
+            np.concatenate([np.arange(1, t + 1), n - q + 1 + (j - (n - t)) % q]),
+        )
+
     def _tally(self, uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The terms at each of ``uniq`` among all N, from ``counts``, those
-        among the head.  Past the transient t, the N - t terms are f whole
-        periods and the first r terms of one more (N - t = f * q + r), and
-        the head holds one period."""
+        among the head, or from ``copies`` when the head is shorter."""
         if self.horizon == self.head.size:
             return counts
-        t, q = self.period
-        f, r = divmod(self.horizon - t, q)
+        total = np.zeros(uniq.size, dtype=np.int64)
         # A -0.0 term finds the one zero of uniq, as a +0.0 does.
-        at = np.searchsorted(uniq, self.head[t:])
-        return (
-            counts
-            + (f - 1) * np.bincount(at, minlength=uniq.size)
-            + np.bincount(at[:r], minlength=uniq.size)
-        )
+        np.add.at(total, np.searchsorted(uniq, self.head), self.copies[0])
+        return total
 
     @cached_property
     def index(self) -> ValueIndex:
@@ -536,19 +638,20 @@ class Prefix:
         ``weights.run_weights`` for each run and length it has counted."""
         return {}
 
-    def run_labels(self, starts: np.ndarray, first: int = 0, stop: int | None = None) -> np.ndarray:
-        """Run of every term from index ``first + 1`` to index ``stop`` (the
-        last when None), run g being ``index.uniq[starts[g]:starts[g + 1]]``
+    def run_labels(self, starts: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
+        """Run of each of ``terms``, values of this prefix (all N terms when
+        None), run g being ``index.uniq[starts[g]:starts[g + 1]]``
         (``starts[0] == 0``): int16 below 2**15 runs, else int32, searched
         ``_CHUNK`` terms at a time so no N-long int64 result is made.  Two
         runs need no search: a term is in the second when it is at least its
-        first value.  Terms within the head are read from it."""
+        first value.  Given ``head``, the labels are one per head entry, the
+        form ``run_weights`` counts and ``last_indices`` reads."""
         edges = self.index.uniq[starts[1:]]
-        within = stop is not None and stop <= self.head.size
-        values = (self.head if within else self.values)[first:stop]
-        labels = np.empty(values.size, np.int16 if len(starts) < 2**15 else np.int32)
-        for a in range(0, values.size, _CHUNK):
-            part = values[a : a + _CHUNK]
+        if terms is None:
+            terms = self.values
+        labels = np.empty(terms.size, np.int16 if len(starts) < 2**15 else np.int32)
+        for a in range(0, terms.size, _CHUNK):
+            part = terms[a : a + _CHUNK]
             labels[a : a + _CHUNK] = (
                 part >= edges[0] if edges.size == 1 else np.searchsorted(edges, part, "right")
             )
@@ -559,27 +662,23 @@ class Prefix:
         of ``index.uniq`` (runs as in ``run_labels``), 0 for a run with no
         term there, as int64.
 
-        Of a prefix longer than its head, the last period, x(N - q + 1..N),
-        holds every value the period takes, so a run's last term is there
-        when the period takes one of its values, and else in the
-        transient.  Any other search runs backward from the end through
-        the head, in steps that double from ``_CHUNK // 64`` terms to
-        ``_CHUNK``, so runs that recur near the end are found in a short
-        first step, and stops once every run is found."""
+        Of a prefix longer than its head, only the head entries whose last
+        term (``copies``) lies past ``first`` are labelled.  Any other
+        search runs backward from the end through the head, in steps that
+        double from ``_CHUNK // 64`` terms to ``_CHUNK``, so runs that recur
+        near the end are found in a short first step, and stops once every
+        run is found."""
         lasts = np.zeros(len(starts), dtype=np.int64)
         end = self.horizon
         if end > self.head.size:
-            t, q = self.period
-            # The period's term j, x(t + 1 + j), lies last at
-            # N - q + 1 + (j - N + t) mod q.
-            at = end - q + 1 + (np.arange(q) - (end - t)) % q
-            np.maximum.at(lasts, self.run_labels(starts, t, t + q), at)
-            lasts[lasts <= first] = 0
-            end = t
+            last = self.copies[1]
+            past = np.flatnonzero(last > first)
+            np.maximum.at(lasts, self.run_labels(starts, self.head[past]), last[past])
+            return lasts
         step = max(_CHUNK // 64, 1)
         while end > first and not lasts.all():
             a = max(end - step, first)
-            np.maximum.at(lasts, self.run_labels(starts, a, end), np.arange(a + 1, end + 1))
+            np.maximum.at(lasts, self.run_labels(starts, self.head[a:end]), np.arange(a + 1, end + 1))
             end, step = a, min(2 * step, _CHUNK)
         return lasts
 
@@ -588,8 +687,10 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     """Evaluate x(1..horizon) into a Prefix.
 
     A spec whose period (t, q) is shorter than the horizon gets a prefix
-    that evaluates its first t + q terms and its last q, and the rest only
-    when its ``values`` are read."""
+    that evaluates its first t + q terms and its last q, and a spec with
+    breaks and no period one that evaluates the first and last term of
+    each run; either evaluates the rest only when its ``values`` are
+    read."""
     n = whole(horizon, "horizon")
     cap = max_horizon()
     if n > cap:
@@ -598,6 +699,9 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     period = spec.period()
     if period is not None and n > sum(period):
         return Prefix._from_head(f, n, spec.bound, period)
+    breaks = None if period is not None else spec.breaks(n)
+    if breaks is not None:
+        return Prefix._from_runs(f, n, spec.bound, breaks)
     return Prefix(values=_terms(f, 1, n + 1), horizon=n, bound=spec.bound, period=period)
 
 

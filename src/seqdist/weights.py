@@ -26,7 +26,7 @@ from .windows import (
     Membership,
     WindowSchedule,
     density_profile,
-    period_profile,
+    head_profile,
 )
 
 
@@ -126,6 +126,17 @@ def weight_from_membership(
     return _estimate(density_profile(m, schedule), tolerances)
 
 
+def head_weight(
+    p: Prefix,
+    bits: np.ndarray,
+    schedule: WindowSchedule,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> WeightEstimate:
+    """Weight estimate of the terms of ``p`` that repeat a head entry
+    flagged in ``bits``, a bool mask over ``p.head`` (``head_profile``)."""
+    return _estimate(head_profile(p, bits, schedule), tolerances)
+
+
 def run_weights(
     p: Prefix,
     starts: np.ndarray,
@@ -143,18 +154,16 @@ def run_weights(
     for the lengths no earlier call counted, and of exactly two runs it
     counts only the one with fewer terms, since a window holding k of its
     terms holds n - k of the other's.  Of two runs the counted mask is one
-    compare of the terms with the second run's first value; more runs are
-    told apart by ``p.run_labels``.  A prefix with a period (t, q) is
-    counted over its first t + q terms by ``period_profile``; the rows'
-    offsets are still those of the whole prefix.  A caller that reads only
-    the weights passes just the tail of its schedule.
+    compare of the head with the second run's first value; more runs are
+    told apart by ``p.run_labels`` of the head.  Either way the mask is
+    one bit per head entry, counted by ``head_profile``: a periodic prefix
+    over its first t + q terms and a prefix of runs from its run starts,
+    with the rows' offsets still those of the whole prefix.  A caller that
+    reads only the weights passes just the tail of its schedule.
     """
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))
     lengths = schedule.lengths
-    # A window of a periodic prefix at an offset t + q or later equals the
-    # window q terms earlier, so the period kernel needs only the head.
-    period = p.period
     ids = [int(j) for j in ids]
     memo = p.run_rows
     todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
@@ -166,18 +175,15 @@ def run_weights(
         missing = tuple(n for n in lengths if n not in rows)
         if missing:
             if len(runs) == 2:
-                # Of two values, the larger one's terms are the prefix's top.
+                # Of two values, the larger one's entries are the head's top.
                 above = p.top if p.index.uniq.size == 2 else p.head >= p.index.uniq[edges[1]]
-                m = Membership.from_mask(above if j else ~above)
+                bits = above if j else ~above
             else:
                 if labels is None:
-                    labels = p.run_labels(starts, stop=p.head.size)
+                    labels = p.run_labels(starts, p.head)
                 # A Python-int j keeps the compare in the labels' narrow dtype.
-                m = Membership.from_mask(labels == j)
-            if period is None:
-                prof = density_profile(m, WindowSchedule(missing))
-            else:
-                prof = period_profile(m, period, p.horizon, WindowSchedule(missing))
+                bits = labels == j
+            prof = head_profile(p, bits, WindowSchedule(missing))
             rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)
         if len(runs) == 2:
             other = memo.setdefault(runs[1 - j], {})
@@ -212,8 +218,8 @@ def sublimit_weight(
         raise InvalidSpecError("epsilon must be positive")
     if not np.isfinite(a):
         raise InvalidSpecError(f"a must be finite, got {a!r}")
-    mask = (p.values >= a - epsilon) & (p.values < a + epsilon)
-    return weight_from_membership(Membership.from_mask(mask), schedule, tolerances)
+    mask = (p.head >= a - epsilon) & (p.head < a + epsilon)
+    return head_weight(p, mask, schedule, tolerances)
 
 
 @dataclass(frozen=True)

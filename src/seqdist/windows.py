@@ -15,12 +15,13 @@ Conventions that the whole package relies on:
   over all offsets and a reported min an upper bound for the infimum.
 
 Counts come from one of four exact kernels.  ``density_profile`` chooses
-among the first three from the mask itself; ``period_profile`` is the
-fourth, for a prefix known to repeat:
+between the first two from the mask itself; ``head_profile`` counts a mask
+over a prefix's head (``Prefix.head``), which every term repeats, by the
+third or fourth when the prefix repeats one period or is made of runs, and
+by ``density_profile`` otherwise:
 
 * **Prefix sums** (every window mean, and masks whose members exceed
-  ``SPARSE_SHARE`` of the terms and whose value changes more than
-  N // ``CHANGE_SPACING`` times): one prefix-sum array per input, each
+  ``SPARSE_SHARE`` of the terms): one prefix-sum array per input, each
   window sum one subtraction, so O(N) per window length and O(N log N)
   for a geometric schedule.  The offsets are walked in blocks of
   ``_BLOCK``, every window length per block, into reused block-sized
@@ -42,13 +43,11 @@ fourth, for a prefix known to repeat:
   and each costs one O(c) pass, so a row is found by galloping from a seed
   and bisecting: O(c log n) per row after one O(N) scan, and a seed taken
   from the previous row usually settles it in a few passes.
-* **Run starts** (any other mask whose value changes at most
-  N // ``CHANGE_SPACING`` times): some extreme window starts at a run start
-  or at the last offset, so each row reads the count at those R offsets,
-  and n terms past them, from the run starts and the members before each:
-  O(R log R) per row.  The changes are counted a block at a time and the
-  count stops past the limit, so a mask that changes often is walked after
-  one block.
+* **Run starts** (a prefix of R runs of equal terms, ``Prefix.runs``):
+  the mask holds one bit per run.  Some extreme window starts at a run
+  start or at the last offset, so each row reads the count at those R
+  offsets, and n terms past them, from the run starts and the members
+  before each: O(R log R) per row, and no term is read.
 * **One period** (a prefix that repeats with period q after t terms): only
   the mask of the first min(N, t + q) terms is kept.  Its member counts c
   extend to every k <= N as C(k) = c(t + (k - t) mod q) + floor((k - t) / q)
@@ -150,7 +149,7 @@ class WindowSchedule:
 
 
 # A mask with at most this share of its terms as members is counted from the
-# gaps between them; any other mask from its run starts or prefix counts.
+# gaps between them; any other mask from its prefix counts.
 # Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 5
 # to 9, interleaved, 2 cores, shared host), gaps against walk: at share 1/8,
 # 17-33 against 17-23 ms (F5 region [0, 1/8)), 10-21 against 19-25 ms (F7
@@ -163,17 +162,6 @@ class WindowSchedule:
 # the crossover of random bits down to about 1/16, but not that of the
 # structured masks the estimators make, so the share stays at 1/8.
 SPARSE_SHARE = 0.125
-
-# A mask that does not take the gap kernel, and changes value at most
-# horizon // CHANGE_SPACING times, is counted from its run starts; any other
-# from the count walk.  Measured at N = 2**21 over 16 rows (alternating runs
-# of random lengths, min of 7, 2 cores), run starts against the walk: 1.6
-# against 16 ms at 64 runs, 4.0 against 16 ms at N/1024, 6.4 against 15 ms
-# at N/512, 11 against 12 ms at N/256 and 18 against 13 ms at N/128 runs.
-# The changes are counted a block at a time, and the count stops once it
-# passes the limit: on the F5 region [0.1, 0.5) that takes 0.01 ms, against
-# 2.1 ms for a flatnonzero of every change.
-CHANGE_SPACING = 1024
 
 # The prefix-sum walks read the offsets in blocks of this many window sums,
 # every schedule row per block.  Float64 window means, measured at N = 2**21
@@ -350,30 +338,12 @@ def _count_extrema(bits: np.ndarray, lengths):
         yield n, lo, hi
 
 
-def _run_starts(bits: np.ndarray, limit: int) -> np.ndarray | None:
-    """The 0-based start of every run of equal bits, 0 first, as int64; None
-    once more than ``limit`` changes of value are found.
+def _run_extrema(bits: np.ndarray, starts: np.ndarray, horizon: int, lengths):
+    """Yield (n, min, max) window counts of a ``horizon``-term mask made of
+    runs, from its run starts and ``bits``, one bit per run.
 
-    The changes are counted ``_BLOCK`` terms at a time, and the positions
-    of a block are kept only when it holds any, so a mask that changes
-    often stops after one block.
-    """
-    found, changes = [np.zeros(1, dtype=np.int64)], 0
-    for a in range(0, bits.size - 1, _BLOCK):
-        part = bits[a : a + _BLOCK + 1]
-        change = part[1:] != part[:-1]
-        k = int(np.count_nonzero(change))
-        changes += k
-        if changes > limit:
-            return None
-        if k:
-            found.append(np.flatnonzero(change) + (a + 1))
-    return np.concatenate(found)
-
-
-def _run_extrema(bits: np.ndarray, starts: np.ndarray, lengths):
-    """Yield (n, min, max) window counts of a mask from its run starts.
-
+    Run k is the terms from index ``starts[k]`` (0-based, ``starts[0] ==
+    0``) up to the next start or the end; adjacent runs may share a bit.
     Some extreme window starts at a run start or at the last offset N - n:
     a window whose first term is not a run start keeps its count or
     improves it when moved one term toward the start of that term's run
@@ -384,8 +354,7 @@ def _run_extrema(bits: np.ndarray, starts: np.ndarray, lengths):
     starts and the members before each by one ``searchsorted``:
     O(R log R) per row for R runs, however long the prefix.
     """
-    horizon = bits.size
-    ones = bits[starts].astype(np.int64)
+    ones = bits.astype(np.int64)
     inside = np.diff(starts, append=horizon) * ones
     before = np.cumsum(inside) - inside
 
@@ -510,32 +479,26 @@ def naive_count_extrema(m: Membership, n: int) -> tuple[int, int]:
     return int(sums.min()), int(sums.max())
 
 
+def _profile(extrema, horizon: int) -> DensityProfile:
+    return DensityProfile(rows=tuple(
+        DensityRow(n=n, min_count=int(lo), max_count=int(hi), offsets_scanned=horizon - n + 1)
+        for n, lo, hi in extrema
+    ))
+
+
 def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     """One count-extrema row per scheduled window length.
 
     A mask with at most ``SPARSE_SHARE`` of its terms as members is counted
-    from the gaps between its members.  Any other mask is counted from its
-    run starts when its value changes at most N // ``CHANGE_SPACING``
-    times, else from one shared prefix-sum array.
-    The kernels are exact, so the rows do not depend on the choice.
+    from the gaps between its members, any other from one shared prefix-sum
+    array.  The kernels are exact, so the rows do not depend on the choice.
     The schedule is walked serially: the gap kernel seeds each row's search
     from the row before it.
     """
-    lengths = schedule.lengths
     schedule.validate_for(m.horizon)
     if m.count() <= SPARSE_SHARE * m.horizon:
-        extrema = _gap_extrema(m.bits, lengths)
-    else:
-        starts = _run_starts(m.bits, m.horizon // CHANGE_SPACING)
-        if starts is None:
-            extrema = _count_extrema(m.bits, lengths)
-        else:
-            extrema = _run_extrema(m.bits, starts, lengths)
-    rows = tuple(
-        DensityRow(n=n, min_count=int(lo), max_count=int(hi), offsets_scanned=m.horizon - n + 1)
-        for n, lo, hi in extrema
-    )
-    return DensityProfile(rows=rows)
+        return _profile(_gap_extrema(m.bits, schedule.lengths), m.horizon)
+    return _profile(_count_extrema(m.bits, schedule.lengths), m.horizon)
 
 
 def period_profile(
@@ -549,10 +512,24 @@ def period_profile(
     schedule.validate_for(horizon)
     if m.horizon != min(horizon, t + q):
         raise InvalidSpecError("a period mask holds the first min(N, t + q) terms")
-    return DensityProfile(rows=tuple(
-        DensityRow(n=n, min_count=lo, max_count=hi, offsets_scanned=horizon - n + 1)
-        for n, lo, hi in _period_extrema(m.bits, t, q, horizon, schedule.lengths)
-    ))
+    return _profile(_period_extrema(m.bits, t, q, horizon, schedule.lengths), horizon)
+
+
+def head_profile(p: Prefix, bits: np.ndarray, schedule: WindowSchedule) -> DensityProfile:
+    """``density_profile`` of the mask over all N terms of ``p`` that
+    flags every term repeating a head entry flagged in ``bits``, a bool
+    mask over ``p.head``.
+
+    A periodic prefix is counted by ``period_profile``, a prefix of runs
+    by its run starts, and any other, whose head is every term, by
+    ``density_profile``.
+    """
+    if p.period is not None:
+        return period_profile(Membership.from_mask(bits), p.period, p.horizon, schedule)
+    if p.runs is not None:
+        schedule.validate_for(p.horizon)
+        return _profile(_run_extrema(bits, p.runs, p.horizon, schedule.lengths), p.horizon)
+    return density_profile(Membership.from_mask(bits), schedule)
 
 
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:

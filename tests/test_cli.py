@@ -327,12 +327,12 @@ def test_a_large_bound_builds_no_partition_points(capsys, tmp_path):
     assert peaks[0] <= peaks[1] + 10 * 2**20
 
 
-@pytest.mark.parametrize("fixture, size", [("F1", 1), ("F4", 3), ("F6", 1024)])
+@pytest.mark.parametrize("fixture, size", [("F1", 1), ("F4", 3), ("F6", 2)])
 def test_two_valued_analyze_labels_only_the_last_terms(fixture, size, capsys, monkeypatch):
     # Two values make two runs everywhere, and the counted run's mask is one
-    # compare with the larger value.  Only the last indices label terms:
-    # the one period of F1 and F4, and F6's first backward step, which
-    # holds both values.
+    # compare with the larger value.  Only the last indices label head
+    # entries, those whose last term lies past 3N/4: the one period of F1
+    # and F4, and F6's last two runs, [2**20, 2**21) and the term 2**21.
     labelled = []
     run_labels = Prefix.run_labels
 
@@ -372,8 +372,9 @@ def test_main_reuses_one_parser_and_reads_the_cap_on_every_call(capsys, monkeypa
 
 def test_periodic_two_valued_analyze_never_fills_the_prefix(capsys, monkeypatch):
     # Counts, span, index and last indices of these come from the first
-    # t + q terms and the last period; the float walk of the
-    # transient combo and an interval's mask read every term.
+    # t + q terms and the last period, or of F6 and its shift from the first
+    # and last term of each run; an interval's mask is taken over the head
+    # too.  Only the float walk of the transient combo reads every term.
     filled = []
     fill = Prefix.values.func
 
@@ -383,14 +384,17 @@ def test_periodic_two_valued_analyze_never_fills_the_prefix(capsys, monkeypatch)
 
     monkeypatch.setattr(Prefix.values, "func", spy)
     big = str(2**21)
-    fixtures = [["--fixture", f] for f in ("F1", "F2", "F3", "F4")]
-    for source in (*fixtures, ["--spec-file", "tests/golden/mixed_zero.spec"]):
+    fixtures = [["--fixture", f] for f in ("F1", "F2", "F3", "F4", "F6")]
+    specs = [["--spec-file", f"tests/golden/{f}.spec"] for f in ("mixed_zero", "shifted_doubling")]
+    for source in (*fixtures, *specs):
         code, out, err = run(capsys, ["analyze", *source, "--horizon", big, "--format", "jsonl"])
         assert code == 0 and err == "" and out
+    assert filled == []
+    for f in ("F4", "F6"):
+        code, out, _ = run(capsys, ["weights", "--fixture", f, "--horizon", big,
+                                    "--interval", "0:0.5", "--value", "1", "--format", "jsonl"])
+        assert code == 0 and out
     assert filled == []
     code, _, _ = run(capsys, ["analyze", "--spec-file", "tests/golden/transient_combo.spec",
                               "--horizon", "4096", "--format", "jsonl"])
     assert code == 0 and filled == [4096]
-    code, _, _ = run(capsys, ["weights", "--fixture", "F4", "--horizon", "4096",
-                              "--interval", "0:0.5", "--format", "jsonl"])
-    assert code == 0 and filled == [4096, 4096]

@@ -227,6 +227,22 @@ def test_fallback_and_signed_zero_rows(pattern, counted, horizon):
     assert_rows_match_float_walk(p, sched)
 
 
+@pytest.mark.parametrize("zeros, counted", [(16, False), (15, True)])
+def test_a_first_run_of_negative_zeros_takes_the_float_walk(zeros, counted, monkeypatch):
+    # No kind with breaks makes a -0.0 term, so a table is read as two runs
+    # here: -0.0 up to term ``zeros``, then 1.0.  The first window of 16
+    # holds only -0.0 exactly when the first run covers it, which the head's
+    # first 16 entries do not tell.
+    n = 64
+    spec = table([-0.0] * zeros + [1.0] * (n - zeros))
+    monkeypatch.setattr(type(spec), "breaks", lambda self, last: [zeros + 1])
+    p = materialize(spec, n)
+    assert p.runs.tolist() == [0, zeros] and p.head.size == 2
+    sched = WindowSchedule.geometric(n)
+    assert (lorentz._two_valued_profile(p, sched) is not None) == counted
+    assert_rows_match_float_walk(p, sched)
+
+
 def test_two_valued_fixtures_walk_no_float_prefix(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("walked the float prefix sum")

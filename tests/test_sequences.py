@@ -11,21 +11,27 @@ from hypothesis import strategies as st
 
 from seqdist import (
     IndexOutOfRangeError,
+    IntervalSet,
     InvalidSpecError,
     Prefix,
     ResourceLimitError,
+    WindowSchedule,
     affine_combo,
     cross_validate,
     detect_sublimits,
+    doubling_blocks,
     eval_at,
     fixture,
     materialize,
     ones_then_zeros,
     periodic,
     rotation,
+    run_weights,
+    set_weight,
     shift,
     table,
 )
+from seqdist import sequences
 from seqdist.cli import parse_spec_file
 from seqdist.distribution import quantized_banach_limit
 from seqdist.sequences import _CHUNK, MAX_HORIZON_ENV, _evaluator
@@ -778,6 +784,114 @@ def test_a_prefix_read_from_its_head_matches_its_filled_terms(spec, where, extra
             assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
     if n > t + q:
         assert "values" not in vars(p)
+
+
+def test_breaks_of_each_kind():
+    # Doubling blocks change at the powers of two; shifted by 5, at 3, 11,
+    # 27, ...  Ones-then-zeros changes once, past n0.  A combination takes
+    # the union, and any child without breaks leaves it with none.
+    blocks = doubling_blocks()
+    assert blocks.breaks(1) == [] and blocks.breaks(17) == [2, 4, 8, 16]
+    assert shift(blocks, 5).breaks(30) == [3, 11, 27]
+    assert ones_then_zeros(3).breaks(4) == [4] and ones_then_zeros(3).breaks(3) == []
+    assert shift(ones_then_zeros(3), 2).breaks(10) == [2]
+    assert shift(ones_then_zeros(3), 3).breaks(10) == []
+    combo = affine_combo([(1.0, blocks), (0.5, shift(ones_then_zeros(9), 3))])
+    assert combo.breaks(20) == [2, 4, 7, 8, 16]
+    assert shift(combo, 1).breaks(20) == [3, 6, 7, 15]
+    for spec in (fixture("F4"), fixture("F5"), fixture("F7"), table([1.0]),
+                 affine_combo([(1.0, blocks), (1.0, fixture("F2"))])):
+        assert spec.breaks(100) is None
+
+
+@st.composite
+def run_specs(draw):
+    """Doubling blocks shifted by 0-70, alone or in an affine combination
+    with more shifted doubling blocks and ones-then-zeros."""
+    blocks = st.builds(shift, st.just(doubling_blocks()), st.integers(0, 70))
+    steps = st.builds(shift, st.integers(1, 300).map(ones_then_zeros), st.integers(0, 70))
+    first = draw(blocks)
+    if draw(st.booleans()):
+        return first
+    coefs = st.sampled_from([1.0, -1.0, 0.5, -0.25, 3.0]) | st.floats(-2, 2)
+    rest = draw(st.lists(blocks | steps, min_size=1, max_size=3))
+    return affine_combo([(draw(coefs), child) for child in [first, *rest]])
+
+
+@st.composite
+def run_prefix_case(draw):
+    """A spec with breaks and no period, and N below its first break, or at
+    2**k - 1, 2**k or 2**k + 1."""
+    spec = draw(run_specs())
+    first = (spec.breaks(2**13) or [2**13])[0]
+    k = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([2**k - 1, 2**k, 2**k + 1]) | st.integers(1, first - 1))
+    return spec, n
+
+
+@given(run_prefix_case(), st.sampled_from([7, _CHUNK]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_a_prefix_read_from_its_runs_matches_its_filled_terms(case, chunk, seed):
+    # span, index, last_indices, run_weights and set_weight of a run prefix
+    # read one entry per run; a prefix of the same terms given in full reads
+    # every term.
+    spec, n = case
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_CHUNK", chunk)
+        p = materialize(spec, n)
+        values = np.array(materialize(spec, n).values)
+    full = Prefix(values=values, horizon=n, bound=spec.bound)
+    assert p.period is None and p.runs is not None and p.runs.size == p.head.size
+    assert p.span == full.span
+    for mine, theirs in zip(p.index, full.index):
+        assert np.array_equal(mine, theirs) and np.array_equal(np.signbit(mine), np.signbit(theirs))
+    k = full.index.uniq.size
+    sched = WindowSchedule.geometric(n, base=int(rng.integers(1, 9)))
+    for _ in range(3):
+        cuts = rng.choice(np.arange(1, k), rng.integers(0, k), replace=False)
+        starts = np.array([0, *np.sort(cuts)])
+        for first in {0, n // 2, n - 1, int(rng.integers(0, n))}:
+            assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
+        ids = range(starts.size)
+        assert run_weights(p, starts, ids, sched) == run_weights(full, starts, ids, sched)
+        lo, hi = sorted(rng.uniform(-spec.bound, spec.bound, 2))
+        top = IntervalSet(((-spec.bound - 1, full.span[1]),), top_closed=True)
+        for region in (IntervalSet(((lo, hi + 1e-9),)), top):
+            assert set_weight(p, region, sched) == set_weight(full, region, sched)
+    assert "values" not in vars(p)
+    assert np.array_equal(p.values.view(np.int64), values.view(np.int64))
+
+
+@given(run_prefix_case(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_dropped_break_fails_materialize(case, data):
+    # Without a break where the value changes, one run holds two values:
+    # its first term is the one before the break and its last term the one
+    # after, so materialize, which compares them, raises before any fill.
+    spec, n = case
+    real = type(spec).breaks
+    changes = [b for b in real(spec, n) if eval_at(spec, b) != eval_at(spec, b - 1)]
+    if not changes:
+        return
+    drop = data.draw(st.sampled_from(changes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(spec), "breaks", lambda self, last: [b for b in real(self, last) if b != drop])
+        with pytest.raises(InvalidSpecError, match="not constant"):
+            materialize(spec, n)
+
+
+def test_breaks_that_skip_a_run_fail_the_fill(monkeypatch):
+    # Doubling blocks 0, 1 1, 0 0 0 0 read as one run: its first and last
+    # terms agree, so nothing read from the head sees it, and filling the
+    # values checks it.
+    spec = doubling_blocks()
+    monkeypatch.setattr(type(spec), "breaks", lambda self, last: [])
+    p = materialize(spec, 7)
+    assert p.head.tolist() == [0.0] and p.span == (0.0, 0.0)
+    assert p.last_indices(np.array([0])).tolist() == [7]
+    with pytest.raises(InvalidSpecError, match="not constant"):
+        p.values
 
 
 @st.composite

@@ -28,9 +28,9 @@ from seqdist import (
     sublimit_weight,
     weight_from_membership,
 )
-from seqdist import sequences, weights
+from seqdist import sequences, weights, windows
 from seqdist.sequences import _CHUNK
-from seqdist.windows import period_profile
+from seqdist.windows import head_profile, period_profile
 
 
 def mask_weight(mask, schedule):
@@ -428,19 +428,15 @@ def test_three_clusters_of_a_periodic_prefix_leave_it_unfilled(monkeypatch):
 def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
     # F1, F4 and F6 take two values: every estimator splits them into the
     # same two runs, and only the smaller is counted, on the full schedule.
-    # F1 and F4 are periodic, so their run takes the period kernel.
+    # F1 and F4 are periodic, so their run takes the period kernel, and F6
+    # is made of runs, so its mask holds one bit per run.
     counted = []
 
-    def recording(m, schedule):
-        counted.extend((m.bits.tobytes(), n) for n in schedule.lengths)
-        return density_profile(m, schedule)
+    def recording(p, bits, schedule):
+        counted.extend((bits.tobytes(), n) for n in schedule.lengths)
+        return head_profile(p, bits, schedule)
 
-    def recording_period(m, period, horizon, schedule):
-        counted.extend((m.bits.tobytes(), n) for n in schedule.lengths)
-        return period_profile(m, period, horizon, schedule)
-
-    monkeypatch.setattr(weights, "density_profile", recording)
-    monkeypatch.setattr(weights, "period_profile", recording_period)
+    monkeypatch.setattr(weights, "head_profile", recording)
     cross_validate(fixture(name), 4096)
     assert counted and len(set(counted)) == len(counted)
     if masks is not None:
@@ -518,8 +514,8 @@ def test_run_weights_of_a_periodic_prefix_count_one_period(case):
 
     ids = range(starts.size)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "density_profile", recording)
-        mp.setattr(weights, "period_profile", recording_period)
+        mp.setattr(windows, "density_profile", recording)
+        mp.setattr(windows, "period_profile", recording_period)
         got = run_weights(p, starts, ids, sched)
     # Every window at an offset past t + q repeats one q terms earlier, so
     # the period kernel reads the first t + q terms and nothing is walked.

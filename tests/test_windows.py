@@ -209,8 +209,8 @@ def blocked_count_case(draw):
 
     Besides masks of any share, non-member counts sit just below, at and
     just above ``SPARSE_SHARE`` of the horizon, and the full mask is drawn
-    too; like any mask above that share, a near-full one is counted from
-    its run starts or by the walk.
+    too; like any mask above that share, a near-full one is counted by the
+    walk.
     """
     block = draw(st.sampled_from(BLOCKS))
     group = draw(st.sampled_from((1, 2, 16)))
@@ -290,8 +290,10 @@ def test_count_kernel_matches_int64_cumsum(kind, rows, monkeypatch):
 
 @st.composite
 def run_mask_case(draw):
-    """A mask of alternating runs of drawn lengths, first bit either way, and
-    a schedule that may hold lengths 1, N - 1 and N.
+    """A mask of alternating runs of drawn lengths, first bit either way,
+    its run starts with some runs split further (so that adjacent runs may
+    share a bit, as a prefix of runs allows), and a schedule that may hold
+    lengths 1, N - 1 and N.
 
     One run gives an all-ones or all-zeros mask, and the first and last
     runs touch the ends of the prefix.
@@ -300,47 +302,20 @@ def run_mask_case(draw):
     first = draw(st.integers(0, 1))
     bits = np.repeat((np.arange(len(runs)) + first) % 2 == 1, runs)
     horizon = bits.size
+    splits = draw(st.sets(st.integers(1, horizon - 1), max_size=5)) if horizon > 1 else set()
+    starts = np.array(sorted({0, *np.cumsum(runs)[:-1].tolist(), *splits}), dtype=np.int64)
     edges = st.sampled_from([n for n in (1, horizon - 1, horizon) if n >= 1])
     lengths = draw(st.sets(edges | st.integers(1, horizon), min_size=1, max_size=6))
-    return runs, bits, WindowSchedule(tuple(sorted(lengths)))
+    return bits, starts, WindowSchedule(tuple(sorted(lengths)))
 
 
-@given(run_mask_case(), st.sampled_from(BLOCKS))
+@given(run_mask_case())
 @settings(max_examples=300, deadline=None)
-def test_run_kernel_rows_match_oracle(case, block):
-    runs, bits, schedule = case
+def test_run_kernel_rows_match_oracle(case):
+    bits, starts, schedule = case
     m = Membership.from_mask(bits)
-    with pytest.MonkeyPatch.context() as mp:
-        # Blocks of 1 and 2 terms put run starts on and next to block edges.
-        mp.setattr(windows, "_BLOCK", block)
-        starts = windows._run_starts(bits, bits.size)
-    assert starts.tolist() == [0, *np.cumsum(runs)[:-1].tolist()]
-    rows = list(windows._run_extrema(bits, starts, schedule.lengths))
+    rows = list(windows._run_extrema(bits[starts], starts, bits.size, schedule.lengths))
     assert rows == [(n, *naive_count_extrema(m, n)) for n in schedule.lengths]
-
-
-@pytest.mark.parametrize("block", [7, 2**15])
-@pytest.mark.parametrize("extra, kernel", [(0, "_run_extrema"), (1, "_count_extrema")])
-def test_run_kernel_up_to_the_change_limit_then_the_walk(extra, kernel, block, monkeypatch):
-    # Equal runs of alternating bits hold about half the terms, so neither
-    # gap kernel takes them; the limit is horizon // CHANGE_SPACING changes.
-    horizon = 8 * windows.CHANGE_SPACING + 5
-    changes = horizon // windows.CHANGE_SPACING + extra
-    cuts = np.linspace(0, horizon, changes + 2).astype(np.int64)
-    bits = np.repeat(np.arange(changes + 1) % 2 == 1, np.diff(cuts))
-    called = []
-    for name in ("_run_extrema", "_count_extrema", "_gap_extrema"):
-        real = getattr(windows, name)
-        monkeypatch.setattr(
-            windows, name, lambda *a, real=real, name=name: called.append(name) or real(*a)
-        )
-    monkeypatch.setattr(windows, "_BLOCK", block)
-    m = Membership.from_mask(bits)
-    schedule = WindowSchedule((1, 100, 1000, 3000, horizon))
-    rows = density_profile(m, schedule).rows
-    assert called == [kernel]
-    for r in rows:
-        assert (r.min_count, r.max_count) == naive_count_extrema(m, r.n)
 
 
 def test_count_kernel_needs_blocks_of_at_most_2_15(monkeypatch):
