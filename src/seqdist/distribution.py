@@ -343,8 +343,8 @@ def quantize(p: Prefix, partition: Partition) -> Prefix:
         )
     bound = max(p.bound, abs(partition.lo), abs(partition.hi))
     starts, occupied = _cells(uniq, partition.points[:-1])
-    values = partition.points[occupied][p.run_labels(starts)]
-    return Prefix(values=values, horizon=p.horizon, bound=bound, period=p.period)
+    cells = partition.points[occupied]
+    return p.map(lambda v: cells[p.run_labels(starts, v)], bound)
 
 
 def _enclosure(pairs) -> tuple[Fraction, Fraction, Fraction]:

@@ -80,19 +80,18 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
     correctly rounded, so the rows agree bit for bit.  A prefix whose first
     n terms are all -0.0, n the shortest window, falls back too: only then
     is a float window sum -0.0, and which zero the float walk reports for
-    it depends on numpy's SIMD lanes.  Those terms are read from the head:
-    its first n entries, which every later term repeats, or, of a prefix
-    of runs, the entries of the runs that start among them.  Exactness is
-    judged from ``p.span``, the min and max the bound check found, before
-    ``p.index`` is read, so a prefix whose sums are inexact, such as F5's,
-    builds no index here.
+    it depends on numpy's SIMD lanes.  Those terms are read from the head
+    entries they repeat, ``p.entries(0, n)``.  Exactness is judged from
+    ``p.span``, the min and max the bound check found, before ``p.index``
+    is read, so a prefix whose sums are inexact, such as F5's, builds no
+    index here.
     """
     sched.validate_for(p.horizon)
     a, b = map(Fraction, p.span)
     if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53:
         return None
     n = sched.lengths[0]
-    lead = p.head[: n if p.runs is None else np.searchsorted(p.runs, n)]
+    lead = p.head[p.entries(0, n)]
     if not lead.any() and np.signbit(lead).all():
         return None
     if p.index.uniq.size > 2:
@@ -125,8 +124,8 @@ def lorentz_verdict(
     the sub-limit clusters and quantization cells read them again; any
     other prefix takes ``cesaro_profile``'s float walk.  Exactness is
     judged from ``p.span``, and the number of values is read from
-    ``p.index``, which a prefix of at most two values builds without a
-    sort and which the later stages reuse.
+    ``p.index``, which sorts only the head and which the later stages
+    reuse.
     """
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     prof = _two_valued_profile(p, sched) or cesaro_profile(p, sched)

@@ -358,81 +358,28 @@ class ValueIndex(NamedTuple):
     counts: np.ndarray
 
 
-def _terms(f, first: int, stop: int) -> np.ndarray:
+def _terms(f, first: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """x(first..stop - 1) evaluated by ``f``, an ``_evaluator`` result,
-    ``_CHUNK`` positions at a time, each chunk written in place into one new
-    float64 array."""
-    out = np.empty(stop - first)
+    ``_CHUNK`` positions at a time, each chunk written in place into
+    ``out`` (a new float64 array when None)."""
+    if out is None:
+        out = np.empty(stop - first)
     for a in range(0, out.size, _CHUNK):
         f(first + a, first + min(a + _CHUNK, out.size), out[a : a + _CHUNK])
     return out
 
 
-def _period_error(t: int, q: int) -> InvalidSpecError:
-    return InvalidSpecError(f"prefix values do not repeat with period {q} after term {t}")
-
-
-def _check_period(values: np.ndarray, t: int, q: int) -> None:
-    """Raise unless ``values[k + q]`` equals ``values[k]`` bit for bit for
-    every k >= t, compared ``_CHUNK`` terms at a time, so no N-long
-    temporary is made."""
-    # int64 views compare bits, so -0.0 differs from 0.0, and a NaN or
-    # out-of-bound term past the head repeats one in it.
-    x = values.view(np.int64)
-    for a in range(t + q, x.size, _CHUNK):
-        b = min(a + _CHUNK, x.size)
-        if not np.array_equal(x[a:b], x[a - q : b - q]):
-            raise _period_error(t, q)
-
-
-_RUNS_ERROR = "prefix values are not constant between the spec's breaks"
-
-
-def _check_runs(values: np.ndarray, runs: np.ndarray, head: np.ndarray) -> None:
-    """Raise unless every term of run k, ``values[runs[k]:runs[k + 1]]``,
-    equals ``head[k]`` bit for bit, compared ``_CHUNK`` terms at a time."""
-    x, h = values.view(np.int64), head.view(np.int64).tolist()
-    ends = [*runs[1:].tolist(), x.size]
-    for s, e, v in zip(runs.tolist(), ends, h):
-        for a in range(s, e, _CHUNK):
-            if not (x[a : min(a + _CHUNK, e)] == v).all():
-                raise InvalidSpecError(_RUNS_ERROR)
-
-
-def _scan(v: np.ndarray) -> tuple[tuple[float, float] | None, np.ndarray | None]:
-    """(span, top) of the terms ``v``, from one pass of ``_CHUNK`` terms at a
-    time.
-
-    ``span`` is their (min, max), None when there are none.  ``top`` is a
-    read-only mask of the terms equal to the max when they take at most two
-    distinct values, else None.  Each chunk's terms are compared with its
-    own max, and counted with those equal to its own min, until a chunk
-    holds a third value; a chunk whose max is the overall min then holds
-    none of the max.
-    """
-    if not v.size:
-        return None, None
-    chunks = range(0, v.size, _CHUNK)
-    lows, highs = np.empty(len(chunks)), np.empty(len(chunks))
-    top = np.empty(v.size, dtype=bool)
-    for c, a in enumerate(chunks):
-        part = v[a : a + _CHUNK]
-        lo = lows[c] = part.min()
-        hi = highs[c] = part.max()
-        if top is not None:
-            eq = np.equal(part, hi, out=top[a : a + _CHUNK])
-            if lo != hi and np.count_nonzero(eq) + np.count_nonzero(part == lo) < part.size:
-                top = None
-    lo, hi = lows.min(), highs.max()
-    if top is not None:
-        ends = np.concatenate([lows, highs])
-        if ((ends == lo) | (ends == hi)).all():
-            for c in np.flatnonzero(highs != hi):
-                top[chunks[c] : chunks[c] + _CHUNK] = False
-            top.flags.writeable = False
-        else:
-            top = None
-    return (lo, hi), top
+def _at(f, positions: np.ndarray) -> np.ndarray:
+    """x at each of ``positions``, distinct 1-based positions in any order,
+    evaluated by ``_terms`` over each range of consecutive positions."""
+    order = np.argsort(positions)
+    pos = positions[order]
+    cuts = [0, *(np.flatnonzero(np.diff(pos) != 1) + 1).tolist(), pos.size]
+    vals, out = np.empty(pos.size), np.empty(pos.size)
+    for a, b, first in zip(cuts, cuts[1:], pos[cuts[:-1]].tolist()):
+        _terms(f, first, first + b - a, vals[a:b])
+    out[order] = vals
+    return out
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -453,7 +400,7 @@ class Prefix:
     ``values`` without raising.
 
     Every term repeats an entry of ``head``, which is read in place of the
-    N terms:
+    N terms; ``entries`` maps terms to the entries they repeat:
 
     * ``period`` is None or a pair (t, q) such that ``values[k + q]``
       equals ``values[k]`` bit for bit for every k >= t.  The head of such
@@ -464,22 +411,18 @@ class Prefix:
       ``head[k]`` is every term of ``values[runs[k]:runs[k + 1]]``.
     * Otherwise the head is all N terms.
 
-    ``span``, the (min, max) of the values that the bound check finds (None
+    ``span``, the (min, max) of the head that the bound check finds (None
     for an empty prefix), ``index`` and ``last_indices`` are read from the
     head alone, and a mask over the head is counted by
     ``windows.head_profile``.  Of a prefix longer than its head, ``copies``
-    gives each head entry's number of terms and last position.  ``top``
-    marks the head entries equal to its max when the prefix takes at most
-    two distinct values, else it is None; the same pass over the head finds
-    it and ``span``, and ``index`` then needs no sort.
+    gives each head entry's number of terms and last position.
 
-    Given its values, a prefix checks the period over all of them, before
-    the bound.  ``materialize`` of a spec with a period and more than t + q
-    terms evaluates only the head and the last period, x(N - q + 1..N),
-    which must repeat the head's bit for bit.  Of a spec with breaks and no
-    period it evaluates the first and the last term of every run, which
-    must agree bit for bit.  Either way ``values`` is evaluated on first
-    read, by the same evaluator, and checked over every term.
+    Given its values and a period, a prefix checks every term against the
+    head entry it repeats, before the bound.  ``materialize`` of a spec
+    with a period and more than t + q terms, or with breaks and no period,
+    evaluates each head entry at its first and its last position, which
+    must agree bit for bit; ``values`` is then evaluated on first read, by
+    the same evaluator, and checked the same way.
     """
 
     horizon: int
@@ -488,7 +431,8 @@ class Prefix:
     runs: np.ndarray | None = field(repr=False)
     head: np.ndarray = field(repr=False)
     span: tuple[float, float] | None = field(repr=False)
-    top: np.ndarray | None = field(repr=False)
+    # The evaluator of a prefix read from its head, which fills ``values``.
+    _evaluate = None
 
     def __init__(self, values, horizon: int, bound: float, period: tuple[int, int] | None = None):
         vals = np.asarray(values, dtype=np.float64).view()
@@ -497,73 +441,102 @@ class Prefix:
         if period is not None:
             t, q = period
             period = whole(t, "period start", low=0), whole(q, "period")
-            _check_period(vals, *period)
         vals.flags.writeable = False
         # Stored where the ``values`` cached_property looks first, so it is
         # never evaluated.
-        self.__dict__["values"] = vals
-        self._settle(vals if period is None else vals[: sum(period)], horizon, bound, period)
+        self.__dict__.update(
+            values=vals, horizon=horizon, period=period, runs=None,
+            head=vals if period is None else vals[: sum(period)],
+        )
+        if period is not None:
+            self._check(vals)
+        self._settle(bound)
 
     @classmethod
-    def _from_head(cls, f, horizon: int, bound: float, period: tuple[int, int]) -> "Prefix":
-        """The prefix x(1..horizon) of ``f``, an ``_evaluator`` result, that
-        repeats with ``period`` (t, q) past its head (t + q < horizon)."""
-        t, q = period
-        head = _terms(f, 1, t + q + 1)
-        # x(N - q + 1..N) is the head's period rotated to start at its term
-        # (N - t) mod q.
-        last = np.roll(head[t:], -((horizon - t) % q))
-        if not np.array_equal(
-            _terms(f, horizon - q + 1, horizon + 1).view(np.int64), last.view(np.int64)
-        ):
-            raise _period_error(t, q)
+    def _from_head(cls, f, horizon: int, bound: float, period=None, runs=None) -> "Prefix":
+        """The prefix x(1..horizon) of ``f``, an ``_evaluator`` result, read
+        from the first t + q terms of a ``period`` (t, q), t + q < horizon,
+        or from the first term of each run of ``runs``."""
         p = cls.__new__(cls)
-        p.__dict__["_evaluate"] = f
-        p._settle(head, horizon, bound, period)
+        firsts = np.arange(1, sum(period) + 1) if runs is None else runs + 1
+        p.__dict__.update(_evaluate=f, horizon=horizon, period=period, runs=runs, head=_at(f, firsts))
+        if not np.array_equal(p.head.view(np.int64), _at(f, p.copies[1]).view(np.int64)):
+            raise p._mismatch()
+        p._settle(bound)
         return p
 
-    @classmethod
-    def _from_runs(cls, f, horizon: int, bound: float, breaks: list[int]) -> "Prefix":
-        """The prefix x(1..horizon) of ``f``, an ``_evaluator`` result, that
-        is constant from each of ``breaks``, sorted positions in
-        [2, horizon], up to the next."""
-        firsts = [1, *breaks]
-        lasts = [b - 1 for b in breaks] + [horizon]
-        head, tail = np.empty(len(firsts)), np.empty(len(firsts))
-        for k, (a, b) in enumerate(zip(firsts, lasts)):
-            f(a, a + 1, head[k : k + 1])
-            f(b, b + 1, tail[k : k + 1])
-        if not np.array_equal(head.view(np.int64), tail.view(np.int64)):
-            raise InvalidSpecError(_RUNS_ERROR)
-        p = cls.__new__(cls)
-        p.__dict__["_evaluate"] = f
-        p._settle(head, horizon, bound, None, np.array(firsts, dtype=np.int64) - 1)
-        return p
-
-    def _settle(self, head: np.ndarray, horizon: int, bound: float, period, runs=None) -> None:
+    def _settle(self, bound: float) -> None:
         if not math.isfinite(bound):
             raise InvalidSpecError(f"prefix bound must be finite, got {bound!r}")
+        head = self.head
         head.flags.writeable = False
-        span, top = _scan(head)
+        span = (head.min(), head.max()) if head.size else None
         # Negated so that NaN, which fails every comparison, is rejected too.
         if span is not None and not (span[1] <= bound and span[0] >= -bound):
             raise InvalidSpecError("prefix values must be finite and within the certified bound")
-        self.__dict__.update(
-            horizon=horizon, bound=bound, period=period, runs=runs, head=head, span=span, top=top
-        )
+        self.__dict__.update(bound=bound, span=span)
+
+    def _mismatch(self) -> InvalidSpecError:
+        if self.runs is not None:
+            return InvalidSpecError("prefix values are not constant between the spec's breaks")
+        t, q = self.period
+        return InvalidSpecError(f"prefix values do not repeat with period {q} after term {t}")
+
+    def _check(self, vals: np.ndarray) -> None:
+        """Raise unless every term of ``vals`` equals the head entry it
+        repeats bit for bit, compared ``_CHUNK`` terms at a time, so no
+        N-long temporary is made."""
+        # int64 views compare bits, so -0.0 differs from 0.0, and a NaN or
+        # out-of-bound term past the head repeats one in it.
+        x, h = vals.view(np.int64), self.head.view(np.int64)
+        for a in range(0, x.size, _CHUNK):
+            b = min(a + _CHUNK, x.size)
+            if not np.array_equal(x[a:b], h[self.entries(a, b)]):
+                raise self._mismatch()
+
+    def entries(self, first: int, stop: int) -> np.ndarray:
+        """Index into ``head`` of the entry that each of the terms
+        ``values[first:stop]`` repeats, as int64, built without a per-term
+        search: each run's entry repeated over its terms in the range, or,
+        past a transient's own entries, the period's turned to start at
+        its first term's and tiled."""
+        if self.runs is not None:
+            j, last = np.searchsorted(self.runs, [first, stop - 1], "right") - 1
+            cuts = np.clip(np.append(self.runs[j : last + 1], stop), first, stop)
+            return np.repeat(np.arange(j, last + 1), np.diff(cuts))
+        if self.period is None:
+            return np.arange(first, stop)
+        t, q = self.period
+        a = min(max(first, t), stop)
+        turned = np.tile(np.roll(np.arange(t, t + q), t - a), -((a - stop) // q))
+        return np.concatenate([np.arange(first, a), turned[: stop - a]])
 
     @cached_property
     def values(self) -> np.ndarray:
         """x(1..N), read-only; evaluated here, on first read, only for a
-        prefix ``materialize`` built from its head, and by the same chunks
-        as a prefix without a period or breaks."""
+        prefix read from its head, by the same chunks as a prefix given all
+        its terms, and checked against the head."""
         vals = _terms(self._evaluate, 1, self.horizon + 1)
-        if self.runs is None:
-            _check_period(vals, *self.period)
-        else:
-            _check_runs(vals, self.runs, self.head)
+        self._check(vals)
         vals.flags.writeable = False
         return vals
+
+    def map(self, fn, bound: float) -> "Prefix":
+        """The prefix of ``fn(x)`` for every term x, ``fn`` acting on a
+        float64 array term by term, with the certified ``bound``.
+
+        Of a prefix read from its head the result is read from its head
+        too, by an evaluator that applies ``fn`` to this prefix's, and is
+        checked like ``materialize``'s; any other maps its values.
+        """
+        if self._evaluate is None:
+            return Prefix(fn(self.values), self.horizon, bound, self.period)
+        f = self._evaluate
+
+        def g(first, stop, out):
+            out[:] = fn(f(first, stop))
+
+        return Prefix._from_head(g, self.horizon, bound, self.period, self.runs)
 
     @cached_property
     def copies(self) -> tuple[np.ndarray, np.ndarray]:
@@ -600,29 +573,21 @@ class Prefix:
 
     @cached_property
     def index(self) -> ValueIndex:
+        # np.unique's steps, each N-long temporary freed once it is spent.
         v = self.head
-        if self.top is not None:
-            # One or two values need no sort: they are the span, and the
-            # larger one's terms are ``top``.
-            lo, hi = self.span
-            uniq = np.array([lo] if lo == hi else [lo, hi])
-            top = np.count_nonzero(self.top)
-            counts = np.array([v.size - top, top][-uniq.size :])
-        else:
-            # np.unique's steps, each N-long temporary freed once it is spent.
-            srt = np.sort(v)
-            first = np.empty(srt.size, dtype=bool)
-            first[:1] = True
-            np.not_equal(srt[1:], srt[:-1], out=first[1:])
-            uniq = srt[first]
-            del srt
-            counts = np.flatnonzero(first)
-            del first
-            np.subtract(counts[1:], counts[:-1], out=counts[:-1])
-            counts[-1:] = v.size - counts[-1:]
+        srt = np.sort(v)
+        first = np.empty(srt.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(srt[1:], srt[:-1], out=first[1:])
+        uniq = srt[first]
+        del srt
+        counts = np.flatnonzero(first)
+        del first
+        np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+        counts[-1:] = v.size - counts[-1:]
         dtype = np.int32 if self.horizon < 2**31 else np.int64
         counts = self._tally(uniq, counts).astype(dtype, copy=False)
-        # The sort, min or max may pick a -0.0 term among the zeros.
+        # The sort may pick a -0.0 term among the zeros.
         z = int(np.searchsorted(uniq, 0.0))
         if z < uniq.size and uniq[z] == 0 and np.signbit(uniq[z]):
             if not np.signbit(v[v == 0]).all():
@@ -642,19 +607,16 @@ class Prefix:
         """Run of each of ``terms``, values of this prefix (all N terms when
         None), run g being ``index.uniq[starts[g]:starts[g + 1]]``
         (``starts[0] == 0``): int16 below 2**15 runs, else int32, searched
-        ``_CHUNK`` terms at a time so no N-long int64 result is made.  Two
-        runs need no search: a term is in the second when it is at least its
-        first value.  Given ``head``, the labels are one per head entry, the
-        form ``run_weights`` counts and ``last_indices`` reads."""
+        ``_CHUNK`` terms at a time so no N-long int64 result is made.  Given
+        ``head``, the labels are one per head entry, the form
+        ``run_weights`` counts and ``last_indices`` reads."""
         edges = self.index.uniq[starts[1:]]
         if terms is None:
             terms = self.values
         labels = np.empty(terms.size, np.int16 if len(starts) < 2**15 else np.int32)
         for a in range(0, terms.size, _CHUNK):
             part = terms[a : a + _CHUNK]
-            labels[a : a + _CHUNK] = (
-                part >= edges[0] if edges.size == 1 else np.searchsorted(edges, part, "right")
-            )
+            labels[a : a + _CHUNK] = np.searchsorted(edges, part, "right")
         return labels
 
     def last_indices(self, starts: np.ndarray, first: int = 0) -> np.ndarray:
@@ -686,11 +648,10 @@ class Prefix:
 def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     """Evaluate x(1..horizon) into a Prefix.
 
-    A spec whose period (t, q) is shorter than the horizon gets a prefix
-    that evaluates its first t + q terms and its last q, and a spec with
-    breaks and no period one that evaluates the first and last term of
-    each run; either evaluates the rest only when its ``values`` are
-    read."""
+    A spec whose period (t, q) is shorter than the horizon, or that has
+    breaks and no period, gets a prefix read from its head, each entry
+    evaluated at its first and its last position; the rest is evaluated
+    only when its ``values`` are read."""
     n = whole(horizon, "horizon")
     cap = max_horizon()
     if n > cap:
@@ -698,10 +659,10 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     f = _evaluator(spec, n)
     period = spec.period()
     if period is not None and n > sum(period):
-        return Prefix._from_head(f, n, spec.bound, period)
+        return Prefix._from_head(f, n, spec.bound, period=period)
     breaks = None if period is not None else spec.breaks(n)
     if breaks is not None:
-        return Prefix._from_runs(f, n, spec.bound, breaks)
+        return Prefix._from_head(f, n, spec.bound, runs=np.array([1, *breaks], dtype=np.int64) - 1)
     return Prefix(values=_terms(f, 1, n + 1), horizon=n, bound=spec.bound, period=period)
 
 

@@ -156,10 +156,9 @@ def run_weights(
     terms holds n - k of the other's.  Of two runs the counted mask is one
     compare of the head with the second run's first value; more runs are
     told apart by ``p.run_labels`` of the head.  Either way the mask is
-    one bit per head entry, counted by ``head_profile``: a periodic prefix
-    over its first t + q terms and a prefix of runs from its run starts,
-    with the rows' offsets still those of the whole prefix.  A caller that
-    reads only the weights passes just the tail of its schedule.
+    one bit per head entry, counted by ``head_profile`` with the rows'
+    offsets still those of the whole prefix.  A caller that reads only the
+    weights passes just the tail of its schedule.
     """
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))
@@ -175,8 +174,7 @@ def run_weights(
         missing = tuple(n for n in lengths if n not in rows)
         if missing:
             if len(runs) == 2:
-                # Of two values, the larger one's entries are the head's top.
-                above = p.top if p.index.uniq.size == 2 else p.head >= p.index.uniq[edges[1]]
+                above = p.head >= p.index.uniq[edges[1]]
                 bits = above if j else ~above
             else:
                 if labels is None:

@@ -17,8 +17,8 @@ Conventions that the whole package relies on:
 Counts come from one of four exact kernels.  ``density_profile`` chooses
 between the first two from the mask itself; ``head_profile`` counts a mask
 over a prefix's head (``Prefix.head``), which every term repeats, by the
-third or fourth when the prefix repeats one period or is made of runs, and
-by ``density_profile`` otherwise:
+third or fourth when the head is shorter than the prefix, by its layout
+(runs or one period), and by ``density_profile`` otherwise:
 
 * **Prefix sums** (every window mean, and masks whose members exceed
   ``SPARSE_SHARE`` of the terms): one prefix-sum array per input, each
@@ -441,8 +441,8 @@ def _gap_extrema(bits: np.ndarray, lengths):
 
 def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
     """Yield (n, min, max) window counts of a ``horizon``-term mask that
-    repeats with period q after t terms, from ``bits``, its first
-    min(horizon, t + q) terms.
+    repeats with period q after t terms, from ``bits``, its first t + q
+    terms (t + q < horizon).
 
     C(k), the members among the first k terms, is tabulated once for
     k <= min(horizon, 2 * (t + q)) from the mask with its period repeated.
@@ -451,11 +451,9 @@ def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
     and n' < t + q, reads C(i + n) - C(i) as C(i + n') - C(i) + a * p: one
     slice of the table per row, ending at i + n' <= horizon.
     """
-    size = bits.size
     per = int(bits[t:].sum())
-    if size == t + q:
-        extra = min(horizon, 2 * size) - size
-        bits = np.concatenate([bits, np.tile(bits[t:], -(-extra // q))[:extra]])
+    extra = min(horizon, 2 * (t + q)) - t - q
+    bits = np.concatenate([bits, np.tile(bits[t:], -(-extra // q))[:extra]])
     table = np.zeros(bits.size + 1, dtype=np.int32 if horizon < 2**31 else np.int64)
     np.cumsum(bits, out=table[1:])
     for n in lengths:
@@ -501,35 +499,23 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     return _profile(_count_extrema(m.bits, schedule.lengths), m.horizon)
 
 
-def period_profile(
-    m: Membership, period: tuple[int, int], horizon: int, schedule: WindowSchedule
-) -> DensityProfile:
-    """``density_profile`` of a ``horizon``-term mask that repeats with
-    ``period`` (t, q) after t terms, given as ``m``, its first
-    min(horizon, t + q) terms.  The rows range over all horizon - n + 1
-    offsets, as ``density_profile``'s of the whole mask do."""
-    t, q = period
-    schedule.validate_for(horizon)
-    if m.horizon != min(horizon, t + q):
-        raise InvalidSpecError("a period mask holds the first min(N, t + q) terms")
-    return _profile(_period_extrema(m.bits, t, q, horizon, schedule.lengths), horizon)
-
-
 def head_profile(p: Prefix, bits: np.ndarray, schedule: WindowSchedule) -> DensityProfile:
     """``density_profile`` of the mask over all N terms of ``p`` that
     flags every term repeating a head entry flagged in ``bits``, a bool
     mask over ``p.head``.
 
-    A periodic prefix is counted by ``period_profile``, a prefix of runs
-    by its run starts, and any other, whose head is every term, by
-    ``density_profile``.
+    A prefix longer than its head is counted by its layout: one period
+    over its first t + q terms, or its run starts.  Any other, whose head
+    is every term, is counted by ``density_profile``.
     """
-    if p.period is not None:
-        return period_profile(Membership.from_mask(bits), p.period, p.horizon, schedule)
-    if p.runs is not None:
-        schedule.validate_for(p.horizon)
-        return _profile(_run_extrema(bits, p.runs, p.horizon, schedule.lengths), p.horizon)
-    return density_profile(Membership.from_mask(bits), schedule)
+    if p.head.size == p.horizon:
+        return density_profile(Membership.from_mask(bits), schedule)
+    schedule.validate_for(p.horizon)
+    if p.runs is None:
+        extrema = _period_extrema(bits, *p.period, p.horizon, schedule.lengths)
+    else:
+        extrema = _run_extrema(bits, p.runs, p.horizon, schedule.lengths)
+    return _profile(extrema, p.horizon)
 
 
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:

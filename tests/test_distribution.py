@@ -45,7 +45,7 @@ from seqdist.distribution import (
     quantized_banach_limit,
 )
 from seqdist.sequences import _CHUNK
-from seqdist.windows import Membership
+from seqdist.windows import Membership, head_profile
 
 ALL_FIXTURES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
 
@@ -292,6 +292,32 @@ def test_quantize_out_of_bounds():
     p = materialize(fixture("F3"), 10)
     with pytest.raises(ValueOutOfBoundsError):
         quantize(p, Partition((0.0, 1.0)))
+
+
+@pytest.mark.parametrize("name", ["F4", "F6"])
+@pytest.mark.parametrize("points", [(0.0, 1.0), (-1.0, 0.5, 1.0), (-1.0, 0.0, 0.25, 1.0)])
+def test_quantize_of_a_prefix_read_from_its_head_fills_neither(name, points, monkeypatch):
+    # F4 repeats one period and F6 is made of runs: either quantizes to a
+    # prefix of the same layout, read from its head like the input.
+    filled = []
+    fill = Prefix.values.func
+
+    def spy(self):
+        filled.append(self.horizon)
+        return fill(self)
+
+    monkeypatch.setattr(Prefix.values, "func", spy)
+    p = materialize(fixture(name), 2**21)
+    part = Partition(points)
+    q = quantize(p, part)
+    assert filled == [] and q.head.size == p.head.size < q.horizon
+    full = quantize(Prefix(values=p.values, horizon=p.horizon, bound=p.bound), part)
+    assert q.span == full.span
+    assert all(np.array_equal(a, b) for a, b in zip(q.index, full.index))
+    sched = WindowSchedule.geometric(p.horizon)
+    for v in full.index.uniq:
+        assert head_profile(q, q.head == v, sched) == head_profile(full, full.head == v, sched)
+    assert np.array_equal(q.values, full.values)
 
 
 @st.composite

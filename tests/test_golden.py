@@ -45,8 +45,8 @@ CASES = {
     "analyze_mixed_zero.jsonl": [
         "analyze", "--spec-file", "tests/golden/mixed_zero.spec", "--horizon", N, "--format", "jsonl",
     ],
-    # Two values whose float sums are inexact: the index needs no sort, but
-    # the Cesaro rows take the float walk.
+    # Two values whose float sums are inexact: the Cesaro rows take the
+    # float walk.
     "analyze_two_valued_inexact.jsonl": [
         "analyze", "--spec-file", "tests/golden/two_valued_inexact.spec", "--horizon", N,
         "--format", "jsonl",

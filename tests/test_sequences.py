@@ -453,26 +453,19 @@ def assert_index_matches(p):
     assert p.index is p.index
 
 
-def index_calls(p):
-    """Build ``p.index`` and return the sizes of the arrays it passed to
-    ``np.sort`` and to ``np.count_nonzero``."""
-    calls = {"sort": [], "count_nonzero": []}
+def index_sorts(p):
+    """Build ``p.index`` and return the sizes of the arrays it sorted."""
+    sizes = []
+    real = np.sort
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real(a, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
-        for name, sizes in calls.items():
-            def spy(a, *args, real=getattr(np, name), sizes=sizes, **kwargs):
-                sizes.append(np.size(a))
-                return real(a, *args, **kwargs)
-
-            mp.setattr(np, name, spy)
+        mp.setattr(np, "sort", spy)
         p.index
-    return calls
-
-
-@given(index_case())
-@settings(max_examples=200, deadline=None)
-def test_value_index_matches_unique(case):
-    values, bound = case
-    assert_index_matches(Prefix(values=values, horizon=values.size, bound=bound))
+    return sizes
 
 
 @given(st.sampled_from([0.0, -0.0, 0.5, -1.0]), st.sampled_from([1, 2, _CHUNK + 1]))
@@ -496,13 +489,12 @@ def few_valued_case(draw):
     return rng.choice(values, n), bound
 
 
-@given(few_valued_case())
-@settings(max_examples=200, deadline=None)
-def test_value_index_of_two_values_needs_no_sort(case):
+@given(index_case() | few_valued_case())
+@settings(max_examples=300, deadline=None)
+def test_value_index_matches_unique(case):
     values, bound = case
     p = Prefix(values=values, horizon=values.size, bound=bound)
-    # The larger value's terms are counted once, from the scan's mask.
-    assert index_calls(p) == {"sort": [], "count_nonzero": [values.size]}
+    assert p.span == (values.min(), values.max())
     assert_index_matches(p)
 
 
@@ -510,12 +502,12 @@ def test_value_index_of_two_values_needs_no_sort(case):
 @pytest.mark.parametrize("middle", [0.25, -0.0, 0.0])
 @pytest.mark.parametrize("at", [-1, "chunk"])
 def test_value_index_with_a_third_value_in_the_last_chunk(n, middle, at):
-    # The scan stops at the first chunk holding a third value; here only
-    # the last one does, at its first or its last term.
+    # Only the last chunk holds a third value, at its first or its last
+    # term; the index sorts every term once, as of any other prefix.
     values = np.resize([-1.0, 1.0, 1.0], n)
     values[(n - 1) // _CHUNK * _CHUNK if at == "chunk" else at] = middle
     p = Prefix(values=values, horizon=n, bound=1.0)
-    assert index_calls(p) == {"sort": [n], "count_nonzero": []}
+    assert index_sorts(p) == [n]
     assert_index_matches(p)
 
 
@@ -529,8 +521,11 @@ def test_two_valued_cross_validate_sorts_no_terms(monkeypatch):
 
     monkeypatch.setattr(np, "sort", no_term_sort)
     mixed_zero = (Path(__file__).parent / "golden" / "mixed_zero.spec").read_text()
+    # Every two-valued prefix is read from a head of at most 22 entries,
+    # at the benchmark's 2**21 terms too, so none sorts its terms.
     for spec in [*(fixture(f) for f in ("F1", "F2", "F3", "F4", "F6")), parse_spec_file(mixed_zero)]:
-        cross_validate(spec, 4096)
+        for n in (4096, 2**21):
+            cross_validate(spec, n)
     with pytest.raises(AssertionError, match="sorted the terms"):
         cross_validate(fixture("F5"), 4096)
 
@@ -699,11 +694,8 @@ def test_span_and_index_of_a_periodic_prefix_match_all_terms(case):
     p = Prefix(values=values, horizon=values.size, bound=1.0, period=period)
     assert p.head.size == min(values.size, sum(period))
     assert p.span == (values.min(), values.max())
-    uniq, _ = unique_oracle(values)
-    # One or two values are read from the head's scan; more sort the head.
-    calls = index_calls(p)
-    assert calls["sort"] == ([] if uniq.size <= 2 else [p.head.size])
-    assert calls["count_nonzero"] == ([p.head.size] if uniq.size <= 2 else [])
+    # However many values, the index sorts the head once, and no more.
+    assert index_sorts(p) == [p.head.size]
     assert_index_matches(p)
 
 
@@ -782,6 +774,10 @@ def test_a_prefix_read_from_its_head_matches_its_filled_terms(spec, where, extra
         starts = np.array([0, *np.sort(cuts)])
         for first in {0, t, n // 2, n - 1}:
             assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
+    # Every term is the head entry that entries maps it to, bit for bit.
+    for a in {0, min(t, n - 1), n // 2, n - 1}:
+        b = int(rng.integers(a + 1, n + 1))
+        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
     if n > t + q:
         assert "values" not in vars(p)
 
@@ -853,6 +849,9 @@ def test_a_prefix_read_from_its_runs_matches_its_filled_terms(case, chunk, seed)
         starts = np.array([0, *np.sort(cuts)])
         for first in {0, n // 2, n - 1, int(rng.integers(0, n))}:
             assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a + 1, n + 1))
+        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
         ids = range(starts.size)
         assert run_weights(p, starts, ids, sched) == run_weights(full, starts, ids, sched)
         lo, hi = sorted(rng.uniform(-spec.bound, spec.bound, 2))
@@ -892,45 +891,3 @@ def test_breaks_that_skip_a_run_fail_the_fill(monkeypatch):
     assert p.last_indices(np.array([0])).tolist() == [7]
     with pytest.raises(InvalidSpecError, match="not constant"):
         p.values
-
-
-@st.composite
-def chunk_layout_case(draw):
-    """Terms of up to four chunks (the last one partial), each all the
-    smaller value, all the larger, both, or those and a third value."""
-    lo, hi = sorted(draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=2,
-                                  max_size=2, unique_by=lambda v: (v, math.copysign(1, v)))))
-    kinds = draw(st.lists(st.sampled_from(["lo", "hi", "both", "third"]), min_size=1, max_size=4))
-    parts = []
-    for k, kind in enumerate(kinds):
-        size = _CHUNK if k < len(kinds) - 1 else draw(st.integers(1, _CHUNK))
-        part = {"lo": [lo], "hi": [hi], "both": [lo, hi], "third": [lo, 0.25, hi]}[kind]
-        parts.append(np.resize(part, size))
-    return np.concatenate(parts)
-
-
-@given(chunk_layout_case())
-@settings(max_examples=60, deadline=None)
-def test_one_scan_finds_the_span_and_the_larger_values_terms(values):
-    p = Prefix(values=values, horizon=values.size, bound=1.0)
-    assert p.span == (values.min(), values.max())
-    if np.unique(values).size <= 2:
-        assert np.array_equal(p.top, values == values.max())
-    else:
-        assert p.top is None
-
-
-def test_scan_of_many_values_compares_only_the_first_chunk(monkeypatch):
-    # F5's first chunk holds a third value, so its other chunks are only
-    # reduced to their min and max, and its index then needs a sort.
-    sizes = []
-    count = np.count_nonzero
-
-    def spy(a, *args, **kwargs):
-        sizes.append(np.size(a))
-        return count(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "count_nonzero", spy)
-    p = materialize(fixture("F5"), 4 * _CHUNK)
-    assert p.top is None and sizes == [_CHUNK, _CHUNK]
-    assert index_calls(p) == {"sort": [4 * _CHUNK], "count_nonzero": []}

@@ -30,7 +30,7 @@ from seqdist import (
 )
 from seqdist import sequences, weights, windows
 from seqdist.sequences import _CHUNK
-from seqdist.windows import head_profile, period_profile
+from seqdist.windows import head_profile
 
 
 def mask_weight(mask, schedule):
@@ -478,21 +478,16 @@ def test_period_kernel_matches_oracle(case):
     n = values.size
     uniq = np.unique(values)
     edges = [*starts.tolist(), uniq.size]
+    p = Prefix(values=values, horizon=n, bound=4.0, period=(t, q))
     for a, b in zip(edges, edges[1:]):
         bits = (values >= uniq[a]) & (values <= uniq[b - 1])
-        prof = period_profile(Membership.from_mask(bits[: t + q]), (t, q), n, sched)
+        prof = head_profile(p, bits[: t + q], sched)
         whole = Membership.from_mask(bits)
         assert [(r.n, r.min_count, r.max_count, r.offsets_scanned) for r in prof.rows] == [
             (k, *naive_count_extrema(whole, k), n - k + 1) for k in sched.lengths
         ]
-
-
-def test_period_kernel_wants_the_first_t_plus_q_terms():
-    bits = Membership.from_mask(np.array([True, False, False]))
-    with pytest.raises(InvalidSpecError):
-        period_profile(bits, (0, 2), 6, WindowSchedule((2,)))
-    with pytest.raises(WindowTooLongError):
-        period_profile(bits, (0, 3), 6, WindowSchedule((7,)))
+        with pytest.raises(WindowTooLongError):
+            head_profile(p, bits[: t + q], WindowSchedule((n + 1,)))
 
 
 @given(periodic_run_case())
@@ -508,17 +503,19 @@ def test_run_weights_of_a_periodic_prefix_count_one_period(case):
         counted.append(("walk", m.horizon))
         return density_profile(m, schedule)
 
-    def recording_period(m, period, horizon, schedule):
-        counted.append(("period", m.horizon))
-        return period_profile(m, period, horizon, schedule)
+    def recording_period(bits, t, q, horizon, lengths):
+        counted.append(("period", bits.size))
+        return period_extrema(bits, t, q, horizon, lengths)
 
     ids = range(starts.size)
+    period_extrema = windows._period_extrema
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(windows, "density_profile", recording)
-        mp.setattr(windows, "period_profile", recording_period)
+        mp.setattr(windows, "_period_extrema", recording_period)
         got = run_weights(p, starts, ids, sched)
     # Every window at an offset past t + q repeats one q terms earlier, so
-    # the period kernel reads the first t + q terms and nothing is walked.
-    assert set(counted) <= {("period", min(n, sum(period)))}
+    # the period kernel reads the first t + q terms and nothing is walked;
+    # a prefix of at most t + q terms is its head, counted as any other.
+    assert set(counted) <= {("period", sum(period)) if n > sum(period) else ("walk", n)}
     assert got == run_weights(plain, starts, ids, sched)
     assert p.run_rows == plain.run_rows
