@@ -358,12 +358,11 @@ class ValueIndex(NamedTuple):
     counts: np.ndarray
 
 
-def _terms(f, first: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+def _terms(f, first: int, stop: int) -> np.ndarray:
     """x(first..stop - 1) evaluated by ``f``, an ``_evaluator`` result,
-    ``_CHUNK`` positions at a time, each chunk written in place into
-    ``out`` (a new float64 array when None)."""
-    if out is None:
-        out = np.empty(stop - first)
+    ``_CHUNK`` positions at a time, each chunk written in place into one
+    new float64 array."""
+    out = np.empty(stop - first)
     for a in range(0, out.size, _CHUNK):
         f(first + a, first + min(a + _CHUNK, out.size), out[a : a + _CHUNK])
     return out
@@ -375,10 +374,9 @@ def _at(f, positions: np.ndarray) -> np.ndarray:
     order = np.argsort(positions)
     pos = positions[order]
     cuts = [0, *(np.flatnonzero(np.diff(pos) != 1) + 1).tolist(), pos.size]
-    vals, out = np.empty(pos.size), np.empty(pos.size)
+    out = np.empty(pos.size)
     for a, b, first in zip(cuts, cuts[1:], pos[cuts[:-1]].tolist()):
-        _terms(f, first, first + b - a, vals[a:b])
-    out[order] = vals
+        out[order[a:b]] = _terms(f, first, first + b - a)
     return out
 
 
@@ -448,7 +446,7 @@ class Prefix:
             values=vals, horizon=horizon, period=period, runs=None,
             head=vals if period is None else vals[: sum(period)],
         )
-        if period is not None:
+        if period is not None and horizon > sum(period):
             self._check(vals)
         self._settle(bound)
 
@@ -484,22 +482,31 @@ class Prefix:
 
     def _check(self, vals: np.ndarray) -> None:
         """Raise unless every term of ``vals`` equals the head entry it
-        repeats bit for bit, compared ``_CHUNK`` terms at a time, so no
-        N-long temporary is made."""
+        repeats bit for bit, ``_CHUNK`` terms at a time: each run's terms
+        its one entry, or each chunk a slice of the entries of the first
+        t + q + ``_CHUNK`` terms, mapped once."""
         # int64 views compare bits, so -0.0 differs from 0.0, and a NaN or
         # out-of-bound term past the head repeats one in it.
         x, h = vals.view(np.int64), self.head.view(np.int64)
+        if self.runs is not None:
+            for s, e, v in zip(self.runs.tolist(), self.copies[1].tolist(), h.tolist()):
+                for a in range(s, e, _CHUNK):
+                    if not (x[a : min(a + _CHUNK, e)] == v).all():
+                        raise self._mismatch()
+            return
+        t, q = self.period
+        ref = h[self.entries(0, min(x.size, t + q + _CHUNK))]
         for a in range(0, x.size, _CHUNK):
-            b = min(a + _CHUNK, x.size)
-            if not np.array_equal(x[a:b], h[self.entries(a, b)]):
+            b, s = min(a + _CHUNK, x.size), a if a < t else t + (a - t) % q
+            if not np.array_equal(x[a:b], ref[s : s + b - a]):
                 raise self._mismatch()
 
     def entries(self, first: int, stop: int) -> np.ndarray:
         """Index into ``head`` of the entry that each of the terms
-        ``values[first:stop]`` repeats, as int64, built without a per-term
-        search: each run's entry repeated over its terms in the range, or,
-        past a transient's own entries, the period's turned to start at
-        its first term's and tiled."""
+        ``values[first:stop]`` repeats, as int64, with no temporary longer
+        than the range: each run's entry repeated over its terms in the
+        range, or, past a transient's own entries, t + (k - t) mod q for
+        the range's first q terms k, tiled."""
         if self.runs is not None:
             j, last = np.searchsorted(self.runs, [first, stop - 1], "right") - 1
             cuts = np.clip(np.append(self.runs[j : last + 1], stop), first, stop)
@@ -508,8 +515,9 @@ class Prefix:
             return np.arange(first, stop)
         t, q = self.period
         a = min(max(first, t), stop)
-        turned = np.tile(np.roll(np.arange(t, t + q), t - a), -((a - stop) // q))
-        return np.concatenate([np.arange(first, a), turned[: stop - a]])
+        turned = t + (np.arange(a, a + min(q, stop - a)) - t) % q
+        turned = np.tile(turned, -((a - stop) // q))[: stop - a]
+        return turned if a == first else np.concatenate([np.arange(first, a), turned])
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -603,16 +611,14 @@ class Prefix:
         ``weights.run_weights`` for each run and length it has counted."""
         return {}
 
-    def run_labels(self, starts: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
-        """Run of each of ``terms``, values of this prefix (all N terms when
-        None), run g being ``index.uniq[starts[g]:starts[g + 1]]``
-        (``starts[0] == 0``): int16 below 2**15 runs, else int32, searched
-        ``_CHUNK`` terms at a time so no N-long int64 result is made.  Given
-        ``head``, the labels are one per head entry, the form
-        ``run_weights`` counts and ``last_indices`` reads."""
+    def run_labels(self, starts: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Run of each of ``terms``, values of this prefix, run g being
+        ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): int16
+        below 2**15 runs, else int32, searched ``_CHUNK`` terms at a time so
+        no long int64 result is made.  Given ``head``, the labels are one per
+        head entry, the form ``run_weights`` counts and ``last_indices``
+        reads."""
         edges = self.index.uniq[starts[1:]]
-        if terms is None:
-            terms = self.values
         labels = np.empty(terms.size, np.int16 if len(starts) < 2**15 else np.int32)
         for a in range(0, terms.size, _CHUNK):
             part = terms[a : a + _CHUNK]

@@ -374,7 +374,7 @@ def assert_cells_match(values, bound, part):
     starts, occupied = _cells(p.index.uniq, part.points[:-1])
     m = len(part.points) - 1
     want = np.minimum(np.searchsorted(part.points, values, "right") - 1, m - 1)
-    assert np.array_equal(occupied[p.run_labels(starts)], want)
+    assert np.array_equal(occupied[p.run_labels(starts, p.values)], want)
     assert np.array_equal(occupied, np.unique(want))
     assert np.array_equal(quantize(p, part).values, part.points[want])
 

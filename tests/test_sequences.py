@@ -22,6 +22,7 @@ from seqdist import (
     doubling_blocks,
     eval_at,
     fixture,
+    lorentz_verdict,
     materialize,
     ones_then_zeros,
     periodic,
@@ -576,7 +577,7 @@ def assert_run_labels_match(values, bound, starts):
     p = Prefix(values=values, horizon=values.size, bound=bound)
     uniq, inverse = np.unique(values, return_inverse=True)
     runs = np.repeat(np.arange(starts.size), np.diff(np.append(starts, uniq.size)))
-    labels = p.run_labels(starts)
+    labels = p.run_labels(starts, p.values)
     assert labels.dtype == (np.int16 if starts.size < 2**15 else np.int32)
     assert np.array_equal(labels, runs[inverse.ravel()])
 
@@ -697,6 +698,51 @@ def test_span_and_index_of_a_periodic_prefix_match_all_terms(case):
     # However many values, the index sorts the head once, and no more.
     assert index_sorts(p) == [p.head.size]
     assert_index_matches(p)
+
+
+def test_a_period_longer_than_the_prefix_makes_nothing_of_its_length():
+    # A period of 10**9 terms over 4 terms: the head is the 4 terms, and
+    # neither the prefix nor its map holds anything of the period's length.
+    # Neither does a combination of patterns of coprime lengths, whose
+    # period is their lcm, about 1.0e9, at a horizon of 4096.
+    values = np.array([0.0, 1.0, 1.0, 0.5])
+    combo = affine_combo([
+        (1.0, periodic(np.arange(1000) % 2)),
+        (0.5, periodic(np.arange(1001) % 3 == 0)),
+        (0.25, periodic(np.arange(1003) % 5 == 1)),
+    ])
+    tracemalloc.start()
+    try:
+        p = Prefix(values=values, horizon=4, bound=1.0, period=(0, 10**9))
+        assert p.span == (0.0, 1.0) and np.array_equal(p.entries(1, 4), [1, 2, 3])
+        assert_index_matches(p)
+        c = materialize(combo, 4096)
+        lorentz_verdict(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.period == (0, 1000 * 1001 * 1003) and c.head.size == 4096
+    assert np.array_equal(c.head[c.entries(0, 4096)], c.values)
+    assert peak <= 2**20
+
+
+def test_the_period_check_maps_its_head_once():
+    # The fill check maps the head entries of the first t + q + _CHUNK
+    # terms once, not a chunk at a time, however long the period.
+    calls = []
+    entries = Prefix.entries
+
+    def counted(self, first, stop):
+        calls.append(stop - first)
+        return entries(self, first, stop)
+
+    for t, q in [(2, 3), (5, _CHUNK + 7)]:
+        values = np.concatenate([np.arange(t) + 2.0, np.resize(np.arange(q) % 2, 4 * _CHUNK + q)])
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Prefix, "entries", counted)
+            Prefix(values=values, horizon=values.size, bound=8.0, period=(t, q))
+        assert calls == [t + q + _CHUNK]
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5, -math.inf])
@@ -889,5 +935,25 @@ def test_breaks_that_skip_a_run_fail_the_fill(monkeypatch):
     p = materialize(spec, 7)
     assert p.head.tolist() == [0.0] and p.span == (0.0, 0.0)
     assert p.last_indices(np.array([0])).tolist() == [7]
+    with pytest.raises(InvalidSpecError, match="not constant"):
+        p.values
+
+
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+@pytest.mark.parametrize("at", [0, 1, 2, 5, 6, 14, 4095])
+def test_the_fill_of_runs_checks_every_term(at, chunk, monkeypatch):
+    # Runs of F6 at 4096 start at terms 0, 1, 3, 7, 15, ...; one term
+    # flipped by the fill, first, inner or last in its run, fails it.
+    monkeypatch.setattr(sequences, "_CHUNK", chunk)
+    p = materialize(fixture("F6"), 4096)
+    f = p._evaluate
+
+    def flipped(first, stop, out=None):
+        out = f(first, stop, out)
+        if first <= at + 1 < stop:
+            out[at + 1 - first] = 1.0 - out[at + 1 - first]
+        return out
+
+    p.__dict__["_evaluate"] = flipped
     with pytest.raises(InvalidSpecError, match="not constant"):
         p.values
