@@ -326,6 +326,25 @@ def _uniform_cells(uniq: np.ndarray, lo: float, hi: float, cells: int) -> tuple[
     return starts, j[starts] * step + lo
 
 
+def mesh_cells(p: Prefix, mesh_schedule) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(mesh, run starts, cell left endpoints) of ``p.index.uniq`` for each
+    mesh of ``mesh_schedule``, by the cells of ``Partition.with_mesh(-M, M,
+    mesh)`` (``_uniform_cells``); none for a prefix whose bound M is 0.
+
+    The meshes must be positive and strictly decreasing.
+    """
+    meshes = [float(m) for m in mesh_schedule]
+    # Negated so that NaN, which fails every comparison, is rejected too.
+    if not meshes or not all(m > 0 for m in meshes):
+        raise InvalidSpecError("meshes must be positive")
+    if any(b >= a for a, b in zip(meshes, meshes[1:])):
+        raise InvalidSpecError("meshes must be strictly decreasing")
+    m = p.bound
+    if m == 0:
+        return []
+    return [(mesh, *_uniform_cells(p.index.uniq, -m, m, _mesh_cells(-m, m, mesh))) for mesh in meshes]
+
+
 def quantize(p: Prefix, partition: Partition) -> Prefix:
     """Snap every term to the left endpoint of its partition cell.
 
@@ -452,12 +471,18 @@ def quantized_banach_limit(
     mesh and successive point estimates moved by less than the sum of the
     two meshes involved; unsettled weights leave the verdict inconclusive.
     """
-    meshes = [float(m) for m in mesh_schedule]
-    # Negated so that NaN, which fails every comparison, is rejected too.
-    if not meshes or not all(m > 0 for m in meshes):
-        raise InvalidSpecError("meshes must be positive")
-    if any(b >= a for a, b in zip(meshes, meshes[1:])):
-        raise InvalidSpecError("meshes must be strictly decreasing")
+    return quantized_estimate(p, mesh_cells(p, mesh_schedule), schedule, tolerances)
+
+
+def quantized_estimate(
+    p: Prefix,
+    cells: list[tuple[float, np.ndarray, np.ndarray]],
+    schedule: WindowSchedule | None = None,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> BanachEstimate:
+    """The weighing half of ``quantized_banach_limit``, for the cells of
+    ``mesh_cells(p, mesh_schedule)``."""
+    meshes = [mesh for mesh, _, _ in cells]
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     tail = WindowSchedule(sched.lengths[-tolerances.tail_rows:])
     if p.bound == 0:
@@ -465,11 +490,12 @@ def quantized_banach_limit(
             point=0.0, lower=0.0, upper=0.0, error_bound=0.0,
             method=METHOD_QUANTIZATION, verdict=ALMOST_CONVERGENT,
         )
+    # Every mesh's cells are known before the first is weighed, so the
+    # prefix groups its head once for all of them.
+    p.register(*(starts for _, starts, _ in cells))
     points: list[Fraction] = []
     all_converged = True
-    for mesh in meshes:
-        cells = _mesh_cells(-p.bound, p.bound, mesh)
-        starts, lefts = _uniform_cells(p.index.uniq, -p.bound, p.bound, cells)
+    for mesh, starts, lefts in cells:
         weights = run_weights(p, starts, range(starts.size), tail, tolerances)
         point, lower, upper = _enclosure(list(zip(lefts, weights)))
         points.append(point)

@@ -26,7 +26,8 @@ from .distribution import (
     INCONCLUSIVE,
     NOT_ALMOST_CONVERGENT,
     BanachEstimate,
-    quantized_banach_limit,
+    mesh_cells,
+    quantized_estimate,
     weight_bounds_estimate,
 )
 from .sequences import Prefix, SequenceSpec, materialize
@@ -35,8 +36,9 @@ from .weights import (
     SubLimitReport,
     Tolerances,
     check_sublimit_epsilon,
-    detect_sublimits,
+    cluster_starts,
     run_weights,
+    sublimit_report,
 )
 from .windows import CesaroProfile, CesaroRow, WindowSchedule, cesaro_profile
 
@@ -189,14 +191,19 @@ def cross_validate(
     lv = lorentz_verdict(p, sched, tolerances)
     # The clusters are counted on the whole schedule and kept in p.run_rows;
     # a quantization cell holding the same values reads its tail rows there.
+    # Every cluster's and cell's first value is registered before any run
+    # is weighed, so the prefix groups its head once for all of them.
+    cells = mesh_cells(p, mesh_schedule)
     if p.bound > 0:
-        rep = detect_sublimits(p, eps, schedule=sched, tolerances=tolerances)
+        starts = cluster_starts(p, eps)
+        p.register(starts, *(s for _, s, _ in cells))
+        rep = sublimit_report(p, starts, eps, schedule=sched, tolerances=tolerances)
     else:
         rep = SubLimitReport(
             clusters=(), residual_count=p.horizon,
             residual_mass=Fraction(1), horizon=p.horizon, epsilon=0.0,
         )
-    qe = quantized_banach_limit(p, mesh_schedule, sched, tolerances)
+    qe = quantized_estimate(p, cells, sched, tolerances)
     bounds = weight_bounds_estimate([(c.center, c.weight) for c in rep.clusters])
     difference = qe.point - lv.estimate
     combined = (qe.error_bound or 0.0) + lv.error_bound

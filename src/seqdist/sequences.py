@@ -390,12 +390,13 @@ class Prefix:
     copied, so the stored array is a read-only view of the caller's memory
     and the caller's own array stays writable, but the caller must not
     change it once the prefix exists.  ``index`` is the prefix's
-    :class:`ValueIndex`, built on first use and kept with it, and
+    :class:`ValueIndex`, built on first use and kept with it,
     ``run_rows`` keeps the window-count extrema of every run of
-    ``index.uniq`` counted so far; a later write to the caller's array
-    would leave both describing the old terms, and every estimator that
-    labels terms or reads counts through them would then disagree with
-    ``values`` without raising.
+    ``index.uniq`` counted so far, and ``members`` keeps one grouping of
+    the head by run; a later write to the caller's array would leave all
+    three describing the old terms, and every estimator that labels terms
+    or reads counts through them would then disagree with ``values``
+    without raising.
 
     Every term repeats an entry of ``head``, which is read in place of the
     N terms; ``entries`` maps terms to the entries they repeat:
@@ -483,8 +484,9 @@ class Prefix:
     def _check(self, vals: np.ndarray) -> None:
         """Raise unless every term of ``vals`` equals the head entry it
         repeats bit for bit, ``_CHUNK`` terms at a time: each run's terms
-        its one entry, or each chunk a slice of the entries of the first
-        t + q + ``_CHUNK`` terms, mapped once."""
+        its one entry, or the first t + q terms the head and every later
+        chunk the terms one period back, which are still in cache and,
+        by induction, already equal to the entries they repeat."""
         # int64 views compare bits, so -0.0 differs from 0.0, and a NaN or
         # out-of-bound term past the head repeats one in it.
         x, h = vals.view(np.int64), self.head.view(np.int64)
@@ -494,11 +496,10 @@ class Prefix:
                     if not (x[a : min(a + _CHUNK, e)] == v).all():
                         raise self._mismatch()
             return
-        t, q = self.period
-        ref = h[self.entries(0, min(x.size, t + q + _CHUNK))]
-        for a in range(0, x.size, _CHUNK):
-            b, s = min(a + _CHUNK, x.size), a if a < t else t + (a - t) % q
-            if not np.array_equal(x[a:b], ref[s : s + b - a]):
+        q, m = self.period[1], h.size
+        for a in (*range(0, m, _CHUNK), *range(m, x.size, _CHUNK)):
+            b = min(a + _CHUNK, m if a < m else x.size)
+            if not np.array_equal(x[a:b], h[a:b] if a < m else x[a - q : b - q]):
                 raise self._mismatch()
 
     def entries(self, first: int, stop: int) -> np.ndarray:
@@ -613,17 +614,60 @@ class Prefix:
 
     def run_labels(self, starts: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """Run of each of ``terms``, values of this prefix, run g being
-        ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): int16
-        below 2**15 runs, else int32, searched ``_CHUNK`` terms at a time so
-        no long int64 result is made.  Given ``head``, the labels are one per
-        head entry, the form ``run_weights`` counts and ``last_indices``
-        reads."""
+        ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): uint8
+        below 2**8 runs, int16 below 2**15, else int32, searched ``_CHUNK``
+        terms at a time so no long int64 result is made.  Given ``head``,
+        the labels are one per head entry, the form ``members`` groups and
+        ``last_indices`` reads."""
         edges = self.index.uniq[starts[1:]]
-        labels = np.empty(terms.size, np.int16 if len(starts) < 2**15 else np.int32)
+        runs = len(starts)
+        labels = np.empty(terms.size, np.uint8 if runs < 2**8 else np.int16 if runs < 2**15 else np.int32)
         for a in range(0, terms.size, _CHUNK):
             part = terms[a : a + _CHUNK]
             labels[a : a + _CHUNK] = np.searchsorted(edges, part, "right")
         return labels
+
+    @cached_property
+    def _edges(self) -> set[int]:
+        return set()
+
+    def register(self, *starts) -> None:
+        """Note the run starts (indices into ``index.uniq``) of partitions
+        whose runs ``members`` will be asked for, so that its one grouping
+        of the head covers them all.  Reads no term."""
+        for s in starts:
+            self._edges.update(np.asarray(s).tolist())
+
+    def members(self, first: int, end: int) -> np.ndarray:
+        """Ascending int32 positions in ``head`` of the entries valued in
+        ``index.uniq[first:end]``.
+
+        The head is grouped once, on the first call, by every run edge
+        registered or asked for so far: one ``run_labels`` of the head, a
+        stable argsort of the labels, which numpy makes a radix sort of
+        8- or 16-bit labels and which keeps each group's positions
+        ascending, cast at once to int32, and the groups' offsets from a
+        ``bincount``.  A run that spans several groups is one sort of
+        their positions.  A run edge not grouped yet regroups the head by
+        the union of the old and new edges.
+        """
+        self._edges.update((0, first, end, self.index.uniq.size))
+        grouped = self.__dict__.get("_groups")
+        if grouped is None or not {first, end} <= grouped[0].keys():
+            # The old grouping is freed before the new one is built.
+            self.__dict__.pop("_groups", None)
+            cuts = sorted(self._edges)
+            labels = self.run_labels(np.array(cuts[:-1], dtype=np.intp), self.head)
+            order = np.argsort(labels, kind="stable").astype(np.int32)
+            order.flags.writeable = False
+            offsets = [0, *np.cumsum(np.bincount(labels, minlength=len(cuts) - 1)).tolist()]
+            del labels
+            at = {e: k for k, e in enumerate(cuts)}
+            grouped = self.__dict__["_groups"] = at, offsets, order
+        at, offsets, order = grouped
+        i, j = at[first], at[end]
+        part = order[offsets[i] : offsets[j]]
+        return part if j - i == 1 else np.sort(part)
 
     def last_indices(self, starts: np.ndarray, first: int = 0) -> np.ndarray:
         """1-based index of the last term past index ``first`` of every run

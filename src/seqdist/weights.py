@@ -27,6 +27,7 @@ from .windows import (
     WindowSchedule,
     density_profile,
     head_profile,
+    member_profile,
 )
 
 
@@ -154,11 +155,14 @@ def run_weights(
     for the lengths no earlier call counted, and of exactly two runs it
     counts only the one with fewer terms, since a window holding k of its
     terms holds n - k of the other's.  Of two runs the counted mask is one
-    compare of the head with the second run's first value; more runs are
-    told apart by ``p.run_labels`` of the head.  Either way the mask is
-    one bit per head entry, counted by ``head_profile`` with the rows'
-    offsets still those of the whole prefix.  A caller that reads only the
-    weights passes just the tail of its schedule.
+    compare of the head with the second run's first value, one bit per
+    head entry, counted by ``head_profile``.  Of more runs each is read
+    as its head positions, ``p.members``, from the prefix's one grouping
+    of the head, and counted by ``member_profile``: the sparse runs of a
+    prefix whose head is every term from those positions, any other from
+    a mask over the head.  Either way the rows' offsets are those of the
+    whole prefix.  A caller that reads only the weights passes just the
+    tail of its schedule.
     """
     edges = np.append(starts, p.index.uniq.size).tolist()
     runs = list(zip(edges, edges[1:]))
@@ -168,20 +172,17 @@ def run_weights(
     todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
     if todo and len(runs) == 2:
         todo = [int(2 * p.index.counts[: edges[1]].sum() > p.horizon)]
-    labels = None
+    elif todo:
+        p.register(edges)
     for j in todo:
         rows = memo.setdefault(runs[j], {})
         missing = tuple(n for n in lengths if n not in rows)
         if missing:
             if len(runs) == 2:
                 above = p.head >= p.index.uniq[edges[1]]
-                bits = above if j else ~above
+                prof = head_profile(p, above if j else ~above, WindowSchedule(missing))
             else:
-                if labels is None:
-                    labels = p.run_labels(starts, p.head)
-                # A Python-int j keeps the compare in the labels' narrow dtype.
-                bits = labels == j
-            prof = head_profile(p, bits, WindowSchedule(missing))
+                prof = member_profile(p, p.members(*runs[j]), WindowSchedule(missing))
             rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)
         if len(runs) == 2:
             other = memo.setdefault(runs[1 - j], {})
@@ -260,46 +261,18 @@ def check_sublimit_epsilon(epsilon: float, bound: float) -> None:
         )
 
 
-def detect_sublimits(
-    p: Prefix,
-    epsilon: float,
-    recurrence_window: float = 0.25,
-    schedule: WindowSchedule | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SubLimitReport:
-    """Cluster recurrent values and estimate a weight for each cluster.
+def cluster_starts(p: Prefix, epsilon: float) -> np.ndarray:
+    """The sorted first indices into ``p.index.uniq`` of the sub-limit
+    clusters of ``detect_sublimits``, which checks ``epsilon``.
 
     Clustering is greedy on an epsilon grid over the prefix's distinct-value
-    index (``p.index``).  Distinct values are visited in
-    decreasing occurrence order (ties toward smaller values) and each
-    unassigned seed absorbs every still-unassigned value in
-    [seed - epsilon, seed + epsilon); what it absorbs is always one run of
-    the sorted distinct values, as a value group or quantization cell is,
-    so every term takes its cluster label from one search of the runs.
-    A cluster is a sub-limit candidate iff it recurs past index
-    (1 - recurrence_window) * N; "recurs late" is the finite-scale stand-in
-    for "occurs infinitely often", and values that stop appearing carry
-    weight 0 in the limit anyway.  Every cluster's last index comes from
-    ``Prefix.last_indices``, which reads a periodic prefix from its head
-    and searches any other backward from N until every cluster is found.
-
-    Cluster centers are occurrence-weighted means of their member values.
-    Each candidate's weight is estimated from the indices of its own members;
-    for an isolated cluster whose separation exceeds epsilon this equals
-    sublimit_weight(p, center, epsilon, ...) exactly, and for abutting
-    clusters it keeps the per-cluster index sets disjoint so their window
-    counts stay additive.
-
-    Whether a non-isolated cluster is a true sub-limit of the infinite
-    sequence is not decidable from a prefix; the flag is all this reports.
+    index.  Distinct values are visited in decreasing occurrence order (ties
+    toward smaller values) and each unassigned seed absorbs every
+    still-unassigned value in [seed - epsilon, seed + epsilon); what it
+    absorbs is always one run of the sorted distinct values, as a value
+    group or quantization cell is, so the clusters' starts are all a
+    grouping of the head needs.  Reads no term.
     """
-    check_sublimit_epsilon(epsilon, p.bound)
-    if not 0 < recurrence_window <= 1:
-        raise InvalidSpecError("recurrence_window must lie in (0, 1]")
-    if p.horizon < 1:
-        raise InvalidSpecError("an empty prefix has no sub-limits to detect")
-    sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
-
     uniq, counts = p.index
 
     # waiting[r] flags the value order[r] as unassigned, so the next seed is
@@ -307,7 +280,7 @@ def detect_sublimits(
     # values instead of walking every distinct value in Python.  A stable
     # sort keeps ties in ``uniq`` order, toward smaller values.  order and
     # rank take the counts' dtype (int32 below 2**31 terms) and, with
-    # waiting, are freed before the terms are labelled.
+    # waiting, are freed on return.
     order = np.argsort(-counts, kind="stable").astype(counts.dtype)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size, dtype=order.dtype)
@@ -331,10 +304,62 @@ def detect_sublimits(
         start = lo + int(free.argmax())
         waiting[rank[start : start + int(free.sum())]] = False
         starts.append(start)
-    del order, rank, waiting
-
     # The runs tile ``uniq``; number the clusters in value order.
-    starts = np.sort(starts)
+    return np.sort(starts)
+
+
+def detect_sublimits(
+    p: Prefix,
+    epsilon: float,
+    recurrence_window: float = 0.25,
+    schedule: WindowSchedule | None = None,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> SubLimitReport:
+    """Cluster recurrent values and estimate a weight for each cluster.
+
+    The clusters are the runs of ``cluster_starts``, and ``sublimit_report``
+    weighs them.  A cluster is a sub-limit candidate iff it recurs past
+    index (1 - recurrence_window) * N; "recurs late" is the finite-scale
+    stand-in for "occurs infinitely often", and values that stop appearing
+    carry weight 0 in the limit anyway.
+
+    Whether a non-isolated cluster is a true sub-limit of the infinite
+    sequence is not decidable from a prefix; the flag is all this reports.
+    """
+    check_sublimit_epsilon(epsilon, p.bound)
+    if not 0 < recurrence_window <= 1:
+        raise InvalidSpecError("recurrence_window must lie in (0, 1]")
+    if p.horizon < 1:
+        raise InvalidSpecError("an empty prefix has no sub-limits to detect")
+    return sublimit_report(
+        p, cluster_starts(p, epsilon), epsilon, recurrence_window, schedule, tolerances
+    )
+
+
+def sublimit_report(
+    p: Prefix,
+    starts: np.ndarray,
+    epsilon: float,
+    recurrence_window: float = 0.25,
+    schedule: WindowSchedule | None = None,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> SubLimitReport:
+    """The weighing half of ``detect_sublimits``, for the clusters that
+    start at ``starts`` (``cluster_starts(p, epsilon)``), with its checks
+    already made.
+
+    Every cluster's last index comes from ``Prefix.last_indices``, which
+    reads a periodic prefix from its head and searches any other backward
+    from N until every cluster is found.  Cluster centers are
+    occurrence-weighted means of their member values.  Each candidate's
+    weight is estimated from the indices of its own members
+    (``run_weights``); for an isolated cluster whose separation exceeds
+    epsilon this equals sublimit_weight(p, center, epsilon, ...) exactly,
+    and for abutting clusters it keeps the per-cluster index sets disjoint
+    so their window counts stay additive.
+    """
+    sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
+    uniq, counts = p.index
     ends = np.append(starts[1:], uniq.size)
     occs = np.add.reduceat(counts, starts, dtype=np.int64)
     # One fixed-order reduction: np.dot would call BLAS, whose sum order and

@@ -18,7 +18,11 @@ Counts come from one of four exact kernels.  ``density_profile`` chooses
 between the first two from the mask itself; ``head_profile`` counts a mask
 over a prefix's head (``Prefix.head``), which every term repeats, by the
 third or fourth when the head is shorter than the prefix, by its layout
-(runs or one period), and by ``density_profile`` otherwise:
+(runs or one period), and by ``density_profile`` otherwise.
+``member_profile`` counts the head entries at given positions
+(``Prefix.members``): a sparse set of a prefix whose head is every term
+goes to the member gaps as it is, with no mask, and any other is made a
+mask for ``head_profile``:
 
 * **Prefix sums** (every window mean, and masks whose members exceed
   ``SPARSE_SHARE`` of the terms): one prefix-sum array per input, each
@@ -41,7 +45,8 @@ third or fourth when the head is shorter than the prefix, by its layout
   between some member (or the start) and the member m + 1 places on (or
   the end) has room for a whole window.  Both tests are monotone in d (m)
   and each costs one O(c) pass, so a row is found by galloping from a seed
-  and bisecting: O(c log n) per row after one O(N) scan, and a seed taken
+  and bisecting: O(c log n) per row after one O(N) scan of the mask (none
+  when ``member_profile`` is given the positions), and a seed taken
   from the previous row usually settles it in a few passes.
 * **Run starts** (a prefix of R runs of equal terms, ``Prefix.runs``):
   the mask holds one bit per run.  Some extreme window starts at a run
@@ -404,19 +409,18 @@ def _first_true(pred, lo: int, hi: int, seed: int) -> int:
     return lo
 
 
-def _gap_extrema(bits: np.ndarray, lengths):
-    """Yield (n, min, max) window counts of the mask ``bits``, from its member gaps.
+def _gap_extrema(members: np.ndarray, horizon: int, lengths):
+    """Yield (n, min, max) window counts of the ``horizon``-term mask whose
+    members are the ascending 0-based positions ``members``, from their gaps.
 
-    With ``pos`` the 0-based member positions and P = ``fenced`` =
-    [-1, *pos, N], d members fit in one length-n window iff some
+    With ``pos`` the member positions and P = ``fenced`` = [-1, *pos, N],
+    d members fit in one length-n window iff some
     pos[k + d - 1] - pos[k] < n, and some window holds at most m members iff
     some P[k + m + 1] - P[k] - 1 >= n: the slots strictly between those two
     entries hold exactly m members, and the sentinels keep the window inside
     the prefix.  The first row is seeded at the mask's density, every later
     row at the previous row's extremes scaled by the ratio of the lengths.
     """
-    horizon = bits.size
-    members = np.flatnonzero(bits)
     c = members.size
     # The fenced positions and their differences reach horizon + 1.
     fenced = np.empty(c + 2, dtype=np.int32 if horizon + 1 < 2**31 else np.int64)
@@ -495,7 +499,7 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     """
     schedule.validate_for(m.horizon)
     if m.count() <= SPARSE_SHARE * m.horizon:
-        return _profile(_gap_extrema(m.bits, schedule.lengths), m.horizon)
+        return _profile(_gap_extrema(np.flatnonzero(m.bits), m.horizon, schedule.lengths), m.horizon)
     return _profile(_count_extrema(m.bits, schedule.lengths), m.horizon)
 
 
@@ -516,6 +520,23 @@ def head_profile(p: Prefix, bits: np.ndarray, schedule: WindowSchedule) -> Densi
     else:
         extrema = _run_extrema(bits, p.runs, p.horizon, schedule.lengths)
     return _profile(extrema, p.horizon)
+
+
+def member_profile(p: Prefix, members: np.ndarray, schedule: WindowSchedule) -> DensityProfile:
+    """``head_profile`` of the head entries at ``members``, ascending
+    positions in ``p.head`` (``Prefix.members``).
+
+    Of a prefix whose head is every term, at most ``SPARSE_SHARE`` of the
+    terms as members are counted from their gaps as given, with no mask,
+    as ``density_profile`` would count them; any other members are
+    scattered into a bool mask over the head for ``head_profile``.
+    """
+    if p.head.size == p.horizon and members.size <= SPARSE_SHARE * p.horizon:
+        schedule.validate_for(p.horizon)
+        return _profile(_gap_extrema(members, p.horizon, schedule.lengths), p.horizon)
+    bits = np.zeros(p.head.size, dtype=bool)
+    bits[members] = True
+    return head_profile(p, bits, schedule)
 
 
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:

@@ -557,9 +557,9 @@ def run_case(draw, min_size=0):
     return values, bound, np.array([0, *sorted(cuts)])
 
 
-def many_runs():
-    """2**15 + 1 distinct values in random order, each its own run."""
-    values = np.random.default_rng(7).permutation(np.linspace(-1.0, 1.0, 2**15 + 1))
+def many_runs(size=2**15 + 1):
+    """``size`` distinct values in random order, each its own run."""
+    values = np.random.default_rng(7).permutation(np.linspace(-1.0, 1.0, size))
     return values, 1.0, np.arange(values.size)
 
 
@@ -568,6 +568,8 @@ def many_runs():
 @example((np.array([-0.0, 0.5, -0.5, 0.0]), 1.0, np.array([0, 1])))
 @example((np.array([]), 1.0, np.array([0])))
 @example(many_runs())
+@example(many_runs(2**8 - 1))
+@example(many_runs(2**8))
 @settings(max_examples=200, deadline=None)
 def test_run_labels_match_repeat_of_unique_inverse(case):
     assert_run_labels_match(*case)
@@ -578,7 +580,8 @@ def assert_run_labels_match(values, bound, starts):
     uniq, inverse = np.unique(values, return_inverse=True)
     runs = np.repeat(np.arange(starts.size), np.diff(np.append(starts, uniq.size)))
     labels = p.run_labels(starts, p.values)
-    assert labels.dtype == (np.int16 if starts.size < 2**15 else np.int32)
+    n_runs = starts.size
+    assert labels.dtype == (np.uint8 if n_runs < 2**8 else np.int16 if n_runs < 2**15 else np.int32)
     assert np.array_equal(labels, runs[inverse.ravel()])
 
 
@@ -595,6 +598,73 @@ def chunk_edge_case(draw):
 @settings(max_examples=20, deadline=None)
 def test_run_labels_across_a_chunk_edge(case):
     assert_run_labels_match(*case)
+
+
+def partitions_of(draw, k):
+    """One to three partitions of k distinct values into runs, as starts."""
+    cuts = st.sets(st.integers(1, max(k - 1, 1)), max_size=k - 1)
+    return [np.array([0, *sorted(c)]) for c in draw(st.lists(cuts, min_size=1, max_size=3))]
+
+
+@st.composite
+def members_case(draw):
+    """A filled, periodic or run prefix; partitions of its distinct values,
+    the first ``registered`` of them registered before any run is asked
+    for; and the runs asked for, in any order: every run of every
+    partition, so a coarse run often spans several grouped runs, and a
+    few runs of no partition, which regroup the head."""
+    kind = draw(st.sampled_from(["filled", "periodic", "runs"]))
+    if kind == "filled":
+        values, bound = draw(index_case())
+        p = Prefix(values=values, horizon=values.size, bound=bound)
+    elif kind == "periodic":
+        head = draw(st.lists(st.integers(-4, 4), max_size=20))
+        pattern = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=12))
+        n = len(head) + len(pattern) + draw(st.integers(1, 60))
+        values = np.array((head + pattern * n)[:n], dtype=float)
+        p = Prefix(values=values, horizon=n, bound=4.0, period=(len(head), len(pattern)))
+    else:
+        children = st.builds(shift, st.just(doubling_blocks()), st.integers(0, 9)) | st.builds(
+            ones_then_zeros, st.integers(1, 300)
+        )
+        terms = st.lists(st.tuples(st.sampled_from([1.0, 2.0, -0.5, 4.0]), children), min_size=1, max_size=3)
+        p = materialize(affine_combo(draw(terms)), draw(st.integers(1, 300)))
+    k = p.index.uniq.size
+    partitions = partitions_of(draw, k)
+    runs = [
+        (int(a), int(b)) for starts in partitions for a, b in zip(starts, [*starts[1:], k])
+    ]
+    runs += draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(1, k)).filter(lambda r: r[0] < r[1]), max_size=3
+    ))
+    asks = draw(st.permutations(runs))
+    return p, partitions, draw(st.integers(0, len(partitions))), asks
+
+
+def many_run_members(size):
+    """``size`` distinct values, each its own run (uint8 labels below 256
+    runs, else int16), and three runs that each span a third of them."""
+    values, bound, starts = many_runs(size)
+    p = Prefix(values=values, horizon=values.size, bound=bound)
+    a, b = size // 3, 2 * size // 3
+    asks = [(0, a), (7, 8), (a, b), (b, size), (size - 1, size), (5, size - 10)]
+    return p, [starts, np.array([0, a, b])], 2, asks
+
+
+@given(members_case())
+@example(many_run_members(255))
+@example(many_run_members(300))
+@settings(max_examples=150, deadline=None)
+def test_members_are_the_head_positions_of_their_run(case):
+    p, partitions, registered, asks = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_CHUNK", 7)
+        p.register(*partitions[:registered])
+        uniq = p.index.uniq
+        for first, end in asks:
+            got = p.members(first, end)
+            want = np.flatnonzero((p.head >= uniq[first]) & (p.head <= uniq[end - 1]))
+            assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 def periodic_specs():
@@ -726,9 +796,10 @@ def test_a_period_longer_than_the_prefix_makes_nothing_of_its_length():
     assert peak <= 2**20
 
 
-def test_the_period_check_maps_its_head_once():
-    # The fill check maps the head entries of the first t + q + _CHUNK
-    # terms once, not a chunk at a time, however long the period.
+def test_the_period_check_maps_no_head_entries():
+    # Each chunk past the head is compared with the terms one period back,
+    # so the check maps no term to its head entry and makes nothing longer
+    # than a chunk, however long the period.
     calls = []
     entries = Prefix.entries
 
@@ -738,11 +809,15 @@ def test_the_period_check_maps_its_head_once():
 
     for t, q in [(2, 3), (5, _CHUNK + 7)]:
         values = np.concatenate([np.arange(t) + 2.0, np.resize(np.arange(q) % 2, 4 * _CHUNK + q)])
-        calls.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Prefix, "entries", counted)
-            Prefix(values=values, horizon=values.size, bound=8.0, period=(t, q))
-        assert calls == [t + q + _CHUNK]
+            tracemalloc.start()
+            try:
+                Prefix(values=values, horizon=values.size, bound=8.0, period=(t, q))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert calls == [] and peak <= 2 * _CHUNK
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5, -math.inf])

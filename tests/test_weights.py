@@ -30,7 +30,7 @@ from seqdist import (
 )
 from seqdist import sequences, weights, windows
 from seqdist.sequences import _CHUNK
-from seqdist.windows import head_profile
+from seqdist.windows import head_profile, member_profile
 
 
 def mask_weight(mask, schedule):
@@ -430,17 +430,46 @@ def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
     # same two runs, and only the smaller is counted, on the full schedule.
     # F1 and F4 are periodic, so their run takes the period kernel, and F6
     # is made of runs, so its mask holds one bit per run.
+    # Runs of more than two are counted by member_profile from their head
+    # positions, keyed here by the same head mask as a two-run mask.
     counted = []
 
     def recording(p, bits, schedule):
         counted.extend((bits.tobytes(), n) for n in schedule.lengths)
         return head_profile(p, bits, schedule)
 
+    def recording_members(p, members, schedule):
+        bits = np.zeros(p.head.size, dtype=bool)
+        bits[members] = True
+        counted.extend((bits.tobytes(), n) for n in schedule.lengths)
+        return member_profile(p, members, schedule)
+
     monkeypatch.setattr(weights, "head_profile", recording)
+    monkeypatch.setattr(weights, "member_profile", recording_members)
     cross_validate(fixture(name), 4096)
     assert counted and len(set(counted)) == len(counted)
     if masks is not None:
         assert len({bits for bits, _ in counted}) == masks
+
+
+def test_cross_validate_labels_a_filled_prefix_once(monkeypatch):
+    # F5's terms are all distinct, so its head is all N terms.  Every
+    # cluster's and cell's first value is registered before any run is
+    # weighed, so one labelling of the head groups the terms for all 32
+    # clusters and the 16 + 64 occupied cells; the last indices label only
+    # short stretches at the end.
+    n = 2**16
+    labelled = []
+    run_labels = Prefix.run_labels
+
+    def spy(self, starts, terms):
+        labelled.append((terms is self.head, terms.size))
+        return run_labels(self, starts, terms)
+
+    monkeypatch.setattr(Prefix, "run_labels", spy)
+    cross_validate(fixture("F5"), n)
+    assert [size for whole, size in labelled if whole] == [n]
+    assert sum(size for whole, size in labelled if not whole) < n // 4
 
 
 @st.composite
