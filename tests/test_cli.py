@@ -1,12 +1,28 @@
+import contextlib
+import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from seqdist import cli
+from seqdist import cli, sequences
 from seqdist.cli import main, parse_spec_file, render
 from seqdist.errors import InvalidSpecError
-from seqdist.sequences import MAX_HORIZON_ENV, Prefix, eval_at
+from seqdist.sequences import (
+    MAX_HORIZON_ENV,
+    Prefix,
+    SequenceSpec,
+    affine_combo,
+    doubling_blocks,
+    dyadic_harmonic,
+    eval_at,
+    materialize,
+    ones_then_zeros,
+    periodic,
+    shift,
+)
 
 
 def run(capsys, argv):
@@ -398,3 +414,56 @@ def test_periodic_two_valued_analyze_never_fills_the_prefix(capsys, monkeypatch)
     code, _, _ = run(capsys, ["analyze", "--spec-file", "tests/golden/transient_combo.spec",
                               "--horizon", "4096", "--format", "jsonl"])
     assert code == 0 and filled == [4096]
+
+# --------------------------------------------------------- one report, any layout
+
+
+@st.composite
+def layout_specs(draw):
+    """A spec for each way a prefix can be read: periodic patterns holding
+    +-0.0, ones-then-zeros whose transient may pass the horizon, shifted
+    doubling blocks and dyadic harmonics, and affine combos and shifts of
+    these, whose periods may need an lcm past the horizon."""
+    patterns = st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.25]), min_size=1, max_size=9
+    ).map(periodic)
+    steps = st.integers(1, 6000).map(ones_then_zeros)
+    leaves = patterns | steps | st.just(doubling_blocks()) | st.just(dyadic_harmonic())
+    shifted = lambda specs: st.builds(shift, specs, st.integers(0, 40))
+    coefs = st.sampled_from([1.0, -0.5, 0.1, 3.0])
+    tree = st.recursive(
+        shifted(leaves),
+        lambda kids: st.lists(st.tuples(coefs, shifted(kids)), min_size=1, max_size=3).map(affine_combo),
+        max_leaves=4,
+    )
+    return draw(shifted(tree))
+
+
+def analyze_report(spec, n) -> str:
+    """``analyze --format jsonl`` of ``spec`` at horizon ``n``."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "_resolve_spec", lambda args: ("probe", spec))
+        assert main(["analyze", "--fixture", "F1", "--horizon", str(n), "--format", "jsonl"]) == 0
+    return out.getvalue()
+
+
+@given(layout_specs(), st.sampled_from([64, 100, 777, 4096, 5000]), st.sampled_from([7, 100]))
+# A transient past N, and a period (lcm 7 * 8 * 9) past N.
+@example(shift(ones_then_zeros(5000), 3), 4096, 7)
+@example(affine_combo([(1.0, periodic([1.0] + [0.0] * 6)), (0.5, periodic([-0.0] * 8)),
+                       (0.1, shift(periodic([0.25] * 8 + [-0.5]), 2))]), 100, 7)
+@example(shift(dyadic_harmonic(), 3), 4096, 7)
+@settings(max_examples=120, deadline=None)
+def test_a_report_is_the_same_from_any_head_layout(spec, n, chunk):
+    # A spec with a period or breaks is read from its head; with both rules
+    # patched away the same spec is filled and read term by term.  The two
+    # reports agree byte for byte, chunk edges falling inside runs and
+    # periods.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_CHUNK", chunk)
+        declared = analyze_report(spec, n)
+        for rule in ("period", "breaks"):
+            mp.setattr(SequenceSpec, rule, lambda self, *args: None)
+        assert materialize(spec, n).head.size == n
+        assert analyze_report(spec, n) == declared

@@ -69,6 +69,12 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/shifted_doubling.spec", "--horizon", "65536",
         "--format", "jsonl",
     ],
+    # The dyadic harmonic shifted by 3: term n is 1/j on the 2-adic class
+    # of n + 3, so no class starts at its usual residue.
+    "analyze_shifted_dyadic.jsonl": [
+        "analyze", "--spec-file", "tests/golden/shifted_dyadic.spec", "--horizon", "65536",
+        "--format", "jsonl",
+    ],
 }
 
 
@@ -92,3 +98,12 @@ def test_report_matches_golden_in_small_blocks(name, capsys, monkeypatch):
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_dyadic_harmonic_report_at_2_to_the_20(capsys):
+    # F7 at 2**20 holds 21 classes, and some of its clusters and cells
+    # repeat only every 2**16 terms.  Blocks of 7 would take minutes here,
+    # so this report runs at the default sizes only.
+    assert main(["analyze", "--fixture", "F7", "--horizon", str(2**20), "--format", "jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "analyze_F7_1048576.jsonl").read_text(encoding="utf-8")
