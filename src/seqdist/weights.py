@@ -272,8 +272,18 @@ def cluster_starts(p: Prefix, epsilon: float) -> np.ndarray:
     absorbs is always one run of the sorted distinct values, as a value
     group or quantization cell is, so the clusters' starts are all a
     grouping of the head needs.  Reads no term.
+
+    When every count is equal, as among distinct terms, the visiting order
+    is ``uniq`` order, so each seed absorbs exactly [seed, seed + epsilon)
+    and the starts are one sweep of searches, with no sort.
     """
     uniq, counts = p.index
+    if counts.min() == counts.max():
+        starts = [0]
+        while starts[-1] < uniq.size:
+            s = starts[-1]
+            starts.append(max(int(np.searchsorted(uniq, uniq[s] + epsilon, "left")), s + 1))
+        return np.array(starts[:-1])
 
     # waiting[r] flags the value order[r] as unassigned, so the next seed is
     # the first flag left in visiting order: argmax jumps over assigned

@@ -265,6 +265,40 @@ def test_detect_sublimits_matches_docstring_clustering(eighths, epsilon_eighths)
     assert rep.residual_count == len(values) - sum(c[1] for c in want)
 
 
+@given(
+    steps=st.lists(st.integers(-64, 64), min_size=1, max_size=120, unique=True),
+    copies=st.integers(1, 3),
+    epsilon_eighths=st.integers(1, 8),
+)
+@settings(max_examples=100, deadline=None)
+def test_clusters_of_equally_frequent_values_match_docstring_clustering(
+    steps, copies, epsilon_eighths
+):
+    # Every value occurs equally often, so the seeds are visited in value
+    # order and cluster_starts sweeps the values once.
+    values = [k / 32 for k in steps] * copies
+    epsilon = epsilon_eighths / 8
+    p = Prefix(values=np.array(values), horizon=len(values), bound=2.0)
+    rep = detect_sublimits(p, epsilon, schedule=WindowSchedule((1,)))
+    assert cluster_rows(rep) == docstring_clusters(values, epsilon)
+
+
+def test_cross_validate_of_distinct_terms_sorts_no_counts(monkeypatch):
+    # F5's terms are all distinct, so every count is 1; the only integer
+    # arrays argsorted are the head's uint8 labels, never the counts.
+    argsort = np.argsort
+    sorted_kinds = []
+
+    def spy(a, *args, **kwargs):
+        sorted_kinds.append((np.asarray(a).dtype.kind, np.size(a)))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    cross_validate(fixture("F5"), 4096)
+    assert ("u", 4096) in sorted_kinds
+    assert not [size for kind, size in sorted_kinds if kind == "i" and size >= 4096]
+
+
 def test_detect_sublimits_earlier_clusters_take_both_ends_of_a_span():
     # 1/8 and 7/8 seed first and take 5/16 and 11/16; the seed 1/2 then
     # spans [1/4, 3/4) but keeps only 7/16 and 1/2 from its middle.
