@@ -45,9 +45,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_HORIZON_ENV = "SEQDIST_MAX_HORIZON"
 # From a 2 GiB peak-RSS budget, a quarter of an 8 GB host.  cross_validate on
 # F5, whose terms are all distinct, is the heaviest run; one fresh process
-# each on a 2-core x86-64 Linux host (numpy 2.4) measured 284 MiB / 2.9 s at
-# 8e6, 568 MiB / 5.2 s at 1.6e7, 1288 MiB / 16.4 s at 4e7 and 1919 MiB /
-# 23.7 s at 6e7: about 33 B/term, most of it the sort behind Prefix.index.
+# each on a 2-core x86-64 Linux host (numpy 2.4) measured 244 MiB / 1.3 s at
+# 8e6, 458 MiB / 3.2-3.5 s at 1.6e7 and 1099 MiB / 11.0 s at 4e7: about
+# 29 B/term, most of it the sort behind Prefix.index, so about 1.65 GiB at
+# 6e7.  F7, read from its classes, measured 946 MiB / 2.5-2.9 s at 6e7,
+# nearly all of it the values and the float walk's prefix sums.
 DEFAULT_MAX_HORIZON = 60_000_000
 
 def max_horizon() -> int:
@@ -164,6 +166,15 @@ class SequenceSpec:
                 return None
             return sorted(set().union(*found))
         return None
+
+    def classes(self) -> int | None:
+        """The offset s such that x(n) depends only on the 2-adic class
+        v2(n + s) + 1 of n, bit for bit, or None when none is known.
+
+        The dyadic harmonic is 1/j on class j, so its s is its shift.  Every
+        other kind has none.
+        """
+        return self.shift if self.kind == "dyadic-harmonic" else None
 
 
 def _finite_reals(values, what: str) -> tuple[float, ...]:
@@ -408,6 +419,11 @@ class Prefix:
       spec's breaks, the 0-based first term of every run of equal terms
       (``runs[0] == 0``, int64).  The head then holds one term per run, and
       ``head[k]`` is every term of ``values[runs[k]:runs[k + 1]]``.
+    * ``classes`` is None or, for a prefix that ``materialize`` built from
+      a spec's class rule (``SequenceSpec.classes``), its offset s: term
+      k + 1 lies in the 2-adic class j = v2(k + 1 + s) + 1.  The head then
+      holds one term per class that occurs, ascending in j, and ``strides``
+      gives each class's first term and its step 2**j.
     * Otherwise the head is all N terms.
 
     ``span``, the (min, max) of the head that the bound check finds (None
@@ -418,16 +434,17 @@ class Prefix:
 
     Given its values and a period, a prefix checks every term against the
     head entry it repeats, before the bound.  ``materialize`` of a spec
-    with a period and more than t + q terms, or with breaks and no period,
-    evaluates each head entry at its first and its last position, which
-    must agree bit for bit; ``values`` is then evaluated on first read, by
-    the same evaluator, and checked the same way.
+    with a period and more than t + q terms, or with breaks or a class rule
+    and no period, evaluates each head entry at its first and its last
+    position, which must agree bit for bit; ``values`` is then evaluated on
+    first read, by the same evaluator, and checked the same way.
     """
 
     horizon: int
     bound: float
     period: tuple[int, int] | None
     runs: np.ndarray | None = field(repr=False)
+    classes: int | None
     head: np.ndarray = field(repr=False)
     span: tuple[float, float] | None = field(repr=False)
     # The evaluator of a prefix read from its head, which fills ``values``.
@@ -444,7 +461,7 @@ class Prefix:
         # Stored where the ``values`` cached_property looks first, so it is
         # never evaluated.
         self.__dict__.update(
-            values=vals, horizon=horizon, period=period, runs=None,
+            values=vals, horizon=horizon, period=period, runs=None, classes=None,
             head=vals if period is None else vals[: sum(period)],
         )
         if period is not None and horizon > sum(period):
@@ -452,13 +469,21 @@ class Prefix:
         self._settle(bound)
 
     @classmethod
-    def _from_head(cls, f, horizon: int, bound: float, period=None, runs=None) -> "Prefix":
+    def _from_head(cls, f, horizon: int, bound: float, period=None, runs=None, classes=None) -> "Prefix":
         """The prefix x(1..horizon) of ``f``, an ``_evaluator`` result, read
         from the first t + q terms of a ``period`` (t, q), t + q < horizon,
-        or from the first term of each run of ``runs``."""
+        from the first term of each run of ``runs``, or from the first term
+        of each 2-adic class of offset ``classes`` that occurs, fewer than
+        horizon."""
         p = cls.__new__(cls)
-        firsts = np.arange(1, sum(period) + 1) if runs is None else runs + 1
-        p.__dict__.update(_evaluate=f, horizon=horizon, period=period, runs=runs, head=_at(f, firsts))
+        p.__dict__.update(_evaluate=f, horizon=horizon, period=period, runs=runs, classes=classes)
+        if runs is not None:
+            firsts = runs + 1
+        elif classes is not None:
+            firsts = np.array(p.strides[0], dtype=np.int64) + 1
+        else:
+            firsts = np.arange(1, sum(period) + 1)
+        p.__dict__["head"] = _at(f, firsts)
         if not np.array_equal(p.head.view(np.int64), _at(f, p.copies[1]).view(np.int64)):
             raise p._mismatch()
         p._settle(bound)
@@ -478,15 +503,18 @@ class Prefix:
     def _mismatch(self) -> InvalidSpecError:
         if self.runs is not None:
             return InvalidSpecError("prefix values are not constant between the spec's breaks")
+        if self.classes is not None:
+            return InvalidSpecError("prefix values are not constant on the spec's 2-adic classes")
         t, q = self.period
         return InvalidSpecError(f"prefix values do not repeat with period {q} after term {t}")
 
     def _check(self, vals: np.ndarray) -> None:
         """Raise unless every term of ``vals`` equals the head entry it
         repeats bit for bit, ``_CHUNK`` terms at a time: each run's terms
-        its one entry, or the first t + q terms the head and every later
-        chunk the terms one period back, which are still in cache and,
-        by induction, already equal to the entries they repeat."""
+        its one entry, each class's terms, one strided slice, its one
+        entry, or the first t + q terms the head and every later chunk the
+        terms one period back, which are still in cache and, by induction,
+        already equal to the entries they repeat."""
         # int64 views compare bits, so -0.0 differs from 0.0, and a NaN or
         # out-of-bound term past the head repeats one in it.
         x, h = vals.view(np.int64), self.head.view(np.int64)
@@ -494,6 +522,14 @@ class Prefix:
             for s, e, v in zip(self.runs.tolist(), self.copies[1].tolist(), h.tolist()):
                 for a in range(s, e, _CHUNK):
                     if not (x[a : min(a + _CHUNK, e)] == v).all():
+                        raise self._mismatch()
+            return
+        if self.classes is not None:
+            for s, step, v in zip(*self.strides, h.tolist()):
+                # A step past the last term picks one term, and fits a slice.
+                step = min(step, x.size)
+                for a in range(s, x.size, step * _CHUNK):
+                    if not (x[a : a + step * _CHUNK : step] == v).all():
                         raise self._mismatch()
             return
         q, m = self.period[1], h.size
@@ -506,12 +542,21 @@ class Prefix:
         """Index into ``head`` of the entry that each of the terms
         ``values[first:stop]`` repeats, as int64, with no temporary longer
         than the range: each run's entry repeated over its terms in the
-        range, or, past a transient's own entries, t + (k - t) mod q for
+        range, each term's class entry, read from the lowest set bit of its
+        position, or, past a transient's own entries, t + (k - t) mod q for
         the range's first q terms k, tiled."""
         if self.runs is not None:
             j, last = np.searchsorted(self.runs, [first, stop - 1], "right") - 1
             cuts = np.clip(np.append(self.runs[j : last + 1], stop), first, stop)
             return np.repeat(np.arange(j, last + 1), np.diff(cuts))
+        if self.classes is not None:
+            m = np.arange(first + 1 + self.classes, stop + 1 + self.classes, dtype=np.int64)
+            # The lowest set bit of m is 2**(j - 1), whose binary exponent
+            # frexp gives as j, exactly.
+            j = np.frexp((m & -m).astype(np.float64))[1]
+            at = np.zeros(64, dtype=np.int64)
+            at[[step.bit_length() - 1 for step in self.strides[1]]] = np.arange(self.head.size)
+            return at[j]
         if self.period is None:
             return np.arange(first, stop)
         t, q = self.period
@@ -545,7 +590,7 @@ class Prefix:
         def g(first, stop, out):
             out[:] = fn(f(first, stop))
 
-        return Prefix._from_head(g, self.horizon, bound, self.period, self.runs)
+        return Prefix._from_head(g, self.horizon, bound, self.period, self.runs, self.classes)
 
     @cached_property
     def copies(self) -> tuple[np.ndarray, np.ndarray]:
@@ -553,15 +598,20 @@ class Prefix:
         number of the N terms that repeat each head entry, and the 1-based
         position of the last of them.
 
-        A run's terms end where the next run starts.  Past the transient t,
-        the N - t terms are f whole periods and the first r terms of one
-        more (N - t = f * q + r), and the period's term j, x(t + 1 + j),
-        lies last at N - q + 1 + (j - N + t) mod q.
+        A run's terms end where the next run starts.  A class whose first
+        term is k and step 2**j holds every 2**j-th term from k.  Past the
+        transient t, the N - t terms are f whole periods and the first r
+        terms of one more (N - t = f * q + r), and the period's term j,
+        x(t + 1 + j), lies last at N - q + 1 + (j - N + t) mod q.
         """
         n = self.horizon
         if self.runs is not None:
             ends = np.append(self.runs[1:], n)
             return ends - self.runs, ends
+        if self.classes is not None:
+            terms = [(n - 1 - k) // step + 1 for k, step in zip(*self.strides)]
+            lasts = [k + (c - 1) * step + 1 for k, step, c in zip(*self.strides, terms)]
+            return np.array(terms, dtype=np.int64), np.array(lasts, dtype=np.int64)
         t, q = self.period
         f, r = divmod(n - t, q)
         j = np.arange(q)
@@ -569,6 +619,22 @@ class Prefix:
             np.concatenate([np.ones(t, np.int64), f + (j < r)]),
             np.concatenate([np.arange(1, t + 1), n - q + 1 + (j - (n - t)) % q]),
         )
+
+    @cached_property
+    def strides(self) -> tuple[list[int], list[int]]:
+        """(first, step) of a prefix read from its 2-adic classes, as
+        Python ints: head entry i is every ``step[i]``-th term from the
+        0-based term ``first[i]``, its class j's step being 2**j.
+
+        Class j holds the terms k + 1 with k + 1 + s = 2**(j - 1) mod 2**j,
+        s the offset ``classes``; the first is k = (2**(j - 1) - 1 - s) mod
+        2**j, and the class occurs when k < N.  No class past
+        J = bit_length(N + s) does.
+        """
+        s, n = self.classes, self.horizon
+        found = [((2 ** (j - 1) - 1 - s) % 2**j, 2**j) for j in range(1, (n + s).bit_length() + 1)]
+        first, step = zip(*[(k, d) for k, d in found if k < n])
+        return list(first), list(step)
 
     def _tally(self, uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The terms at each of ``uniq`` among all N, from ``counts``, those
@@ -718,9 +784,9 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     """Evaluate x(1..horizon) into a Prefix.
 
     A spec whose period (t, q) is shorter than the horizon, or that has
-    breaks and no period, gets a prefix read from its head, each entry
-    evaluated at its first and its last position; the rest is evaluated
-    only when its ``values`` are read."""
+    breaks or a class rule and no period, gets a prefix read from its head,
+    each entry evaluated at its first and its last position; the rest is
+    evaluated only when its ``values`` are read."""
     n = whole(horizon, "horizon")
     cap = max_horizon()
     if n > cap:
@@ -732,6 +798,11 @@ def materialize(spec: SequenceSpec, horizon: int) -> Prefix:
     breaks = None if period is not None else spec.breaks(n)
     if breaks is not None:
         return Prefix._from_head(f, n, spec.bound, runs=np.array([1, *breaks], dtype=np.int64) - 1)
+    classes = spec.classes()
+    # Any four terms hold two odd positions, both in class 1, so from four
+    # terms on the head is shorter than the prefix.
+    if classes is not None and n >= 4:
+        return Prefix._from_head(f, n, spec.bound, classes=classes)
     return Prefix(values=_terms(f, 1, n + 1), horizon=n, bound=spec.bound, period=period)
 
 

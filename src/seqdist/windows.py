@@ -18,7 +18,11 @@ Counts come from one of four exact kernels.  ``density_profile`` chooses
 between the first two from the mask itself; ``head_profile`` counts a mask
 over a prefix's head (``Prefix.head``), which every term repeats, by the
 third or fourth when the head is shorter than the prefix, by its layout
-(runs or one period), and by ``density_profile`` otherwise.
+(runs or one period), and by ``density_profile`` otherwise.  A mask over
+the 2-adic classes of a prefix read from them (``Prefix.classes``) repeats
+with a period of 2**b, b its largest class (``_class_mask``): a period of
+at most ``CLASS_PERIOD_SHARE`` of the terms goes to the fourth kernel, and
+any longer one is scattered over all N terms for ``density_profile``.
 ``member_profile`` counts the head entries at given positions
 (``Prefix.members``): a sparse set of a prefix whose head is every term
 goes to the member gaps as it is, with no mask, and any other is made a
@@ -167,6 +171,18 @@ class WindowSchedule:
 # the crossover of random bits down to about 1/16, but not that of the
 # structured masks the estimators make, so the share stays at 1/8.
 SPARSE_SHARE = 0.125
+
+# A set of 2-adic classes whose mask repeats with a period of at most this
+# share of the terms is counted over one period; any other is scattered over
+# all N terms.  Measured on F7 at N = 2**20 and 2**22 (min of 5, 2 cores),
+# the period kernel against the scatter, whole schedule: a sparse set (one
+# to six classes, counted by the member gaps once scattered) at N/32 took
+# 0.59 against 0.74 ms (2**20) and 1.72 against 1.24 ms (2**22), at N/16
+# 0.97 against 0.70 and 4.5 against 1.3 ms; a dense set (class 1 or 2 with
+# class b, counted by the 16-bit walk) at N/4 took 7 against 11 ms (2**20)
+# and 35 against 40 ms (2**22).  All of F7's clusters and cells took
+# 4.1-4.2 ms at 1/32 and 1/64, and 4.6-4.7 ms at 1/16 and 1/8 (2**20).
+CLASS_PERIOD_SHARE = 1 / 32
 
 # The prefix-sum walks read the offsets in blocks of this many window sums,
 # every schedule row per block.  Float64 window means, measured at N = 2**21
@@ -509,17 +525,49 @@ def head_profile(p: Prefix, bits: np.ndarray, schedule: WindowSchedule) -> Densi
     mask over ``p.head``.
 
     A prefix longer than its head is counted by its layout: one period
-    over its first t + q terms, or its run starts.  Any other, whose head
-    is every term, is counted by ``density_profile``.
+    over its first t + q terms, its run starts, or its flagged classes
+    (``_class_mask``).  Any other, whose head is every term, is counted by
+    ``density_profile``.
     """
-    if p.head.size == p.horizon:
+    if p.classes is not None:
+        bits = _class_mask(p, bits)
+    if bits.size == p.horizon:
         return density_profile(Membership.from_mask(bits), schedule)
     schedule.validate_for(p.horizon)
-    if p.runs is None:
-        extrema = _period_extrema(bits, *p.period, p.horizon, schedule.lengths)
-    else:
+    if p.runs is not None:
         extrema = _run_extrema(bits, p.runs, p.horizon, schedule.lengths)
+    else:
+        # A class mask shorter than the prefix is one period from term 1.
+        t, q = p.period or (0, bits.size)
+        extrema = _period_extrema(bits, t, q, p.horizon, schedule.lengths)
     return _profile(extrema, p.horizon)
+
+
+def _class_mask(p: Prefix, bits: np.ndarray) -> np.ndarray:
+    """The mask over one period, or over all N terms, of the 2-adic
+    classes of ``p`` flagged in ``bits``, a bool mask over ``p.head``.
+
+    Term k is flagged iff its class j is, and class j holds the k with
+    k + 1 + s = 2**(j - 1) mod 2**j (s = ``p.classes``), so the mask
+    repeats with period 2**b, b the largest flagged class.  When the
+    flagged entries are every head entry from class a on, the mask flags
+    the k with k + 1 + s = 0 mod 2**(a - 1), whose classes all occur and
+    are at least a: a period of 2**(a - 1).  A period of at most
+    ``CLASS_PERIOD_SHARE`` of the terms is returned for
+    ``_period_extrema``; any longer one is scattered over all N terms.
+    Either way each class is one strided fill.
+    """
+    first, step = p.strides
+    flagged = np.flatnonzero(bits).tolist()
+    q = max((step[i] for i in flagged), default=1)
+    if flagged and flagged == list(range(flagged[0], len(step))):
+        q = step[flagged[0]] // 2
+    size = q if q <= CLASS_PERIOD_SHARE * p.horizon else p.horizon
+    mask = np.zeros(size, dtype=bool)
+    for i in flagged:
+        # A step past the mask's end picks one term, and fits a slice.
+        mask[first[i] % size :: min(step[i], size)] = True
+    return mask
 
 
 def member_profile(p: Prefix, members: np.ndarray, schedule: WindowSchedule) -> DensityProfile:

@@ -456,14 +456,14 @@ def analyze_report(spec, n) -> str:
 @example(shift(dyadic_harmonic(), 3), 4096, 7)
 @settings(max_examples=120, deadline=None)
 def test_a_report_is_the_same_from_any_head_layout(spec, n, chunk):
-    # A spec with a period or breaks is read from its head; with both rules
-    # patched away the same spec is filled and read term by term.  The two
-    # reports agree byte for byte, chunk edges falling inside runs and
-    # periods.
+    # A spec with a period, breaks or a class rule is read from its head;
+    # with the three rules patched away the same spec is filled and read
+    # term by term.  The two reports agree byte for byte, chunk edges
+    # falling inside runs, periods and classes.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "_CHUNK", chunk)
         declared = analyze_report(spec, n)
-        for rule in ("period", "breaks"):
+        for rule in ("period", "breaks", "classes"):
             mp.setattr(SequenceSpec, rule, lambda self, *args: None)
         assert materialize(spec, n).head.size == n
         assert analyze_report(spec, n) == declared

@@ -20,6 +20,7 @@ from seqdist import (
     cross_validate,
     detect_sublimits,
     doubling_blocks,
+    dyadic_harmonic,
     eval_at,
     fixture,
     lorentz_verdict,
@@ -1032,3 +1033,152 @@ def test_the_fill_of_runs_checks_every_term(at, chunk, monkeypatch):
     p.__dict__["_evaluate"] = flipped
     with pytest.raises(InvalidSpecError, match="not constant"):
         p.values
+
+
+# ------------------------------------------------------------- 2-adic classes
+
+
+def test_classes_of_each_kind():
+    # The dyadic harmonic's offset is its shift; no other kind has one, nor
+    # a combination with one.
+    dyadic = dyadic_harmonic()
+    assert dyadic.classes() == 0 and shift(dyadic, 3).classes() == 3
+    for spec in (
+        fixture("F4"), fixture("F5"), fixture("F6"), table([1.0]), ones_then_zeros(3),
+        affine_combo([(1.0, dyadic)]),
+    ):
+        assert spec.classes() is None
+    # Four terms hold two odd positions, so from four terms on the head of
+    # classes is shorter than the prefix; three terms may hold three classes.
+    assert materialize(shift(dyadic, 1), 3).classes is None
+    assert materialize(shift(dyadic, 1), 4).classes == 1
+
+
+def test_strides_copies_and_entries_of_a_shifted_dyadic_prefix():
+    # Terms 1..10 shifted by 3 are the positions 4..13, in the classes
+    # 3 1 2 1 4 1 2 1 3 1.
+    p = materialize(shift(dyadic_harmonic(), 3), 10)
+    assert p.classes == 3 and "values" not in vars(p)
+    assert p.head.tolist() == [1.0, 1 / 2, 1 / 3, 1 / 4]
+    assert p.strides == ([1, 2, 0, 4], [2, 4, 8, 16])
+    terms, last = p.copies
+    assert terms.tolist() == [5, 2, 2, 1] and last.tolist() == [10, 7, 9, 5]
+    assert p.entries(0, 10).tolist() == [2, 0, 1, 0, 3, 0, 1, 0, 2, 0]
+    assert p.entries(3, 5).tolist() == [0, 3]
+    assert np.array_equal(p.head[p.entries(0, 10)], p.values)
+
+
+def test_a_class_past_the_prefix_has_no_head_entry():
+    # Shifted by 6, terms 1..5 are the positions 7..11: classes 1, 4, 1, 2
+    # and 1, so classes 2 and 4 come first at terms 4 and 2, and class 3
+    # does not occur.
+    p = materialize(shift(dyadic_harmonic(), 6), 5)
+    assert p.head.tolist() == [1.0, 1 / 2, 1 / 4]
+    assert p.strides == ([0, 3, 1], [2, 4, 16])
+    assert p.copies[0].tolist() == [3, 1, 1] and p.index.counts.tolist() == [1, 1, 3]
+
+
+@st.composite
+def class_prefix_case(draw):
+    """A dyadic harmonic shifted by up to 2**62 + 5, over N from 4 to
+    2**12 + 1, often at 2**k - 1, 2**k or 2**k + 1."""
+    s = draw(st.integers(0, 40) | st.sampled_from([2**40 - 1, 2**62 - 9, 2**62 + 5]))
+    k = draw(st.integers(3, 12))
+    n = draw(st.sampled_from([2**k - 1, 2**k, 2**k + 1]) | st.integers(4, 600))
+    return shift(dyadic_harmonic(), s), n
+
+
+@given(class_prefix_case(), st.sampled_from([7, _CHUNK]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_a_prefix_read_from_its_classes_matches_its_filled_terms(case, chunk, seed):
+    # span, index, last_indices, run_weights and set_weight of a class
+    # prefix read one entry per class; a prefix of the same terms given in
+    # full reads every term.
+    spec, n = case
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_CHUNK", chunk)
+        p = materialize(spec, n)
+        values = np.array(materialize(spec, n).values)
+    full = Prefix(values=values, horizon=n, bound=spec.bound)
+    assert p.classes == spec.classes() and p.head.size < n
+    assert p.span == full.span
+    for mine, theirs in zip(p.index, full.index):
+        assert np.array_equal(mine, theirs) and np.array_equal(np.signbit(mine), np.signbit(theirs))
+    entries = p.entries(0, n)
+    assert np.array_equal(p.head[entries].view(np.int64), values.view(np.int64))
+    terms, last = p.copies
+    assert np.array_equal(terms, np.bincount(entries, minlength=p.head.size))
+    assert np.array_equal(last, [np.flatnonzero(entries == i)[-1] + 1 for i in range(p.head.size)])
+    k = full.index.uniq.size
+    sched = WindowSchedule.geometric(n, base=int(rng.integers(1, 9)))
+    for _ in range(3):
+        cuts = rng.choice(np.arange(1, k), rng.integers(0, k), replace=False)
+        starts = np.array([0, *np.sort(cuts)])
+        for first in {0, n // 2, n - 1, int(rng.integers(0, n))}:
+            assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a + 1, n + 1))
+        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
+        ids = range(starts.size)
+        assert run_weights(p, starts, ids, sched) == run_weights(full, starts, ids, sched)
+        lo, hi = sorted(rng.uniform(-spec.bound, spec.bound, 2))
+        top = IntervalSet(((-spec.bound - 1, full.span[1]),), top_closed=True)
+        for region in (IntervalSet(((lo, hi + 1e-9),)), top):
+            assert set_weight(p, region, sched) == set_weight(full, region, sched)
+    assert "values" not in vars(p)
+    assert np.array_equal(p.values.view(np.int64), values.view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+@pytest.mark.parametrize("at", [0, 1, 2, 3, 7, 8, 1023, 2047, 4094, 4095])
+def test_the_fill_of_classes_checks_every_term(at, chunk, monkeypatch):
+    # Class 1 of F7 at 4096 is the terms 0, 2, 4, ..., and class 13 the one
+    # term 4095.  One term the fill moves by an ulp fails the check of its
+    # class, first, inner or last in it.
+    monkeypatch.setattr(sequences, "_CHUNK", chunk)
+    p = materialize(fixture("F7"), 4096)
+    f = p._evaluate
+
+    def tampered(first, stop, out=None):
+        out = f(first, stop, out)
+        if first <= at + 1 < stop:
+            out[at + 1 - first] = np.nextafter(out[at + 1 - first], 2.0)
+        return out
+
+    p.__dict__["_evaluate"] = tampered
+    with pytest.raises(InvalidSpecError, match="2-adic"):
+        p.values
+
+
+def test_a_wrong_class_rule_fails_materialize(monkeypatch):
+    # Doubling blocks read by the classes of n: term 1 (class 1) is 0 but
+    # term 3 (class 1) is 1, so the first and last terms of class 1 differ.
+    spec = doubling_blocks()
+    monkeypatch.setattr(type(spec), "breaks", lambda self, last: None)
+    monkeypatch.setattr(type(spec), "classes", lambda self: 0)
+    with pytest.raises(InvalidSpecError, match="2-adic"):
+        materialize(spec, 64)
+
+
+def test_dyadic_cross_validate_sorts_no_terms(monkeypatch):
+    # F7 and its shifts are read from about log2(N) class entries, so
+    # neither the index, the grouping of the head nor any count sorts or
+    # argsorts the terms, at 4096 or 2**20 terms.
+    sort, argsort = np.sort, np.argsort
+
+    def no_term_sort(real):
+        def spy(a, *args, **kwargs):
+            if np.size(a) >= 4096:
+                raise AssertionError("sorted the terms")
+            return real(a, *args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np, "sort", no_term_sort(sort))
+    monkeypatch.setattr(np, "argsort", no_term_sort(argsort))
+    shifted = parse_spec_file((Path(__file__).parent / "golden" / "shifted_dyadic.spec").read_text())
+    for spec in (fixture("F7"), shifted):
+        for n in (4096, 2**20):
+            cross_validate(spec, n)
+    with pytest.raises(AssertionError, match="sorted the terms"):
+        cross_validate(fixture("F5"), 4096)

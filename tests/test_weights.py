@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdist import (
@@ -18,6 +18,7 @@ from seqdist import (
     cross_validate,
     density_profile,
     detect_sublimits,
+    dyadic_harmonic,
     fixture,
     interval_about,
     materialize,
@@ -25,6 +26,7 @@ from seqdist import (
     periodic,
     run_weights,
     set_weight,
+    shift,
     sublimit_weight,
     weight_from_membership,
 )
@@ -582,3 +584,51 @@ def test_run_weights_of_a_periodic_prefix_count_one_period(case):
     assert set(counted) <= {("period", sum(period)) if n > sum(period) else ("walk", n)}
     assert got == run_weights(plain, starts, ids, sched)
     assert p.run_rows == plain.run_rows
+
+
+@st.composite
+def class_mask_case(draw):
+    """A dyadic harmonic shifted by 0-40 over N from 4 to 3000, a set of
+    its classes (often every class from some a on), and a schedule."""
+    n = draw(st.integers(4, 300) | st.sampled_from([255, 256, 257, 3000]))
+    p = materialize(shift(dyadic_harmonic(), draw(st.integers(0, 40))), n)
+    size = p.head.size
+    if draw(st.booleans()):
+        bits = np.arange(size) >= draw(st.integers(0, size))
+    else:
+        bits = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    lengths = draw(st.sets(st.integers(1, n), min_size=1, max_size=5))
+    return p, bits, WindowSchedule(tuple(sorted(lengths)))
+
+
+@given(class_mask_case(), st.sampled_from([0.0, 1 / 32, 1.0]))
+# Class 8 of F7 at 256 terms repeats every 256 terms: its mask is the whole
+# prefix, counted as any other.
+@example((materialize(dyadic_harmonic(), 256), np.arange(9) == 7, WindowSchedule((1, 100, 256))), 1.0)
+@settings(max_examples=200, deadline=None)
+def test_class_kernel_matches_oracle(case, share):
+    # A set of classes is counted over one period by the period kernel, or
+    # scattered over all N terms; a share of 0 scatters every set, and a
+    # share of 1 counts every period below N over one period.
+    p, bits, sched = case
+    whole = Membership.from_mask(bits[p.entries(0, p.horizon)])
+    periods = []
+    period_extrema = windows._period_extrema
+
+    def recording(bits, t, q, horizon, lengths):
+        periods.append(q)
+        return period_extrema(bits, t, q, horizon, lengths)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(windows, "CLASS_PERIOD_SHARE", share)
+        mp.setattr(windows, "_period_extrema", recording)
+        prof = head_profile(p, bits, sched)
+    assert [(r.n, r.min_count, r.max_count, r.offsets_scanned) for r in prof.rows] == [
+        (k, *naive_count_extrema(whole, k), p.horizon - k + 1) for k in sched.lengths
+    ]
+    # The period of a set is 2**b, b its largest class, or 2**(a - 1) when
+    # it holds every class from a on.
+    classes = [step.bit_length() - 1 for step in p.strides[1]]
+    flagged = [j for j, b in zip(classes, bits) if b]
+    q = 2 ** (flagged[0] - 1) if flagged and bits[classes.index(flagged[0]):].all() else 2 ** max(flagged, default=0)
+    assert periods == ([q] if q <= share * p.horizon and q < p.horizon else [])
