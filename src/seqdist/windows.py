@@ -57,9 +57,10 @@ mask for ``head_profile``:
   start or at the last offset, so each row reads the count at those R
   offsets, and n terms past them, from the run starts and the members
   before each: O(R log R) per row, and no term is read.
-* **One period** (a prefix that repeats with period q after t terms): only
-  the mask of the first min(N, t + q) terms is kept.  Its member counts c
-  extend to every k <= N as C(k) = c(t + (k - t) mod q) + floor((k - t) / q)
+* **One period** (a prefix that repeats with period q after t terms, or a
+  set of 2-adic classes, t = 0 and q its period): only the mask of the
+  first min(N, t + q) terms is kept.  Its member counts c extend to every
+  k <= N as C(k) = c(t + (k - t) mod q) + floor((k - t) / q)
   * (c(t + q) - c(t)) for k >= t, and a window at an offset t + q or later
   equals the window q terms earlier, so each row reads only the offsets
   below min(t + q, N - n + 1): O(t + q) per row, however long the prefix.

@@ -1152,8 +1152,8 @@ def test_the_fill_of_classes_checks_every_term(at, chunk, monkeypatch):
 
 
 def test_a_wrong_class_rule_fails_materialize(monkeypatch):
-    # Doubling blocks read by the classes of n: term 1 (class 1) is 0 but
-    # term 3 (class 1) is 1, so the first and last terms of class 1 differ.
+    # Doubling blocks read by the classes of n: class 1 is the odd terms,
+    # and its first, x(1), is 0 but its last, x(63), is 1.
     spec = doubling_blocks()
     monkeypatch.setattr(type(spec), "breaks", lambda self, last: None)
     monkeypatch.setattr(type(spec), "classes", lambda self: 0)
