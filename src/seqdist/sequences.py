@@ -45,11 +45,12 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_HORIZON_ENV = "SEQDIST_MAX_HORIZON"
 # From a 2 GiB peak-RSS budget, a quarter of an 8 GB host.  cross_validate on
 # F5, whose terms are all distinct, is the heaviest run; one fresh process
-# each on a 2-core x86-64 Linux host (numpy 2.4) measured 244 MiB / 1.3 s at
-# 8e6, 458 MiB / 3.2-3.5 s at 1.6e7 and 1099 MiB / 11.0 s at 4e7: about
-# 29 B/term, most of it the sort behind Prefix.index, so about 1.65 GiB at
-# 6e7.  F7, read from its classes, measured 946 MiB / 2.5-2.9 s at 6e7,
-# nearly all of it the values and the float walk's prefix sums.
+# each on a 2-core x86-64 Linux host (numpy 2.4) measured 214 MiB / 1.3 s at
+# 8e6, 397 MiB / 2.6 s at 1.6e7 and 946 MiB / 8.7 s at 4e7: about
+# 25 B/term, the values, their sorted copy (Prefix.index) and a stage's
+# labels and int64 temporary, so about 1.4 GiB at 6e7.  F7, read from its
+# classes, measured 946 MiB / 2.5-2.9 s at 6e7, nearly all of it the values
+# and the float walk's prefix sums.
 DEFAULT_MAX_HORIZON = 60_000_000
 
 def max_horizon() -> int:
@@ -361,8 +362,11 @@ def eval_at(spec: SequenceSpec, n: int) -> float:
 class ValueIndex(NamedTuple):
     """The sorted distinct values of a prefix, ``uniq``, and the number of
     terms at each, ``counts`` (int32 below 2**31 terms, else int64); both
-    read-only.  A zero among the values is +0.0 when any zero term is +0.0,
-    and -0.0 only when every zero term is.
+    read-only.  When every term is distinct, ``counts`` may be a zero-stride
+    view of a single 1 (``np.broadcast_to``), so no N-long array is stored
+    for it; read it as any array, but do not assume it owns N entries.  A
+    zero among the values is +0.0 when any zero term is +0.0, and -0.0 only
+    when every zero term is.
     """
 
     uniq: np.ndarray
@@ -654,13 +658,18 @@ class Prefix:
         first = np.empty(srt.size, dtype=bool)
         first[:1] = True
         np.not_equal(srt[1:], srt[:-1], out=first[1:])
-        uniq = srt[first]
-        del srt
-        counts = np.flatnonzero(first)
-        del first
-        np.subtract(counts[1:], counts[:-1], out=counts[:-1])
-        counts[-1:] = v.size - counts[-1:]
         dtype = np.int32 if self.horizon < 2**31 else np.int64
+        if first.all():
+            # No head entry repeats, as in F5: the sorted copy is the index,
+            # and each count is 1, read through a zero stride.
+            uniq, counts = srt, np.broadcast_to(np.ones(1, dtype), srt.shape)
+        else:
+            uniq = srt[first]
+            del srt
+            counts = np.flatnonzero(first)
+            np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+            counts[-1:] = v.size - counts[-1:]
+        del first
         counts = self._tally(uniq, counts).astype(dtype, copy=False)
         # The sort may pick a -0.0 term among the zeros.
         z = int(np.searchsorted(uniq, 0.0))

@@ -21,8 +21,10 @@ third or fourth when the head is shorter than the prefix, by its layout
 (runs or one period), and by ``density_profile`` otherwise.  A mask over
 the 2-adic classes of a prefix read from them (``Prefix.classes``) repeats
 with a period of 2**b, b its largest class (``_class_mask``): a period of
-at most ``CLASS_PERIOD_SHARE`` of the terms goes to the fourth kernel, and
-any longer one is scattered over all N terms for ``density_profile``.
+at most ``CLASS_PERIOD_SHARE`` of the terms, or of a quarter of them for a
+set with more than ``SPARSE_SHARE`` of the terms, goes to the fourth
+kernel, and any other is scattered over all N terms for
+``density_profile``.
 ``member_profile`` counts the head entries at given positions
 (``Prefix.members``): a sparse set of a prefix whose head is every term
 goes to the member gaps as it is, with no mask, and any other is made a
@@ -160,29 +162,33 @@ class WindowSchedule:
 
 # A mask with at most this share of its terms as members is counted from the
 # gaps between them; any other mask from its prefix counts.
-# Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 5
-# to 9, interleaved, 2 cores, shared host), gaps against walk: at share 1/8,
-# 17-33 against 17-23 ms (F5 region [0, 1/8)), 10-21 against 19-25 ms (F7
-# value 1/3) and 30-43 against 19-23 ms (random bits); at 3/32 and 1/16 the
-# F5 regions take 7-10 ms by gaps against 23 ms, and random bits tie
-# (19-26 against 18-25 ms); at share 1/4 the gaps lose everywhere, 140 ms
-# (random bits), 73-114 ms (F5 region [0, 1/4)) and 37-50 ms (F7 value 1/2)
-# against 16-25 ms, since each probe is an O(c) pass and more probes are
-# needed the further the previous row's seed misses.  The faster walk moved
-# the crossover of random bits down to about 1/16, but not that of the
-# structured masks the estimators make, so the share stays at 1/8.
+# Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 7,
+# two runs, 2 cores, shared host), gaps against walk: at share 1/8, 20
+# against 11-15 ms (F5 region [0, 1/8)), 10-12 against 13-15 ms (F7 value
+# 1/3) and 17-21 against 15 ms (random bits); at 3/32 and 1/16 the F5
+# regions take 2-5 ms by gaps and random bits 6-12 ms, against 11-15 ms; at
+# 3/16 random bits take 44-51 ms against 11-14 ms, and at share 1/4 the gaps
+# lose everywhere, 77-82 ms (random bits), 35-40 ms (F5 region [0, 1/4)) and
+# 37 ms (F7 value 1/2) against 12-16 ms, since each probe is an O(c) pass
+# and more probes are needed the further a row's seed misses.  Random bits
+# win by gaps at no share above 1/8, so the share stays there.
 SPARSE_SHARE = 0.125
 
 # A set of 2-adic classes whose mask repeats with a period of at most this
-# share of the terms is counted over one period; any other is scattered over
-# all N terms.  Measured on F7 at N = 2**20 and 2**22 (min of 5, 2 cores),
-# the period kernel against the scatter, whole schedule: a sparse set (one
-# to six classes, counted by the member gaps once scattered) at N/32 took
-# 0.59 against 0.74 ms (2**20) and 1.72 against 1.24 ms (2**22), at N/16
-# 0.97 against 0.70 and 4.5 against 1.3 ms; a dense set (class 1 or 2 with
-# class b, counted by the 16-bit walk) at N/4 took 7 against 11 ms (2**20)
-# and 35 against 40 ms (2**22).  All of F7's clusters and cells took
-# 4.1-4.2 ms at 1/32 and 1/64, and 4.6-4.7 ms at 1/16 and 1/8 (2**20).
+# share of the terms is counted over one period; any other sparse set is
+# scattered over all N terms.  Measured on F7 at N = 2**20 and 2**22 (min of
+# 5, 2 cores), the period kernel against the scatter, whole schedule: a
+# sparse set (one to six classes, counted by the member gaps once scattered)
+# at N/32 took 0.59 against 0.74 ms (2**20) and 1.72 against 1.24 ms
+# (2**22), at N/16 0.97 against 0.70 and 4.5 against 1.3 ms.  All of F7's
+# clusters and cells took 4.1-4.2 ms at 1/32 and 1/64, and 4.6-4.7 ms at
+# 1/16 and 1/8 (2**20).  A dense set (more than SPARSE_SHARE of the terms,
+# counted by the 16-bit walk once scattered) keeps the period kernel up to a
+# period of N/4 (min of 7): classes {1, b}, {2, b} and 1..b took 0.9-1.9
+# against 9.3-9.7 ms at N/16 and N/8, and 6.4-6.7 against 9.4-9.7 ms at N/4
+# (2**20), 4.3-11.0 against 30-38 ms at N/16 and N/8 and 32-38 against 31-47
+# ms at N/4 (2**22); at N/2 the period kernel lost, 11-13 against 7.5-7.8 ms
+# and 68-73 against 31-37 ms.
 CLASS_PERIOD_SHARE = 1 / 32
 
 # The prefix-sum walks read the offsets in blocks of this many window sums,
@@ -435,29 +441,31 @@ def _gap_extrema(members: np.ndarray, horizon: int, lengths):
     pos[k + d - 1] - pos[k] < n, and some window holds at most m members iff
     some P[k + m + 1] - P[k] - 1 >= n: the slots strictly between those two
     entries hold exactly m members, and the sentinels keep the window inside
-    the prefix.  The first row is seeded at the mask's density, every later
-    row at the previous row's extremes scaled by the ratio of the lengths.
+    the prefix.  Each row's two searches are seeded at its expected count
+    n * c / N, the max's moved up by the previous row's excess over its own
+    expected count and the min's down by that row's shortfall.  Of a mask
+    with a density these grow slower than n, so scaling the previous
+    extremes by the ratio of the lengths would double them and miss by
+    more.  The search finds the same row from any seed.
     """
     c = members.size
     # The fenced positions and their differences reach horizon + 1.
     fenced = np.empty(c + 2, dtype=np.int32 if horizon + 1 < 2**31 else np.int64)
     fenced[0], fenced[1:-1], fenced[-1] = -1, members, horizon
     pos = fenced[1:-1]
-    prev = None
+    # The previous row's max above its expected count, and its min below it.
+    excess = shortfall = 0
     for n in lengths:
         top = min(c, n)
-        if prev is None:
-            seed_lo = seed_hi = n * c // horizon
-        else:
-            seed_lo, seed_hi = prev[1] * n // prev[0], prev[2] * n // prev[0]
+        expected = n * c // horizon
         hi = _first_true(
-            lambda d: d >= top or (pos[d:] - pos[: c - d]).min() >= n, 0, top, seed_hi
+            lambda d: d >= top or (pos[d:] - pos[: c - d]).min() >= n, 0, top, expected + excess
         )
         lo = _first_true(
-            lambda m: (fenced[m + 1 :] - fenced[: c - m + 1]).max() > n, 0, top, seed_lo
+            lambda m: (fenced[m + 1 :] - fenced[: c - m + 1]).max() > n, 0, top, expected - shortfall
         )
-        prev = (n, lo, hi)
-        yield prev
+        excess, shortfall = hi - expected, expected - lo
+        yield n, lo, hi
 
 
 def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
@@ -554,16 +562,18 @@ def _class_mask(p: Prefix, bits: np.ndarray) -> np.ndarray:
     flagged entries are every head entry from class a on, the mask flags
     the k with k + 1 + s = 0 mod 2**(a - 1), whose classes all occur and
     are at least a: a period of 2**(a - 1).  A period of at most
-    ``CLASS_PERIOD_SHARE`` of the terms is returned for
-    ``_period_extrema``; any longer one is scattered over all N terms.
-    Either way each class is one strided fill.
+    ``CLASS_PERIOD_SHARE`` of the terms, or of a quarter of them for a
+    dense set, whose classes' shares 2**-j sum past ``SPARSE_SHARE``, is
+    returned for ``_period_extrema``; any other is scattered over all N
+    terms.  Either way each class is one strided fill.
     """
     first, step = p.strides
     flagged = np.flatnonzero(bits).tolist()
     q = max((step[i] for i in flagged), default=1)
     if flagged and flagged == list(range(flagged[0], len(step))):
         q = step[flagged[0]] // 2
-    size = q if q <= CLASS_PERIOD_SHARE * p.horizon else p.horizon
+    dense = sum(1 / step[i] for i in flagged) > SPARSE_SHARE and 4 * q <= p.horizon
+    size = q if dense or q <= CLASS_PERIOD_SHARE * p.horizon else p.horizon
     mask = np.zeros(size, dtype=bool)
     for i in flagged:
         # A step past the mask's end picks one term, and fits a slice.

@@ -107,3 +107,17 @@ def test_dyadic_harmonic_report_at_2_to_the_20(capsys):
     assert main(["analyze", "--fixture", "F7", "--horizon", str(2**20), "--format", "jsonl"]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / "analyze_F7_1048576.jsonl").read_text(encoding="utf-8")
+
+
+def test_dense_class_weights_report_at_2_to_the_20(capsys):
+    # F7's values 1/2 ... 1/16 at 2**20 are classes 2-16, and 1 ... 1/16
+    # classes 1-16: dense sets that repeat every 2**16 terms, N/16, which
+    # the period kernel counts over one period.  Default sizes only, as
+    # for the analyze report at 2**20.
+    argv = [
+        "weights", "--fixture", "F7", "--horizon", str(2**20), "--interval", "0.0625:1.0",
+        "--value", "1.0", "--epsilon", "0.9375", "--format", "jsonl",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "weights_F7_1048576.jsonl").read_text(encoding="utf-8")

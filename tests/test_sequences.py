@@ -384,20 +384,29 @@ def test_materialize_peak_is_the_output_plus_a_chunk():
     assert peak <= p.values.nbytes + 3 * 2**20
 
 
-def test_index_quantization_and_sublimit_peaks_on_distinct_terms():
+@pytest.mark.parametrize(
+    "stage, per_term",
+    [
+        # The sorted copy of the terms and its run-start mask, 9 B/term.
+        (lambda p: p.index, 18),
+        (quantized_banach_limit, 27),
+        (lambda p: detect_sublimits(p, 1 / 32), 27),
+    ],
+)
+def test_index_quantization_and_sublimit_peaks_on_distinct_terms(stage, per_term):
     # F5's terms are all distinct, so the index is as long as the prefix.
-    # Beside the values, the index (12 B/term) and a label array, a stage
+    # Its values are the sorted copy itself and its counts store one int.
+    # Beside the values, the index (8 B/term) and a label array, a stage
     # may hold one more N-long int64 array at a time, not two.
     n = 2**20
-    for stage in (lambda p: p.index, quantized_banach_limit, lambda p: detect_sublimits(p, 1 / 32)):
-        p = materialize(fixture("F5"), n)
-        tracemalloc.start()
-        try:
-            stage(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert p.values.nbytes + peak <= 36 * n
+    p = materialize(fixture("F5"), n)
+    tracemalloc.start()
+    try:
+        stage(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.values.nbytes + peak <= per_term * n
 
 
 def test_materialize_converts_a_table_once():
@@ -468,6 +477,50 @@ def index_sorts(p):
         mp.setattr(np, "sort", spy)
         p.index
     return sizes
+
+
+def test_index_of_distinct_terms_is_their_sorted_copy():
+    values = np.random.default_rng(5).permutation(np.linspace(-1.0, 1.0, 3 * _CHUNK + 1))
+    p = Prefix(values=values, horizon=values.size, bound=1.0)
+    sorted_copies = []
+    real = np.sort
+
+    def spy(a, *args, **kwargs):
+        sorted_copies.append(real(a, *args, **kwargs))
+        return sorted_copies[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "sort", spy)
+        assert_index_matches(p)
+    (srt,) = sorted_copies
+    assert np.shares_memory(p.index.uniq, srt)
+    # Every count is 1, read through a zero stride: no N-long counts.
+    assert p.index.counts.strides == (0,) and p.index.counts.base.size == 1
+
+
+@pytest.mark.parametrize(
+    "extra, zero",
+    [
+        ((0.25, 0.25), None),
+        ((0.0, -0.0), 0.0),
+        ((-0.0, 0.0), 0.0),
+        ((-0.0, -0.0), -0.0),
+        # One -0.0 among distinct terms is no repeat: the index keeps it.
+        ((-0.0,), -0.0),
+        ((0.0,), 0.0),
+    ],
+)
+def test_index_of_a_head_with_a_repeat_counts_it(extra, zero):
+    # linspace(-1, 1, 1000) holds no zero and no repeat.
+    rng = np.random.default_rng(len(extra))
+    values = rng.permutation(np.append(np.linspace(-1.0, 1.0, 1000), extra))
+    p = Prefix(values=values, horizon=values.size, bound=1.0)
+    assert_index_matches(p)
+    distinct = len(extra) == 1
+    assert (p.index.counts.strides == (0,)) == distinct
+    if zero is not None:
+        z = p.index.uniq[p.index.uniq == 0]
+        assert z.size == 1 and np.signbit(z[0]) == np.signbit(zero)
 
 
 @given(st.sampled_from([0.0, -0.0, 0.5, -1.0]), st.sampled_from([1, 2, _CHUNK + 1]))

@@ -31,7 +31,9 @@ from seqdist import (
     weight_from_membership,
 )
 from seqdist import sequences, weights, windows
-from seqdist.sequences import _CHUNK
+from seqdist.distribution import is_simply_distributed, mesh_cells, quantized_estimate
+from seqdist.sequences import _CHUNK, ValueIndex
+from seqdist.weights import cluster_starts, sublimit_report
 from seqdist.windows import head_profile, member_profile
 
 
@@ -608,8 +610,8 @@ def class_mask_case(draw):
 @settings(max_examples=200, deadline=None)
 def test_class_kernel_matches_oracle(case, share):
     # A set of classes is counted over one period by the period kernel, or
-    # scattered over all N terms; a share of 0 scatters every set, and a
-    # share of 1 counts every period below N over one period.
+    # scattered over all N terms; a share of 0 scatters every sparse set,
+    # and a share of 1 counts every period below N over one period.
     p, bits, sched = case
     whole = Membership.from_mask(bits[p.entries(0, p.horizon)])
     periods = []
@@ -631,4 +633,74 @@ def test_class_kernel_matches_oracle(case, share):
     classes = [step.bit_length() - 1 for step in p.strides[1]]
     flagged = [j for j, b in zip(classes, bits) if b]
     q = 2 ** (flagged[0] - 1) if flagged and bits[classes.index(flagged[0]):].all() else 2 ** max(flagged, default=0)
-    assert periods == ([q] if q <= share * p.horizon and q < p.horizon else [])
+    # A dense set, more than SPARSE_SHARE of the terms, keeps its period up
+    # to a quarter of the terms.
+    dense = sum(2.0**-j for j in flagged) > windows.SPARSE_SHARE and 4 * q <= p.horizon
+    assert periods == ([q] if (dense or q <= share * p.horizon) and q < p.horizon else [])
+
+
+@pytest.mark.parametrize("s", [0, 3])
+@pytest.mark.parametrize("n", [2**12, 2**12 + 5])
+@pytest.mark.parametrize("low", [[1], [2], [1, 2], [3, 4]])
+def test_dense_class_sets_keep_their_period(low, n, s):
+    # Classes `low` with one class b, or with every class up to b: more than
+    # SPARSE_SHARE of the terms, with a period 2**b from N/32 up to N.  Up
+    # to a period of N/4 such a set is counted over one period, and past it
+    # scattered; the rows equal the oracle's either way.
+    p = materialize(shift(dyadic_harmonic(), s), n)
+    classes = [step.bit_length() - 1 for step in p.strides[1]]
+    sched = WindowSchedule.geometric(n)
+    period_extrema = windows._period_extrema
+    for b in range(8, 13):
+        for flagged in (low + [b], list(range(low[0], b + 1))):
+            bits = np.isin(classes, flagged)
+            assert sum(2.0**-j for j in flagged) > windows.SPARSE_SHARE
+            periods = []
+
+            def recording(bits, t, q, horizon, lengths):
+                periods.append(q)
+                return period_extrema(bits, t, q, horizon, lengths)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(windows, "_period_extrema", recording)
+                prof = head_profile(p, bits, sched)
+            assert periods == ([2**b] if 4 * 2**b <= n else [])
+            whole = Membership.from_mask(bits[p.entries(0, n)])
+            assert [(r.n, r.min_count, r.max_count) for r in prof.rows] == [
+                (k, *naive_count_extrema(whole, k)) for k in sched.lengths
+            ]
+
+
+@st.composite
+def distinct_terms(draw):
+    """Up to 300 distinct terms in [-1, 1], one zero at most, in any order."""
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=300, unique=True))
+    return np.array(values, dtype=np.float64)
+
+
+@given(distinct_terms(), st.sampled_from([1 / 64, 0.1, 0.5]), st.sampled_from([0.0, 0.01, 0.1]))
+@settings(max_examples=100, deadline=None)
+def test_distinct_terms_weigh_the_same_as_with_stored_counts(values, epsilon, tol):
+    # The index of distinct terms stores one count, read through a zero
+    # stride; every reader of the counts must see what an N-long array of
+    # ones would give it.
+    n = values.size
+    p = Prefix(values=values, horizon=n, bound=1.0)
+    assert p.index.counts.strides == (0,)
+    stored = Prefix(values=values, horizon=n, bound=1.0)
+    ones = np.ones(n, dtype=p.index.counts.dtype)
+    ones.flags.writeable = False
+    stored.__dict__["index"] = ValueIndex(p.index.uniq, ones)
+    sched = WindowSchedule.geometric(n, base=2)
+
+    def weighed(q):
+        starts = cluster_starts(q, epsilon)
+        return (
+            starts.tolist(),
+            sublimit_report(q, starts, epsilon, schedule=sched),
+            quantized_estimate(q, mesh_cells(q, (0.5, 0.0625)), sched),
+            is_simply_distributed(q, tol, sched),
+            run_weights(q, starts, range(starts.size), sched),
+        )
+
+    assert weighed(p) == weighed(stored)

@@ -22,6 +22,7 @@ from seqdist import (
     periodic,
 )
 from seqdist import windows
+from seqdist.cli import main
 from seqdist.windows import SPARSE_SHARE
 
 
@@ -546,3 +547,55 @@ def test_constructors_leave_caller_array_writable(build, array):
     stored = build(array)
     assert not stored.flags.writeable
     array[0] = array[0]  # raises if the constructor froze the caller's array
+
+
+@pytest.mark.parametrize("share", [1 / 64, 1 / 32, 1 / 16, 3 / 32, 1 / 8])
+def test_gap_rows_match_the_walk_and_the_oracle_on_f5_regions(share):
+    # Each row's searches start from the previous row's excess over its
+    # expected count, and must end on the same rows as the walk's.
+    values = materialize(fixture("F5"), 2**18).values
+    for n, lengths in ((2**13, WindowSchedule.geometric(2**13, base=2).lengths),
+                       (2**18, WindowSchedule.geometric(2**18).lengths)):
+        bits = values[:n] < share
+        gaps = list(windows._gap_extrema(np.flatnonzero(bits), n, lengths))
+        assert gaps == list(windows._count_extrema(bits, lengths))
+        if n == 2**13:
+            m = Membership.from_mask(bits)
+            assert gaps == [(k, *naive_count_extrema(m, k)) for k in lengths]
+
+
+@given(
+    st.integers(1, 3000),
+    st.floats(0, SPARSE_SHARE),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_gap_rows_match_the_walk_and_the_oracle_on_random_masks(horizon, share, seed, data):
+    bits = np.random.default_rng(seed).random(horizon) < share
+    lengths = tuple(sorted(data.draw(st.sets(st.integers(1, horizon), min_size=1, max_size=8))))
+    gaps = list(windows._gap_extrema(np.flatnonzero(bits), horizon, lengths))
+    assert gaps == list(windows._count_extrema(bits, lengths))
+    m = Membership.from_mask(bits)
+    assert gaps == [(k, *naive_count_extrema(m, k)) for k in lengths]
+
+
+def test_f5_analyze_makes_few_gap_probes(monkeypatch, capsys):
+    # Seeds at the previous row's extremes scaled by the ratio of the
+    # lengths made 5,024 predicate calls here; seeds at the expected count
+    # moved by the previous row's excess or shortfall make 3,485.
+    calls = 0
+    first_true = windows._first_true
+
+    def counting(pred, lo, hi, seed):
+        def probe(k):
+            nonlocal calls
+            calls += 1
+            return pred(k)
+
+        return first_true(probe, lo, hi, seed)
+
+    monkeypatch.setattr(windows, "_first_true", counting)
+    assert main(["analyze", "--fixture", "F5", "--horizon", "1000000", "--format", "jsonl"]) == 0
+    capsys.readouterr()
+    assert 0 < calls <= 3700
