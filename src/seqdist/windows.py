@@ -163,15 +163,16 @@ class WindowSchedule:
 # A mask with at most this share of its terms as members is counted from the
 # gaps between them; any other mask from its prefix counts.
 # Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 7,
-# two runs, 2 cores, shared host), gaps against walk: at share 1/8, 20
-# against 11-15 ms (F5 region [0, 1/8)), 10-12 against 13-15 ms (F7 value
-# 1/3) and 17-21 against 15 ms (random bits); at 3/32 and 1/16 the F5
-# regions take 2-5 ms by gaps and random bits 6-12 ms, against 11-15 ms; at
-# 3/16 random bits take 44-51 ms against 11-14 ms, and at share 1/4 the gaps
-# lose everywhere, 77-82 ms (random bits), 35-40 ms (F5 region [0, 1/4)) and
-# 37 ms (F7 value 1/2) against 12-16 ms, since each probe is an O(c) pass
-# and more probes are needed the further a row's seed misses.  Random bits
-# win by gaps at no share above 1/8, so the share stays there.
+# two runs, 2 cores, shared host), gaps against walk: at share 1/8, 6-13
+# against 11-12 ms (F5 region [0, 1/8)), 5-7 against 12-17 ms (F7 value 1/3)
+# and 16-18 against 13-15 ms (random bits); at 3/32 and 1/16 the F5 regions
+# take 2-4 ms by gaps and random bits 7-11 ms, against 11-12 ms; at 3/16 the
+# F5 region takes 13-14 against 16-17 ms and random bits 49-52 against
+# 15-17 ms, and at share 1/4 the gaps lose everywhere, 79-86 ms (random
+# bits), 31-34 ms (F5 region [0, 1/4)) and 24-27 ms (F7 value 1/2) against
+# 11-18 ms, since each probe is an O(c) pass and more probes are needed the
+# further a row's seed misses.  Random bits win by gaps at no share above
+# 1/8, so the share stays there.
 SPARSE_SHARE = 0.125
 
 # A set of 2-adic classes whose mask repeats with a period of at most this
@@ -441,30 +442,44 @@ def _gap_extrema(members: np.ndarray, horizon: int, lengths):
     pos[k + d - 1] - pos[k] < n, and some window holds at most m members iff
     some P[k + m + 1] - P[k] - 1 >= n: the slots strictly between those two
     entries hold exactly m members, and the sentinels keep the window inside
-    the prefix.  Each row's two searches are seeded at its expected count
-    n * c / N, the max's moved up by the previous row's excess over its own
-    expected count and the min's down by that row's shortfall.  Of a mask
-    with a density these grow slower than n, so scaling the previous
-    extremes by the ratio of the lengths would double them and miss by
-    more.  The search finds the same row from any seed.
+    the prefix.  The search finds the same row from any seed, and a seed d
+    away costs O(log d) passes.  The first row is seeded at its expected
+    count n * c / N.  Each later search takes, of two seeds, the one whose
+    rule has missed its side's rows by less so far (the first on a tie):
+    the expected count moved by the previous row's excess over its own
+    expected count (for the max) or shortfall from it (for the min), or
+    the previous extreme scaled by the ratio of the lengths.  Of a mask
+    with a density, as a region of F5, the excess grows slower than n, and
+    scaling it would double it; of a mask of doubling blocks it grows in
+    proportion to n, and only scaling keeps up.
     """
     c = members.size
     # The fenced positions and their differences reach horizon + 1.
     fenced = np.empty(c + 2, dtype=np.int32 if horizon + 1 < 2**31 else np.int64)
     fenced[0], fenced[1:-1], fenced[-1] = -1, members, horizon
     pos = fenced[1:-1]
-    # The previous row's max above its expected count, and its min below it.
-    excess = shortfall = 0
+    prev = None
+    # Per side (min, max), how far each rule's seeds have missed so far.
+    missed = [[0, 0], [0, 0]]
     for n in lengths:
         top = min(c, n)
         expected = n * c // horizon
+        if prev is None:
+            seeds = [(expected, expected)] * 2
+        else:
+            last, before, *found = prev
+            seeds = [(expected + x - before, x * n // last) for x in found]
+        pick = [s[1] if scaled < moved else s[0] for s, (moved, scaled) in zip(seeds, missed)]
         hi = _first_true(
-            lambda d: d >= top or (pos[d:] - pos[: c - d]).min() >= n, 0, top, expected + excess
+            lambda d: d >= top or (pos[d:] - pos[: c - d]).min() >= n, 0, top, pick[1]
         )
         lo = _first_true(
-            lambda m: (fenced[m + 1 :] - fenced[: c - m + 1]).max() > n, 0, top, expected - shortfall
+            lambda m: (fenced[m + 1 :] - fenced[: c - m + 1]).max() > n, 0, top, pick[0]
         )
-        excess, shortfall = hi - expected, expected - lo
+        for miss, s, x in zip(missed, seeds, (lo, hi)):
+            miss[0] += abs(s[0] - x)
+            miss[1] += abs(s[1] - x)
+        prev = n, expected, lo, hi
         yield n, lo, hi
 
 
