@@ -384,29 +384,26 @@ def test_materialize_peak_is_the_output_plus_a_chunk():
     assert peak <= p.values.nbytes + 3 * 2**20
 
 
-@pytest.mark.parametrize(
-    "stage, per_term",
-    [
-        # The sorted copy of the terms and its run-start mask, 9 B/term.
+def test_index_quantization_and_sublimit_peaks_on_distinct_terms():
+    # F5's terms are all distinct, so the index is the sorted copy of the
+    # terms, with one stored count.  Building it holds that copy and its
+    # run-start mask, 9 B/term beside the values.  A later stage may hold,
+    # beside the values, the index (8 B/term) and a label array, one more
+    # N-long int64 array at a time, not two.
+    n = 2**20
+    for stage, per_term in (
         (lambda p: p.index, 18),
         (quantized_banach_limit, 27),
         (lambda p: detect_sublimits(p, 1 / 32), 27),
-    ],
-)
-def test_index_quantization_and_sublimit_peaks_on_distinct_terms(stage, per_term):
-    # F5's terms are all distinct, so the index is as long as the prefix.
-    # Its values are the sorted copy itself and its counts store one int.
-    # Beside the values, the index (8 B/term) and a label array, a stage
-    # may hold one more N-long int64 array at a time, not two.
-    n = 2**20
-    p = materialize(fixture("F5"), n)
-    tracemalloc.start()
-    try:
-        stage(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert p.values.nbytes + peak <= per_term * n
+    ):
+        p = materialize(fixture("F5"), n)
+        tracemalloc.start()
+        try:
+            stage(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.values.nbytes + peak <= per_term * n
 
 
 def test_materialize_converts_a_table_once():
