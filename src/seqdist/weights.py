@@ -373,8 +373,11 @@ def sublimit_report(
     ends = np.append(starts[1:], uniq.size)
     occs = np.add.reduceat(counts, starts, dtype=np.int64)
     # One fixed-order reduction: np.dot would call BLAS, whose sum order and
-    # so whose last digits depend on its thread count.
-    centers = np.add.reduceat(uniq * counts, starts) / occs
+    # so whose last digits depend on its thread count.  Distinct terms
+    # (counts a zero-stride view of one 1) sum their values as they are,
+    # with no N-long product.
+    weighted = uniq if counts.strides == (0,) else uniq * counts
+    centers = np.add.reduceat(weighted, starts) / occs
     # |v - center| is largest at a run's ends.
     radii = np.maximum(centers - uniq[starts], uniq[ends - 1] - centers)
 

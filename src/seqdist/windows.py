@@ -33,17 +33,20 @@ mask for ``head_profile``:
 * **Prefix sums** (every window mean, and masks whose members exceed
   ``SPARSE_SHARE`` of the terms): one prefix-sum array per input, each
   window sum one subtraction, so O(N) per window length and O(N log N)
-  for a geometric schedule.  The offsets are walked in blocks of
-  ``_BLOCK``, every window length per block, into reused block-sized
-  buffers: a block of the prefix sums is read from cache by all the
-  lengths, and no length makes an N-length temporary.  Window means
-  come from a float64 cumsum.  A mask is counted in 16-bit lanes: its
-  prefix count is kept mod 2**16 as uint16, built eight terms per uint64
-  word with no N-long cumsum, and the walk makes no int32 or int64 array
-  of N entries.  A window count lies in [0, n], so rows with n < 2**16
+  for a geometric schedule.  The offsets are walked in blocks into one
+  reused block-sized buffer, so no length makes an N-length temporary.
+  Window means come from a float64 cumsum, walked in blocks of
+  ``_BLOCK`` with every window length per block, so a block of the
+  prefix sums is read from cache by all the lengths.  A mask is counted
+  in 16-bit lanes: its prefix count is kept mod 2**16 as uint16, built
+  eight terms per uint64 word with no N-long cumsum, and the walk makes
+  no int32 or int64 array of N entries.  It takes one row at a time, in
+  blocks of ``_COUNT_BLOCK``: one subtraction, one min and one max per
+  row and block.  A window count lies in [0, n], so rows with n < 2**16
   read it exactly mod 2**16; longer rows read each block as an int16
   offset from the block's first count, which moves by at most 1 per
-  offset.
+  offset, and re-read a block whose offsets reach the int16 range's
+  ends in stretches of ``_BLOCK``.
 * **Member gaps** (masks with at most ``SPARSE_SHARE`` of the terms as
   members): only the c sorted member positions are kept.  The largest count
   is the largest d such that some d consecutive members fit in one window;
@@ -163,16 +166,14 @@ class WindowSchedule:
 # A mask with at most this share of its terms as members is counted from the
 # gaps between them; any other mask from its prefix counts.
 # Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 7,
-# two runs, 2 cores, shared host), gaps against walk: at share 1/8, 6-13
-# against 11-12 ms (F5 region [0, 1/8)), 5-7 against 12-17 ms (F7 value 1/3)
-# and 16-18 against 13-15 ms (random bits); at 3/32 and 1/16 the F5 regions
-# take 2-4 ms by gaps and random bits 7-11 ms, against 11-12 ms; at 3/16 the
-# F5 region takes 13-14 against 16-17 ms and random bits 49-52 against
-# 15-17 ms, and at share 1/4 the gaps lose everywhere, 79-86 ms (random
-# bits), 31-34 ms (F5 region [0, 1/4)) and 24-27 ms (F7 value 1/2) against
-# 11-18 ms, since each probe is an O(c) pass and more probes are needed the
-# further a row's seed misses.  Random bits win by gaps at no share above
-# 1/8, so the share stays there.
+# three runs, 2 cores, shared host), gaps against walk: the F5 regions
+# [0, share) took 0.7-0.8 against 3.5-3.7 ms at 1/32, 1.4-1.6 against
+# 3.2-3.4 ms at 1/16 and 2.6-2.7 against 3.3-3.5 ms at 3/32, tied at 1/8
+# (3.4-3.8 against 3.2-3.5 ms) and lost at 3/16 (4.1-4.6 against 3.4-3.6 ms)
+# and 1/4 (6.3-6.6 against 3.2-3.8 ms).  Random bits lost from 1/16 (5.3
+# against 3.3-3.6 ms) and at 1/8 (9.8 against 3.3-3.7 ms), since each probe
+# is an O(c) pass and more probes are needed the further a row's seed
+# misses.  The share stays at 1/8, where the structured masks tie.
 SPARSE_SHARE = 0.125
 
 # A set of 2-adic classes whose mask repeats with a period of at most this
@@ -192,23 +193,28 @@ SPARSE_SHARE = 0.125
 # and 68-73 against 31-37 ms.
 CLASS_PERIOD_SHARE = 1 / 32
 
-# The prefix-sum walks read the offsets in blocks of this many window sums,
-# every schedule row per block.  Float64 window means, measured at N = 2**21
-# over 16 rows (min of 7, one core with 2 MiB of L2) for blocks of 2**12 ...
-# 2**17: 121, 73, 61, 59, 58 and 73 ms, against 153 ms for one N-length
-# temporary per row.  16-bit count rows (F5 region [0.1, 0.5), same host,
-# 2 cores) for blocks of 2**12 ... 2**15: 59, 34, 24 and 17-22 ms.  Smaller
+# The float walk reads the offsets in blocks of this many window sums, every
+# schedule row per block; the count walk takes its int64 heads this many
+# offsets apart and re-reads a long row's block in stretches of this many.
+# Float64 window means, measured at N = 2**21 over 16 rows (min of 7, one
+# core with 2 MiB of L2) for blocks of 2**12 ... 2**17: 121, 73, 61, 59, 58
+# and 73 ms, against 153 ms for one N-length temporary per row.  Smaller
 # blocks pay numpy's per-call overhead on every block and row; larger ones
 # no longer keep a block of prefix sums in cache across the rows.  The count
-# walk needs blocks of at most 2**15 offsets: it reads a row of n >= 2**16
-# as int16 offsets from the block's first count.
+# walk needs stretches of at most 2**15 offsets: within one, a window count
+# stays within 2**15 - 1 of the stretch's first.
 _BLOCK = 1 << 15
 
-# The count walk writes up to this many rows of a block into one uint16
-# buffer (1 MiB at 2**15 offsets) and reduces them with one min and one max
-# call.  Same mask and host: 36 ms for 1 row per call, 20-22 ms for 4, 8,
-# 16 and 32 rows.  The cap keeps the buffer fixed however long the schedule.
-_ROWS = 16
+# The count walk reads each row in blocks of this many offsets, one
+# subtraction into a reused uint16 buffer (512 KiB), one min and one max per
+# row and block.  Measured at N = 2**21 over 16 rows (min of 9, one or two
+# runs, 2 cores, shared host), F5 region [0.1, 0.5), F6's ones (whose long rows are
+# re-read) and random bits of share 0.3, for blocks of 2**15 ... 2**19:
+# 5.8-6.0, 4.2-4.4, 3.4-4.0, 3.0-3.7 and 3.4-4.1 ms, against 5.1-5.2 ms for
+# every row of a block of 2**15 per call, written 16 rows at a time into
+# one (rows x block) buffer.  Smaller blocks pay numpy's per-call overhead
+# on more blocks; a block of 2**18 is about 400 calls per mask.
+_COUNT_BLOCK = 1 << 18
 
 
 class DensityRow(NamedTuple):
@@ -312,17 +318,17 @@ def _count_extrema(bits: np.ndarray, lengths):
     """Yield (n, min, max) of the length-n window counts of a bool mask.
 
     Every row is read from one uint16 prefix count taken mod 2**16
-    (``_prefix_counts``), walked in blocks of ``_BLOCK`` offsets like
-    ``_window_extrema``; per block the rows' sums are written into one
-    (rows x block) buffer, ``_ROWS`` rows at a time, and each group is
-    reduced by one ``min(axis=1)`` and one ``max(axis=1)``.  A count lies in
-    [0, n], so a row with n < 2**16 reads its window sums mod 2**16 exactly.
-    A longer row uses that a window count moves by at most 1 per offset:
-    within a block of at most 2**15 offsets it stays within 2**15 - 1 of the
-    block's first window, so the block minus that first count (mod 2**16)
-    read as int16 is exact, and the first count is added back.  That first
-    count is exact from int64 block heads, since a block adds fewer than
-    2**16 members to the running count.
+    (``_prefix_counts``), one row at a time, in blocks of ``_COUNT_BLOCK``
+    offsets: each block is one subtraction into one reused buffer, one
+    ``min`` and one ``max``.  A count lies in [0, n], so a row with
+    n < 2**16 reads its window sums mod 2**16 exactly.  A longer row reads
+    each block minus its first window's count (mod 2**16) as int16, and
+    adds that count back.  The first count is exact from int64 heads taken
+    every ``_BLOCK`` offsets, since fewer than 2**16 members lie between a
+    head and any offset it serves.  A window count moves by at most 1 per
+    offset, so an offset that drifts outside the int16 range first passes
+    -2**15 or 2**15 - 1, and a block whose reading reaches neither is
+    exact.  Any other block is re-read by ``_reread``.
     """
     if not 1 <= _BLOCK <= 2**15:
         raise ValueError(f"_BLOCK must lie in [1, 2**15], got {_BLOCK}")
@@ -335,36 +341,42 @@ def _count_extrema(bits: np.ndarray, lengths):
         head = x - x % _BLOCK
         return int(heads[head // _BLOCK]) + (int(counts[x]) - int(counts[head])) % 2**16
 
-    short = sum(n < 2**16 for n in lengths)
-    buf = np.empty(
-        (min(len(lengths), _ROWS), min(_BLOCK, size - lengths[0])), dtype=np.uint16
-    )
-    lows = np.full(len(lengths), np.iinfo(np.int64).max)
-    highs = np.full(len(lengths), -1, dtype=np.int64)
-    for s in range(0, size - lengths[0], _BLOCK):
-        ends = [e for e in (min(s + _BLOCK, size - n) for n in lengths) if e > s]
-        g = 0
-        while g < len(ends):
-            h = min(g + _ROWS, len(ends))
-            if g < short < h:
-                h = short
-            rows = buf[: h - g, : ends[g] - s]
-            for row, n, e in zip(rows, lengths[g:h], ends[g:h]):
-                np.subtract(counts[s + n : e + n], counts[s:e], out=row[: e - s])
-                # A short final block repeats its first sum: no new extremum.
-                row[e - s :] = row[0]
-            if g < short:
-                lo, hi = rows.min(axis=1), rows.max(axis=1)
-            else:
-                first = np.array([exact(s + n) - int(heads[s // _BLOCK]) for n in lengths[g:h]])
-                rows -= first.astype(np.uint16)[:, None]
-                step = rows.view(np.int16)
-                lo, hi = first + step.min(axis=1), first + step.max(axis=1)
-            np.minimum(lows[g:h], lo, out=lows[g:h])
-            np.maximum(highs[g:h], hi, out=highs[g:h])
-            g = h
-    for n, lo, hi in zip(lengths, lows.tolist(), highs.tolist()):
+    buf = np.empty(min(_COUNT_BLOCK, size - lengths[0]), dtype=np.uint16)
+    for n in lengths:
+        lo, hi = n, 0
+        for s in range(0, size - n, _COUNT_BLOCK):
+            e = min(s + _COUNT_BLOCK, size - n)
+            sums = np.subtract(counts[s + n : e + n], counts[s:e], out=buf[: e - s])
+            if n < 2**16:
+                lo, hi = min(lo, int(sums.min())), max(hi, int(sums.max()))
+                continue
+            first = exact(s + n) - exact(s)
+            step = np.subtract(sums, first % 2**16, out=sums).view(np.int16)
+            a, b = int(step.min()), int(step.max())
+            if a == -(2**15) or b == 2**15 - 1:
+                a, b = _reread(step, lambda t: exact(s + t + n) - exact(s + t) - first)
+            lo, hi = min(lo, first + a), max(hi, first + b)
         yield n, lo, hi
+
+
+def _reread(step: np.ndarray, drift) -> tuple[int, int]:
+    """(min, max) of the exact offsets that ``step``, an int16 view of a
+    block of window counts minus the block's first count, holds mod 2**16.
+
+    The block is re-read in stretches of ``_BLOCK`` offsets, with
+    ``drift(t)`` the exact offset at position t.  A count moves by at most
+    1 per offset, so within a stretch of at most 2**15 offsets it stays
+    within 2**15 - 1 of the stretch's first, and the stretch minus that
+    first offset reads exactly as int16.  ``step`` is overwritten.
+    """
+    lows, highs = [], []
+    for t in range(0, step.size, _BLOCK):
+        d = drift(t)
+        part = step[t : t + _BLOCK].view(np.uint16)
+        stretch = np.subtract(part, d % 2**16, out=part).view(np.int16)
+        lows.append(d + int(stretch.min()))
+        highs.append(d + int(stretch.max()))
+    return min(lows), max(highs)
 
 
 def _run_extrema(bits: np.ndarray, starts: np.ndarray, horizon: int, lengths):

@@ -75,6 +75,13 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/shifted_dyadic.spec", "--horizon", "65536",
         "--format", "jsonl",
     ],
+    # Half of F5 plus doubling blocks, a filled prefix: the count of the
+    # region [1.0, 1.5) at n = 131072 moves by more than 2**15 within one
+    # walk block, which is then re-read in stretches.
+    "weights_rotation_doubling.jsonl": [
+        "weights", "--spec-file", "tests/golden/rotation_doubling.spec", "--horizon", "524291",
+        "--interval", "0.75:1.25", "--interval", "1.0:1.5", "--format", "jsonl",
+    ],
 }
 
 
@@ -88,11 +95,12 @@ def test_report_matches_golden(name, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden_in_small_blocks(name, capsys, monkeypatch):
-    # At N = 4096 every row of the prefix-sum walk fits in one block of the
-    # default size, and the prefix in one chunk of materialize and
-    # run_labels; blocks of 7 and chunks of 100 split each into many, the
-    # last partial.
+    # At N = 4096 every row of the prefix-sum walks fits in one block of the
+    # default sizes, and the prefix in one chunk of materialize and
+    # run_labels; blocks of 7 and 13 and chunks of 100 split each into
+    # many, the last partial.
     monkeypatch.setattr(windows, "_BLOCK", 7)
+    monkeypatch.setattr(windows, "_COUNT_BLOCK", 13)
     monkeypatch.setattr(sequences, "_CHUNK", 100)
     monkeypatch.chdir(GOLDEN.parent.parent)
     assert main(CASES[name]) == 0

@@ -704,3 +704,23 @@ def test_distinct_terms_weigh_the_same_as_with_stored_counts(values, epsilon, to
         )
 
     assert weighed(p) == weighed(stored)
+
+
+def test_distinct_term_centers_equal_those_from_stored_counts():
+    # The centers of distinct terms sum the values themselves; with stored
+    # ones they sum each value times its count.  The two agree bit for bit.
+    p = materialize(fixture("F5"), 2**16)
+    assert p.index.counts.strides == (0,)
+    stored = Prefix(values=p.values, horizon=p.horizon, bound=p.bound)
+    ones = np.ones(p.horizon, dtype=p.index.counts.dtype)
+    ones.flags.writeable = False
+    stored.__dict__["index"] = ValueIndex(p.index.uniq, ones)
+    starts = cluster_starts(p, 1 / 64)
+    sched = WindowSchedule.geometric(p.horizon)
+
+    def centers(q):
+        report = sublimit_report(q, starts, 1 / 64, schedule=sched)
+        return [repr(c.center) for c in report.clusters]
+
+    assert len(centers(p)) > 1
+    assert centers(p) == centers(stored)

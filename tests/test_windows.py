@@ -206,15 +206,16 @@ def block_edge_lengths(draw, horizon, block):
 
 @st.composite
 def blocked_count_case(draw):
-    """A mask, block and row-group sizes and a block-edge schedule for the count walk.
+    """A mask, head and walk block sizes and a block-edge schedule for the count walk.
 
     Besides masks of any share, non-member counts sit just below, at and
     just above ``SPARSE_SHARE`` of the horizon, and the full mask is drawn
     too; like any mask above that share, a near-full one is counted by the
-    walk.
+    walk.  The walk's blocks (``_COUNT_BLOCK``) need not be a multiple of
+    the heads' (``_BLOCK``), so a walk block may start between two heads.
     """
     block = draw(st.sampled_from(BLOCKS))
-    group = draw(st.sampled_from((1, 2, 16)))
+    count_block = draw(st.sampled_from(BLOCKS + (100, 2**18)))
     horizon = draw(st.integers(1, 300))
     kind = draw(st.sampled_from(["share", "near_full", "full"]))
     bits = np.ones(horizon, dtype=bool)
@@ -225,7 +226,7 @@ def blocked_count_case(draw):
     elif kind == "near_full":
         c = min(max(int(horizon * SPARSE_SHARE) + draw(st.integers(-1, 1)), 0), horizon)
         bits[sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=c, max_size=c)))] = False
-    return block, group, bits, block_edge_lengths(draw, horizon, block)
+    return block, count_block, bits, block_edge_lengths(draw, horizon, count_block)
 
 
 @given(blocked_count_case())
@@ -233,11 +234,11 @@ def blocked_count_case(draw):
 def test_blocked_walk_count_rows_match_oracle(case):
     # The walk is called directly as well, so every mask exercises it
     # whichever kernel density_profile picks for that mask.
-    block, group, bits, schedule = case
+    block, count_block, bits, schedule = case
     m = Membership.from_mask(bits)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(windows, "_BLOCK", block)
-        mp.setattr(windows, "_ROWS", group)
+        mp.setattr(windows, "_COUNT_BLOCK", count_block)
         walked = list(windows._count_extrema(m.bits, schedule.lengths))
         rows = density_profile(m, schedule).rows
     assert [n for n, _, _ in walked] == [r.n for r in rows] == list(schedule.lengths)
@@ -271,22 +272,62 @@ def wide_masks():
     }
 
 
-@pytest.mark.parametrize("rows", [None, 1, 2])
-@pytest.mark.parametrize("kind", sorted(wide_masks()))
-def test_count_kernel_matches_int64_cumsum(kind, rows, monkeypatch):
-    bits = wide_masks()[kind]
-    if rows is not None:
-        # Groups of 1 or 2 rows split the short rows from the long ones.
-        monkeypatch.setattr(windows, "_ROWS", rows)
+def int64_rows(bits, lengths):
+    """Every row's (n, min, max) from one int64 cumsum of ``bits``."""
     csum = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
-    oracle = []
-    for n in WIDE_LENGTHS:
+    rows = []
+    for n in lengths:
         sums = csum[n:] - csum[:-n]
-        oracle.append((n, int(sums.min()), int(sums.max())))
+        rows.append((n, int(sums.min()), int(sums.max())))
+    return rows
+
+
+@pytest.mark.parametrize("doublings", [None, 0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(wide_masks()))
+def test_count_kernel_matches_int64_cumsum(kind, doublings, monkeypatch):
+    bits = wide_masks()[kind]
+    if doublings is not None:
+        # Walk blocks of 2**15 + 3, 2**16 + 3 and 2**17 + 3 offsets: past
+        # 2**15, so a long row's count can leave the int16 range within
+        # one and the block is re-read, and off the heads of every 2**15
+        # offsets, so most blocks start between two of them.
+        monkeypatch.setattr(windows, "_COUNT_BLOCK", (2**15 << doublings) + 3)
+    oracle = int64_rows(bits, WIDE_LENGTHS)
     assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == oracle
     m = Membership.from_mask(bits)
     profile = density_profile(m, WindowSchedule(WIDE_LENGTHS))
     assert [(r.n, r.min_count, r.max_count) for r in profile.rows] == oracle
+
+
+def counting_rereads(monkeypatch):
+    """Patch the count walk's re-read to count its calls; return the
+    one-item list that holds the count."""
+    calls = [0]
+    reread = windows._reread
+
+    def counting(step, drift):
+        calls[0] += 1
+        return reread(step, drift)
+
+    monkeypatch.setattr(windows, "_reread", counting)
+    return calls
+
+
+def test_count_walk_rereads_only_blocks_that_leave_the_int16_range(monkeypatch):
+    calls = counting_rereads(monkeypatch)
+    # A region of F5 strays from its expected count by a few members only.
+    values = materialize(fixture("F5"), 2**21).values
+    bits = (values >= 0.1) & (values < 0.5)
+    lengths = WindowSchedule.geometric(2**21).lengths
+    assert max(lengths) >= 2**16
+    assert list(windows._count_extrema(bits, lengths)) == int64_rows(bits, lengths)
+    assert calls[0] == 0
+    # The count of n = 65536 falls by 1 per offset over the first 2**15 + 8
+    # offsets: by more than 2**15 within the first block of 2**17.
+    monkeypatch.setattr(windows, "_COUNT_BLOCK", 2**17)
+    bits = wide_masks()["ones_then_zeros"]
+    assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == int64_rows(bits, WIDE_LENGTHS)
+    assert calls[0] >= 1
 
 
 @st.composite
