@@ -208,12 +208,12 @@ _BLOCK = 1 << 15
 # The count walk reads each row in blocks of this many offsets, one
 # subtraction into a reused uint16 buffer (512 KiB), one min and one max per
 # row and block.  Measured at N = 2**21 over 16 rows (min of 9, one or two
-# runs, 2 cores, shared host), F5 region [0.1, 0.5), F6's ones (whose long rows are
-# re-read) and random bits of share 0.3, for blocks of 2**15 ... 2**19:
-# 5.8-6.0, 4.2-4.4, 3.4-4.0, 3.0-3.7 and 3.4-4.1 ms, against 5.1-5.2 ms for
-# every row of a block of 2**15 per call, written 16 rows at a time into
-# one (rows x block) buffer.  Smaller blocks pay numpy's per-call overhead
-# on more blocks; a block of 2**18 is about 400 calls per mask.
+# runs, 2 cores, shared host), F5 region [0.1, 0.5), F6's ones (whose long
+# rows are re-read) and random bits of share 0.3, for blocks of 2**15 ...
+# 2**19: 5.8-6.0, 4.2-4.4, 3.4-4.0, 3.0-3.7 and 3.4-4.1 ms, against 5.1-5.2 ms
+# for every row of a block of 2**15 per call, written 16 rows at a time into
+# one (rows x block) buffer.  Smaller blocks pay numpy's per-call overhead on
+# more blocks; a block of 2**18 is about 400 calls per mask.
 _COUNT_BLOCK = 1 << 18
 
 

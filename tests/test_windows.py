@@ -260,8 +260,9 @@ def wide_masks():
     k = np.arange(WIDE_HORIZON)
     return {
         "random": rng.random(WIDE_HORIZON) < 0.5,
-        # A count falls by 1 at every offset of a block: the largest change
-        # a block can hold, read as int16 around the block's first count.
+        # A count falls by 1 at every offset for 2**15 + 7 offsets: more
+        # than an int16 offset from a block's first count can hold, so a
+        # walk block of more than 2**15 offsets is re-read in stretches.
         "ones_then_zeros": k < 2**15 + 7,
         "inner_run": (k >= 70001) & (k < 70001 + 2**15 + 2**14),
         "all_ones": np.ones(WIDE_HORIZON, dtype=bool),
