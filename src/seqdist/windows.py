@@ -14,17 +14,16 @@ Conventions that the whole package relies on:
   observed range, so a reported max is a lower bound for the true supremum
   over all offsets and a reported min an upper bound for the infimum.
 
-Counts come from one of four exact kernels.  ``density_profile`` chooses
-between the first two from the mask itself; ``head_profile`` counts a mask
-over a prefix's head (``Prefix.head``), which every term repeats, by the
-third or fourth when the head is shorter than the prefix, by its layout
-(runs or one period), and by ``density_profile`` otherwise.  A mask over
-the 2-adic classes of a prefix read from them (``Prefix.classes``) repeats
-with a period of 2**b, b its largest class (``_class_mask``): a period of
-at most ``CLASS_PERIOD_SHARE`` of the terms, or of a quarter of them for a
-set with more than ``SPARSE_SHARE`` of the terms, goes to the fourth
-kernel, and any other is scattered over all N terms for
-``density_profile``.
+Counts come from three exact kernels, and a periodic mask is folded onto
+the first two.  ``density_profile`` chooses between the first two from the
+mask itself; ``head_profile`` counts a mask over a prefix's head
+(``Prefix.head``), which every term repeats, by the third or by the fold
+when the head is shorter than the prefix, by its layout (runs or one
+period), and by ``density_profile`` otherwise.  A mask over the 2-adic
+classes of a prefix read from them (``Prefix.classes``) repeats with a
+period of 2**b, b its largest class (``_class_mask``): a period shorter
+than the prefix is folded, and any other mask is made over all N terms
+for ``density_profile``.
 ``member_profile`` counts the head entries at given positions
 (``Prefix.members``): a sparse set of a prefix whose head is every term
 goes to the member gaps as it is, with no mask, and any other is made a
@@ -63,12 +62,15 @@ mask for ``head_profile``:
   offsets, and n terms past them, from the run starts and the members
   before each: O(R log R) per row, and no term is read.
 * **One period** (a prefix that repeats with period q after t terms, or a
-  set of 2-adic classes, t = 0 and q its period): only the mask of the
-  first min(N, t + q) terms is kept.  Its member counts c extend to every
-  k <= N as C(k) = c(t + (k - t) mod q) + floor((k - t) / q)
-  * (c(t + q) - c(t)) for k >= t, and a window at an offset t + q or later
-  equals the window q terms earlier, so each row reads only the offsets
-  below min(t + q, N - n + 1): O(t + q) per row, however long the prefix.
+  set of 2-adic classes, t = 0 and q its period): not a kernel of its own.
+  Only the mask of the first t + q terms is kept.  A window at an offset
+  t + q or later equals the window q terms earlier, and for k >= t the
+  members among the first k + q terms are those among the first k plus
+  the p members of one period, so a row of length n = k + a * q, k < t + q,
+  is the row of length k plus a * p.  Those rows are counted by the first
+  two kernels over at most 2 (t + q) - 1 terms of the repeated mask
+  (``_period_extrema``), however long the prefix; when some row has
+  fewer than t + q offsets, every row is counted over all N terms.
 
 ``naive_count_extrema`` recounts every window from scratch in O(N * n) and
 exists purely as the oracle the kernels are tested against; do not "fix"
@@ -175,23 +177,6 @@ class WindowSchedule:
 # is an O(c) pass and more probes are needed the further a row's seed
 # misses.  The share stays at 1/8, where the structured masks tie.
 SPARSE_SHARE = 0.125
-
-# A set of 2-adic classes whose mask repeats with a period of at most this
-# share of the terms is counted over one period; any other sparse set is
-# scattered over all N terms.  Measured on F7 at N = 2**20 and 2**22 (min of
-# 5, 2 cores), the period kernel against the scatter, whole schedule: a
-# sparse set (one to six classes, counted by the member gaps once scattered)
-# at N/32 took 0.59 against 0.74 ms (2**20) and 1.72 against 1.24 ms
-# (2**22), at N/16 0.97 against 0.70 and 4.5 against 1.3 ms.  All of F7's
-# clusters and cells took 4.1-4.2 ms at 1/32 and 1/64, and 4.6-4.7 ms at
-# 1/16 and 1/8 (2**20).  A dense set (more than SPARSE_SHARE of the terms,
-# counted by the 16-bit walk once scattered) keeps the period kernel up to a
-# period of N/4 (min of 7): classes {1, b}, {2, b} and 1..b took 0.9-1.9
-# against 9.3-9.7 ms at N/16 and N/8, and 6.4-6.7 against 9.4-9.7 ms at N/4
-# (2**20), 4.3-11.0 against 30-38 ms at N/16 and N/8 and 32-38 against 31-47
-# ms at N/4 (2**22); at N/2 the period kernel lost, 11-13 against 7.5-7.8 ms
-# and 68-73 against 31-37 ms.
-CLASS_PERIOD_SHARE = 1 / 32
 
 # The float walk reads the offsets in blocks of this many window sums, every
 # schedule row per block; the count walk takes its int64 heads this many
@@ -500,23 +485,40 @@ def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
     repeats with period q after t terms, from ``bits``, its first t + q
     terms (t + q < horizon).
 
-    C(k), the members among the first k terms, is tabulated once for
-    k <= min(horizon, 2 * (t + q)) from the mask with its period repeated.
-    For k >= t, C(k + q) = C(k) + p with p the members of one period, so a
-    row of length n = n' + a * q, with a whole periods past the transient
-    and n' < t + q, reads C(i + n) - C(i) as C(i + n') - C(i) + a * p: one
-    slice of the table per row, ending at i + n' <= horizon.
+    For k >= t, C(k + q) = C(k) + p, with C(k) the members among the first
+    k terms and p the members of one period, so a row of length
+    n = k + a * q, with a whole periods past the transient and k < t + q,
+    is the row of length k plus a * p, and a row with k = 0 is a * p.  A
+    window at an offset t + q or later equals the window q terms earlier,
+    so when every row has at least t + q offsets, the rows of the distinct
+    non-zero k are counted in one ``_mask_extrema`` call over the first
+    min(N, 2 (t + q) - 1) terms of the mask with its period repeated, which
+    hold every offset below t + q of each.  Otherwise every row is counted
+    over all N terms.
     """
-    per = int(bits[t:].sum())
-    extra = min(horizon, 2 * (t + q)) - t - q
-    bits = np.concatenate([bits, np.tile(bits[t:], -(-extra // q))[:extra]])
-    table = np.zeros(bits.size + 1, dtype=np.int32 if horizon < 2**31 else np.int64)
-    np.cumsum(bits, out=table[1:])
-    for n in lengths:
-        m = min(t + q, horizon - n + 1)
-        a = max(n - t, 0) // q
-        sums = table[n - a * q : n - a * q + m] - table[:m]
-        yield n, int(sums.min()) + a * per, int(sums.max()) + a * per
+    if horizon - lengths[-1] < t + q - 1:
+        size, folds = horizon, [(n, 0) for n in lengths]
+    else:
+        size = min(horizon, 2 * (t + q) - 1)
+        folds = [(n - a * q, a) for n in lengths for a in [max(n - t, 0) // q]]
+    per = int(np.count_nonzero(bits[t:]))
+    tiled = np.concatenate([bits, np.resize(bits[t:], size - t - q)])
+    counted = sorted({k for k, _ in folds} - {0})
+    rows = {0: (0, 0)}
+    if counted:
+        rows.update((k, (lo, hi)) for k, lo, hi in _mask_extrema(tiled, counted))
+    for n, (k, a) in zip(lengths, folds):
+        lo, hi = rows[k]
+        yield n, lo + a * per, hi + a * per
+
+
+def _mask_extrema(bits: np.ndarray, lengths):
+    """Yield (n, min, max) window counts of a bool mask: from the gaps
+    between its members when they are at most ``SPARSE_SHARE`` of its
+    terms, else from its prefix counts."""
+    if np.count_nonzero(bits) <= SPARSE_SHARE * bits.size:
+        return _gap_extrema(np.flatnonzero(bits), bits.size, lengths)
+    return _count_extrema(bits, lengths)
 
 
 def count_extrema(m: Membership, n: int) -> tuple[int, int]:
@@ -550,9 +552,7 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     from the row before it.
     """
     schedule.validate_for(m.horizon)
-    if m.count() <= SPARSE_SHARE * m.horizon:
-        return _profile(_gap_extrema(np.flatnonzero(m.bits), m.horizon, schedule.lengths), m.horizon)
-    return _profile(_count_extrema(m.bits, schedule.lengths), m.horizon)
+    return _profile(_mask_extrema(m.bits, schedule.lengths), m.horizon)
 
 
 def head_profile(p: Prefix, bits: np.ndarray, schedule: WindowSchedule) -> DensityProfile:
@@ -588,19 +588,16 @@ def _class_mask(p: Prefix, bits: np.ndarray) -> np.ndarray:
     repeats with period 2**b, b the largest flagged class.  When the
     flagged entries are every head entry from class a on, the mask flags
     the k with k + 1 + s = 0 mod 2**(a - 1), whose classes all occur and
-    are at least a: a period of 2**(a - 1).  A period of at most
-    ``CLASS_PERIOD_SHARE`` of the terms, or of a quarter of them for a
-    dense set, whose classes' shares 2**-j sum past ``SPARSE_SHARE``, is
-    returned for ``_period_extrema``; any other is scattered over all N
-    terms.  Either way each class is one strided fill.
+    are at least a: a period of 2**(a - 1).  A period shorter than N is
+    returned as one period, for ``_period_extrema``; any other mask is
+    made over all N terms.  Either way each class is one strided fill.
     """
     first, step = p.strides
     flagged = np.flatnonzero(bits).tolist()
     q = max((step[i] for i in flagged), default=1)
     if flagged and flagged == list(range(flagged[0], len(step))):
         q = step[flagged[0]] // 2
-    dense = sum(1 / step[i] for i in flagged) > SPARSE_SHARE and 4 * q <= p.horizon
-    size = q if dense or q <= CLASS_PERIOD_SHARE * p.horizon else p.horizon
+    size = min(q, p.horizon)
     mask = np.zeros(size, dtype=bool)
     for i in flagged:
         # A step past the mask's end picks one term, and fits a slice.

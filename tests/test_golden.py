@@ -57,8 +57,8 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/transient_combo.spec", "--horizon", N,
         "--format", "jsonl",
     ],
-    # A transient of 20000 terms: the period kernel tabulates 2 (t + q)
-    # counts and reads 20001 offsets per row.
+    # A transient of 20000 terms: each row is folded onto a row shorter
+    # than t + q, counted over 2 (t + q) - 1 terms of the repeated period.
     "analyze_long_transient.jsonl": [
         "analyze", "--spec-file", "tests/golden/long_transient.spec", "--horizon", "65536",
         "--format", "jsonl",
@@ -74,6 +74,13 @@ CASES = {
     "analyze_shifted_dyadic.jsonl": [
         "analyze", "--spec-file", "tests/golden/shifted_dyadic.spec", "--horizon", "65536",
         "--format", "jsonl",
+    ],
+    # Three class sets of F7: classes 15 on (period N/4), 16 on (N/2) and
+    # 2-15 (N/2, dense).  Each is counted over one period, its rows folded
+    # onto the member gaps or, for the dense set, the count walk.
+    "weights_F7_65536.jsonl": [
+        "weights", "--fixture", "F7", "--horizon", "65536", "--interval", "0.0:0.07",
+        "--interval", "0.0588:0.0626", "--interval", "0.066:1.0", "--format", "jsonl",
     ],
     # Half of F5 plus doubling blocks, a filled prefix: the count of the
     # region [1.0, 1.5) at n = 131072 moves by more than 2**15 within one
@@ -121,7 +128,7 @@ def test_dyadic_harmonic_report_at_2_to_the_20(capsys):
 def test_dense_class_weights_report_at_2_to_the_20(capsys):
     # F7's values 1/2 ... 1/16 at 2**20 are classes 2-16, and 1 ... 1/16
     # classes 1-16: dense sets that repeat every 2**16 terms, N/16, which
-    # the period kernel counts over one period.  Default sizes only, as
+    # are counted over one period.  Default sizes only, as
     # for the analyze report at 2**20.
     argv = [
         "weights", "--fixture", "F7", "--horizon", str(2**20), "--interval", "0.0625:1.0",

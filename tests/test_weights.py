@@ -603,15 +603,15 @@ def class_mask_case(draw):
     return p, bits, WindowSchedule(tuple(sorted(lengths)))
 
 
-@given(class_mask_case(), st.sampled_from([0.0, 1 / 32, 1.0]))
+@given(class_mask_case())
 # Class 8 of F7 at 256 terms repeats every 256 terms: its mask is the whole
 # prefix, counted as any other.
-@example((materialize(dyadic_harmonic(), 256), np.arange(9) == 7, WindowSchedule((1, 100, 256))), 1.0)
+@example((materialize(dyadic_harmonic(), 256), np.arange(9) == 7, WindowSchedule((1, 100, 256))))
 @settings(max_examples=200, deadline=None)
-def test_class_kernel_matches_oracle(case, share):
-    # A set of classes is counted over one period by the period kernel, or
-    # scattered over all N terms; a share of 0 scatters every sparse set,
-    # and a share of 1 counts every period below N over one period.
+def test_class_kernel_matches_oracle(case):
+    # A set of classes whose period is shorter than the prefix is counted
+    # over one period, folded onto the general kernels; any other is made
+    # over all N terms.
     p, bits, sched = case
     whole = Membership.from_mask(bits[p.entries(0, p.horizon)])
     periods = []
@@ -622,7 +622,6 @@ def test_class_kernel_matches_oracle(case, share):
         return period_extrema(bits, t, q, horizon, lengths)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(windows, "CLASS_PERIOD_SHARE", share)
         mp.setattr(windows, "_period_extrema", recording)
         prof = head_profile(p, bits, sched)
     assert [(r.n, r.min_count, r.max_count, r.offsets_scanned) for r in prof.rows] == [
@@ -633,10 +632,7 @@ def test_class_kernel_matches_oracle(case, share):
     classes = [step.bit_length() - 1 for step in p.strides[1]]
     flagged = [j for j, b in zip(classes, bits) if b]
     q = 2 ** (flagged[0] - 1) if flagged and bits[classes.index(flagged[0]):].all() else 2 ** max(flagged, default=0)
-    # A dense set, more than SPARSE_SHARE of the terms, keeps its period up
-    # to a quarter of the terms.
-    dense = sum(2.0**-j for j in flagged) > windows.SPARSE_SHARE and 4 * q <= p.horizon
-    assert periods == ([q] if (dense or q <= share * p.horizon) and q < p.horizon else [])
+    assert periods == ([q] if q < p.horizon else [])
 
 
 @pytest.mark.parametrize("s", [0, 3])
@@ -644,9 +640,9 @@ def test_class_kernel_matches_oracle(case, share):
 @pytest.mark.parametrize("low", [[1], [2], [1, 2], [3, 4]])
 def test_dense_class_sets_keep_their_period(low, n, s):
     # Classes `low` with one class b, or with every class up to b: more than
-    # SPARSE_SHARE of the terms, with a period 2**b from N/32 up to N.  Up
-    # to a period of N/4 such a set is counted over one period, and past it
-    # scattered; the rows equal the oracle's either way.
+    # SPARSE_SHARE of the terms, with a period 2**b from N/32 up to N.  A
+    # period shorter than N is counted over one period, and a period of N
+    # or more over all N terms; the rows equal the oracle's either way.
     p = materialize(shift(dyadic_harmonic(), s), n)
     classes = [step.bit_length() - 1 for step in p.strides[1]]
     sched = WindowSchedule.geometric(n)
@@ -664,7 +660,7 @@ def test_dense_class_sets_keep_their_period(low, n, s):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(windows, "_period_extrema", recording)
                 prof = head_profile(p, bits, sched)
-            assert periods == ([2**b] if 4 * 2**b <= n else [])
+            assert periods == ([2**b] if 2**b < n else [])
             whole = Membership.from_mask(bits[p.entries(0, n)])
             assert [(r.n, r.min_count, r.max_count) for r in prof.rows] == [
                 (k, *naive_count_extrema(whole, k)) for k in sched.lengths

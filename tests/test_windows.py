@@ -665,3 +665,51 @@ def test_gap_rows_of_doubling_blocks_take_few_probes(period, phase, monkeypatch)
     gaps = list(windows._gap_extrema(np.flatnonzero(bits), n, lengths))
     assert 0 < calls[0] <= 60
     assert gaps == list(windows._count_extrema(bits, lengths))
+
+
+GEOMETRIC_4096 = (16, 32, 64, 128, 256, 1024)
+HALF = range(0, 64, 2)
+
+
+@pytest.mark.parametrize(
+    "t, ones, horizon, lengths, kernel, counted",
+    [
+        # Every row has at least t + q = 69 offsets: rows of the distinct
+        # non-zero k = n - a * q, each over 2 (t + q) - 1 = 137 terms.
+        pytest.param(5, [3, 40], 4096, GEOMETRIC_4096, "_gap_extrema", (137, (16, 32, 64)), id="sparse"),
+        pytest.param(5, HALF, 4096, GEOMETRIC_4096, "_count_extrema", (137, (16, 32, 64)), id="dense"),
+        # The row of 250 has 51 offsets: every row over all N terms.
+        pytest.param(5, HALF, 300, (10, 250), "_count_extrema", (300, (10, 250)), id="few-offsets"),
+        # q divides n - t: the row of n is the row of t plus whole periods,
+        # and with no transient a multiple of p with no kernel row.
+        pytest.param(5, HALF, 4096, (69, 133, 197), "_count_extrema", (137, (5,)), id="after-transient"),
+        pytest.param(0, [3, 40], 4096, (64, 128, 200), "_gap_extrema", (127, (8,)), id="whole-periods"),
+        pytest.param(0, [3, 40], 4096, (64, 128), None, None, id="no-kernel-row"),
+    ],
+)
+def test_period_rows_fold_onto_one_general_kernel_call(
+    t, ones, horizon, lengths, kernel, counted, monkeypatch
+):
+    # A mask that repeats with period q = 64 after t terms: the kernel that
+    # density_profile would choose counts the folded rows in one call.
+    q = 64
+    period = np.zeros(q, dtype=bool)
+    period[list(ones)] = True
+    transient = np.array([1, 0, 1, 1, 0][:t], dtype=bool)
+    bits = np.concatenate([transient, np.resize(period, horizon - t)])
+    p = Prefix(values=bits.astype(float), horizon=horizon, bound=1.0, period=(t, q))
+    calls = []
+    for name in ("_gap_extrema", "_count_extrema"):
+
+        def spy(*args, name=name, kernel=getattr(windows, name)):
+            terms = args[1] if name == "_gap_extrema" else args[0].size
+            calls.append((name, terms, tuple(args[-1])))
+            return kernel(*args)
+
+        monkeypatch.setattr(windows, name, spy)
+    prof = windows.head_profile(p, bits[: t + q], WindowSchedule(lengths))
+    assert calls == ([(kernel, *counted)] if kernel else [])
+    m = Membership.from_mask(bits)
+    assert [(r.n, r.min_count, r.max_count) for r in prof.rows] == [
+        (n, *naive_count_extrema(m, n)) for n in lengths
+    ]
