@@ -62,15 +62,11 @@ mask for ``head_profile``:
   offsets, and n terms past them, from the run starts and the members
   before each: O(R log R) per row, and no term is read.
 * **One period** (a prefix that repeats with period q after t terms, or a
-  set of 2-adic classes, t = 0 and q its period): not a kernel of its own.
-  Only the mask of the first t + q terms is kept.  A window at an offset
-  t + q or later equals the window q terms earlier, and for k >= t the
-  members among the first k + q terms are those among the first k plus
-  the p members of one period, so a row of length n = k + a * q, k < t + q,
-  is the row of length k plus a * p.  Those rows are counted by the first
-  two kernels over at most 2 (t + q) - 1 terms of the repeated mask
-  (``_period_extrema``), however long the prefix; when some row has
-  fewer than t + q offsets, every row is counted over all N terms.
+  set of 2-adic classes, t = 0 and q its period): no kernel of its own.
+  A row of length n = k + a * q, k < t + q, is the row of length k plus
+  a times the members of one period, counted by the first two kernels
+  over at most 2 (t + q) - 1 terms of the repeated mask
+  (``_period_extrema``), however long the prefix.
 
 ``naive_count_extrema`` recounts every window from scratch in O(N * n) and
 exists purely as the oracle the kernels are tested against; do not "fix"
@@ -485,16 +481,13 @@ def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
     repeats with period q after t terms, from ``bits``, its first t + q
     terms (t + q < horizon).
 
-    For k >= t, C(k + q) = C(k) + p, with C(k) the members among the first
-    k terms and p the members of one period, so a row of length
-    n = k + a * q, with a whole periods past the transient and k < t + q,
-    is the row of length k plus a * p, and a row with k = 0 is a * p.  A
-    window at an offset t + q or later equals the window q terms earlier,
-    so when every row has at least t + q offsets, the rows of the distinct
-    non-zero k are counted in one ``_mask_extrema`` call over the first
-    min(N, 2 (t + q) - 1) terms of the mask with its period repeated, which
-    hold every offset below t + q of each.  Otherwise every row is counted
-    over all N terms.
+    With p the members of one period, a row of length n = k + a * q, a
+    whole periods past the transient and k < t + q, is the row of length k
+    plus a * p, with none to count for k = 0.  A window at an offset t + q
+    or later equals the one q terms earlier, so when every row has t + q
+    offsets the distinct k are counted in one ``_mask_extrema`` call over
+    the first min(N, 2 (t + q) - 1) terms of the repeated mask; otherwise
+    every row is counted over all N terms.
     """
     if horizon - lengths[-1] < t + q - 1:
         size, folds = horizon, [(n, 0) for n in lengths]

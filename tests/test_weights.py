@@ -466,7 +466,7 @@ def test_three_clusters_of_a_periodic_prefix_leave_it_unfilled(monkeypatch):
 def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
     # F1, F4 and F6 take two values: every estimator splits them into the
     # same two runs, and only the smaller is counted, on the full schedule.
-    # F1 and F4 are periodic, so their run takes the period kernel, and F6
+    # F1 and F4 are periodic, so their run is counted over one period, and F6
     # is made of runs, so its mask holds one bit per run.
     # Runs of more than two are counted by member_profile from their head
     # positions, keyed here by the same head mask as a two-run mask.
@@ -581,7 +581,7 @@ def test_run_weights_of_a_periodic_prefix_count_one_period(case):
         mp.setattr(windows, "_period_extrema", recording_period)
         got = run_weights(p, starts, ids, sched)
     # Every window at an offset past t + q repeats one q terms earlier, so
-    # the period kernel reads the first t + q terms and nothing is walked;
+    # the mask is the first t + q terms and density_profile is not called;
     # a prefix of at most t + q terms is its head, counted as any other.
     assert set(counted) <= {("period", sum(period)) if n > sum(period) else ("walk", n)}
     assert got == run_weights(plain, starts, ids, sched)
