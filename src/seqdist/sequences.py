@@ -426,9 +426,13 @@ class Prefix:
     * ``classes`` is None or, for a prefix that ``materialize`` built from
       a spec's class rule (``SequenceSpec.classes``), its offset s: term
       k + 1 lies in the 2-adic class j = v2(k + 1 + s) + 1.  The head then
-      holds one term per class that occurs, ascending in j, and ``strides``
-      gives each class's first term and its step 2**j.
+      holds one term per class that occurs, ascending in j.
     * Otherwise the head is all N terms.
+
+    Of a prefix of runs or classes, ``strides`` is the one table of both
+    layouts: head entry i is an arithmetic progression of terms, its
+    first term, its step (1 for a run, 2**j for class j) and its number of
+    terms, from which ``copies``, ``entries`` and the fill check are read.
 
     ``span``, the (min, max) of the head that the bound check finds (None
     for an empty prefix), ``index`` and ``last_indices`` are read from the
@@ -481,13 +485,8 @@ class Prefix:
         horizon."""
         p = cls.__new__(cls)
         p.__dict__.update(_evaluate=f, horizon=horizon, period=period, runs=runs, classes=classes)
-        if runs is not None:
-            firsts = runs + 1
-        elif classes is not None:
-            firsts = np.array(p.strides[0], dtype=np.int64) + 1
-        else:
-            firsts = np.arange(1, sum(period) + 1)
-        p.__dict__["head"] = _at(f, firsts)
+        firsts = np.arange(sum(period)) if period else np.array(p.strides[0], dtype=np.int64)
+        p.__dict__["head"] = _at(f, firsts + 1)
         if not np.array_equal(p.head.view(np.int64), _at(f, p.copies[1]).view(np.int64)):
             raise p._mismatch()
         p._settle(bound)
@@ -514,26 +513,19 @@ class Prefix:
 
     def _check(self, vals: np.ndarray) -> None:
         """Raise unless every term of ``vals`` equals the head entry it
-        repeats bit for bit, ``_CHUNK`` terms at a time: each run's terms
-        its one entry, each class's terms, one strided slice, its one
+        repeats bit for bit, ``_CHUNK`` terms at a time: each entry's
+        progression of terms (``strides``), one strided slice, its one
         entry, or the first t + q terms the head and every later chunk the
         terms one period back, which are still in cache and, by induction,
         already equal to the entries they repeat."""
         # int64 views compare bits, so -0.0 differs from 0.0, and a NaN or
         # out-of-bound term past the head repeats one in it.
         x, h = vals.view(np.int64), self.head.view(np.int64)
-        if self.runs is not None:
-            for s, e, v in zip(self.runs.tolist(), self.copies[1].tolist(), h.tolist()):
-                for a in range(s, e, _CHUNK):
-                    if not (x[a : min(a + _CHUNK, e)] == v).all():
-                        raise self._mismatch()
-            return
-        if self.classes is not None:
-            for s, step, v in zip(*self.strides, h.tolist()):
-                # A step past the last term picks one term, and fits a slice.
-                step = min(step, x.size)
-                for a in range(s, x.size, step * _CHUNK):
-                    if not (x[a : a + step * _CHUNK : step] == v).all():
+        if self.period is None:
+            for s, step, c, v in zip(*self.strides, h.tolist()):
+                stop = s + c * step
+                for a in range(s, stop, step * _CHUNK):
+                    if not (x[a : min(a + step * _CHUNK, stop) : step] == v).all():
                         raise self._mismatch()
             return
         q, m = self.period[1], h.size
@@ -545,24 +537,19 @@ class Prefix:
     def entries(self, first: int, stop: int) -> np.ndarray:
         """Index into ``head`` of the entry that each of the terms
         ``values[first:stop]`` repeats, as int64, with no temporary longer
-        than the range: each run's entry repeated over its terms in the
-        range, each term's class entry, read from the lowest set bit of its
-        position, or, past a transient's own entries, t + (k - t) mod q for
-        the range's first q terms k, tiled."""
-        if self.runs is not None:
-            j, last = np.searchsorted(self.runs, [first, stop - 1], "right") - 1
-            cuts = np.clip(np.append(self.runs[j : last + 1], stop), first, stop)
-            return np.repeat(np.arange(j, last + 1), np.diff(cuts))
-        if self.classes is not None:
-            m = np.arange(first + 1 + self.classes, stop + 1 + self.classes, dtype=np.int64)
-            # The lowest set bit of m is 2**(j - 1), whose binary exponent
-            # frexp gives as j, exactly.
-            j = np.frexp((m & -m).astype(np.float64))[1]
-            at = np.zeros(64, dtype=np.int64)
-            at[[step.bit_length() - 1 for step in self.strides[1]]] = np.arange(self.head.size)
-            return at[j]
-        if self.period is None:
+        than the range: each entry's index written into the range, one
+        strided slice from its first term there on its progression
+        (``strides``), or, past a transient's own entries, t + (k - t) mod q
+        for the range's first q terms k, tiled."""
+        if self.head.size == self.horizon:
             return np.arange(first, stop)
+        if self.period is None:
+            out = np.empty(stop - first, dtype=np.int64)
+            for i, (s, step, c) in enumerate(zip(*self.strides)):
+                # The entry's first term at or past ``first``.
+                a = s + max(-((s - first) // step), 0) * step
+                out[a - first : min(s + c * step, stop) - first : step] = i
+            return out
         t, q = self.period
         a = min(max(first, t), stop)
         turned = t + (np.arange(a, a + min(q, stop - a)) - t) % q
@@ -602,19 +589,16 @@ class Prefix:
         number of the N terms that repeat each head entry, and the 1-based
         position of the last of them.
 
-        A run's terms end where the next run starts.  A class whose first
-        term is k and step 2**j holds every 2**j-th term from k.  Past the
+        An entry of c terms, every step-th from the 0-based term k
+        (``strides``), lies last at k + (c - 1) * step + 1.  Past the
         transient t, the N - t terms are f whole periods and the first r
         terms of one more (N - t = f * q + r), and the period's term j,
         x(t + 1 + j), lies last at N - q + 1 + (j - N + t) mod q.
         """
         n = self.horizon
-        if self.runs is not None:
-            ends = np.append(self.runs[1:], n)
-            return ends - self.runs, ends
-        if self.classes is not None:
-            terms = [(n - 1 - k) // step + 1 for k, step in zip(*self.strides)]
-            lasts = [k + (c - 1) * step + 1 for k, step, c in zip(*self.strides, terms)]
+        if self.period is None:
+            first, step, terms = self.strides
+            lasts = [k + (c - 1) * d + 1 for k, d, c in zip(first, step, terms)]
             return np.array(terms, dtype=np.int64), np.array(lasts, dtype=np.int64)
         t, q = self.period
         f, r = divmod(n - t, q)
@@ -625,20 +609,25 @@ class Prefix:
         )
 
     @cached_property
-    def strides(self) -> tuple[list[int], list[int]]:
-        """(first, step) of a prefix read from its 2-adic classes, as
-        Python ints: head entry i is every ``step[i]``-th term from the
-        0-based term ``first[i]``, its class j's step being 2**j.
+    def strides(self) -> tuple[list[int], list[int], list[int]]:
+        """(first, step, terms) of a prefix read from its runs or its 2-adic
+        classes, as Python ints: head entry i is ``terms[i]`` terms, every
+        ``step[i]``-th from the 0-based term ``first[i]``.
 
-        Class j holds the terms k + 1 with k + 1 + s = 2**(j - 1) mod 2**j,
-        s the offset ``classes``; the first is k = (2**(j - 1) - 1 - s) mod
-        2**j, and the class occurs when k < N.  No class past
-        J = bit_length(N + s) does.
+        A run is its first term, a step of 1 and its length, up to the next
+        run's first term or N.  Class j holds the terms k + 1 with
+        k + 1 + s = 2**(j - 1) mod 2**j, s the offset ``classes``: its first
+        is k = (2**(j - 1) - 1 - s) mod 2**j, its step 2**j, and it occurs
+        when k < N.  No class past J = bit_length(N + s) does.
         """
-        s, n = self.classes, self.horizon
+        n = self.horizon
+        if self.runs is not None:
+            first = self.runs.tolist()
+            return first, [1] * len(first), [e - k for k, e in zip(first, [*first[1:], n])]
+        s = self.classes
         found = [((2 ** (j - 1) - 1 - s) % 2**j, 2**j) for j in range(1, (n + s).bit_length() + 1)]
-        first, step = zip(*[(k, d) for k, d in found if k < n])
-        return list(first), list(step)
+        first, step = map(list, zip(*[(k, d) for k, d in found if k < n]))
+        return first, step, [(n - 1 - k) // d + 1 for k, d in zip(first, step)]
 
     def _tally(self, uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The terms at each of ``uniq`` among all N, from ``counts``, those

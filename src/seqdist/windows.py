@@ -585,7 +585,7 @@ def _class_mask(p: Prefix, bits: np.ndarray) -> np.ndarray:
     returned as one period, for ``_period_extrema``; any other mask is
     made over all N terms.  Either way each class is one strided fill.
     """
-    first, step = p.strides
+    first, step, _ = p.strides
     flagged = np.flatnonzero(bits).tolist()
     q = max((step[i] for i in flagged), default=1)
     if flagged and flagged == list(range(flagged[0], len(step))):

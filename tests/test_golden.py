@@ -69,6 +69,12 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/shifted_doubling.spec", "--horizon", "65536",
         "--format", "jsonl",
     ],
+    # A tenth of doubling blocks: two values whose sums are inexact, so the
+    # float walk fills the prefix of runs and checks each run's terms.
+    "analyze_scaled_doubling.jsonl": [
+        "analyze", "--spec-file", "tests/golden/scaled_doubling.spec", "--horizon", "65536",
+        "--format", "jsonl",
+    ],
     # The dyadic harmonic shifted by 3: term n is 1/j on the 2-adic class
     # of n + 3, so no class starts at its usual residue.
     "analyze_shifted_dyadic.jsonl": [
@@ -88,6 +94,21 @@ CASES = {
     "weights_rotation_doubling.jsonl": [
         "weights", "--spec-file", "tests/golden/rotation_doubling.spec", "--horizon", "524291",
         "--interval", "0.75:1.25", "--interval", "1.0:1.5", "--format", "jsonl",
+    ],
+}
+
+# Reports at 2**20, where blocks of 7 would take minutes: run at the default
+# sizes only.
+DEFAULT_SIZE_CASES = {
+    # F7 at 2**20 holds 21 classes, and some of its clusters and cells
+    # repeat only every 2**16 terms.
+    "analyze_F7_1048576.jsonl": ["analyze", "--fixture", "F7", "--horizon", str(2**20), "--format", "jsonl"],
+    # F7's values 1/2 ... 1/16 at 2**20 are classes 2-16, and 1 ... 1/16
+    # classes 1-16: dense sets that repeat every 2**16 terms, N/16, which
+    # are counted over one period.
+    "weights_F7_1048576.jsonl": [
+        "weights", "--fixture", "F7", "--horizon", str(2**20), "--interval", "0.0625:1.0",
+        "--value", "1.0", "--epsilon", "0.9375", "--format", "jsonl",
     ],
 }
 
@@ -116,24 +137,16 @@ def test_report_matches_golden_in_small_blocks(name, capsys, monkeypatch):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def test_dyadic_harmonic_report_at_2_to_the_20(capsys):
-    # F7 at 2**20 holds 21 classes, and some of its clusters and cells
-    # repeat only every 2**16 terms.  Blocks of 7 would take minutes here,
-    # so this report runs at the default sizes only.
-    assert main(["analyze", "--fixture", "F7", "--horizon", str(2**20), "--format", "jsonl"]) == 0
+@pytest.mark.parametrize("name", sorted(DEFAULT_SIZE_CASES))
+def test_report_matches_golden_at_default_sizes(name, capsys):
+    assert main(DEFAULT_SIZE_CASES[name]) == 0
     out = capsys.readouterr().out
-    assert out == (GOLDEN / "analyze_F7_1048576.jsonl").read_text(encoding="utf-8")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def test_dense_class_weights_report_at_2_to_the_20(capsys):
-    # F7's values 1/2 ... 1/16 at 2**20 are classes 2-16, and 1 ... 1/16
-    # classes 1-16: dense sets that repeat every 2**16 terms, N/16, which
-    # are counted over one period.  Default sizes only, as
-    # for the analyze report at 2**20.
-    argv = [
-        "weights", "--fixture", "F7", "--horizon", str(2**20), "--interval", "0.0625:1.0",
-        "--value", "1.0", "--epsilon", "0.9375", "--format", "jsonl",
-    ]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / "weights_F7_1048576.jsonl").read_text(encoding="utf-8")
+if __name__ == "__main__":
+    # One line per golden of both tables, its name and then its argv, for
+    # running each through the installed console script:
+    #   python tests/test_golden.py | while read -r name argv; do ...
+    for name, argv in sorted({**CASES, **DEFAULT_SIZE_CASES}.items()):
+        print(name, *argv)

@@ -1085,6 +1085,20 @@ def test_the_fill_of_runs_checks_every_term(at, chunk, monkeypatch):
         p.values
 
 
+def test_strides_copies_and_entries_of_a_shifted_run_prefix():
+    # Doubling blocks shifted by 5 over 40 terms are the positions 6..45:
+    # runs from the terms 0, 2, 10 and 26, each a progression of step 1
+    # that ends where the next starts, the last cut short at 40.
+    p = materialize(shift(doubling_blocks(), 5), 40)
+    assert p.runs.tolist() == [0, 2, 10, 26] and "values" not in vars(p)
+    assert p.strides == ([0, 2, 10, 26], [1, 1, 1, 1], [2, 8, 16, 14])
+    terms, last = p.copies
+    assert terms.tolist() == [2, 8, 16, 14] and last.tolist() == [2, 10, 26, 40]
+    values = p.values
+    for a, b in ((0, 40), (1, 3), (2, 10), (9, 27), (25, 26), (39, 40), (7, 7)):
+        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
+
+
 # ------------------------------------------------------------- 2-adic classes
 
 
@@ -1110,7 +1124,7 @@ def test_strides_copies_and_entries_of_a_shifted_dyadic_prefix():
     p = materialize(shift(dyadic_harmonic(), 3), 10)
     assert p.classes == 3 and "values" not in vars(p)
     assert p.head.tolist() == [1.0, 1 / 2, 1 / 3, 1 / 4]
-    assert p.strides == ([1, 2, 0, 4], [2, 4, 8, 16])
+    assert p.strides == ([1, 2, 0, 4], [2, 4, 8, 16], [5, 2, 2, 1])
     terms, last = p.copies
     assert terms.tolist() == [5, 2, 2, 1] and last.tolist() == [10, 7, 9, 5]
     assert p.entries(0, 10).tolist() == [2, 0, 1, 0, 3, 0, 1, 0, 2, 0]
@@ -1124,7 +1138,7 @@ def test_a_class_past_the_prefix_has_no_head_entry():
     # does not occur.
     p = materialize(shift(dyadic_harmonic(), 6), 5)
     assert p.head.tolist() == [1.0, 1 / 2, 1 / 4]
-    assert p.strides == ([0, 3, 1], [2, 4, 16])
+    assert p.strides == ([0, 3, 1], [2, 4, 16], [3, 1, 1])
     assert p.copies[0].tolist() == [3, 1, 1] and p.index.counts.tolist() == [1, 1, 3]
 
 
