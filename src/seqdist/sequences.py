@@ -359,9 +359,15 @@ def eval_at(spec: SequenceSpec, n: int) -> float:
     return float(_evaluator(spec, n)(n, n + 1)[0])
 
 
+def position_dtype(top: int) -> type:
+    """The dtype of stored positions and counts whose largest value is
+    ``top``: int32 while every value fits in it, else int64."""
+    return np.int32 if top < 2**31 else np.int64
+
+
 class ValueIndex(NamedTuple):
     """The sorted distinct values of a prefix, ``uniq``, and the number of
-    terms at each, ``counts`` (int32 below 2**31 terms, else int64); both
+    terms at each, ``counts`` (``position_dtype`` of N); both
     read-only.  When every term is distinct, ``counts`` may be a zero-stride
     view of a single 1 (``np.broadcast_to``), so no N-long array is stored
     for it; read it as any array, but do not assume it owns N entries.  A
@@ -647,7 +653,7 @@ class Prefix:
         first = np.empty(srt.size, dtype=bool)
         first[:1] = True
         np.not_equal(srt[1:], srt[:-1], out=first[1:])
-        dtype = np.int32 if self.horizon < 2**31 else np.int64
+        dtype = position_dtype(self.horizon)
         if first.all():
             # No head entry repeats, as in F5: the sorted copy is the index,
             # and each count is 1, read through a zero stride.
@@ -703,7 +709,7 @@ class Prefix:
             self._edges.update(np.asarray(s).tolist())
 
     def members(self, first: int, end: int) -> np.ndarray:
-        """Ascending int32 positions in ``head`` of the entries valued in
+        """Ascending positions in ``head`` of the entries valued in
         ``index.uniq[first:end]``.
 
         The head is grouped once, on the first call, by every run edge
@@ -711,10 +717,10 @@ class Prefix:
         the groups' offsets from ``bincount``, and, a stretch of labels at
         a time, a stable argsort (a radix sort of 8- or 16-bit labels,
         which keeps each group's positions ascending) whose groups are
-        copied to their offsets in one int32 array.  A run that spans
-        several groups is one sort of their positions.  A run edge not
-        grouped yet regroups the head by the union of the old and new
-        edges.
+        copied to their offsets in one array of ``position_dtype``.  A run
+        that spans several groups is one sort of their positions.  A run
+        edge not grouped yet regroups the head by the union of the old and
+        new edges.
         """
         self._edges.update((0, first, end, self.index.uniq.size))
         grouped = self.__dict__.get("_groups")
@@ -734,7 +740,7 @@ class Prefix:
             ]
             offsets = [0, *np.cumsum(np.sum(counts, axis=0, dtype=np.int64)).tolist()]
             free = offsets[:-1]
-            order = np.empty(labels.size, dtype=np.int32)
+            order = np.empty(labels.size, dtype=position_dtype(labels.size - 1))
             for a, n in zip(range(0, labels.size, step), counts):
                 part = np.argsort(labels[a : a + step], kind="stable")
                 part += a

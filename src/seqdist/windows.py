@@ -37,15 +37,22 @@ mask for ``head_profile``:
   Window means come from a float64 cumsum, walked in blocks of
   ``_BLOCK`` with every window length per block, so a block of the
   prefix sums is read from cache by all the lengths.  A mask is counted
-  in 16-bit lanes: its prefix count is kept mod 2**16 as uint16, built
-  eight terms per uint64 word with no N-long cumsum, and the walk makes
-  no int32 or int64 array of N entries.  It takes one row at a time, in
-  blocks of ``_COUNT_BLOCK``: one subtraction, one min and one max per
-  row and block.  A window count lies in [0, n], so rows with n < 2**16
-  read it exactly mod 2**16; longer rows read each block as an int16
-  offset from the block's first count, which moves by at most 1 per
-  offset, and re-read a block whose offsets reach the int16 range's
-  ends in stretches of ``_BLOCK``.
+  in 8-bit lanes, and in 16-bit lanes only where 8 bits cannot tell its
+  counts: its prefix count is kept mod 2**16 as uint16, built eight terms
+  per uint64 word with no N-long cumsum, and cast once to uint8 (mod
+  2**8); the walk makes no int32 or int64 array of N entries.  It takes
+  one row at a time, in blocks of ``_COUNT_BLOCK``: one subtraction, one
+  min and one max per row and block.  A window count lies in [0, n] and
+  moves by at most 1 per offset, so a block's counts are one range of
+  integers: rows with n < 2**8 read them exactly, and a longer row's
+  block whose residues span less than 2**8 - 1 is each count's residue
+  plus the multiple of 2**8 below the block's first count.  Any other
+  block is read again as int8 offsets from that first count.  A block
+  whose int8 reading reaches an end of its range, and every block once a
+  row's counts spread over 2**7 or more, is handed over to the 16-bit
+  lanes, with that row's later blocks and every longer row.  There the
+  same reading holds mod 2**16, and a block whose int16 offsets reach an
+  end of their range is re-read in stretches of ``_BLOCK``.
 * **Member gaps** (masks with at most ``SPARSE_SHARE`` of the terms as
   members): only the c sorted member positions are kept.  The largest count
   is the largest d such that some d consecutive members fit in one window;
@@ -66,7 +73,8 @@ mask for ``head_profile``:
   A row of length n = k + a * q, k < t + q, is the row of length k plus
   a times the members of one period, counted by the first two kernels
   over at most 2 (t + q) - 1 terms of the repeated mask
-  (``_period_extrema``), however long the prefix.
+  (``_period_extrema``), however long the prefix; the member gaps take
+  those terms' members with no mask written.
 
 ``naive_count_extrema`` recounts every window from scratch in O(N * n) and
 exists purely as the oracle the kernels are tested against; do not "fix"
@@ -82,7 +90,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSpecError, WindowTooLongError, whole
-from .sequences import Prefix
+from .sequences import Prefix, position_dtype
 
 
 @dataclass(frozen=True)
@@ -163,15 +171,15 @@ class WindowSchedule:
 
 # A mask with at most this share of its terms as members is counted from the
 # gaps between them; any other mask from its prefix counts.
-# Measured against the 16-bit count walk at N = 2**21 over 16 rows (min of 7,
+# Measured against the 8-bit count walk at N = 2**21 over 16 rows (min of 7,
 # three runs, 2 cores, shared host), gaps against walk: the F5 regions
-# [0, share) took 0.7-0.8 against 3.5-3.7 ms at 1/32, 1.4-1.6 against
-# 3.2-3.4 ms at 1/16 and 2.6-2.7 against 3.3-3.5 ms at 3/32, tied at 1/8
-# (3.4-3.8 against 3.2-3.5 ms) and lost at 3/16 (4.1-4.6 against 3.4-3.6 ms)
-# and 1/4 (6.3-6.6 against 3.2-3.8 ms).  Random bits lost from 1/16 (5.3
-# against 3.3-3.6 ms) and at 1/8 (9.8 against 3.3-3.7 ms), since each probe
-# is an O(c) pass and more probes are needed the further a row's seed
-# misses.  The share stays at 1/8, where the structured masks tie.
+# [0, share) took 0.4-0.5 against 2.4-2.5 ms at 1/32, 1.0-1.1 against
+# 2.5-2.6 ms at 1/16 and 1.6-1.8 against 2.4-2.5 ms at 3/32, tied at 1/8
+# (2.2-2.4 against 2.6-2.7 ms) and lost at 3/16 (3.3 against 2.5 ms) and
+# 1/4 (4.8-5.0 against 2.6-2.7 ms).  Random bits lost from 1/16 (3.1
+# against 2.6 ms) and at 1/8 (8.0-8.4 against 2.7 ms), since each probe is
+# an O(c) pass and more probes are needed the further a row's seed misses.
+# The share stays at 1/8, where the structured masks tie.
 SPARSE_SHARE = 0.125
 
 # The float walk reads the offsets in blocks of this many window sums, every
@@ -187,14 +195,16 @@ SPARSE_SHARE = 0.125
 _BLOCK = 1 << 15
 
 # The count walk reads each row in blocks of this many offsets, one
-# subtraction into a reused uint16 buffer (512 KiB), one min and one max per
-# row and block.  Measured at N = 2**21 over 16 rows (min of 9, one or two
-# runs, 2 cores, shared host), F5 region [0.1, 0.5), F6's ones (whose long
-# rows are re-read) and random bits of share 0.3, for blocks of 2**15 ...
-# 2**19: 5.8-6.0, 4.2-4.4, 3.4-4.0, 3.0-3.7 and 3.4-4.1 ms, against 5.1-5.2 ms
-# for every row of a block of 2**15 per call, written 16 rows at a time into
-# one (rows x block) buffer.  Smaller blocks pay numpy's per-call overhead on
-# more blocks; a block of 2**18 is about 400 calls per mask.
+# subtraction into a reused uint8 buffer (256 KiB), or uint16 buffer
+# (512 KiB) from the hand-over on, one min and one max per row and block.
+# Measured at N = 2**21 over 16 rows (min of 9, two runs, 2 cores, shared
+# host), F5 region [0.1, 0.5), F6's ones (handed over to 16 bits within the
+# row of 128) and random bits of share 0.3 (within the row of 2**11), for
+# blocks of 2**15 ... 2**20: 4.7-5.9, 3.2-4.6, 2.4-3.7, 2.0-3.9, 1.9-3.8
+# and 2.0-3.7 ms.  Smaller blocks pay numpy's per-call overhead on
+# more blocks; blocks of 2**18 and 2**19 tie, and the smaller keeps the
+# 16-bit buffer at half the 2 MiB of L2.  A block of 2**18 is about 400
+# calls per mask.
 _COUNT_BLOCK = 1 << 18
 
 
@@ -298,18 +308,17 @@ def _prefix_counts(bits: np.ndarray) -> np.ndarray:
 def _count_extrema(bits: np.ndarray, lengths):
     """Yield (n, min, max) of the length-n window counts of a bool mask.
 
-    Every row is read from one uint16 prefix count taken mod 2**16
-    (``_prefix_counts``), one row at a time, in blocks of ``_COUNT_BLOCK``
-    offsets: each block is one subtraction into one reused buffer, one
-    ``min`` and one ``max``.  A count lies in [0, n], so a row with
-    n < 2**16 reads its window sums mod 2**16 exactly.  A longer row reads
-    each block minus its first window's count (mod 2**16) as int16, and
-    adds that count back.  The first count is exact from int64 heads taken
-    every ``_BLOCK`` offsets, since fewer than 2**16 members lie between a
-    head and any offset it serves.  A window count moves by at most 1 per
-    offset, so an offset that drifts outside the int16 range first passes
-    -2**15 or 2**15 - 1, and a block whose reading reaches neither is
-    exact.  Any other block is re-read by ``_reread``.
+    Every row is read from the mask's prefix count (``_prefix_counts``),
+    one row at a time, in blocks of ``_COUNT_BLOCK`` offsets, by
+    ``_lane_extrema``: first in 8-bit lanes, the count cast once to uint8
+    (mod 2**8), and in 16-bit lanes, the uint16 count (mod 2**16), from the
+    hand-over on.  A block whose 8-bit reading cannot tell its counts is
+    read again in 16-bit lanes, and so are that row's later blocks and every
+    longer row; so is every block once a row's counts spread over 2**7 or
+    more, since such a row's blocks mostly wrap mod 2**8 and cost a second
+    8-bit pass before the hand-over.  A block's first count is exact from
+    int64 heads taken every ``_BLOCK`` offsets, since fewer than 2**16
+    members lie between a head and any offset it serves.
     """
     if not 1 <= _BLOCK <= 2**15:
         raise ValueError(f"_BLOCK must lie in [1, 2**15], got {_BLOCK}")
@@ -322,22 +331,61 @@ def _count_extrema(bits: np.ndarray, lengths):
         head = x - x % _BLOCK
         return int(heads[head // _BLOCK]) + (int(counts[x]) - int(counts[head])) % 2**16
 
-    buf = np.empty(min(_COUNT_BLOCK, size - lengths[0]), dtype=np.uint16)
+    # The 8-bit lanes until the hand-over, then the 16-bit ones, each with
+    # one reused block buffer.
+    block = min(_COUNT_BLOCK, size - lengths[0])
+    walks = [(c, np.empty(block, dtype=c.dtype)) for c in (counts.astype(np.uint8), counts)]
     for n in lengths:
         lo, hi = n, 0
         for s in range(0, size - n, _COUNT_BLOCK):
             e = min(s + _COUNT_BLOCK, size - n)
-            sums = np.subtract(counts[s + n : e + n], counts[s:e], out=buf[: e - s])
-            if n < 2**16:
-                lo, hi = min(lo, int(sums.min())), max(hi, int(sums.max()))
-                continue
-            first = exact(s + n) - exact(s)
-            step = np.subtract(sums, first % 2**16, out=sums).view(np.int16)
-            a, b = int(step.min()), int(step.max())
-            if a == -(2**15) or b == 2**15 - 1:
-                a, b = _reread(step, lambda t: exact(s + t + n) - exact(s + t) - first)
-            lo, hi = min(lo, first + a), max(hi, first + b)
+            read = _lane_extrema(*walks[0], exact, n, s, e)
+            if read is None:
+                del walks[0]
+                read = _lane_extrema(*walks[0], exact, n, s, e)
+            lo, hi = min(lo, read[0]), max(hi, read[1])
+            if len(walks) > 1 and hi - lo >= 2**7:
+                del walks[0]
         yield n, lo, hi
+
+
+def _lane_extrema(lanes: np.ndarray, buf: np.ndarray, exact, n: int, s: int, e: int):
+    """(min, max) of the length-n window counts at offsets s ... e - 1,
+    read from ``lanes``, the prefix count mod 2**w as w-bit unsigned
+    integers (w = 8 or 16), through ``buf``; or None when 8-bit lanes cannot
+    tell them.  ``exact(x)`` is the exact count of the first x terms.
+
+    The block is one subtraction, one ``min`` and one ``max``, which give
+    the window counts mod 2**w.  A count lies in [0, n], so a row with
+    n < 2**w reads them exactly.  A window count moves by at most 1 per
+    offset, so the block's counts are every integer from their least to
+    their greatest.  When those pass a multiple of 2**w, or number 2**w
+    or more, the residues hold both 0 and 2**w - 1.  So residues that span
+    less than 2**w - 1 come from counts within one stretch
+    [j * 2**w, (j + 1) * 2**w), the one that holds the block's first count
+    ``first``, and each count is first - first % 2**w plus its residue.
+    Any other block is read again as w-bit signed offsets from ``first``:
+    an offset that drifts outside their range first passes -2**(w - 1) or
+    2**(w - 1) - 1, so a reading that reaches neither is exact.  One that
+    reaches either is None in 8-bit lanes, and is re-read by ``_reread``
+    in 16-bit lanes.
+    """
+    wrap = 1 << 8 * lanes.itemsize
+    sums = np.subtract(lanes[s + n : e + n], lanes[s:e], out=buf[: e - s])
+    a, b = int(sums.min()), int(sums.max())
+    if n < wrap:
+        return a, b
+    first = exact(s + n) - exact(s)
+    if b - a < wrap - 1:
+        base = first - first % wrap
+        return base + a, base + b
+    step = np.subtract(sums, first % wrap, out=sums).view(f"i{lanes.itemsize}")
+    a, b = int(step.min()), int(step.max())
+    if a == -wrap // 2 or b == wrap // 2 - 1:
+        if wrap == 2**8:
+            return None
+        a, b = _reread(step, lambda t: exact(s + t + n) - exact(s + t) - first)
+    return first + a, first + b
 
 
 def _reread(step: np.ndarray, drift) -> tuple[int, int]:
@@ -448,7 +496,7 @@ def _gap_extrema(members: np.ndarray, horizon: int, lengths):
     """
     c = members.size
     # The fenced positions and their differences reach horizon + 1.
-    fenced = np.empty(c + 2, dtype=np.int32 if horizon + 1 < 2**31 else np.int64)
+    fenced = np.empty(c + 2, dtype=position_dtype(horizon + 1))
     fenced[0], fenced[1:-1], fenced[-1] = -1, members, horizon
     pos = fenced[1:-1]
     prev = None
@@ -485,9 +533,12 @@ def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
     whole periods past the transient and k < t + q, is the row of length k
     plus a * p, with none to count for k = 0.  A window at an offset t + q
     or later equals the one q terms earlier, so when every row has t + q
-    offsets the distinct k are counted in one ``_mask_extrema`` call over
-    the first min(N, 2 (t + q) - 1) terms of the repeated mask; otherwise
-    every row is counted over all N terms.
+    offsets the distinct k are counted in one call over the first
+    min(N, 2 (t + q) - 1) terms of the repeated mask; otherwise every row
+    is counted over all N terms.  Those terms go to the member gaps as the
+    members of ``bits`` and of one period shifted by whole periods, with
+    no mask, when they hold at most ``SPARSE_SHARE`` of the terms, and to
+    the count walk as the repeated mask otherwise.
     """
     if horizon - lengths[-1] < t + q - 1:
         size, folds = horizon, [(n, 0) for n in lengths]
@@ -495,23 +546,22 @@ def _period_extrema(bits: np.ndarray, t: int, q: int, horizon: int, lengths):
         size = min(horizon, 2 * (t + q) - 1)
         folds = [(n - a * q, a) for n in lengths for a in [max(n - t, 0) // q]]
     per = int(np.count_nonzero(bits[t:]))
-    tiled = np.concatenate([bits, np.resize(bits[t:], size - t - q)])
+    # The terms past the first t + q are whole periods and then `rest` terms.
+    copies, rest = divmod(size - t - q, q)
+    members = int(np.count_nonzero(bits[: t + rest])) + (copies + 1) * per
     counted = sorted({k for k, _ in folds} - {0})
     rows = {0: (0, 0)}
-    if counted:
-        rows.update((k, (lo, hi)) for k, lo, hi in _mask_extrema(tiled, counted))
+    if counted and members <= SPARSE_SHARE * size:
+        ones = np.flatnonzero(bits)
+        shifted = ones[ones >= t] + q * np.arange(1, copies + 2)[:, None]
+        pos = np.concatenate([ones, shifted.ravel()[: members - ones.size]])
+        rows.update((k, (lo, hi)) for k, lo, hi in _gap_extrema(pos, size, counted))
+    elif counted:
+        tiled = np.concatenate([bits, np.resize(bits[t:], size - t - q)])
+        rows.update((k, (lo, hi)) for k, lo, hi in _count_extrema(tiled, counted))
     for n, (k, a) in zip(lengths, folds):
         lo, hi = rows[k]
         yield n, lo + a * per, hi + a * per
-
-
-def _mask_extrema(bits: np.ndarray, lengths):
-    """Yield (n, min, max) window counts of a bool mask: from the gaps
-    between its members when they are at most ``SPARSE_SHARE`` of its
-    terms, else from its prefix counts."""
-    if np.count_nonzero(bits) <= SPARSE_SHARE * bits.size:
-        return _gap_extrema(np.flatnonzero(bits), bits.size, lengths)
-    return _count_extrema(bits, lengths)
 
 
 def count_extrema(m: Membership, n: int) -> tuple[int, int]:
@@ -545,7 +595,11 @@ def density_profile(m: Membership, schedule: WindowSchedule) -> DensityProfile:
     from the row before it.
     """
     schedule.validate_for(m.horizon)
-    return _profile(_mask_extrema(m.bits, schedule.lengths), m.horizon)
+    if np.count_nonzero(m.bits) <= SPARSE_SHARE * m.horizon:
+        extrema = _gap_extrema(np.flatnonzero(m.bits), m.horizon, schedule.lengths)
+    else:
+        extrema = _count_extrema(m.bits, schedule.lengths)
+    return _profile(extrema, m.horizon)
 
 
 def head_profile(p: Prefix, bits: np.ndarray, schedule: WindowSchedule) -> DensityProfile:

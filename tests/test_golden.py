@@ -95,6 +95,15 @@ CASES = {
         "weights", "--spec-file", "tests/golden/rotation_doubling.spec", "--horizon", "524291",
         "--interval", "0.75:1.25", "--interval", "1.0:1.5", "--format", "jsonl",
     ],
+    # The same regions at explicit lengths 256 and 1024: the first row's
+    # count of [1.0, 1.5) swings from 0 to 256 within one walk block, so its
+    # int8 reading reaches -128 or 127 and the walk hands over to 16-bit
+    # lanes.
+    "weights_rotation_doubling_4096.jsonl": [
+        "weights", "--spec-file", "tests/golden/rotation_doubling.spec", "--horizon", N,
+        "--lengths", "256,1024", "--interval", "0.75:1.25", "--interval", "1.0:1.5",
+        "--format", "jsonl",
+    ],
 }
 
 # Reports at 2**20, where blocks of 7 would take minutes: run at the default
@@ -135,6 +144,36 @@ def test_report_matches_golden_in_small_blocks(name, capsys, monkeypatch):
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_the_table_reaches_every_path_of_the_count_walk(capsys, monkeypatch):
+    # CI runs this table through the console script, so its reports pin
+    # each way the count walk reads a block of a row of 2**8 or more: the
+    # 8-bit residues lifted by the block's first count, the int8 re-centre
+    # on that count, the hand-over to 16-bit lanes of a block whose int8
+    # reading reaches an end, and the 16-bit re-read in stretches.
+    reached = set()
+    read, reread = windows._lane_extrema, windows._reread
+
+    def reading(lanes, buf, exact, n, s, e):
+        got = read(lanes, buf, exact, n, s, e)
+        if got is None:
+            reached.add("hand-over")
+        elif lanes.itemsize == 1 and n >= 2**8:
+            reached.add("re-centre" if got[0] >> 8 != got[1] >> 8 else "lift")
+        return got
+
+    def rereading(step, drift):
+        reached.add("re-read")
+        return reread(step, drift)
+
+    monkeypatch.setattr(windows, "_lane_extrema", reading)
+    monkeypatch.setattr(windows, "_reread", rereading)
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    for argv in CASES.values():
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert reached == {"lift", "re-centre", "hand-over", "re-read"}
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_SIZE_CASES))

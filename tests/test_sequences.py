@@ -718,6 +718,13 @@ def test_members_are_the_head_positions_of_their_run(case):
             assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("top, dtype", [(0, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
+def test_positions_are_int32_while_every_stored_value_fits(top, dtype):
+    # The one rule behind Prefix.index's counts, Prefix.members' order and
+    # the gap kernel's fenced positions.
+    assert sequences.position_dtype(top) is dtype
+
+
 def periodic_specs():
     """Specs that repeat after a transient: patterns holding +-0.0,
     ones-then-zeros with n0 on either side of its shift, and nested affine

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdist import (
+    GOLDEN,
     InvalidSpecError,
     Membership,
     Partition,
@@ -213,11 +214,15 @@ def blocked_count_case(draw):
     too; like any mask above that share, a near-full one is counted by the
     walk.  The walk's blocks (``_COUNT_BLOCK``) need not be a multiple of
     the heads' (``_BLOCK``), so a walk block may start between two heads.
+    Horizons past 2**8 give rows whose 8-bit residues straddle a multiple
+    of 2**8 inside one block, and masks of long alternating runs give rows
+    whose int8 reading reaches -128 or 127, or whose counts spread over
+    2**7 or more, so the walk hands them over to 16-bit lanes.
     """
     block = draw(st.sampled_from(BLOCKS))
-    count_block = draw(st.sampled_from(BLOCKS + (100, 2**18)))
-    horizon = draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["share", "near_full", "full"]))
+    count_block = draw(st.sampled_from(BLOCKS + (100, 300, 2**18)))
+    horizon = draw(st.integers(1, 300) | st.integers(256, 1200))
+    kind = draw(st.sampled_from(["share", "near_full", "full", "runs"]))
     bits = np.ones(horizon, dtype=bool)
     if kind == "share":
         share = draw(st.floats(0, 1))
@@ -226,10 +231,16 @@ def blocked_count_case(draw):
     elif kind == "near_full":
         c = min(max(int(horizon * SPARSE_SHARE) + draw(st.integers(-1, 1)), 0), horizon)
         bits[sorted(draw(st.sets(st.integers(0, horizon - 1), min_size=c, max_size=c)))] = False
+    elif kind == "runs":
+        runs = draw(st.lists(st.integers(1, 400), min_size=1, max_size=8))
+        bits = np.resize(np.repeat(np.arange(len(runs)) % 2 == 0, runs), horizon)
     return block, count_block, bits, block_edge_lengths(draw, horizon, count_block)
 
 
 @given(blocked_count_case())
+# A first row whose first block's count falls from 300 to 1: its 8-bit
+# residues wrap past 256, and its int8 reading reaches -128.
+@example((64, 300, np.resize(np.repeat([True, False], 300), 1200), WindowSchedule((300, 301))))
 @settings(max_examples=300, deadline=None)
 def test_blocked_walk_count_rows_match_oracle(case):
     # The walk is called directly as well, so every mask exercises it
@@ -270,6 +281,16 @@ def wide_masks():
         # and the end of a window of the long row.
         "zeros_then_ones": k >= 1000,
         "strided": (rng.random(2 * WIDE_HORIZON) < 0.5)[::2],
+        # A rotation's counts stray from n / 2 by a few members, so the
+        # counts of the rows next to 2**16 straddle 2**15, a multiple of
+        # 2**8: their 8-bit residues wrap, and are read again as int8
+        # offsets.
+        "rotation": (k * GOLDEN) % 1 < 0.5,
+        # The counts of the rows of 2**16 - 1 ... 2**16 + 1 fall from n
+        # to 0, 2**16 integers or more: their 16-bit residues span
+        # 2**16 - 1, and their int16 reading leaves its range within a
+        # block of 2**17.
+        "ones_past_2_16": k < 2**16 + 2**15 + 7,
     }
 
 
@@ -323,12 +344,71 @@ def test_count_walk_rereads_only_blocks_that_leave_the_int16_range(monkeypatch):
     assert max(lengths) >= 2**16
     assert list(windows._count_extrema(bits, lengths)) == int64_rows(bits, lengths)
     assert calls[0] == 0
-    # The count of n = 65536 falls by 1 per offset over the first 2**15 + 8
-    # offsets: by more than 2**15 within the first block of 2**17.
+    # A block whose 16-bit residues span less than 2**16 - 1 is exact,
+    # however far its count moves.  Only a row whose count also passes a
+    # multiple of 2**16, and moves by more than 2**15 within a block, is
+    # re-read.
     monkeypatch.setattr(windows, "_COUNT_BLOCK", 2**17)
     bits = wide_masks()["ones_then_zeros"]
     assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == int64_rows(bits, WIDE_LENGTHS)
+    assert calls[0] == 0
+    bits = wide_masks()["ones_past_2_16"]
+    assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == int64_rows(bits, WIDE_LENGTHS)
     assert calls[0] >= 1
+
+
+def lane_reads(monkeypatch):
+    """Patch the count walk's block reader to record each call's lane
+    width in bits, row length and reading, (min, max) or None; return the
+    list of records."""
+    reads = []
+    read = windows._lane_extrema
+
+    def recording(lanes, buf, exact, n, s, e):
+        got = read(lanes, buf, exact, n, s, e)
+        reads.append((8 * lanes.itemsize, n, got))
+        return got
+
+    monkeypatch.setattr(windows, "_lane_extrema", recording)
+    return reads
+
+
+def test_count_walk_hands_a_block_to_16_bit_lanes_only_when_8_bits_cannot_tell_it(monkeypatch):
+    reads = lane_reads(monkeypatch)
+
+    def walk(kind):
+        reads.clear()
+        bits = wide_masks()[kind]
+        assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == int64_rows(bits, WIDE_LENGTHS)
+        return [w for w, _, _ in reads]
+
+    # Some block of a row of 2**8 or more straddles a multiple of 2**8 and
+    # is read as int8 offsets from its first count, which stay small.
+    assert set(walk("rotation")) == {8}
+    assert any(n >= 2**8 and lo >> 8 != hi >> 8 for _, n, (lo, hi) in reads)
+    # The int8 reading of row 65535 reaches -128 or 127: that block and
+    # every later one are read in 16-bit lanes.
+    widths = walk("random")
+    k = [got for _, _, got in reads].index(None)
+    assert reads[k][1] == 65535 and widths == [8] * (k + 1) + [16] * (len(reads) - k - 1)
+    # Row 255's counts spread from 255 down to 0, read exactly in 8-bit
+    # lanes: every later block is read in 16-bit lanes, with no None.
+    widths = walk("ones_then_zeros")
+    assert reads[0][1] == 255 and widths == [8] + [16] * (len(reads) - 1)
+    assert None not in [got for _, _, got in reads]
+
+
+def test_count_walk_hands_random_bits_but_no_f5_region_over_to_16_bits(monkeypatch):
+    reads = lane_reads(monkeypatch)
+    values = materialize(fixture("F5"), 2**21).values
+    lengths = WindowSchedule.geometric(2**21).lengths
+    for a, b in ((0.1, 0.4), (0.3, 0.8), (0.0, 0.5), (0.6, 1.0)):
+        list(windows._count_extrema((values >= a) & (values < b), lengths))
+    assert {w for w, _, _ in reads} == {8}
+    reads.clear()
+    bits = np.random.default_rng(20261020).random(2**21) < 0.3
+    assert list(windows._count_extrema(bits, lengths)) == int64_rows(bits, lengths)
+    assert {w for w, _, _ in reads} == {8, 16}
 
 
 @st.composite
