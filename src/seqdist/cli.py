@@ -318,6 +318,8 @@ def _resolve_spec(args) -> tuple[str, SequenceSpec]:
 
 
 def _parse_schedule(args, horizon: int) -> WindowSchedule:
+    if args.lengths and args.schedule:
+        raise InvalidSpecError("give either --lengths or --schedule, not both")
     if args.lengths:
         try:
             lengths = tuple(int(tok) for tok in args.lengths.split(","))
@@ -484,7 +486,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"seqdist: resource limit: {exc}", file=sys.stderr)
         return 3
     except SeqdistError as exc:

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .distribution import (
     ALMOST_CONVERGENT,
     DEFAULT_MESHES,
@@ -75,26 +73,18 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
 
     For values a <= b, a length-n window holding c terms valued b has mean
     a + (b - a) * c / n, so each row is read from the count extrema of b's
-    run, as ``run_weights`` returns them.  None unless every
-    float partial sum is exact: all values multiples of 2**-k with
+    run, as ``run_weights`` returns them.  None unless every float partial
+    sum is exact: all values multiples of 2**-k with
     N * max|v| * 2**k <= 2**53.  Then ``cesaro_profile`` divides the exact
     window sum S by n and this path rounds S / n from a Fraction, both
-    correctly rounded, so the rows agree bit for bit.  A prefix whose first
-    n terms are all -0.0, n the shortest window, falls back too: only then
-    is a float window sum -0.0, and which zero the float walk reports for
-    it depends on numpy's SIMD lanes.  Those terms are read from the head
-    entries they repeat, ``p.entries(0, n)``.  Exactness is judged from
-    ``p.span``, the min and max the bound check found, before ``p.index``
-    is read, so a prefix whose sums are inexact, such as F5's, builds no
-    index here.
+    correctly rounded, and both report a zero mean as +0.0, so the rows
+    agree bit for bit.  Exactness is judged from ``p.span``, the min and
+    max the bound check found, before ``p.index`` is read, so a prefix
+    whose sums are inexact, such as F5's, builds no index here.
     """
     sched.validate_for(p.horizon)
     a, b = map(Fraction, p.span)
     if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53:
-        return None
-    n = sched.lengths[0]
-    lead = p.head[p.entries(0, n)]
-    if not lead.any() and np.signbit(lead).all():
         return None
     if p.index.uniq.size > 2:
         return None
@@ -104,7 +94,7 @@ def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | Non
         (w,) = run_weights(p, [0, 1], [1], sched)
         counts = {r.n: (r.min_count, r.max_count) for r in w.per_window.rows}
     return CesaroProfile(rows=tuple(
-        CesaroRow(n, *(float(a + (b - a) * Fraction(c, n)) for c in counts[n]))
+        CesaroRow(n, *(float(a + (b - a) * Fraction(c, n)) + 0.0 for c in counts[n]))
         for n in sched.lengths
     ))
 
@@ -124,9 +114,10 @@ def lorentz_verdict(
     A prefix of at most two values whose float sums are exact reads its
     rows from the window counts of one run, kept in ``p.run_rows`` where
     the sub-limit clusters and quantization cells read them again; any
-    other prefix takes ``cesaro_profile``'s float walk.  Exactness is
-    judged from ``p.span``, and the number of values is read from
-    ``p.index``, which sorts only the head and which the later stages
+    other prefix takes ``cesaro_profile``'s float walk.  Both routes give
+    the same rows and report a zero mean, like a zero estimate, as +0.0.
+    Exactness is judged from ``p.span``, and the number of values is read
+    from ``p.index``, which sorts only the head and which the later stages
     reuse.
     """
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
@@ -145,7 +136,7 @@ def lorentz_verdict(
         verdict = INCONCLUSIVE
     last = prof.rows[-1]
     return LorentzVerdict(
-        estimate=(last.min_mean + last.max_mean) / 2,
+        estimate=(last.min_mean + last.max_mean) / 2 + 0.0,
         uniform_gap=gaps[-1],
         gap_trend=gaps,
         verdict=verdict,

@@ -48,11 +48,13 @@ mask for ``head_profile``:
   block whose residues span less than 2**8 - 1 is each count's residue
   plus the multiple of 2**8 below the block's first count.  Any other
   block is read again as int8 offsets from that first count.  A block
-  whose int8 reading reaches an end of its range, and every block once a
-  row's counts spread over 2**7 or more, is handed over to the 16-bit
-  lanes, with that row's later blocks and every longer row.  There the
-  same reading holds mod 2**16, and a block whose int16 offsets reach an
-  end of their range is re-read in stretches of ``_BLOCK``.
+  of more than 2**7 offsets whose int8 reading reaches an end of its
+  range, and every block once a row's counts spread over 2**7 or more, is
+  handed over to the 16-bit lanes, with that row's later blocks and every
+  longer row.  There the same reading holds mod 2**16, and a block whose
+  int16 offsets reach an end of their range is read again, by the same
+  reader, in stretches of ``_BLOCK`` (at most 2**15 offsets, which read
+  exactly).
 * **Member gaps** (masks with at most ``SPARSE_SHARE`` of the terms as
   members): only the c sorted member positions are kept.  The largest count
   is the largest d such that some d consecutive members fit in one window;
@@ -184,7 +186,8 @@ SPARSE_SHARE = 0.125
 
 # The float walk reads the offsets in blocks of this many window sums, every
 # schedule row per block; the count walk takes its int64 heads this many
-# offsets apart and re-reads a long row's block in stretches of this many.
+# offsets apart and reads a block that 16-bit lanes cannot tell in
+# stretches of this many.
 # Float64 window means, measured at N = 2**21 over 16 rows (min of 7, one
 # core with 2 MiB of L2) for blocks of 2**12 ... 2**17: 121, 73, 61, 59, 58
 # and 73 ms, against 153 ms for one N-length temporary per row.  Smaller
@@ -254,11 +257,8 @@ def _window_extrema(values: np.ndarray, lengths):
     The rows are yielded once the walk ends.
 
     Each window sum is the same single subtraction the whole-row expression
-    ``csum[n:] - csum[:-n]`` makes, so every extremum equals its reduction.
-    The one exception is the sign of a zero: a float window sum is -0.0 only
-    at offset 0, and only when the first n values are all -0.0, and which
-    zero numpy's reduction returns then depends on its SIMD lanes, so such a
-    row whose extremum is zero is reduced over the whole row instead.
+    ``csum[n:] - csum[:-n]`` makes, so every extremum equals its reduction
+    but for the sign of a zero, which ``cesaro_profile`` settles.
     """
     csum = np.zeros(values.size + 1)
     np.cumsum(values, out=csum[1:])
@@ -274,11 +274,7 @@ def _window_extrema(values: np.ndarray, lengths):
             lows[n] = min(lows.get(n, lo), lo)
             highs[n] = max(highs.get(n, hi), hi)
     for n in lengths:
-        lo, hi = lows[n], highs[n]
-        if np.signbit(csum[n]) and 0 in (lo, hi):
-            sums = csum[n:] - csum[:-n]
-            lo, hi = sums.min(), sums.max()
-        yield n, lo, hi
+        yield n, lows[n], highs[n]
 
 
 def _prefix_counts(bits: np.ndarray) -> np.ndarray:
@@ -316,9 +312,11 @@ def _count_extrema(bits: np.ndarray, lengths):
     read again in 16-bit lanes, and so are that row's later blocks and every
     longer row; so is every block once a row's counts spread over 2**7 or
     more, since such a row's blocks mostly wrap mod 2**8 and cost a second
-    8-bit pass before the hand-over.  A block's first count is exact from
-    int64 heads taken every ``_BLOCK`` offsets, since fewer than 2**16
-    members lie between a head and any offset it serves.
+    8-bit pass before the hand-over.  A block that 16-bit lanes cannot tell
+    either is read again in them in stretches of ``_BLOCK`` offsets, at
+    most 2**15, each of which reads exactly.  A block's first count is
+    exact from int64 heads taken every ``_BLOCK`` offsets, since fewer than
+    2**16 members lie between a head and any offset it serves.
     """
     if not 1 <= _BLOCK <= 2**15:
         raise ValueError(f"_BLOCK must lie in [1, 2**15], got {_BLOCK}")
@@ -340,9 +338,15 @@ def _count_extrema(bits: np.ndarray, lengths):
         for s in range(0, size - n, _COUNT_BLOCK):
             e = min(s + _COUNT_BLOCK, size - n)
             read = _lane_extrema(*walks[0], exact, n, s, e)
-            if read is None:
+            if read is None and len(walks) > 1:
                 del walks[0]
                 read = _lane_extrema(*walks[0], exact, n, s, e)
+            if read is None:
+                reads = [
+                    _lane_extrema(*walks[0], exact, n, t, min(t + _BLOCK, e))
+                    for t in range(s, e, _BLOCK)
+                ]
+                read = min(a for a, _ in reads), max(b for _, b in reads)
             lo, hi = min(lo, read[0]), max(hi, read[1])
             if len(walks) > 1 and hi - lo >= 2**7:
                 del walks[0]
@@ -352,7 +356,7 @@ def _count_extrema(bits: np.ndarray, lengths):
 def _lane_extrema(lanes: np.ndarray, buf: np.ndarray, exact, n: int, s: int, e: int):
     """(min, max) of the length-n window counts at offsets s ... e - 1,
     read from ``lanes``, the prefix count mod 2**w as w-bit unsigned
-    integers (w = 8 or 16), through ``buf``; or None when 8-bit lanes cannot
+    integers (w = 8 or 16), through ``buf``; or None when w-bit lanes cannot
     tell them.  ``exact(x)`` is the exact count of the first x terms.
 
     The block is one subtraction, one ``min`` and one ``max``, which give
@@ -367,8 +371,9 @@ def _lane_extrema(lanes: np.ndarray, buf: np.ndarray, exact, n: int, s: int, e: 
     Any other block is read again as w-bit signed offsets from ``first``:
     an offset that drifts outside their range first passes -2**(w - 1) or
     2**(w - 1) - 1, so a reading that reaches neither is exact.  One that
-    reaches either is None in 8-bit lanes, and is re-read by ``_reread``
-    in 16-bit lanes.
+    reaches either is None, unless the block has at most 2**(w - 1)
+    offsets: a count moves by at most 1 per offset, so each then lies
+    within 2**(w - 1) - 1 of ``first`` and reads exactly.
     """
     wrap = 1 << 8 * lanes.itemsize
     sums = np.subtract(lanes[s + n : e + n], lanes[s:e], out=buf[: e - s])
@@ -381,31 +386,9 @@ def _lane_extrema(lanes: np.ndarray, buf: np.ndarray, exact, n: int, s: int, e: 
         return base + a, base + b
     step = np.subtract(sums, first % wrap, out=sums).view(f"i{lanes.itemsize}")
     a, b = int(step.min()), int(step.max())
-    if a == -wrap // 2 or b == wrap // 2 - 1:
-        if wrap == 2**8:
-            return None
-        a, b = _reread(step, lambda t: exact(s + t + n) - exact(s + t) - first)
+    if e - s > wrap // 2 and (a == -wrap // 2 or b == wrap // 2 - 1):
+        return None
     return first + a, first + b
-
-
-def _reread(step: np.ndarray, drift) -> tuple[int, int]:
-    """(min, max) of the exact offsets that ``step``, an int16 view of a
-    block of window counts minus the block's first count, holds mod 2**16.
-
-    The block is re-read in stretches of ``_BLOCK`` offsets, with
-    ``drift(t)`` the exact offset at position t.  A count moves by at most
-    1 per offset, so within a stretch of at most 2**15 offsets it stays
-    within 2**15 - 1 of the stretch's first, and the stretch minus that
-    first offset reads exactly as int16.  ``step`` is overwritten.
-    """
-    lows, highs = [], []
-    for t in range(0, step.size, _BLOCK):
-        d = drift(t)
-        part = step[t : t + _BLOCK].view(np.uint16)
-        stretch = np.subtract(part, d % 2**16, out=part).view(np.int16)
-        lows.append(d + int(stretch.min()))
-        highs.append(d + int(stretch.max()))
-    return min(lows), max(highs)
 
 
 def _run_extrema(bits: np.ndarray, starts: np.ndarray, horizon: int, lengths):
@@ -677,10 +660,16 @@ def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     single window mean is at most about N * ulp(N * M), which for the
     horizons this package targets stays far below every reporting tolerance.
     Integer-valued prefixes (indicator-like sequences) are exact.
+
+    A zero mean is reported as +0.0: adding +0.0 turns -0.0 into +0.0 and
+    leaves every other value as it is.  A window sum is -0.0 only at
+    offset 0, when the first n terms are all -0.0, and which zero numpy's
+    min and max return among zeros of both signs depends on its SIMD lanes;
+    a mean is also -0.0 when a negative sum's quotient underflows.
     """
     schedule.validate_for(p.horizon)
     rows = tuple(
-        CesaroRow(n=n, min_mean=float(lo / n), max_mean=float(hi / n))
+        CesaroRow(n=n, min_mean=float(lo / n) + 0.0, max_mean=float(hi / n) + 0.0)
         for n, lo, hi in _window_extrema(p.values, schedule.lengths)
     )
     return CesaroProfile(rows=rows)

@@ -255,6 +255,10 @@ def test_bad_usage_exit_codes(capsys, tmp_path):
             capsys, ["analyze", "--fixture", "F2", "--horizon", "100", "--lengths", lengths]
         )
         assert code == 2 and cause in err
+    code, out, err = run(capsys, [
+        "analyze", "--fixture", "F4", "--horizon", "4096", "--lengths", "16,32", "--schedule", "8x4",
+    ])
+    assert code == 2 and out == "" and err.startswith("seqdist:") and "--schedule" in err
     out = tmp_path / "missing" / "x.jsonl"
     code, _, err = run(capsys, ["analyze", "--fixture", "F4", "--horizon", "64", "--out", str(out)])
     assert code == 2 and err.startswith("seqdist: cannot write")
@@ -270,6 +274,20 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, ["analyze", "--fixture", "F2", "--horizon", "2000"])
     assert code == 3
     assert "resource" in err
+
+
+@pytest.mark.parametrize("fixture_name", ["F4", "F5"])
+def test_running_out_of_memory_exits_3(capsys, monkeypatch, fixture_name):
+    # numpy raises a MemoryError subclass when an allocation fails; the
+    # report gives its text, with no traceback.
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (10**9,)")
+
+    monkeypatch.setattr(sequences, "_terms", refuse)
+    code, out, err = run(capsys, ["analyze", "--fixture", fixture_name, "--horizon", "4096"])
+    assert code == 3 and out == ""
+    assert err.startswith("seqdist: resource limit: Unable to allocate 7.45 GiB")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -51,6 +51,12 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/two_valued_inexact.spec", "--horizon", N,
         "--format", "jsonl",
     ],
+    # Sixteen terms of -0.0, then 1.0: the first window of 16 sums to -0.0,
+    # and its zero mean is reported as +0.0.
+    "analyze_negative_zero_lead.jsonl": [
+        "analyze", "--spec-file", "tests/golden/negative_zero_lead.spec", "--horizon", "64",
+        "--format", "jsonl",
+    ],
     # Three terms of transient, then period 3 over four values: the Cesaro
     # rows take the float walk.
     "analyze_transient_combo.jsonl": [
@@ -90,7 +96,7 @@ CASES = {
     ],
     # Half of F5 plus doubling blocks, a filled prefix: the count of the
     # region [1.0, 1.5) at n = 131072 moves by more than 2**15 within one
-    # walk block, which is then re-read in stretches.
+    # walk block, which is then read again in 16-bit stretches of 2**15.
     "weights_rotation_doubling.jsonl": [
         "weights", "--spec-file", "tests/golden/rotation_doubling.spec", "--horizon", "524291",
         "--interval", "0.75:1.25", "--interval", "1.0:1.5", "--format", "jsonl",
@@ -151,29 +157,25 @@ def test_the_table_reaches_every_path_of_the_count_walk(capsys, monkeypatch):
     # each way the count walk reads a block of a row of 2**8 or more: the
     # 8-bit residues lifted by the block's first count, the int8 re-centre
     # on that count, the hand-over to 16-bit lanes of a block whose int8
-    # reading reaches an end, and the 16-bit re-read in stretches.
+    # reading reaches an end, and the 16-bit reading in stretches of a
+    # block whose int16 reading does.
     reached = set()
-    read, reread = windows._lane_extrema, windows._reread
+    read = windows._lane_extrema
 
     def reading(lanes, buf, exact, n, s, e):
         got = read(lanes, buf, exact, n, s, e)
         if got is None:
-            reached.add("hand-over")
+            reached.add("hand-over" if lanes.itemsize == 1 else "stretches")
         elif lanes.itemsize == 1 and n >= 2**8:
             reached.add("re-centre" if got[0] >> 8 != got[1] >> 8 else "lift")
         return got
 
-    def rereading(step, drift):
-        reached.add("re-read")
-        return reread(step, drift)
-
     monkeypatch.setattr(windows, "_lane_extrema", reading)
-    monkeypatch.setattr(windows, "_reread", rereading)
     monkeypatch.chdir(GOLDEN.parent.parent)
     for argv in CASES.values():
         assert main(argv) == 0
     capsys.readouterr()
-    assert reached == {"lift", "re-centre", "hand-over", "re-read"}
+    assert reached == {"lift", "re-centre", "hand-over", "stretches"}
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_SIZE_CASES))

@@ -18,6 +18,7 @@ from seqdist import (
     count_extrema,
     density_profile,
     fixture,
+    lorentz_verdict,
     materialize,
     naive_count_extrema,
     periodic,
@@ -321,56 +322,53 @@ def test_count_kernel_matches_int64_cumsum(kind, doublings, monkeypatch):
     assert [(r.n, r.min_count, r.max_count) for r in profile.rows] == oracle
 
 
-def counting_rereads(monkeypatch):
-    """Patch the count walk's re-read to count its calls; return the
-    one-item list that holds the count."""
-    calls = [0]
-    reread = windows._reread
+def lane_reads(monkeypatch):
+    """Patch the count walk's block reader to record each call's lane
+    width in bits, row length, reading, (min, max) or None, and number of
+    offsets; return the list of records."""
+    reads = []
+    read = windows._lane_extrema
 
-    def counting(step, drift):
-        calls[0] += 1
-        return reread(step, drift)
+    def recording(lanes, buf, exact, n, s, e):
+        got = read(lanes, buf, exact, n, s, e)
+        reads.append((8 * lanes.itemsize, n, got, e - s))
+        return got
 
-    monkeypatch.setattr(windows, "_reread", counting)
-    return calls
+    monkeypatch.setattr(windows, "_lane_extrema", recording)
+    return reads
 
 
 def test_count_walk_rereads_only_blocks_that_leave_the_int16_range(monkeypatch):
-    calls = counting_rereads(monkeypatch)
+    reads = lane_reads(monkeypatch)
     # A region of F5 strays from its expected count by a few members only.
     values = materialize(fixture("F5"), 2**21).values
     bits = (values >= 0.1) & (values < 0.5)
     lengths = WindowSchedule.geometric(2**21).lengths
     assert max(lengths) >= 2**16
     assert list(windows._count_extrema(bits, lengths)) == int64_rows(bits, lengths)
-    assert calls[0] == 0
+    assert (16, None) not in [(w, got) for w, _, got, _ in reads]
     # A block whose 16-bit residues span less than 2**16 - 1 is exact,
-    # however far its count moves.  Only a row whose count also passes a
-    # multiple of 2**16, and moves by more than 2**15 within a block, is
-    # re-read.
+    # however far its count moves.
     monkeypatch.setattr(windows, "_COUNT_BLOCK", 2**17)
+    reads.clear()
     bits = wide_masks()["ones_then_zeros"]
     assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == int64_rows(bits, WIDE_LENGTHS)
-    assert calls[0] == 0
+    assert (16, None) not in [(w, got) for w, _, got, _ in reads]
+    # A row whose count also passes a multiple of 2**16, and moves by more
+    # than 2**15 within a block, reaches an end of the int16 range: the
+    # block is read again in 16-bit stretches of at most _BLOCK offsets,
+    # none of which fails.
+    reads.clear()
     bits = wide_masks()["ones_past_2_16"]
     assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == int64_rows(bits, WIDE_LENGTHS)
-    assert calls[0] >= 1
-
-
-def lane_reads(monkeypatch):
-    """Patch the count walk's block reader to record each call's lane
-    width in bits, row length and reading, (min, max) or None; return the
-    list of records."""
-    reads = []
-    read = windows._lane_extrema
-
-    def recording(lanes, buf, exact, n, s, e):
-        got = read(lanes, buf, exact, n, s, e)
-        reads.append((8 * lanes.itemsize, n, got))
-        return got
-
-    monkeypatch.setattr(windows, "_lane_extrema", recording)
-    return reads
+    failed = [k for k, (w, _, got, _) in enumerate(reads) if w == 16 and got is None]
+    assert failed
+    for k in failed:
+        _, n, _, size = reads[k]
+        stretches = reads[k + 1 : k + 1 + -(-size // windows._BLOCK)]
+        assert sum(r[3] for r in stretches) == size
+        for w, m, got, offsets in stretches:
+            assert (w, m) == (16, n) and got is not None and offsets <= windows._BLOCK
 
 
 def test_count_walk_hands_a_block_to_16_bit_lanes_only_when_8_bits_cannot_tell_it(monkeypatch):
@@ -380,22 +378,22 @@ def test_count_walk_hands_a_block_to_16_bit_lanes_only_when_8_bits_cannot_tell_i
         reads.clear()
         bits = wide_masks()[kind]
         assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == int64_rows(bits, WIDE_LENGTHS)
-        return [w for w, _, _ in reads]
+        return [w for w, *_ in reads]
 
     # Some block of a row of 2**8 or more straddles a multiple of 2**8 and
     # is read as int8 offsets from its first count, which stay small.
     assert set(walk("rotation")) == {8}
-    assert any(n >= 2**8 and lo >> 8 != hi >> 8 for _, n, (lo, hi) in reads)
+    assert any(n >= 2**8 and lo >> 8 != hi >> 8 for _, n, (lo, hi), _ in reads)
     # The int8 reading of row 65535 reaches -128 or 127: that block and
     # every later one are read in 16-bit lanes.
     widths = walk("random")
-    k = [got for _, _, got in reads].index(None)
+    k = [got for _, _, got, _ in reads].index(None)
     assert reads[k][1] == 65535 and widths == [8] * (k + 1) + [16] * (len(reads) - k - 1)
     # Row 255's counts spread from 255 down to 0, read exactly in 8-bit
     # lanes: every later block is read in 16-bit lanes, with no None.
     widths = walk("ones_then_zeros")
     assert reads[0][1] == 255 and widths == [8] + [16] * (len(reads) - 1)
-    assert None not in [got for _, _, got in reads]
+    assert None not in [got for _, _, got, _ in reads]
 
 
 def test_count_walk_hands_random_bits_but_no_f5_region_over_to_16_bits(monkeypatch):
@@ -404,11 +402,11 @@ def test_count_walk_hands_random_bits_but_no_f5_region_over_to_16_bits(monkeypat
     lengths = WindowSchedule.geometric(2**21).lengths
     for a, b in ((0.1, 0.4), (0.3, 0.8), (0.0, 0.5), (0.6, 1.0)):
         list(windows._count_extrema((values >= a) & (values < b), lengths))
-    assert {w for w, _, _ in reads} == {8}
+    assert {w for w, *_ in reads} == {8}
     reads.clear()
     bits = np.random.default_rng(20261020).random(2**21) < 0.3
     assert list(windows._count_extrema(bits, lengths)) == int64_rows(bits, lengths)
-    assert {w for w, _, _ in reads} == {8, 16}
+    assert {w for w, *_ in reads} == {8, 16}
 
 
 @st.composite
@@ -453,34 +451,48 @@ def blocked_mean_case(draw):
 
     A prefix that opens with -0.0 terms (as any negative multiple of a
     sequence starting with zeros does) makes the offset-0 window sum -0.0,
-    the one window sum that can be; ``-1 * F1`` is drawn as it is.
+    the one window sum that can be; ``-1 * F1`` is drawn as it is.  Tiny
+    values make means that underflow, a negative one to -0.0.
     """
     block = draw(st.sampled_from(BLOCKS))
-    kind = draw(st.sampled_from(["table", "negated_F1"]))
+    kind = draw(st.sampled_from(["table", "negated_F1", "tiny"]))
     if kind == "table":
         head = draw(st.lists(st.just(-0.0), max_size=40))
         tail = draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]), max_size=200))
         values = np.array(head + tail or [-0.0])
+    elif kind == "tiny":
+        tiny = [-5e-324, -0.0, 0.0, 5e-324, -1e-310]
+        values = np.array(draw(st.lists(st.sampled_from(tiny), min_size=1, max_size=100)))
     else:
         horizon = draw(st.integers(1, 300))
         values = materialize(affine_combo([(-1.0, fixture("F1"))]), horizon).values
     return block, values, block_edge_lengths(draw, values.size, block)
 
 
+def positive_zero(x: float) -> bool:
+    """False for -0.0 only."""
+    return x != 0 or math.copysign(1, x) > 0
+
+
 @given(blocked_mean_case())
 @settings(max_examples=300, deadline=None)
 def test_blocked_walk_mean_rows_match_whole_row(case):
-    # repr tells -0.0 from 0.0, which a report would print differently.
     block, values, schedule = case
     p = Prefix(values=values, horizon=values.size, bound=1.0)
     csum = np.concatenate(([0.0], np.cumsum(values)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(windows, "_BLOCK", block)
         rows = cesaro_profile(p, schedule).rows
+        verdict = lorentz_verdict(p, schedule)
     for r in rows:
         sums = csum[r.n :] - csum[: -r.n]
-        assert repr(r.min_mean) == repr(float(sums.min() / r.n))
-        assert repr(r.max_mean) == repr(float(sums.max() / r.n))
+        assert r.min_mean == sums.min() / r.n and r.max_mean == sums.max() / r.n
+    # No zero, whichever sign numpy's reduction or a quotient's underflow
+    # gives it, is reported as -0.0.
+    means = [m for r in rows + verdict.profile.rows for m in r[1:]]
+    assert all(map(positive_zero, means + [verdict.estimate, *verdict.gap_trend]))
+    # Either Cesaro route gives the float walk's bytes.
+    assert [repr(r) for r in verdict.profile.rows] == [repr(r) for r in rows]
 
 
 def mean_extrema(p, n):
