@@ -309,7 +309,9 @@ def _resolve_spec(args) -> tuple[str, SequenceSpec]:
         return args.fixture, fixture(args.fixture)
     if args.spec_file:
         try:
-            with open(args.spec_file, "r", encoding="utf-8") as fh:
+            # utf-8-sig drops a leading byte-order mark, which would
+            # otherwise start the first key.
+            with open(args.spec_file, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InvalidSpecError(f"cannot read {args.spec_file}: {exc}") from exc

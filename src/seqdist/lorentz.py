@@ -7,6 +7,10 @@ mean over all offsets, at each tested length.  A vanishing gap across the
 tail of the schedule is consistent with almost convergence; a gap pinned
 above a floor while windows double is evidence against it.
 
+The window means come from ``windows.cesaro_profile``, the one Cesaro
+entry: a prefix of at most two values with exact float sums is read from
+the window counts of one run, any other from a float prefix-sum walk.
+
 A prefix can never prove almost convergence, so the positive verdict means
 "consistent with almost convergence at every tested scale"; all reported
 numbers are prefix-relative, and the verdict thresholds are engineering
@@ -35,10 +39,9 @@ from .weights import (
     Tolerances,
     check_sublimit_epsilon,
     cluster_starts,
-    run_weights,
     sublimit_report,
 )
-from .windows import CesaroProfile, CesaroRow, WindowSchedule, cesaro_profile
+from .windows import CesaroProfile, WindowSchedule, cesaro_profile
 
 
 @dataclass(frozen=True)
@@ -68,37 +71,6 @@ class LorentzVerdict:
         return self.uniform_gap / 2
 
 
-def _two_valued_profile(p: Prefix, sched: WindowSchedule) -> CesaroProfile | None:
-    """The Cesaro rows of a prefix of at most two values, from its counted run.
-
-    For values a <= b, a length-n window holding c terms valued b has mean
-    a + (b - a) * c / n, so each row is read from the count extrema of b's
-    run, as ``run_weights`` returns them.  None unless every float partial
-    sum is exact: all values multiples of 2**-k with
-    N * max|v| * 2**k <= 2**53.  Then ``cesaro_profile`` divides the exact
-    window sum S by n and this path rounds S / n from a Fraction, both
-    correctly rounded, and both report a zero mean as +0.0, so the rows
-    agree bit for bit.  Exactness is judged from ``p.span``, the min and
-    max the bound check found, before ``p.index`` is read, so a prefix
-    whose sums are inexact, such as F5's, builds no index here.
-    """
-    sched.validate_for(p.horizon)
-    a, b = map(Fraction, p.span)
-    if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53:
-        return None
-    if p.index.uniq.size > 2:
-        return None
-    if a == b:
-        counts = dict.fromkeys(sched.lengths, (0, 0))
-    else:
-        (w,) = run_weights(p, [0, 1], [1], sched)
-        counts = {r.n: (r.min_count, r.max_count) for r in w.per_window.rows}
-    return CesaroProfile(rows=tuple(
-        CesaroRow(n, *(float(a + (b - a) * Fraction(c, n)) + 0.0 for c in counts[n]))
-        for n in sched.lengths
-    ))
-
-
 def lorentz_verdict(
     p: Prefix,
     schedule: WindowSchedule | None = None,
@@ -111,17 +83,14 @@ def lorentz_verdict(
     gap sits at or above tolerances.divergence_floor * 2M even as the window
     lengths grow.  Anything else is inconclusive.
 
-    A prefix of at most two values whose float sums are exact reads its
-    rows from the window counts of one run, kept in ``p.run_rows`` where
-    the sub-limit clusters and quantization cells read them again; any
-    other prefix takes ``cesaro_profile``'s float walk.  Both routes give
-    the same rows and report a zero mean, like a zero estimate, as +0.0.
-    Exactness is judged from ``p.span``, and the number of values is read
-    from ``p.index``, which sorts only the head and which the later stages
-    reuse.
+    The rows are ``cesaro_profile``'s.  Of a prefix of at most two values
+    whose float sums are exact it reads them from the window counts of one
+    run, kept in ``p.run_rows`` where the sub-limit clusters and
+    quantization cells read them again.  A zero estimate, like a zero mean,
+    is reported as +0.0.
     """
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
-    prof = _two_valued_profile(p, sched) or cesaro_profile(p, sched)
+    prof = cesaro_profile(p, sched)
     gaps = tuple(r.max_mean - r.min_mean for r in prof.rows)
     k = min(tolerances.tail_rows, len(gaps))
     tail = gaps[-k:]

@@ -327,7 +327,8 @@ def _evaluator(spec: SequenceSpec, last: int):
         vals = np.asarray(spec.values, dtype=np.float64)
         if top > vals.size:
             raise IndexOutOfRangeError(
-                f"table defines x only up to n={vals.size - spec.shift}"
+                f"table defines x only up to n={vals.size - spec.shift}" if vals.size > spec.shift
+                else f"table of {vals.size} values shifted by {spec.shift} defines no term"
             )
         def f(first, stop, out):
             out[:] = vals[first - 1 : stop - 1]
@@ -679,7 +680,7 @@ class Prefix:
     def run_rows(self) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
         """``run_rows[(first, end)][n]``: the (min, max) length-n window count
         of the terms valued in ``index.uniq[first:end]``, kept by
-        ``weights.run_weights`` for each run and length it has counted."""
+        ``windows.run_profiles`` for each run and length it has counted."""
         return {}
 
     def run_labels(self, starts: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ rows of a window schedule; using a tail window rather than the single last
 row captures oscillation, since the plain limit need not exist.
 
 All weight values are exact rationals (window count over window length);
-convergence flags are the only place tolerances enter.
+convergence flags are the only place tolerances enter.  The window counts
+of a run of the sorted distinct values (a cluster, value group or
+quantization cell) come from ``windows.run_profiles``, which keeps them in
+``Prefix.run_rows``.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from .errors import DegenerateEpsilonError, InvalidSpecError, whole
 from .sequences import Prefix
 from .windows import (
     DensityProfile,
-    DensityRow,
     Membership,
     WindowSchedule,
     density_profile,
     head_profile,
-    member_profile,
+    run_profiles,
 )
 
 
@@ -145,57 +147,17 @@ def run_weights(
     schedule: WindowSchedule,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[WeightEstimate, ...]:
-    """One weight estimate per run j in ``ids`` of the sorted distinct values.
+    """One weight estimate per run j in ``ids`` of the sorted distinct values,
+    from its count rows (``run_profiles``).
 
     Run j is ``p.index.uniq[starts[j]:starts[j + 1]]`` (``starts[0] == 0``,
     the last run ends at the last value) and weighs the terms whose value
     lies in it.  Sub-limit clusters, distinct-value groups and quantization
-    cells are all such runs, so their window counts stay additive.  A run's
-    count rows are kept in ``p.run_rows``: a call counts a run's mask only
-    for the lengths no earlier call counted, and of exactly two runs it
-    counts only the one with fewer terms, since a window holding k of its
-    terms holds n - k of the other's.  Of two runs the counted mask is one
-    compare of the head with the second run's first value, one bit per
-    head entry, counted by ``head_profile``.  Of more runs each is read
-    as its head positions, ``p.members``, from the prefix's one grouping
-    of the head, and counted by ``member_profile``: the sparse runs of a
-    prefix whose head is every term from those positions, any other from
-    a mask over the head.  Either way the rows' offsets are those of the
-    whole prefix.  A caller that reads only the weights passes just the
-    tail of its schedule.
+    cells are all such runs, so their window counts stay additive, and each
+    run is counted once per prefix and length.  A caller that reads only
+    the weights passes just the tail of its schedule.
     """
-    edges = np.append(starts, p.index.uniq.size).tolist()
-    runs = list(zip(edges, edges[1:]))
-    lengths = schedule.lengths
-    ids = [int(j) for j in ids]
-    memo = p.run_rows
-    todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
-    if todo and len(runs) == 2:
-        todo = [int(2 * p.index.counts[: edges[1]].sum() > p.horizon)]
-    elif todo:
-        p.register(edges)
-    for j in todo:
-        rows = memo.setdefault(runs[j], {})
-        missing = tuple(n for n in lengths if n not in rows)
-        if missing:
-            if len(runs) == 2:
-                above = p.head >= p.index.uniq[edges[1]]
-                prof = head_profile(p, above if j else ~above, WindowSchedule(missing))
-            else:
-                prof = member_profile(p, p.members(*runs[j]), WindowSchedule(missing))
-            rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)
-        if len(runs) == 2:
-            other = memo.setdefault(runs[1 - j], {})
-            other.update((n, (n - rows[n][1], n - rows[n][0])) for n in lengths)
-    return tuple(
-        _estimate(
-            DensityProfile(rows=tuple(
-                DensityRow(n, *memo[runs[j]][n], p.horizon - n + 1) for n in lengths
-            )),
-            tolerances,
-        )
-        for j in ids
-    )
+    return tuple(_estimate(prof, tolerances) for prof in run_profiles(p, starts, ids, schedule))
 
 
 def sublimit_weight(

@@ -27,7 +27,11 @@ for ``density_profile``.
 ``member_profile`` counts the head entries at given positions
 (``Prefix.members``): a sparse set of a prefix whose head is every term
 goes to the member gaps as it is, with no mask, and any other is made a
-mask for ``head_profile``:
+mask for ``head_profile``.  ``run_profiles`` counts every run of the
+sorted distinct values so, once per prefix and length (``Prefix.run_rows``).
+``cesaro_profile`` reads the window means of a prefix of at most two
+values with exact float sums from one run's counts, and of any other from
+the float walk.  The kernels:
 
 * **Prefix sums** (every window mean, and masks whose members exceed
   ``SPARSE_SHARE`` of the terms): one prefix-sum array per input, each
@@ -86,6 +90,7 @@ it to share work with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -652,14 +657,59 @@ def member_profile(p: Prefix, members: np.ndarray, schedule: WindowSchedule) -> 
     return head_profile(p, bits, schedule)
 
 
+def run_profiles(p: Prefix, starts, ids, schedule: WindowSchedule) -> tuple[DensityProfile, ...]:
+    """One count profile per run j in ``ids`` of the sorted distinct values.
+
+    Run j is ``p.index.uniq[starts[j]:starts[j + 1]]`` (``starts[0] == 0``,
+    the last run ends at the last value) and holds the terms valued in it.
+    A run's rows are kept in ``p.run_rows``: a call counts a run only for
+    the lengths no earlier call counted, and of exactly two runs only the
+    one with fewer terms, since a window holding k of its terms holds
+    n - k of the other's.  A run is counted from its head positions,
+    ``p.members``, by ``member_profile``.
+    """
+    edges = np.append(starts, p.index.uniq.size).tolist()
+    runs = list(zip(edges, edges[1:]))
+    lengths = schedule.lengths
+    ids = [int(j) for j in ids]
+    memo = p.run_rows
+    todo = [j for j in ids if not set(lengths) <= memo.get(runs[j], {}).keys()]
+    if todo:
+        p.register(edges)
+    if todo and len(runs) == 2:
+        todo = [int(2 * p.index.counts[: edges[1]].sum() > p.horizon)]
+    for j in todo:
+        rows = memo.setdefault(runs[j], {})
+        missing = tuple(n for n in lengths if n not in rows)
+        if missing:
+            prof = member_profile(p, p.members(*runs[j]), WindowSchedule(missing))
+            rows.update((r.n, (r.min_count, r.max_count)) for r in prof.rows)
+        if len(runs) == 2:
+            other = memo.setdefault(runs[1 - j], {})
+            other.update((n, (n - rows[n][1], n - rows[n][0])) for n in lengths)
+    return tuple(
+        DensityProfile(rows=tuple(
+            DensityRow(n, *memo[runs[j]][n], p.horizon - n + 1) for n in lengths
+        ))
+        for j in ids
+    )
+
+
 def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     """One mean-extrema row per scheduled window length.
 
-    Computed from a float64 prefix-sum array, walked in blocks of offsets
-    one row at a time (``_window_extrema``); the accumulated rounding in any
-    single window mean is at most about N * ulp(N * M), which for the
-    horizons this package targets stays far below every reporting tolerance.
-    Integer-valued prefixes (indicator-like sequences) are exact.
+    A prefix whose only values are a <= b and whose float partial sums are
+    all exact (each value a multiple of 2**-k, N * max|v| * 2**k <= 2**53)
+    reads its rows from the counts of a's run (``run_profiles``): a
+    length-n window holding c terms valued a sums to b * n - (b - a) * c.
+    Exactness is judged from ``p.span`` before ``p.index`` is read, so a
+    prefix with inexact sums, such as F5's, builds no index here.  Any
+    other prefix takes the float walk of a float64 prefix-sum array
+    (``_window_extrema``), whose rounding in any one window mean is at most
+    about N * ulp(N * M), far below every reporting tolerance at the
+    horizons this package targets.  With exact sums both routes divide the
+    same window sum by n, correctly rounded, so their rows agree bit for
+    bit.
 
     A zero mean is reported as +0.0: adding +0.0 turns -0.0 into +0.0 and
     leaves every other value as it is.  A window sum is -0.0 only at
@@ -668,8 +718,13 @@ def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     a mean is also -0.0 when a negative sum's quotient underflows.
     """
     schedule.validate_for(p.horizon)
-    rows = tuple(
+    a, b = map(Fraction, p.span)
+    if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53 or p.index.uniq.size > 2:
+        sums = _window_extrema(p.values, schedule.lengths)
+    else:
+        (counted,) = run_profiles(p, range(p.index.uniq.size), [0], schedule)
+        sums = ((n, b * n - (b - a) * hi, b * n - (b - a) * lo) for n, lo, hi, _ in counted.rows)
+    return CesaroProfile(rows=tuple(
         CesaroRow(n=n, min_mean=float(lo / n) + 0.0, max_mean=float(hi / n) + 0.0)
-        for n, lo, hi in _window_extrema(p.values, schedule.lengths)
-    )
-    return CesaroProfile(rows=rows)
+        for n, lo, hi in sums
+    ))

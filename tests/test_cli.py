@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,6 +148,19 @@ def test_weights_interval(capsys):
     assert per_window and all({"n", "min_count", "max_count"} <= set(r) for r in per_window)
 
 
+def test_a_negative_interval_end_needs_the_equals_form(capsys):
+    # argparse reads "-1:0" after a space as an option, since it is not a
+    # plain negative number; "--interval=-1:0" hands it over as the value.
+    base = ["weights", "--fixture", "F3", "--horizon", "64", "--format", "jsonl"]
+    code, out, err = run(capsys, [*base, "--interval=-1:0"])
+    assert code == 0 and err == ""
+    labels = {r["label"] for r in map(json.loads, out.splitlines()) if r["record"] == "weight"}
+    assert labels == {"[-1.0, 0.0)"}
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--interval", "-1:0"])
+    assert exc.value.code == 2
+
+
 def test_weights_value_near_one(capsys):
     code, out, _ = run(
         capsys,
@@ -220,6 +234,23 @@ def test_spec_file_round_trip(capsys, tmp_path):
     rows = [json.loads(line) for line in out.splitlines()]
     lorentz = next(r for r in rows if r["record"] == "lorentz")
     assert abs(lorentz["estimate"] - 1 / 3) < 0.01
+
+
+def test_a_spec_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    # A UTF-8 byte-order mark is dropped, not read into the first key.
+    golden = Path(__file__).parent / "golden" / "shifted_doubling.spec"
+    path = tmp_path / "bom.spec"
+    path.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+    reports = []
+    for source in (golden, path):
+        code, out, err = run(
+            capsys, ["analyze", "--spec-file", str(source), "--horizon", "4096", "--format", "jsonl"]
+        )
+        assert code == 0 and err == ""
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[0]["record"] == "meta" and rows[0].pop("source") == str(source)
+        reports.append(rows)
+    assert reports[0] == reports[1]
 
 
 def test_spec_file_grammar():
@@ -363,10 +394,12 @@ def test_a_large_bound_builds_no_partition_points(capsys, tmp_path):
 
 @pytest.mark.parametrize("fixture, size", [("F1", 1), ("F4", 3), ("F6", 2)])
 def test_two_valued_analyze_labels_only_the_last_terms(fixture, size, capsys, monkeypatch):
-    # Two values make two runs everywhere, and the counted run's mask is one
-    # compare with the larger value.  Only the last indices label head
-    # entries, those whose last term lies past 3N/4: the one period of F1
-    # and F4, and F6's last two runs, [2**20, 2**21) and the term 2**21.
+    # Two values make two runs everywhere, and the counted run is read from
+    # one grouping of the head, which labels every head entry once (4, 3
+    # and 22 entries).  After it only the last indices label head entries,
+    # those whose last term lies past 3N/4: the one period of F1 and F4,
+    # and F6's last two runs, [2**20, 2**21) and the term 2**21.
+    head = sequences.materialize(sequences.fixture(fixture), 2**21).head.size
     labelled = []
     run_labels = Prefix.run_labels
 
@@ -380,7 +413,7 @@ def test_two_valued_analyze_labels_only_the_last_terms(fixture, size, capsys, mo
         capsys, ["analyze", "--fixture", fixture, "--horizon", str(2**21), "--format", "jsonl"]
     )
     assert code == 0 and err == "" and out
-    assert labelled == [size]
+    assert labelled == [head, size]
 
 
 def test_main_reuses_one_parser_and_reads_the_cap_on_every_call(capsys, monkeypatch):

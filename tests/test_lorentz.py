@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from seqdist import (
     shift,
     table,
 )
+from seqdist.cli import parse_spec_file
+from seqdist.windows import CesaroRow
 
 
 def test_alternating_is_almost_convergent():
@@ -184,20 +187,40 @@ def two_valued_case(draw):
     return p, WindowSchedule(tuple(sorted(lengths))), exact
 
 
-def assert_rows_match_float_walk(p, sched):
-    got = lorentz_verdict(p, sched).profile.rows
-    want = cesaro_profile(p, sched).rows
+def counted_rows(p, sched, monkeypatch):
+    """Whether ``cesaro_profile`` took the counted route, and its rows,
+    checked against the float walk itself and ``lorentz_verdict``'s rows.
+
+    The counted route runs exactly when the float walk is not called, and
+    the walk's extrema, each divided by n and made +0.0 at zero, stay the
+    reference for every row."""
+    walked = []
+    walk = windows._window_extrema
+
+    def spy(values, lengths):
+        walked.append(lengths)
+        return walk(values, lengths)
+
+    monkeypatch.setattr(windows, "_window_extrema", spy)
+    got = cesaro_profile(p, sched).rows
+    monkeypatch.setattr(windows, "_window_extrema", walk)
+    want = [
+        CesaroRow(n, float(lo / n) + 0.0, float(hi / n) + 0.0)
+        for n, lo, hi in walk(p.values, sched.lengths)
+    ]
     assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert lorentz_verdict(p, sched).profile.rows == got
+    return not walked
 
 
 @given(two_valued_case())
 @settings(max_examples=300, deadline=None)
 def test_two_valued_rows_match_float_walk(case):
     # Rows read from one run's counts repeat the float walk's bytes, and the
-    # counted path is taken exactly when every float partial sum is exact.
+    # counted route is taken exactly when every float partial sum is exact.
     p, sched, exact = case
-    assert (lorentz._two_valued_profile(p, sched) is not None) == exact
-    assert_rows_match_float_walk(p, sched)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert counted_rows(p, sched, monkeypatch) == exact
 
 
 @pytest.mark.parametrize("horizon", [64, 5000])
@@ -217,14 +240,12 @@ def test_two_valued_rows_match_float_walk(case):
         ((-0.0,) * 15 + (1.0,), True),
     ],
 )
-def test_fallback_and_signed_zero_rows(pattern, counted, horizon):
+def test_fallback_and_signed_zero_rows(pattern, counted, horizon, monkeypatch):
     # Non-dyadic values and a third value take the float walk.  Zeros of
     # either sign, a first window of 16 (the shortest here) all -0.0
     # included, read +0.0 rows, as the walk gives them.
     p = materialize(periodic(pattern), horizon)
-    sched = WindowSchedule.geometric(horizon)
-    assert (lorentz._two_valued_profile(p, sched) is not None) == counted
-    assert_rows_match_float_walk(p, sched)
+    assert counted_rows(p, WindowSchedule.geometric(horizon), monkeypatch) == counted
 
 
 @pytest.mark.parametrize("zeros", [16, 15])
@@ -238,9 +259,7 @@ def test_a_first_run_of_negative_zeros_is_counted(zeros, monkeypatch):
     monkeypatch.setattr(type(spec), "breaks", lambda self, last: [zeros + 1])
     p = materialize(spec, n)
     assert p.runs.tolist() == [0, zeros] and p.head.size == 2
-    sched = WindowSchedule.geometric(n)
-    assert lorentz._two_valued_profile(p, sched) is not None
-    assert_rows_match_float_walk(p, sched)
+    assert counted_rows(p, WindowSchedule.geometric(n), monkeypatch)
 
 
 def test_two_valued_fixtures_walk_no_float_prefix(monkeypatch):
@@ -252,3 +271,25 @@ def test_two_valued_fixtures_walk_no_float_prefix(monkeypatch):
         cross_validate(fixture(name), 4096)
     with pytest.raises(AssertionError, match="float prefix"):
         cross_validate(fixture("F5"), 4096)
+
+
+def test_public_cesaro_profile_fills_no_two_valued_prefix(monkeypatch):
+    # The public entry takes lorentz_verdict's counted route: these prefixes
+    # hold at most two values with exact sums, so no term is filled, and the
+    # rows are the verdict's.
+    filled = []
+    fill = Prefix.values.func
+
+    def spy(self):
+        filled.append(self.horizon)
+        return fill(self)
+
+    monkeypatch.setattr(Prefix.values, "func", spy)
+    golden = Path(__file__).parent / "golden"
+    specs = [fixture(name) for name in ("F1", "F2", "F3", "F4", "F6")]
+    specs += [parse_spec_file((golden / f"{f}.spec").read_text()) for f in ("mixed_zero", "shifted_doubling")]
+    n = 2**21
+    for spec in specs:
+        rows = cesaro_profile(materialize(spec, n), WindowSchedule.geometric(n)).rows
+        assert rows == lorentz_verdict(materialize(spec, n)).profile.rows
+    assert filled == []

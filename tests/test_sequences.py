@@ -140,6 +140,17 @@ def test_table_kind():
         materialize(spec, 4)
 
 
+def test_a_table_shifted_past_its_end_defines_no_term():
+    # A shift that leaves terms names the last one; a shift past the end
+    # names none, since x(1) is already past the table.
+    with pytest.raises(IndexOutOfRangeError, match=r"^table defines x only up to n=1$"):
+        materialize(shift(table([1, 2, 3]), 2), 2)
+    with pytest.raises(IndexOutOfRangeError, match=r"^table of 3 values shifted by 5 defines no term$"):
+        materialize(shift(table([1, 2, 3]), 5), 2)
+    with pytest.raises(IndexOutOfRangeError, match="defines no term"):
+        eval_at(shift(table([1, 2, 3]), 3), 1)
+
+
 def test_affine_combo_bound_and_values():
     z = affine_combo([(0.5, fixture("F3")), (0.25, fixture("F2"))])
     assert z.bound == pytest.approx(0.75)

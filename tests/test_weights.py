@@ -30,7 +30,7 @@ from seqdist import (
     sublimit_weight,
     weight_from_membership,
 )
-from seqdist import sequences, weights, windows
+from seqdist import sequences, windows
 from seqdist.distribution import is_simply_distributed, mesh_cells, quantized_estimate
 from seqdist.sequences import _CHUNK, ValueIndex
 from seqdist.weights import cluster_starts, sublimit_report
@@ -467,23 +467,18 @@ def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
     # F1, F4 and F6 take two values: every estimator splits them into the
     # same two runs, and only the smaller is counted, on the full schedule.
     # F1 and F4 are periodic, so their run is counted over one period, and F6
-    # is made of runs, so its mask holds one bit per run.
-    # Runs of more than two are counted by member_profile from their head
-    # positions, keyed here by the same head mask as a two-run mask.
+    # is made of runs, so its mask holds one bit per run.  Every run is
+    # counted by member_profile from its head positions, keyed here by
+    # their mask over the head.
     counted = []
 
-    def recording(p, bits, schedule):
-        counted.extend((bits.tobytes(), n) for n in schedule.lengths)
-        return head_profile(p, bits, schedule)
-
-    def recording_members(p, members, schedule):
+    def recording(p, members, schedule):
         bits = np.zeros(p.head.size, dtype=bool)
         bits[members] = True
         counted.extend((bits.tobytes(), n) for n in schedule.lengths)
         return member_profile(p, members, schedule)
 
-    monkeypatch.setattr(weights, "head_profile", recording)
-    monkeypatch.setattr(weights, "member_profile", recording_members)
+    monkeypatch.setattr(windows, "member_profile", recording)
     cross_validate(fixture(name), 4096)
     assert counted and len(set(counted)) == len(counted)
     if masks is not None:
