@@ -18,11 +18,11 @@ file holding one sequence as flat ``key = value`` lines, e.g.::
     kind = periodic       # or: rotation + alpha, table + values,
     pattern = 1, 0, 0     #     affine-combo + coefficients + children, ...
 
-Lists are comma-separated; ``#`` starts a comment; an optional ``bound``
-line may widen (never narrow) the certified bound, and an optional ``shift``
-line translates the sequence (term n becomes term n + shift); affine
-children are fixture names.  Exit codes: 0 success, 2 usage or parse error, 3 resource
-limit.  Machine formats (jsonl, csv) are deterministic for a fixed
+Lists are comma-separated, with no empty entry; ``#`` starts a comment; an
+optional ``bound`` line may widen (never narrow) the certified bound, and an
+optional ``shift`` line translates the sequence (term n becomes term
+n + shift); affine children are fixture names.  Exit codes: 0 success, 2
+usage or parse error, 3 resource limit.  Machine formats (jsonl, csv) are deterministic for a fixed
 configuration and carry a schema field; every density decimal travels with
 its exact (count, n) pair.
 """
@@ -99,7 +99,7 @@ def parse_spec_file(text: str) -> SequenceSpec:
         if raw is None:
             raise InvalidSpecError(f"kind {kind!r} needs a {key!r} line")
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            return [float(tok) for tok in raw.split(",")]
         except ValueError as exc:
             raise InvalidSpecError(f"could not parse {key!r}: {raw!r}") from exc
 
@@ -129,7 +129,7 @@ def parse_spec_file(text: str) -> SequenceSpec:
         raw = fields.pop("children", None)
         if raw is None:
             raise InvalidSpecError("affine-combo needs a children line")
-        names = [tok.strip() for tok in raw.split(",") if tok.strip()]
+        names = [tok.strip() for tok in raw.split(",")]
         if len(names) != len(coefs):
             raise InvalidSpecError("coefficients and children must pair up")
         spec = affine_combo(list(zip(coefs, (fixture(n) for n in names))))
@@ -313,7 +313,7 @@ def _resolve_spec(args) -> tuple[str, SequenceSpec]:
             # otherwise start the first key.
             with open(args.spec_file, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidSpecError(f"cannot read {args.spec_file}: {exc}") from exc
         return args.spec_file, parse_spec_file(text)
     raise InvalidSpecError("one of --fixture or --spec-file is required")

@@ -38,8 +38,7 @@ from .weights import (
     SubLimitReport,
     Tolerances,
     check_sublimit_epsilon,
-    cluster_starts,
-    sublimit_report,
+    detect_sublimits,
 )
 from .windows import CesaroProfile, WindowSchedule, cesaro_profile
 
@@ -151,13 +150,12 @@ def cross_validate(
     lv = lorentz_verdict(p, sched, tolerances)
     # The clusters are counted on the whole schedule and kept in p.run_rows;
     # a quantization cell holding the same values reads its tail rows there.
-    # Every cluster's and cell's first value is registered before any run
-    # is weighed, so the prefix groups its head once for all of them.
+    # Every cell's first value is registered before the clusters' last
+    # indices group the head, so the prefix groups it once for all of them.
     cells = mesh_cells(p, mesh_schedule)
     if p.bound > 0:
-        starts = cluster_starts(p, eps)
-        p.register(starts, *(s for _, s, _ in cells))
-        rep = sublimit_report(p, starts, eps, schedule=sched, tolerances=tolerances)
+        p.register(*(s for _, s, _ in cells))
+        rep = detect_sublimits(p, eps, schedule=sched, tolerances=tolerances)
     else:
         rep = SubLimitReport(
             clusters=(), residual_count=p.horizon,

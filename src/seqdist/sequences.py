@@ -414,14 +414,14 @@ class Prefix:
     change it once the prefix exists.  ``index`` is the prefix's
     :class:`ValueIndex`, built on first use and kept with it,
     ``run_rows`` keeps the window-count extrema of every run of
-    ``index.uniq`` counted so far, and ``members`` keeps one grouping of
-    the head by run; a later write to the caller's array would leave all
-    three describing the old terms, and every estimator that labels terms
-    or reads counts through them would then disagree with ``values``
-    without raising.
+    ``index.uniq`` counted so far, and one grouping of the head by run
+    serves ``members`` and ``last_indices``; a later write to the caller's
+    array would leave all three describing the old terms, and every
+    estimator that labels terms or reads counts through them would then
+    disagree with ``values`` without raising.
 
     Every term repeats an entry of ``head``, which is read in place of the
-    N terms; ``entries`` maps terms to the entries they repeat:
+    N terms:
 
     * ``period`` is None or a pair (t, q) such that ``values[k + q]``
       equals ``values[k]`` bit for bit for every k >= t.  The head of such
@@ -439,7 +439,7 @@ class Prefix:
     Of a prefix of runs or classes, ``strides`` is the one table of both
     layouts: head entry i is an arithmetic progression of terms, its
     first term, its step (1 for a run, 2**j for class j) and its number of
-    terms, from which ``copies``, ``entries`` and the fill check are read.
+    terms, from which ``copies`` and the fill check are read.
 
     ``span``, the (min, max) of the head that the bound check finds (None
     for an empty prefix), ``index`` and ``last_indices`` are read from the
@@ -540,28 +540,6 @@ class Prefix:
             b = min(a + _CHUNK, m if a < m else x.size)
             if not np.array_equal(x[a:b], h[a:b] if a < m else x[a - q : b - q]):
                 raise self._mismatch()
-
-    def entries(self, first: int, stop: int) -> np.ndarray:
-        """Index into ``head`` of the entry that each of the terms
-        ``values[first:stop]`` repeats, as int64, with no temporary longer
-        than the range: each entry's index written into the range, one
-        strided slice from its first term there on its progression
-        (``strides``), or, past a transient's own entries, t + (k - t) mod q
-        for the range's first q terms k, tiled."""
-        if self.head.size == self.horizon:
-            return np.arange(first, stop)
-        if self.period is None:
-            out = np.empty(stop - first, dtype=np.int64)
-            for i, (s, step, c) in enumerate(zip(*self.strides)):
-                # The entry's first term at or past ``first``.
-                a = s + max(-((s - first) // step), 0) * step
-                out[a - first : min(s + c * step, stop) - first : step] = i
-            return out
-        t, q = self.period
-        a = min(max(first, t), stop)
-        turned = t + (np.arange(a, a + min(q, stop - a)) - t) % q
-        turned = np.tile(turned, -((a - stop) // q))[: stop - a]
-        return turned if a == first else np.concatenate([np.arange(first, a), turned])
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -688,8 +666,8 @@ class Prefix:
         ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): uint8
         below 2**8 runs, int16 below 2**15, else int32, searched ``_CHUNK``
         terms at a time so no long int64 result is made.  Given ``head``,
-        the labels are one per head entry, the form ``members`` groups and
-        ``last_indices`` reads."""
+        the labels are one per head entry, the form ``_grouping`` sorts for
+        ``members`` and ``last_indices``."""
         edges = self.index.uniq[starts[1:]]
         runs = len(starts)
         labels = np.empty(terms.size, np.uint8 if runs < 2**8 else np.int16 if runs < 2**15 else np.int32)
@@ -704,85 +682,85 @@ class Prefix:
 
     def register(self, *starts) -> None:
         """Note the run starts (indices into ``index.uniq``) of partitions
-        whose runs ``members`` will be asked for, so that its one grouping
-        of the head covers them all.  Reads no term."""
+        whose runs ``members`` or ``last_indices`` will be asked for, so
+        that the one grouping of the head (``_grouping``) covers them all.
+        Reads no term."""
         for s in starts:
             self._edges.update(np.asarray(s).tolist())
 
+    def _grouping(self, needed) -> tuple[dict[int, int], list[int], np.ndarray]:
+        """(at, offsets, order): the head grouped by every run edge
+        registered so far and in ``needed``.  Of the sorted edges, group g
+        runs from edge e to the next, with ``at[e] == g``, and
+        ``order[offsets[g]:offsets[g + 1]]`` holds the ascending head
+        positions of its entries, at least one.
+
+        Built once, on the first call: one ``run_labels`` of the head, the
+        groups' offsets from ``bincount``, and, a stretch of labels at a
+        time, a stable argsort (a radix sort of 8- or 16-bit labels, which
+        keeps each group's positions ascending) whose groups are copied to
+        their offsets in one array of ``position_dtype``.  A needed edge
+        not grouped yet regroups the head by the union of the old and new
+        edges.
+        """
+        self._edges.update((0, *needed, self.index.uniq.size))
+        grouped = self.__dict__.get("_groups")
+        if grouped is not None and {*needed} <= grouped[0].keys():
+            return grouped
+        # The old grouping is freed before the new one is built.
+        self.__dict__.pop("_groups", None)
+        cuts = sorted(self._edges)
+        labels = self.run_labels(np.array(cuts[:-1], dtype=np.intp), self.head)
+        # Sorted 4 * _CHUNK labels at a time, so that the sort's int64
+        # result and radix buffer stay a few MiB however long the head:
+        # one sort of all N labels made F5's cross_validate at 8e6 peak
+        # at 313 MiB, against 274 MiB for the index build.
+        step = 4 * _CHUNK
+        counts = [
+            np.bincount(labels[a : a + step], minlength=len(cuts) - 1)
+            for a in range(0, labels.size, step)
+        ]
+        offsets = [0, *np.cumsum(np.sum(counts, axis=0, dtype=np.int64)).tolist()]
+        free = offsets[:-1]
+        order = np.empty(labels.size, dtype=position_dtype(labels.size - 1))
+        for a, n in zip(range(0, labels.size, step), counts):
+            part = np.argsort(labels[a : a + step], kind="stable")
+            part += a
+            k = 0
+            for g, c in zip(np.flatnonzero(n).tolist(), n[n > 0].tolist()):
+                order[free[g] : free[g] + c] = part[k : k + c]
+                free[g] += c
+                k += c
+        order.flags.writeable = False
+        del labels
+        at = {e: g for g, e in enumerate(cuts)}
+        grouped = self.__dict__["_groups"] = at, offsets, order
+        return grouped
+
     def members(self, first: int, end: int) -> np.ndarray:
         """Ascending positions in ``head`` of the entries valued in
-        ``index.uniq[first:end]``.
-
-        The head is grouped once, on the first call, by every run edge
-        registered or asked for so far: one ``run_labels`` of the head,
-        the groups' offsets from ``bincount``, and, a stretch of labels at
-        a time, a stable argsort (a radix sort of 8- or 16-bit labels,
-        which keeps each group's positions ascending) whose groups are
-        copied to their offsets in one array of ``position_dtype``.  A run
-        that spans several groups is one sort of their positions.  A run
-        edge not grouped yet regroups the head by the union of the old and
-        new edges.
-        """
-        self._edges.update((0, first, end, self.index.uniq.size))
-        grouped = self.__dict__.get("_groups")
-        if grouped is None or not {first, end} <= grouped[0].keys():
-            # The old grouping is freed before the new one is built.
-            self.__dict__.pop("_groups", None)
-            cuts = sorted(self._edges)
-            labels = self.run_labels(np.array(cuts[:-1], dtype=np.intp), self.head)
-            # Sorted 4 * _CHUNK labels at a time, so that the sort's int64
-            # result and radix buffer stay a few MiB however long the head:
-            # one sort of all N labels made F5's cross_validate at 8e6 peak
-            # at 313 MiB, against 274 MiB for the index build.
-            step = 4 * _CHUNK
-            counts = [
-                np.bincount(labels[a : a + step], minlength=len(cuts) - 1)
-                for a in range(0, labels.size, step)
-            ]
-            offsets = [0, *np.cumsum(np.sum(counts, axis=0, dtype=np.int64)).tolist()]
-            free = offsets[:-1]
-            order = np.empty(labels.size, dtype=position_dtype(labels.size - 1))
-            for a, n in zip(range(0, labels.size, step), counts):
-                part = np.argsort(labels[a : a + step], kind="stable")
-                part += a
-                k = 0
-                for g, c in zip(np.flatnonzero(n).tolist(), n[n > 0].tolist()):
-                    order[free[g] : free[g] + c] = part[k : k + c]
-                    free[g] += c
-                    k += c
-            order.flags.writeable = False
-            del labels
-            at = {e: g for g, e in enumerate(cuts)}
-            grouped = self.__dict__["_groups"] = at, offsets, order
-        at, offsets, order = grouped
+        ``index.uniq[first:end]``, a slice of ``_grouping``: a run that
+        spans several groups is one sort of their positions."""
+        at, offsets, order = self._grouping((first, end))
         i, j = at[first], at[end]
         part = order[offsets[i] : offsets[j]]
         return part if j - i == 1 else np.sort(part)
 
-    def last_indices(self, starts: np.ndarray, first: int = 0) -> np.ndarray:
-        """1-based index of the last term past index ``first`` of every run
-        of ``index.uniq`` (runs as in ``run_labels``), 0 for a run with no
-        term there, as int64.
+    def last_indices(self, starts: np.ndarray) -> np.ndarray:
+        """1-based index of the last term of every run of ``index.uniq``
+        (runs as in ``run_labels``), as int64, read from ``_grouping``.
 
-        Of a prefix longer than its head, only the head entries whose last
-        term (``copies``) lies past ``first`` are labelled.  Any other
-        search runs backward from the end through the head, in steps that
-        double from ``_CHUNK // 64`` terms to ``_CHUNK``, so runs that recur
-        near the end are found in a short first step, and stops once every
-        run is found."""
-        lasts = np.zeros(len(starts), dtype=np.int64)
-        end = self.horizon
-        if end > self.head.size:
-            last = self.copies[1]
-            past = np.flatnonzero(last > first)
-            np.maximum.at(lasts, self.run_labels(starts, self.head[past]), last[past])
-            return lasts
-        step = max(_CHUNK // 64, 1)
-        while end > first and not lasts.all():
-            a = max(end - step, first)
-            np.maximum.at(lasts, self.run_labels(starts, self.head[a:end]), np.arange(a + 1, end + 1))
-            end, step = a, min(2 * step, _CHUNK)
-        return lasts
+        A group's positions ascend, so of a head of all N terms its last
+        term is its last position plus 1; of a shorter head it is the
+        largest last term (``copies``) of its entries.  A run's last term is
+        the largest of its groups'."""
+        starts = np.asarray(starts).tolist()
+        at, offsets, order = self._grouping(starts)
+        if self.head.size == self.horizon:
+            lasts = order[np.array(offsets[1:]) - 1].astype(np.int64) + 1
+        else:
+            lasts = np.maximum.reduceat(self.copies[1][order], offsets[:-1])
+        return np.maximum.reduceat(lasts, [at[s] for s in starts])
 
 
 def materialize(spec: SequenceSpec, horizon: int) -> Prefix:

@@ -289,11 +289,19 @@ def detect_sublimits(
 ) -> SubLimitReport:
     """Cluster recurrent values and estimate a weight for each cluster.
 
-    The clusters are the runs of ``cluster_starts``, and ``sublimit_report``
-    weighs them.  A cluster is a sub-limit candidate iff it recurs past
-    index (1 - recurrence_window) * N; "recurs late" is the finite-scale
-    stand-in for "occurs infinitely often", and values that stop appearing
-    carry weight 0 in the limit anyway.
+    The clusters are the runs of ``cluster_starts``.  A cluster is a
+    sub-limit candidate iff its last index (``Prefix.last_indices``, read
+    from the prefix's one grouping of its head) lies past
+    (1 - recurrence_window) * N; "recurs late" is the finite-scale stand-in
+    for "occurs infinitely often", and values that stop appearing carry
+    weight 0 in the limit anyway.
+
+    Cluster centers are occurrence-weighted means of their member values.
+    Each candidate's weight is estimated from the indices of its own
+    members (``run_weights``); for an isolated cluster whose separation
+    exceeds epsilon this equals sublimit_weight(p, center, epsilon, ...)
+    exactly, and for abutting clusters it keeps the per-cluster index sets
+    disjoint so their window counts stay additive.
 
     Whether a non-isolated cluster is a true sub-limit of the infinite
     sequence is not decidable from a prefix; the flag is all this reports.
@@ -303,33 +311,7 @@ def detect_sublimits(
         raise InvalidSpecError("recurrence_window must lie in (0, 1]")
     if p.horizon < 1:
         raise InvalidSpecError("an empty prefix has no sub-limits to detect")
-    return sublimit_report(
-        p, cluster_starts(p, epsilon), epsilon, recurrence_window, schedule, tolerances
-    )
-
-
-def sublimit_report(
-    p: Prefix,
-    starts: np.ndarray,
-    epsilon: float,
-    recurrence_window: float = 0.25,
-    schedule: WindowSchedule | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> SubLimitReport:
-    """The weighing half of ``detect_sublimits``, for the clusters that
-    start at ``starts`` (``cluster_starts(p, epsilon)``), with its checks
-    already made.
-
-    Every cluster's last index comes from ``Prefix.last_indices``, which
-    reads a periodic prefix from its head and searches any other backward
-    from N until every cluster is found.  Cluster centers are
-    occurrence-weighted means of their member values.  Each candidate's
-    weight is estimated from the indices of its own members
-    (``run_weights``); for an isolated cluster whose separation exceeds
-    epsilon this equals sublimit_weight(p, center, epsilon, ...) exactly,
-    and for abutting clusters it keeps the per-cluster index sets disjoint
-    so their window counts stay additive.
-    """
+    starts = cluster_starts(p, epsilon)
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     uniq, counts = p.index
     ends = np.append(starts[1:], uniq.size)
@@ -349,10 +331,8 @@ def sublimit_report(
     isolated = np.empty(starts.size, dtype=bool)
     isolated[by_center] = np.append(True, apart) & np.append(apart, True)
 
-    # Only terms past (1 - recurrence_window) * N decide recurrence, and a
-    # recurrent cluster's last index lies among them.
-    lasts = p.last_indices(starts, int((1.0 - recurrence_window) * p.horizon))
-    recurrent = by_center[lasts[by_center] > 0]
+    lasts = p.last_indices(starts)
+    recurrent = by_center[lasts[by_center] > int((1.0 - recurrence_window) * p.horizon)]
     weights = run_weights(p, starts, recurrent, sched, tolerances)
     clusters = tuple(
         SubLimitCluster(

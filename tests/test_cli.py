@@ -358,6 +358,23 @@ def test_non_finite_bound_exits_2(capsys, tmp_path, text):
     assert err.startswith("seqdist:") and "finite" in err
 
 
+@pytest.mark.parametrize("data, cause", [
+    (b"kind = periodic\npattern = 1, 0\xff\n", "cannot read"),
+    # A doubled or trailing comma is a typo, not a shorter list.
+    (b"kind = periodic\npattern = 1, , 0, 0\n", "could not parse 'pattern'"),
+    (b"kind = periodic\npattern = 1, 0, 0,\n", "could not parse 'pattern'"),
+    (b"kind = table\nvalues = 1,\n", "could not parse 'values'"),
+    (b"kind = affine-combo\ncoefficients = 0.5,, 1\nchildren = F3, F2\n", "could not parse 'coefficients'"),
+    (b"kind = affine-combo\ncoefficients = 0.5, 0.25, 1\nchildren = F3, , F2\n", "unknown fixture ''"),
+    (b"kind = affine-combo\ncoefficients = 0.5, 0.25\nchildren = F3, F2,\n", "must pair up"),
+], ids=["not-utf8", "doubled", "trailing", "table", "coefficients", "child", "trailing-child"])
+def test_a_bad_spec_file_exits_2(capsys, tmp_path, data, cause):
+    path = tmp_path / "seq.spec"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "64"])
+    assert code == 2 and out == "" and err.startswith("seqdist:") and cause in err
+
+
 @pytest.mark.parametrize("flag", ["--tolerance-gap", "--tolerance-trend"])
 def test_nan_tolerance_exits_2(capsys, flag):
     code, out, err = run(capsys, ["analyze", "--fixture", "F4", "--horizon", "4096", flag, "nan"])
@@ -392,28 +409,29 @@ def test_a_large_bound_builds_no_partition_points(capsys, tmp_path):
     assert peaks[0] <= peaks[1] + 10 * 2**20
 
 
-@pytest.mark.parametrize("fixture, size", [("F1", 1), ("F4", 3), ("F6", 2)])
-def test_two_valued_analyze_labels_only_the_last_terms(fixture, size, capsys, monkeypatch):
-    # Two values make two runs everywhere, and the counted run is read from
-    # one grouping of the head, which labels every head entry once (4, 3
-    # and 22 entries).  After it only the last indices label head entries,
-    # those whose last term lies past 3N/4: the one period of F1 and F4,
-    # and F6's last two runs, [2**20, 2**21) and the term 2**21.
-    head = sequences.materialize(sequences.fixture(fixture), 2**21).head.size
+@pytest.mark.parametrize("fixture, n", [
+    ("F1", 2**21), ("F4", 2**21), ("F6", 2**21), ("F5", 2**16), ("F7", 2**16),
+])
+def test_analyze_labels_each_head_entry_once(fixture, n, capsys, monkeypatch):
+    # The head is grouped once, by every cluster's and cell's first value,
+    # and the counted runs and the clusters' last indices are all read from
+    # that grouping: F1, F4 and F6 have two values, counted from one run
+    # (4, 3 and 22 head entries), F5 all N distinct terms, and F7 one head
+    # entry per 2-adic class.
+    head = sequences.materialize(sequences.fixture(fixture), n).head.size
     labelled = []
     run_labels = Prefix.run_labels
 
-    def spy(self, *args, **kwargs):
-        labels = run_labels(self, *args, **kwargs)
-        labelled.append(labels.size)
-        return labels
+    def spy(self, starts, terms):
+        labelled.append((terms is self.head, terms.size))
+        return run_labels(self, starts, terms)
 
     monkeypatch.setattr(Prefix, "run_labels", spy)
     code, out, err = run(
-        capsys, ["analyze", "--fixture", fixture, "--horizon", str(2**21), "--format", "jsonl"]
+        capsys, ["analyze", "--fixture", fixture, "--horizon", str(n), "--format", "jsonl"]
     )
     assert code == 0 and err == "" and out
-    assert labelled == [head, size]
+    assert labelled == [(True, head)]
 
 
 def test_main_reuses_one_parser_and_reads_the_cap_on_every_call(capsys, monkeypatch):

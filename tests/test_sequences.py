@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import entry_map, last_terms
 
 from seqdist import (
     IndexOutOfRangeError,
@@ -853,7 +854,7 @@ def test_a_period_longer_than_the_prefix_makes_nothing_of_its_length():
     tracemalloc.start()
     try:
         p = Prefix(values=values, horizon=4, bound=1.0, period=(0, 10**9))
-        assert p.span == (0.0, 1.0) and np.array_equal(p.entries(1, 4), [1, 2, 3])
+        assert p.span == (0.0, 1.0) and np.array_equal(entry_map(p)[1:4], [1, 2, 3])
         assert_index_matches(p)
         c = materialize(combo, 4096)
         lorentz_verdict(c)
@@ -861,7 +862,7 @@ def test_a_period_longer_than_the_prefix_makes_nothing_of_its_length():
     finally:
         tracemalloc.stop()
     assert c.period == (0, 1000 * 1001 * 1003) and c.head.size == 4096
-    assert np.array_equal(c.head[c.entries(0, 4096)], c.values)
+    assert np.array_equal(c.head[entry_map(c)], c.values)
     assert peak <= 2**20
 
 
@@ -869,24 +870,15 @@ def test_the_period_check_maps_no_head_entries():
     # Each chunk past the head is compared with the terms one period back,
     # so the check maps no term to its head entry and makes nothing longer
     # than a chunk, however long the period.
-    calls = []
-    entries = Prefix.entries
-
-    def counted(self, first, stop):
-        calls.append(stop - first)
-        return entries(self, first, stop)
-
     for t, q in [(2, 3), (5, _CHUNK + 7)]:
         values = np.concatenate([np.arange(t) + 2.0, np.resize(np.arange(q) % 2, 4 * _CHUNK + q)])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Prefix, "entries", counted)
-            tracemalloc.start()
-            try:
-                Prefix(values=values, horizon=values.size, bound=8.0, period=(t, q))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert calls == [] and peak <= 2 * _CHUNK
+        tracemalloc.start()
+        try:
+            Prefix(values=values, horizon=values.size, bound=8.0, period=(t, q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * _CHUNK
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5, -math.inf])
@@ -948,7 +940,9 @@ def test_period_check_reads_every_chunk_bit_for_bit(at):
 def test_a_prefix_read_from_its_head_matches_its_filled_terms(spec, where, extra, seed):
     # span, index and last_indices of a materialized periodic prefix come
     # from its head and its last period; a prefix of the same terms given
-    # in full, with no period, reads every term.
+    # in full, with no period, reads every term.  Each draw of starts
+    # after the first groups the head by the union of all edges drawn so
+    # far, so its runs may span several groups.
     t, q = spec.period()
     n = {"below": max(1, t + q - 1 - extra), "at": t + q, "past": t + q + 1 + extra}[where]
     p = materialize(spec, n)
@@ -962,12 +956,13 @@ def test_a_prefix_read_from_its_head_matches_its_filled_terms(spec, where, extra
     for _ in range(3):
         cuts = rng.choice(np.arange(1, k), rng.integers(0, k), replace=False)
         starts = np.array([0, *np.sort(cuts)])
-        for first in {0, t, n // 2, n - 1}:
-            assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
-    # Every term is the head entry that entries maps it to, bit for bit.
+        want = last_terms(values, full.index.uniq, starts)
+        assert np.array_equal(p.last_indices(starts), want)
+        assert np.array_equal(full.last_indices(starts), want)
+    # Every term is the head entry that it repeats, bit for bit.
     for a in {0, min(t, n - 1), n // 2, n - 1}:
         b = int(rng.integers(a + 1, n + 1))
-        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
+        assert np.array_equal(p.head[entry_map(p)[a:b]].view(np.int64), values[a:b].view(np.int64))
     if n > t + q:
         assert "values" not in vars(p)
 
@@ -1020,7 +1015,8 @@ def run_prefix_case(draw):
 def test_a_prefix_read_from_its_runs_matches_its_filled_terms(case, chunk, seed):
     # span, index, last_indices, run_weights and set_weight of a run prefix
     # read one entry per run; a prefix of the same terms given in full reads
-    # every term.
+    # every term.  Later draws of starts group by the union of all edges
+    # drawn so far, so their runs may span several groups.
     spec, n = case
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -1037,11 +1033,12 @@ def test_a_prefix_read_from_its_runs_matches_its_filled_terms(case, chunk, seed)
     for _ in range(3):
         cuts = rng.choice(np.arange(1, k), rng.integers(0, k), replace=False)
         starts = np.array([0, *np.sort(cuts)])
-        for first in {0, n // 2, n - 1, int(rng.integers(0, n))}:
-            assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
+        want = last_terms(values, full.index.uniq, starts)
+        assert np.array_equal(p.last_indices(starts), want)
+        assert np.array_equal(full.last_indices(starts), want)
         a = int(rng.integers(0, n))
         b = int(rng.integers(a + 1, n + 1))
-        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
+        assert np.array_equal(p.head[entry_map(p)[a:b]].view(np.int64), values[a:b].view(np.int64))
         ids = range(starts.size)
         assert run_weights(p, starts, ids, sched) == run_weights(full, starts, ids, sched)
         lo, hi = sorted(rng.uniform(-spec.bound, spec.bound, 2))
@@ -1114,7 +1111,7 @@ def test_strides_copies_and_entries_of_a_shifted_run_prefix():
     assert terms.tolist() == [2, 8, 16, 14] and last.tolist() == [2, 10, 26, 40]
     values = p.values
     for a, b in ((0, 40), (1, 3), (2, 10), (9, 27), (25, 26), (39, 40), (7, 7)):
-        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
+        assert np.array_equal(p.head[entry_map(p)[a:b]].view(np.int64), values[a:b].view(np.int64))
 
 
 # ------------------------------------------------------------- 2-adic classes
@@ -1145,9 +1142,9 @@ def test_strides_copies_and_entries_of_a_shifted_dyadic_prefix():
     assert p.strides == ([1, 2, 0, 4], [2, 4, 8, 16], [5, 2, 2, 1])
     terms, last = p.copies
     assert terms.tolist() == [5, 2, 2, 1] and last.tolist() == [10, 7, 9, 5]
-    assert p.entries(0, 10).tolist() == [2, 0, 1, 0, 3, 0, 1, 0, 2, 0]
-    assert p.entries(3, 5).tolist() == [0, 3]
-    assert np.array_equal(p.head[p.entries(0, 10)], p.values)
+    assert entry_map(p).tolist() == [2, 0, 1, 0, 3, 0, 1, 0, 2, 0]
+    assert entry_map(p)[3:5].tolist() == [0, 3]
+    assert np.array_equal(p.head[entry_map(p)], p.values)
 
 
 def test_a_class_past_the_prefix_has_no_head_entry():
@@ -1175,7 +1172,8 @@ def class_prefix_case(draw):
 def test_a_prefix_read_from_its_classes_matches_its_filled_terms(case, chunk, seed):
     # span, index, last_indices, run_weights and set_weight of a class
     # prefix read one entry per class; a prefix of the same terms given in
-    # full reads every term.
+    # full reads every term.  Later draws of starts group by the union of
+    # all edges drawn so far, so their runs may span several groups.
     spec, n = case
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -1187,7 +1185,7 @@ def test_a_prefix_read_from_its_classes_matches_its_filled_terms(case, chunk, se
     assert p.span == full.span
     for mine, theirs in zip(p.index, full.index):
         assert np.array_equal(mine, theirs) and np.array_equal(np.signbit(mine), np.signbit(theirs))
-    entries = p.entries(0, n)
+    entries = entry_map(p)
     assert np.array_equal(p.head[entries].view(np.int64), values.view(np.int64))
     terms, last = p.copies
     assert np.array_equal(terms, np.bincount(entries, minlength=p.head.size))
@@ -1197,11 +1195,12 @@ def test_a_prefix_read_from_its_classes_matches_its_filled_terms(case, chunk, se
     for _ in range(3):
         cuts = rng.choice(np.arange(1, k), rng.integers(0, k), replace=False)
         starts = np.array([0, *np.sort(cuts)])
-        for first in {0, n // 2, n - 1, int(rng.integers(0, n))}:
-            assert np.array_equal(p.last_indices(starts, first), full.last_indices(starts, first))
+        want = last_terms(values, full.index.uniq, starts)
+        assert np.array_equal(p.last_indices(starts), want)
+        assert np.array_equal(full.last_indices(starts), want)
         a = int(rng.integers(0, n))
         b = int(rng.integers(a + 1, n + 1))
-        assert np.array_equal(p.head[p.entries(a, b)].view(np.int64), values[a:b].view(np.int64))
+        assert np.array_equal(p.head[entries[a:b]].view(np.int64), values[a:b].view(np.int64))
         ids = range(starts.size)
         assert run_weights(p, starts, ids, sched) == run_weights(full, starts, ids, sched)
         lo, hi = sorted(rng.uniform(-spec.bound, spec.bound, 2))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import entry_map
 
 from seqdist import (
     DegenerateEpsilonError,
@@ -33,7 +34,7 @@ from seqdist import (
 from seqdist import sequences, windows
 from seqdist.distribution import is_simply_distributed, mesh_cells, quantized_estimate
 from seqdist.sequences import _CHUNK, ValueIndex
-from seqdist.weights import cluster_starts, sublimit_report
+from seqdist.weights import cluster_starts
 from seqdist.windows import head_profile, member_profile
 
 
@@ -487,10 +488,10 @@ def test_cross_validate_counts_each_run_once(name, masks, monkeypatch):
 
 def test_cross_validate_labels_a_filled_prefix_once(monkeypatch):
     # F5's terms are all distinct, so its head is all N terms.  Every
-    # cluster's and cell's first value is registered before any run is
-    # weighed, so one labelling of the head groups the terms for all 32
-    # clusters and the 16 + 64 occupied cells; the last indices label only
-    # short stretches at the end.
+    # cell's first value is registered before the clusters' last indices
+    # group the head, so one labelling of the head groups the terms for all
+    # 32 clusters and the 16 + 64 occupied cells, and the last indices are
+    # read from that grouping.
     n = 2**16
     labelled = []
     run_labels = Prefix.run_labels
@@ -501,8 +502,7 @@ def test_cross_validate_labels_a_filled_prefix_once(monkeypatch):
 
     monkeypatch.setattr(Prefix, "run_labels", spy)
     cross_validate(fixture("F5"), n)
-    assert [size for whole, size in labelled if whole] == [n]
-    assert sum(size for whole, size in labelled if not whole) < n // 4
+    assert labelled == [(True, n)]
 
 
 @st.composite
@@ -608,7 +608,7 @@ def test_class_kernel_matches_oracle(case):
     # over one period, folded onto the general kernels; any other is made
     # over all N terms.
     p, bits, sched = case
-    whole = Membership.from_mask(bits[p.entries(0, p.horizon)])
+    whole = Membership.from_mask(bits[entry_map(p)])
     periods = []
     period_extrema = windows._period_extrema
 
@@ -656,7 +656,7 @@ def test_dense_class_sets_keep_their_period(low, n, s):
                 mp.setattr(windows, "_period_extrema", recording)
                 prof = head_profile(p, bits, sched)
             assert periods == ([2**b] if 2**b < n else [])
-            whole = Membership.from_mask(bits[p.entries(0, n)])
+            whole = Membership.from_mask(bits[entry_map(p)])
             assert [(r.n, r.min_count, r.max_count) for r in prof.rows] == [
                 (k, *naive_count_extrema(whole, k)) for k in sched.lengths
             ]
@@ -688,7 +688,7 @@ def test_distinct_terms_weigh_the_same_as_with_stored_counts(values, epsilon, to
         starts = cluster_starts(q, epsilon)
         return (
             starts.tolist(),
-            sublimit_report(q, starts, epsilon, schedule=sched),
+            detect_sublimits(q, epsilon, schedule=sched),
             quantized_estimate(q, mesh_cells(q, (0.5, 0.0625)), sched),
             is_simply_distributed(q, tol, sched),
             run_weights(q, starts, range(starts.size), sched),
@@ -706,11 +706,10 @@ def test_distinct_term_centers_equal_those_from_stored_counts():
     ones = np.ones(p.horizon, dtype=p.index.counts.dtype)
     ones.flags.writeable = False
     stored.__dict__["index"] = ValueIndex(p.index.uniq, ones)
-    starts = cluster_starts(p, 1 / 64)
     sched = WindowSchedule.geometric(p.horizon)
 
     def centers(q):
-        report = sublimit_report(q, starts, 1 / 64, schedule=sched)
+        report = detect_sublimits(q, 1 / 64, schedule=sched)
         return [repr(c.center) for c in report.clusters]
 
     assert len(centers(p)) > 1
