@@ -57,6 +57,12 @@ CASES = {
         "analyze", "--spec-file", "tests/golden/negative_zero_lead.spec", "--horizon", "64",
         "--format", "jsonl",
     ],
+    # The rotation by one half: a filled prefix of two values with exact
+    # sums, whose head is grouped by one edge into two runs.
+    "analyze_rotation_half.jsonl": [
+        "analyze", "--spec-file", "tests/golden/rotation_half.spec", "--horizon", N,
+        "--format", "jsonl",
+    ],
     # Three terms of transient, then period 3 over four values: the Cesaro
     # rows take the float walk.
     "analyze_transient_combo.jsonl": [
