@@ -34,6 +34,7 @@ from .errors import (
     ValueOutOfBoundsError,
     whole,
 )
+from . import sequences
 from .sequences import Prefix, SequenceSpec, materialize, max_horizon
 from .weights import (
     DEFAULT_TOLERANCES,
@@ -80,15 +81,29 @@ class IntervalSet:
         object.__setattr__(self, "intervals", ivs)
 
     def contains(self, values: np.ndarray) -> np.ndarray:
+        """Bool mask of the 1-D ``values`` that lie in the set.
+
+        The compares are made ``sequences._CHUNK`` values at a time, each
+        written into one chunk of the mask through two reused chunk-sized
+        temporaries, so no compare makes an N-long array.
+        """
+        mask = np.zeros(np.shape(values), dtype=bool)
         if not self.intervals:
-            return np.zeros(np.shape(values), dtype=bool)
-        (a, b), *rest = self.intervals
-        mask = values >= a
-        mask &= values < b
-        for a, b in rest:
-            mask |= (values >= a) & (values < b)
-        if self.top_closed:
-            mask |= values == self.intervals[-1][1]
+            return mask
+        chunk = sequences._CHUNK
+        low, high = np.empty((2, min(chunk, mask.size)), dtype=bool)
+        (a0, b0), *rest = self.intervals
+        for s in range(0, mask.size, chunk):
+            part, out = values[s : s + chunk], mask[s : s + chunk]
+            at, below = low[: out.size], high[: out.size]
+            np.greater_equal(part, a0, out=out)
+            out &= np.less(part, b0, out=below)
+            for a, b in rest:
+                np.greater_equal(part, a, out=at)
+                at &= np.less(part, b, out=below)
+                out |= at
+            if self.top_closed:
+                out |= np.equal(part, self.intervals[-1][1], out=at)
         return mask
 
 

@@ -268,8 +268,9 @@ def fixture(name: str, n0: int | None = None) -> SequenceSpec:
     raise InvalidSpecError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
 
 
-#: Positions that materialize evaluates at a time, so that its temporaries
-#: take a few 512 KiB blocks rather than several N-long arrays.
+#: Positions that materialize evaluates at a time, and terms that
+#: ``Prefix.run_labels`` and ``IntervalSet.contains`` read at a time, so that
+#: their temporaries take a few 512 KiB blocks rather than N-long arrays.
 _CHUNK = 1 << 16
 
 
@@ -664,13 +665,17 @@ class Prefix:
     def run_labels(self, starts: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """Run of each of ``terms``, values of this prefix, run g being
         ``index.uniq[starts[g]:starts[g + 1]]`` (``starts[0] == 0``): uint8
-        below 2**8 runs, int16 below 2**15, else int32, searched ``_CHUNK``
-        terms at a time so no long int64 result is made.  Given ``head``,
-        the labels are one per head entry, the form ``_grouping`` sorts for
+        below 2**8 runs, int16 below 2**15, else int32.  Two runs are one
+        compare with their one edge; more are searched ``_CHUNK`` terms at a
+        time so no long int64 result is made.  Given ``head``, the labels
+        are one per head entry, the form ``_grouping`` groups for
         ``members`` and ``last_indices``."""
         edges = self.index.uniq[starts[1:]]
         runs = len(starts)
         labels = np.empty(terms.size, np.uint8 if runs < 2**8 else np.int16 if runs < 2**15 else np.int32)
+        if runs == 2:
+            np.greater_equal(terms, edges[0], out=labels.view(bool))
+            return labels
         for a in range(0, terms.size, _CHUNK):
             part = terms[a : a + _CHUNK]
             labels[a : a + _CHUNK] = np.searchsorted(edges, part, "right")
@@ -695,13 +700,14 @@ class Prefix:
         ``order[offsets[g]:offsets[g + 1]]`` holds the ascending head
         positions of its entries, at least one.
 
-        Built once, on the first call: one ``run_labels`` of the head, the
-        groups' offsets from ``bincount``, and, a stretch of labels at a
-        time, a stable argsort (a radix sort of 8- or 16-bit labels, which
+        Built once, on the first call: one ``run_labels`` of the head, and
+        the positions in one array of ``position_dtype``.  Two groups take
+        theirs from one ``flatnonzero`` each.  More take their offsets from
+        ``bincount`` and, a stretch of labels at a time, their positions
+        from a stable argsort (a radix sort of 8- or 16-bit labels, which
         keeps each group's positions ascending) whose groups are copied to
-        their offsets in one array of ``position_dtype``.  A needed edge
-        not grouped yet regroups the head by the union of the old and new
-        edges.
+        their offsets.  A needed edge not grouped yet regroups the head by
+        the union of the old and new edges.
         """
         self._edges.update((0, *needed, self.index.uniq.size))
         grouped = self.__dict__.get("_groups")
@@ -711,26 +717,33 @@ class Prefix:
         self.__dict__.pop("_groups", None)
         cuts = sorted(self._edges)
         labels = self.run_labels(np.array(cuts[:-1], dtype=np.intp), self.head)
-        # Sorted 4 * _CHUNK labels at a time, so that the sort's int64
-        # result and radix buffer stay a few MiB however long the head:
-        # one sort of all N labels made F5's cross_validate at 8e6 peak
-        # at 313 MiB, against 274 MiB for the index build.
-        step = 4 * _CHUNK
-        counts = [
-            np.bincount(labels[a : a + step], minlength=len(cuts) - 1)
-            for a in range(0, labels.size, step)
-        ]
-        offsets = [0, *np.cumsum(np.sum(counts, axis=0, dtype=np.int64)).tolist()]
-        free = offsets[:-1]
         order = np.empty(labels.size, dtype=position_dtype(labels.size - 1))
-        for a, n in zip(range(0, labels.size, step), counts):
-            part = np.argsort(labels[a : a + step], kind="stable")
-            part += a
-            k = 0
-            for g, c in zip(np.flatnonzero(n).tolist(), n[n > 0].tolist()):
-                order[free[g] : free[g] + c] = part[k : k + c]
-                free[g] += c
-                k += c
+        if len(cuts) == 3:
+            ones = np.flatnonzero(labels)
+            offsets = [0, labels.size - ones.size, labels.size]
+            order[offsets[1] :] = ones
+            del ones
+            order[: offsets[1]] = np.flatnonzero(labels == 0)
+        else:
+            # Sorted 4 * _CHUNK labels at a time, so that the sort's int64
+            # result and radix buffer stay a few MiB however long the head:
+            # one sort of all N labels made F5's cross_validate at 8e6 peak
+            # at 313 MiB, against 274 MiB for the index build.
+            step = 4 * _CHUNK
+            counts = [
+                np.bincount(labels[a : a + step], minlength=len(cuts) - 1)
+                for a in range(0, labels.size, step)
+            ]
+            offsets = [0, *np.cumsum(np.sum(counts, axis=0, dtype=np.int64)).tolist()]
+            free = offsets[:-1]
+            for a, n in zip(range(0, labels.size, step), counts):
+                part = np.argsort(labels[a : a + step], kind="stable")
+                part += a
+                k = 0
+                for g, c in zip(np.flatnonzero(n).tolist(), n[n > 0].tolist()):
+                    order[free[g] : free[g] + c] = part[k : k + c]
+                    free[g] += c
+                    k += c
         order.flags.writeable = False
         del labels
         at = {e: g for g, e in enumerate(cuts)}

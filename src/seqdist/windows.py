@@ -42,23 +42,27 @@ the float walk.  The kernels:
   ``_BLOCK`` with every window length per block, so a block of the
   prefix sums is read from cache by all the lengths.  A mask is counted
   in 8-bit lanes, and in 16-bit lanes only where 8 bits cannot tell its
-  counts: its prefix count is kept mod 2**16 as uint16, built eight terms
-  per uint64 word with no N-long cumsum, and cast once to uint8 (mod
-  2**8); the walk makes no int32 or int64 array of N entries.  It takes
-  one row at a time, in blocks of ``_COUNT_BLOCK``: one subtraction, one
-  min and one max per row and block.  A window count lies in [0, n] and
-  moves by at most 1 per offset, so a block's counts are one range of
-  integers: rows with n < 2**8 read them exactly, and a longer row's
-  block whose residues span less than 2**8 - 1 is each count's residue
-  plus the multiple of 2**8 below the block's first count.  Any other
-  block is read again as int8 offsets from that first count.  A block
-  of more than 2**7 offsets whose int8 reading reaches an end of its
-  range, and every block once a row's counts spread over 2**7 or more, is
-  handed over to the 16-bit lanes, with that row's later blocks and every
-  longer row.  There the same reading holds mod 2**16, and a block whose
-  int16 offsets reach an end of their range is read again, by the same
-  reader, in stretches of ``_BLOCK`` (at most 2**15 offsets, which read
-  exactly).
+  counts.  Lane x holds the count of the first x terms mod 2**8, built
+  eight terms per uint64 word and eight words per group of 64 lanes: only
+  the N/64 group totals are cumsummed, into exact int64 group starts, and
+  the exact count of the first x terms is x's group start plus the
+  group's members before x, its lane minus that start mod 2**8.  The
+  16-bit lanes, each group's start mod 2**16 plus those same counts, are
+  built from them at the hand-over, so no term is counted twice and the
+  walk makes no int32 or int64 array of N entries.  It takes one row at a
+  time, in blocks of ``_COUNT_BLOCK``: one subtraction, one min and one
+  max per row and block.  A window count lies in [0, n] and moves by at
+  most 1 per offset, so a block's counts are one range of integers: rows
+  with n < 2**8 read them exactly, and a longer row's block whose residues
+  span less than 2**8 - 1 is each count's residue plus the multiple of
+  2**8 below the block's first count.  Any other block is read again as
+  int8 offsets from that first count.  A block of more than 2**7 offsets
+  whose int8 reading reaches an end of its range, and every block once a
+  row's counts spread over 2**7 or more, is handed over to the 16-bit
+  lanes, with that row's later blocks and every longer row.  There the
+  same reading holds mod 2**16, and a block whose int16 offsets reach an
+  end of their range is read again, by the same reader, in stretches of
+  ``_BLOCK`` (at most 2**15 offsets, which read exactly).
 * **Member gaps** (masks with at most ``SPARSE_SHARE`` of the terms as
   members): only the c sorted member positions are kept.  The largest count
   is the largest d such that some d consecutive members fit in one window;
@@ -91,6 +95,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -190,9 +195,8 @@ class WindowSchedule:
 SPARSE_SHARE = 0.125
 
 # The float walk reads the offsets in blocks of this many window sums, every
-# schedule row per block; the count walk takes its int64 heads this many
-# offsets apart and reads a block that 16-bit lanes cannot tell in
-# stretches of this many.
+# schedule row per block; the count walk reads a block that 16-bit lanes
+# cannot tell in stretches of this many.
 # Float64 window means, measured at N = 2**21 over 16 rows (min of 7, one
 # core with 2 MiB of L2) for blocks of 2**12 ... 2**17: 121, 73, 61, 59, 58
 # and 73 ms, against 153 ms for one N-length temporary per row.  Smaller
@@ -214,6 +218,11 @@ _BLOCK = 1 << 15
 # 16-bit buffer at half the 2 MiB of L2.  A block of 2**18 is about 400
 # calls per mask.
 _COUNT_BLOCK = 1 << 18
+
+# Multiplying a uint64 word by this adds each of its bytes into every byte
+# above it: byte k then holds the sum of bytes 0 ... k, so long as no sum
+# passes 255.
+_ONES = 0x0101010101010101
 
 
 class DensityRow(NamedTuple):
@@ -282,87 +291,118 @@ def _window_extrema(values: np.ndarray, lengths):
         yield n, lows[n], highs[n]
 
 
-def _prefix_counts(bits: np.ndarray) -> np.ndarray:
-    """c[k] = (bits[0] + ... + bits[k - 1]) mod 2**16, as N + 1 uint16.
+def _count_lanes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lanes, starts): the count of the first x terms of a bool mask mod
+    2**8 as ``lanes[x]`` (uint8, x = 0 ... N, and on to whole groups of
+    64 lanes as if the mask went on with non-members), and the exact count
+    before each group, ``starts`` (int64); lane x lies in group x // 64.
 
-    Counted eight terms per little-endian uint64 word, with no N-long cumsum:
-    the mask is copied into zero-padded bytes, and multiplying a word by
-    0x0101010101010101 leaves in its byte k the count of its bytes 0..k (at
-    most 8, so no byte carries into the next).  Only the N/8 word totals
-    (byte 7) are cumsummed, and each word's running total is added back to
-    its eight bytes.  Every sum wraps mod 2**16 on arrays, never on numpy
-    scalars.
+    The mask is copied in one term late, so that lane x holds the term
+    before it.  Multiplying a little-endian uint64 word by
+    0x0101010101010101 leaves in its byte k the count of its bytes 0 ... k
+    (at most 8, so no byte carries into the next).  The eight word totals
+    (byte 7) of each group are packed into one word and counted within the
+    group the same way; that word shifted up one byte holds, for each word,
+    the members of the group's earlier words (at most 56), added to its
+    eight bytes with no carry.  Only the N/64 group totals are cumsummed,
+    into exact int64 starts, and each start mod 2**8 is added back along
+    its group's row of 64 lanes, wrapping on the array.
     """
-    words = -(-bits.size // 8)
-    lanes = np.zeros(8 * words, dtype=np.uint8)
-    lanes[: bits.size] = bits
-    w = lanes.view("<u8")
-    np.multiply(w, 0x0101010101010101, out=w)
-    per_word = lanes.reshape(words, 8)
-    before = np.zeros(words, dtype=np.uint16)
-    np.cumsum(per_word[:-1, 7], dtype=np.uint16, out=before[1:])
-    counts = np.zeros(8 * words + 1, dtype=np.uint16)
-    np.add(before[:, None], per_word, out=counts[1:].reshape(words, 8))
-    return counts[: bits.size + 1]
+    size = bits.size + 1
+    groups = -(-size // 64)
+    lanes = np.empty(64 * groups, dtype=np.uint8)
+    lanes[0] = 0
+    lanes[1:size] = bits
+    lanes[size:] = 0
+    words = lanes.view("<u8")
+    np.multiply(words, _ONES, out=words)
+    totals = lanes.reshape(groups, 8, 8)[:, :, 7].copy().view("<u8").ravel()
+    np.multiply(totals, _ONES, out=totals)
+    per_word = totals.view(np.uint8).reshape(groups, 8)
+    starts = np.zeros(groups, dtype=np.int64)
+    np.cumsum(per_word[:-1, 7], dtype=np.int64, out=starts[1:])
+    np.left_shift(totals, 8, out=totals)
+    earlier = per_word.astype("<u8")
+    np.multiply(earlier, _ONES, out=earlier)
+    np.add(words, earlier.ravel(), out=words)
+    rows = lanes.reshape(groups, 64)
+    np.add(rows, starts.astype(np.uint8)[:, None], out=rows)
+    return lanes, starts
+
+
+def _exact_count(lanes: np.ndarray, starts: np.ndarray, x: int) -> int:
+    """The exact count of the first x terms, from ``_count_lanes``: the
+    start of x's group plus (lanes[x] - start) mod 2**8, the group's
+    members before x (at most 63)."""
+    start = int(starts[x >> 6])
+    return start + (int(lanes[x]) - start) % 2**8
+
+
+def _wide_lanes(lanes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The counts of ``_count_lanes`` mod 2**16, as uint16: each group's
+    start mod 2**16 plus its lanes' counts within the group, read from
+    the 8-bit lanes with no term recounted."""
+    wide = np.empty(lanes.size, dtype=np.uint16)
+    rows = wide.reshape(starts.size, 64)
+    np.subtract(lanes.reshape(rows.shape), starts.astype(np.uint8)[:, None], out=rows, dtype=np.uint8)
+    np.add(rows, starts.astype(np.uint16)[:, None], out=rows)
+    return wide
 
 
 def _count_extrema(bits: np.ndarray, lengths):
     """Yield (n, min, max) of the length-n window counts of a bool mask.
 
-    Every row is read from the mask's prefix count (``_prefix_counts``),
-    one row at a time, in blocks of ``_COUNT_BLOCK`` offsets, by
-    ``_lane_extrema``: first in 8-bit lanes, the count cast once to uint8
-    (mod 2**8), and in 16-bit lanes, the uint16 count (mod 2**16), from the
-    hand-over on.  A block whose 8-bit reading cannot tell its counts is
-    read again in 16-bit lanes, and so are that row's later blocks and every
-    longer row; so is every block once a row's counts spread over 2**7 or
-    more, since such a row's blocks mostly wrap mod 2**8 and cost a second
-    8-bit pass before the hand-over.  A block that 16-bit lanes cannot tell
-    either is read again in them in stretches of ``_BLOCK`` offsets, at
-    most 2**15, each of which reads exactly.  A block's first count is
-    exact from int64 heads taken every ``_BLOCK`` offsets, since fewer than
-    2**16 members lie between a head and any offset it serves.
+    Every row is read from the mask's 8-bit lanes (``_count_lanes``), one
+    row at a time, in blocks of ``_COUNT_BLOCK`` offsets, by
+    ``_lane_extrema``, whose exact counts come from the lanes and their
+    groups' starts (``_exact_count``).  A block whose 8-bit reading cannot
+    tell its counts is handed over to 16-bit lanes, built from the same
+    lanes and starts only then (``_wide_lanes``), and so are that row's
+    later blocks and every longer row.  So is every block once a row's
+    counts spread over 2**7 or more, since such a row's blocks mostly wrap
+    mod 2**8 and cost a second 8-bit pass before the hand-over.  A block
+    that 16-bit lanes cannot tell either is read again in them in stretches
+    of ``_BLOCK`` offsets, at most 2**15, each of which reads exactly.
     """
     if not 1 <= _BLOCK <= 2**15:
         raise ValueError(f"_BLOCK must lie in [1, 2**15], got {_BLOCK}")
-    counts = _prefix_counts(bits)
-    size = counts.size
-    heads = np.zeros(-(-size // _BLOCK), dtype=np.int64)
-    np.cumsum(np.diff(counts[::_BLOCK]), dtype=np.int64, out=heads[1:])
-
-    def exact(x: int) -> int:
-        head = x - x % _BLOCK
-        return int(heads[head // _BLOCK]) + (int(counts[x]) - int(counts[head])) % 2**16
-
-    # The 8-bit lanes until the hand-over, then the 16-bit ones, each with
-    # one reused block buffer.
+    lanes, starts = _count_lanes(bits)
+    exact = partial(_exact_count, lanes, starts)
+    size = bits.size + 1
     block = min(_COUNT_BLOCK, size - lengths[0])
-    walks = [(c, np.empty(block, dtype=c.dtype)) for c in (counts.astype(np.uint8), counts)]
+    walk = lanes[:size], np.empty(block, dtype=np.uint8)
+
+    def hand_over():
+        return _wide_lanes(lanes, starts)[:size], np.empty(block, dtype=np.uint16)
+
     for n in lengths:
         lo, hi = n, 0
         for s in range(0, size - n, _COUNT_BLOCK):
             e = min(s + _COUNT_BLOCK, size - n)
-            read = _lane_extrema(*walks[0], exact, n, s, e)
-            if read is None and len(walks) > 1:
-                del walks[0]
-                read = _lane_extrema(*walks[0], exact, n, s, e)
+            read = _lane_extrema(*walk, exact, n, s, e)
+            if read is None and walk[0].itemsize == 1:
+                walk = hand_over()
+                read = _lane_extrema(*walk, exact, n, s, e)
             if read is None:
                 reads = [
-                    _lane_extrema(*walks[0], exact, n, t, min(t + _BLOCK, e))
+                    _lane_extrema(*walk, exact, n, t, min(t + _BLOCK, e))
                     for t in range(s, e, _BLOCK)
                 ]
                 read = min(a for a, _ in reads), max(b for _, b in reads)
             lo, hi = min(lo, read[0]), max(hi, read[1])
-            if len(walks) > 1 and hi - lo >= 2**7:
-                del walks[0]
+            if walk[0].itemsize == 1 and hi - lo >= 2**7:
+                walk = hand_over()
         yield n, lo, hi
 
 
 def _lane_extrema(lanes: np.ndarray, buf: np.ndarray, exact, n: int, s: int, e: int):
     """(min, max) of the length-n window counts at offsets s ... e - 1,
-    read from ``lanes``, the prefix count mod 2**w as w-bit unsigned
-    integers (w = 8 or 16), through ``buf``; or None when w-bit lanes cannot
-    tell them.  ``exact(x)`` is the exact count of the first x terms.
+    read through ``buf`` from ``lanes``, the count of the first x terms mod
+    2**w as w-bit unsigned integers (w = 8, ``_count_lanes``, or 16,
+    ``_wide_lanes``); or None when w-bit lanes cannot tell them.
+    ``exact(x)`` is the exact count of the first x terms, which the 8-bit
+    lanes give with their groups' starts (``_exact_count``) at either width,
+    and is read twice per block of a row of 2**w or more.
 
     The block is one subtraction, one ``min`` and one ``max``, which give
     the window counts mod 2**w.  A count lies in [0, n], so a row with

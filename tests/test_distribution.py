@@ -36,7 +36,7 @@ from seqdist import (
     table,
     weight_bounds_estimate,
 )
-from seqdist import distribution
+from seqdist import distribution, sequences
 from seqdist.distribution import (
     _cells,
     _group_bounds,
@@ -83,9 +83,12 @@ def test_interval_set_validation():
     edges=st.lists(st.sampled_from([i / 8 for i in range(-8, 9)]), max_size=8, unique=True),
     top_closed=st.booleans(),
     values=st.lists(st.sampled_from([i / 16 for i in range(-17, 18)] + [-0.0]), max_size=40),
+    chunk=st.sampled_from([1, 3, 7, _CHUNK]),
 )
 @settings(max_examples=200, deadline=None)
-def test_interval_set_contains_matches_per_value_rule(edges, top_closed, values):
+def test_interval_set_contains_matches_per_value_rule(edges, top_closed, values, chunk):
+    # Chunks of 1, 3 and 7 values split most inputs into several, the last
+    # partial.
     edges = sorted(edges)
     pairs = tuple(zip(edges[::2], edges[1::2]))
     s = IntervalSet(intervals=pairs, top_closed=top_closed)
@@ -94,7 +97,9 @@ def test_interval_set_contains_matches_per_value_rule(edges, top_closed, values)
         any(a <= v < b for a, b in pairs) or (top_closed and bool(pairs) and v == pairs[-1][1])
         for v in values
     ]
-    assert s.contains(vals).tolist() == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_CHUNK", chunk)
+        assert s.contains(vals).tolist() == expected
 
 
 def test_interval_about_clipping():

@@ -146,9 +146,9 @@ def test_report_matches_golden(name, capsys, monkeypatch):
 def test_report_matches_golden_in_small_blocks(name, capsys, monkeypatch):
     # At N = 4096 every row of the prefix-sum walks fits in one block of the
     # default sizes, and the prefix in one chunk of materialize and
-    # run_labels; blocks of 7 (the float walk, the count walk's heads) and
-    # 13 (the count walk) and chunks of 100 split each into many, the last
-    # partial.
+    # run_labels; blocks of 7 (the float walk, the count walk's stretches)
+    # and 13 (the count walk) and chunks of 100 (of materialize, run_labels
+    # and IntervalSet.contains) split each into many, the last partial.
     monkeypatch.setattr(windows, "_BLOCK", 7)
     monkeypatch.setattr(windows, "_COUNT_BLOCK", 13)
     monkeypatch.setattr(sequences, "_CHUNK", 100)

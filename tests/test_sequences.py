@@ -714,7 +714,17 @@ def many_run_members(size):
     return p, [starts, np.array([0, a, b])], 2, asks
 
 
+def signed_zero_members():
+    """A filled prefix of -0.0, 0.0 and 1.0, two distinct values, with the
+    one partition at its one inner edge registered: the head is labelled
+    by a single compare with 1.0 and grouped by one flatnonzero per run."""
+    values = np.array([-0.0, 1.0, 0.0, 0.0, 1.0, -0.0, 1.0, 0.0, -0.0])
+    p = Prefix(values=values, horizon=values.size, bound=1.0)
+    return p, [np.array([0, 1])], 1, [(0, 1), (1, 2), (0, 2)]
+
+
 @given(members_case())
+@example(signed_zero_members())
 @example(many_run_members(255))
 @example(many_run_members(300))
 @settings(max_examples=150, deadline=None)

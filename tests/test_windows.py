@@ -214,7 +214,8 @@ def blocked_count_case(draw):
     just above ``SPARSE_SHARE`` of the horizon, and the full mask is drawn
     too; like any mask above that share, a near-full one is counted by the
     walk.  The walk's blocks (``_COUNT_BLOCK``) need not be a multiple of
-    the heads' (``_BLOCK``), so a walk block may start between two heads.
+    its stretches (``_BLOCK``) or of its groups of 64 lanes, so a walk
+    block may start inside either.
     Horizons past 2**8 give rows whose 8-bit residues straddle a multiple
     of 2**8 inside one block, and masks of long alternating runs give rows
     whose int8 reading reaches -128 or 127, or whose counts spread over
@@ -262,7 +263,7 @@ def test_blocked_walk_count_rows_match_oracle(case):
 
 # Past 2**17, not a multiple of 8, with rows on both sides of 2**16 (the
 # widest count a uint16 lane reads directly) and of 2**8, and one long row
-# whose windows end far from a block head.
+# whose windows end far from a block's start.
 WIDE_HORIZON = 2**17 + 2**15 + 5
 WIDE_LENGTHS = (255, 256, 65535, 65536, 65537, 3 * 2**15 - 3, WIDE_HORIZON)
 
@@ -312,14 +313,44 @@ def test_count_kernel_matches_int64_cumsum(kind, doublings, monkeypatch):
     if doublings is not None:
         # Walk blocks of 2**15 + 3, 2**16 + 3 and 2**17 + 3 offsets: past
         # 2**15, so a long row's count can leave the int16 range within
-        # one and the block is re-read, and off the heads of every 2**15
-        # offsets, so most blocks start between two of them.
+        # one and the block is re-read, and off the groups of 64 lanes and
+        # the stretches of 2**15 offsets, so most blocks start inside both.
         monkeypatch.setattr(windows, "_COUNT_BLOCK", (2**15 << doublings) + 3)
     oracle = int64_rows(bits, WIDE_LENGTHS)
     assert list(windows._count_extrema(bits, WIDE_LENGTHS)) == oracle
     m = Membership.from_mask(bits)
     profile = density_profile(m, WindowSchedule(WIDE_LENGTHS))
     assert [(r.n, r.min_count, r.max_count) for r in profile.rows] == oracle
+
+
+@st.composite
+def lane_case(draw):
+    """A mask of N terms for the lane build: N up to 300, one off a whole
+    number of groups of 64 lanes either way, or 2**16 +- 1 (the lanes hold
+    N + 1 counts, so 2**16 - 1 terms fill whole groups)."""
+    k = draw(st.integers(1, 40))
+    n = draw(
+        st.integers(0, 300)
+        | st.sampled_from([64 * k - 1, 64 * k, 64 * k + 1])
+        | st.sampled_from([2**16 - 1, 2**16 + 1])
+    )
+    share = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < share
+
+
+@given(lane_case())
+@example(np.ones(2**16 - 1, dtype=bool))
+@example(np.ones(2**16 + 1, dtype=bool))
+@settings(max_examples=100, deadline=None)
+def test_count_lanes_match_int64_cumsum(bits):
+    csum = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    lanes, starts = windows._count_lanes(bits)
+    assert lanes.dtype == np.uint8 and starts.dtype == np.int64
+    assert lanes.size == starts.size * 64 >= csum.size
+    assert np.array_equal(lanes[: csum.size], csum % 2**8)
+    assert [windows._exact_count(lanes, starts, x) for x in range(csum.size)] == csum.tolist()
+    wide = windows._wide_lanes(lanes, starts)
+    assert wide.dtype == np.uint16 and np.array_equal(wide[: csum.size], csum % 2**16)
 
 
 def lane_reads(monkeypatch):
