@@ -278,7 +278,8 @@ def _render_table(rows: list[dict]) -> str:
 def render(rows: list[dict], out_format: str) -> str:
     rows = [{"schema": SCHEMA, **row} for row in rows]
     if out_format == "jsonl":
-        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "".join(encode(row) + "\n" for row in rows)
     if out_format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, CSV_FIELDS, extrasaction="ignore", lineterminator="\n")

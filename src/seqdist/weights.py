@@ -96,26 +96,43 @@ class WeightEstimate:
 
 
 def _estimate(prof: DensityProfile, tolerances: Tolerances) -> WeightEstimate:
-    """Weight estimate from the count rows of one index set."""
+    """Weight estimate from the count rows of one index set.
+
+    w_u is the largest max_count / n of the last ``tail_rows`` rows and w_l
+    the smallest min_count / n; the estimate has converged when w_u - w_l
+    is at most ``tolerances.gap`` and, between the last two rows, neither
+    density moved by more than ``tolerances.trend``.  Densities are
+    compared as integers, c / n against c' / n' as c * n' against c' * n,
+    and a tolerance as p / q, its ``as_integer_ratio``, so every compare is
+    exact and no ``Fraction`` is built for a row: only the stored w_l, w_u
+    and gap are.
+    """
     k = min(tolerances.tail_rows, len(prof.rows))
     tail = prof.rows[-k:]
-    w_u = max(Fraction(r.max_count, r.n) for r in tail)
-    w_l = min(Fraction(r.min_count, r.n) for r in tail)
+    top = low = tail[0]
+    for r in tail[1:]:
+        if r.max_count * top.n > top.max_count * r.n:
+            top = r
+        if r.min_count * low.n < low.min_count * r.n:
+            low = r
+    w_u = Fraction(top.max_count, top.n)
+    w_l = Fraction(low.min_count, low.n)
     gap = w_u - w_l
-    if len(tail) >= 2:
+    p, q = tolerances.gap.as_integer_ratio()
+    converged = gap.numerator * q <= p * gap.denominator
+    if converged and len(tail) >= 2:
         a, b = tail[-2], tail[-1]
-        trend_ok = (
-            abs(Fraction(b.max_count, b.n) - Fraction(a.max_count, a.n)) <= tolerances.trend
-            and abs(Fraction(b.min_count, b.n) - Fraction(a.min_count, a.n)) <= tolerances.trend
+        p, q = tolerances.trend.as_integer_ratio()
+        converged = all(
+            abs(y * a.n - x * b.n) * q <= p * a.n * b.n
+            for x, y in ((a.max_count, b.max_count), (a.min_count, b.min_count))
         )
-    else:
-        trend_ok = True
     return WeightEstimate(
         w_l_hat=w_l,
         w_u_hat=w_u,
         gap=gap,
         per_window=prof,
-        converged=bool(gap <= tolerances.gap and trend_ok),
+        converged=converged,
         tail_rows_used=k,
     )
 

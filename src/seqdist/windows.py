@@ -75,9 +75,12 @@ the float walk.  The kernels:
   from the previous row usually settles it in a few passes.
 * **Run starts** (a prefix of R runs of equal terms, ``Prefix.runs``):
   the mask holds one bit per run.  Some extreme window starts at a run
-  start or at the last offset, so each row reads the count at those R
-  offsets, and n terms past them, from the run starts and the members
-  before each: O(R log R) per row, and no term is read.
+  start or at the last offset, so each row reads the count at the R run
+  starts clamped to N - n, and n terms past them, from the run starts and
+  the members before each.  The rows are read in groups, each in one
+  broadcast pass of a fixed number of numpy calls: O(R log R) per row,
+  no temporary of more than ``sequences._CHUNK`` entries (beyond one row's
+  2 R), and no term read.
 * **One period** (a prefix that repeats with period q after t terms, or a
   set of 2-adic classes, t = 0 and q its period): no kernel of its own.
   A row of length n = k + a * q, k < t + q, is the row of length k plus
@@ -94,7 +97,6 @@ it to share work with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
@@ -102,6 +104,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSpecError, WindowTooLongError, whole
+from . import sequences
 from .sequences import Prefix, position_dtype
 
 
@@ -447,23 +450,33 @@ def _run_extrema(bits: np.ndarray, starts: np.ndarray, horizon: int, lengths):
     improves it when moved one term toward the start of that term's run
     (a member's run, for a max) or toward its end (a non-member's run), and
     can keep moving until it starts a run or reaches an end of [0, N - n].
-    The members among the first x terms, C(x), grow linearly inside a run,
-    so C is read at those offsets, and n terms past them, from the run
-    starts and the members before each by one ``searchsorted``:
-    O(R log R) per row for R runs, however long the prefix.
+    So a row's candidate offsets are the R run starts, each clamped to
+    N - n: a start past N - n stands for N - n, and when none is past it
+    the windows at N - n and at the last run's start both lie in that run
+    and count alike.  The members among the first x terms, C(x), grow
+    linearly inside a run, and are read at those offsets, and n terms past
+    them, from the run starts and the members before each.  The rows are
+    read in groups, each in one pass over a (rows, 2, R) int64 array of
+    those points: one ``searchsorted``, one subtraction, and ``min`` and
+    ``max`` along the last axis, so the numpy calls do not grow with the
+    rows.  A group takes as many rows as keep the array within
+    ``sequences._CHUNK`` entries, and at least one.  O(R log R) per row for
+    R runs, however long the prefix.
     """
     ones = bits.astype(np.int64)
     inside = np.diff(starts, append=horizon) * ones
     before = np.cumsum(inside) - inside
-
-    def count(x):
+    step = max(sequences._CHUNK // (2 * starts.size), 1)
+    for g in range(0, len(lengths), step):
+        ns = lengths[g : g + step]
+        n = np.array(ns, dtype=np.int64)[:, None]
+        x = np.empty((len(ns), 2, starts.size), dtype=np.int64)
+        np.minimum(starts, horizon - n, out=x[:, 0])
+        np.add(x[:, 0], n, out=x[:, 1])
         k = np.searchsorted(starts, x, "right") - 1
-        return before[k] + ones[k] * (x - starts[k])
-
-    for n in lengths:
-        i = np.append(starts[starts < horizon - n], horizon - n)
-        sums = count(i + n) - count(i)
-        yield n, int(sums.min()), int(sums.max())
+        counts = before[k] + ones[k] * (x - starts[k])
+        sums = counts[:, 1] - counts[:, 0]
+        yield from zip(ns, sums.min(axis=1).tolist(), sums.max(axis=1).tolist())
 
 
 def _first_true(pred, lo: int, hi: int, seed: int) -> int:
@@ -739,9 +752,12 @@ def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     """One mean-extrema row per scheduled window length.
 
     A prefix whose only values are a <= b and whose float partial sums are
-    all exact (each value a multiple of 2**-k, N * max|v| * 2**k <= 2**53)
-    reads its rows from the counts of a's run (``run_profiles``): a
-    length-n window holding c terms valued a sums to b * n - (b - a) * c.
+    all exact (a = A / d and b = B / d for integers A, B and d a power of
+    two, N * max(-A, B) <= 2**53) reads its rows from the counts of a's run
+    (``run_profiles``): a length-n window holding c terms valued a sums to
+    b * n - (b - a) * c, so its mean is the quotient of the integers
+    B * n - (B - A) * c and n * d, which Python's int true division rounds
+    correctly, as ``float(Fraction)`` does, with no ``Fraction`` built.
     Exactness is judged from ``p.span`` before ``p.index`` is read, so a
     prefix with inexact sums, such as F5's, builds no index here.  Any
     other prefix takes the float walk of a float64 prefix-sum array
@@ -758,13 +774,21 @@ def cesaro_profile(p: Prefix, schedule: WindowSchedule) -> CesaroProfile:
     a mean is also -0.0 when a negative sum's quotient underflows.
     """
     schedule.validate_for(p.horizon)
-    a, b = map(Fraction, p.span)
-    if p.horizon * max(-a, b) * max(a.denominator, b.denominator) > 2**53 or p.index.uniq.size > 2:
-        sums = _window_extrema(p.values, schedule.lengths)
+    # a and b become the integers A and B over d.
+    (a, da), (b, db) = (float(v).as_integer_ratio() for v in p.span)
+    d = max(da, db)
+    a, b = a * (d // da), b * (d // db)
+    if p.horizon * max(-a, b) > 2**53 or p.index.uniq.size > 2:
+        rows = (
+            (n, float(lo / n), float(hi / n))
+            for n, lo, hi in _window_extrema(p.values, schedule.lengths)
+        )
     else:
         (counted,) = run_profiles(p, range(p.index.uniq.size), [0], schedule)
-        sums = ((n, b * n - (b - a) * hi, b * n - (b - a) * lo) for n, lo, hi, _ in counted.rows)
+        rows = (
+            (n, (b * n - (b - a) * hi) / (n * d), (b * n - (b - a) * lo) / (n * d))
+            for n, lo, hi, _ in counted.rows
+        )
     return CesaroProfile(rows=tuple(
-        CesaroRow(n=n, min_mean=float(lo / n) + 0.0, max_mean=float(hi / n) + 0.0)
-        for n, lo, hi in sums
+        CesaroRow(n=n, min_mean=lo + 0.0, max_mean=hi + 0.0) for n, lo, hi in rows
     ))

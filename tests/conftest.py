@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from seqdist import WindowSchedule, fixture, materialize
@@ -18,3 +20,17 @@ def f5_prefix_large():
 @pytest.fixture(scope="session")
 def default_schedule_1e4():
     return WindowSchedule.geometric(10_000)
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """The arguments of every ``Fraction`` built while the test runs."""
+    built = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    return built

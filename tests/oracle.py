@@ -1,10 +1,13 @@
-"""Plain answers to questions that ``Prefix`` reads from its head, for the
-tests to compare with.
+"""Plain answers to questions that the library answers fast, for the tests
+to compare with.
 
-Each is computed from the filled terms or from a prefix's layout attributes
-(``horizon``, ``period``, ``runs``, ``classes``, ``strides``) with numpy
-alone, and calls no other library code.
+Each is computed from the filled terms, from a prefix's layout attributes
+(``horizon``, ``period``, ``runs``, ``classes``, ``strides``) or from a
+spec's ``breaks``, with numpy or Python integers and ``Fraction``s alone,
+and calls no other library code.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,3 +44,54 @@ def last_terms(values: np.ndarray, uniq: np.ndarray, starts) -> np.ndarray:
         if hits.size:
             out[g] = hits[-1] + 1
     return out
+
+
+def run_count_rows(spec, flagged, N, lengths) -> list[tuple[int, int, int]]:
+    """(n, min, max) window counts, for each n in ``lengths``, of the first
+    N terms of ``spec`` that lie in a flagged run, in Python integers.
+
+    The runs are cut at ``spec.breaks(N)``: run k holds the 1-based terms
+    from its start (1, then each break) up to the next start or N, and
+    ``flagged[k]`` says whether its terms are counted.  For a fixed n the
+    count of the window at 0-based offset i is piecewise linear in i, and
+    breaks only where i or i + n crosses a run edge, so its extremes lie at
+    those offsets and at the two ends 0 and N - n.  Each is a sum of the
+    flagged runs' overlaps with the window.
+    """
+    edges = [0, *(b - 1 for b in spec.breaks(N)), N]
+    assert len(flagged) == len(edges) - 1, "one flag per run"
+    runs = [(a, b) for (a, b), f in zip(zip(edges, edges[1:]), flagged) if f]
+    rows = []
+    for n in lengths:
+        last = N - n
+        offsets = {0, last, *(e for e in edges if e <= last), *(e - n for e in edges if e >= n)}
+        counts = [sum(max(min(b, i + n) - max(a, i), 0) for a, b in runs) for i in offsets]
+        rows.append((n, min(counts), max(counts)))
+    return rows
+
+
+def fraction_estimate(rows, tolerances) -> dict:
+    """The weight estimate of count rows (each with ``n``, ``min_count`` and
+    ``max_count``) as ``Fraction`` arithmetic gives it: w_l_hat, w_u_hat and
+    gap exact, the tail's densities and the last two rows' movement compared
+    with the tolerances as ``Fraction``s."""
+    k = min(tolerances.tail_rows, len(rows))
+    tail = rows[-k:]
+    w_u = max(Fraction(r.max_count, r.n) for r in tail)
+    w_l = min(Fraction(r.min_count, r.n) for r in tail)
+    gap = w_u - w_l
+    if len(tail) >= 2:
+        a, b = tail[-2], tail[-1]
+        trend_ok = (
+            abs(Fraction(b.max_count, b.n) - Fraction(a.max_count, a.n)) <= tolerances.trend
+            and abs(Fraction(b.min_count, b.n) - Fraction(a.min_count, a.n)) <= tolerances.trend
+        )
+    else:
+        trend_ok = True
+    return {
+        "w_l_hat": w_l,
+        "w_u_hat": w_u,
+        "gap": gap,
+        "converged": bool(gap <= tolerances.gap and trend_ok),
+        "tail_rows_used": k,
+    }

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdist import lorentz, windows
@@ -213,7 +213,24 @@ def counted_rows(p, sched, monkeypatch):
     return not walked
 
 
+def limit_case(pattern, horizon, exact):
+    """A ``two_valued_case`` draw of the periodic ``pattern`` at ``horizon``
+    N, with the lengths 1, 2, 3, N // 3, N // 2, N - 1 and N."""
+    values = np.resize(np.array(pattern, dtype=np.float64), horizon)
+    p = Prefix(values=values, horizon=horizon, bound=float(np.abs(values).max()))
+    lengths = sorted({1, 2, 3, horizon // 3, horizon // 2, horizon - 1, horizon})
+    return p, WindowSchedule(tuple(lengths)), exact
+
+
 @given(two_valued_case())
+# Mixed signs at the exactness limit: N * max|v| * 2**k is 2**53 (256 terms,
+# 2**44 and 2**-1), where the counted route's int quotients are at their
+# largest, and 2**53 + 1 (321 = 3 * 107 terms, 28059810762433 and 5), where
+# the prefix takes the float walk.
+@example(limit_case((0.5, -(2.0**44), -(2.0**44)), 256, True))
+@example(limit_case((-(2.0**44), 0.5, 0.5, 0.5), 256, True))
+@example(limit_case((-28059810762433.0, 5.0, 5.0), 321, False))
+@example(limit_case((28059810762433.0, -5.0), 321, False))
 @settings(max_examples=300, deadline=None)
 def test_two_valued_rows_match_float_walk(case):
     # Rows read from one run's counts repeat the float walk's bytes, and the
@@ -260,6 +277,16 @@ def test_a_first_run_of_negative_zeros_is_counted(zeros, monkeypatch):
     p = materialize(spec, n)
     assert p.runs.tolist() == [0, zeros] and p.head.size == 2
     assert counted_rows(p, WindowSchedule.geometric(n), monkeypatch)
+
+
+def test_counted_rows_build_no_fraction(fractions_built):
+    # The counted route's means are int quotients: however many rows the
+    # schedule has, cesaro_profile builds no Fraction.
+    for name in ("F1", "F4", "F6"):
+        for rows in (1, 4, 9):
+            sched = WindowSchedule(tuple(16 * 2**k for k in range(rows)))
+            cesaro_profile(materialize(fixture(name), 2**14), sched)
+    assert fractions_built == []
 
 
 def test_two_valued_fixtures_walk_no_float_prefix(monkeypatch):

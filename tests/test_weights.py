@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import entry_map
+from oracle import entry_map, fraction_estimate
 
 from seqdist import (
     DegenerateEpsilonError,
+    DensityProfile,
+    DensityRow,
     IntervalSet,
     InvalidSpecError,
     Membership,
@@ -34,7 +36,7 @@ from seqdist import (
 from seqdist import sequences, windows
 from seqdist.distribution import is_simply_distributed, mesh_cells, quantized_estimate
 from seqdist.sequences import _CHUNK, ValueIndex
-from seqdist.weights import cluster_starts
+from seqdist.weights import _estimate, cluster_starts
 from seqdist.windows import head_profile, member_profile
 
 
@@ -370,6 +372,67 @@ def test_tolerances_tail_rows_must_be_an_integer(tail_rows):
         Tolerances(tail_rows=tail_rows)
     tol = Tolerances(tail_rows=2.0)
     assert tol.tail_rows == 2 and type(tol.tail_rows) is int
+
+
+def count_row(n, lo, hi):
+    return DensityRow(n=n, min_count=lo, max_count=hi, offsets_scanned=1)
+
+
+@st.composite
+def tail_case(draw):
+    """(rows, tolerances): count rows of lengths up to 64, some of them a
+    multiple (k n, k lo, k hi) of an earlier row so that ratios tie, and
+    tolerances that may be a row movement or a gap of the rows themselves,
+    so that compares land on equality."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            r, k = draw(st.sampled_from(rows)), draw(st.integers(1, 4))
+            rows.append(count_row(k * r.n, k * r.min_count, k * r.max_count))
+        else:
+            n = draw(st.integers(1, 64))
+            lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+            rows.append(count_row(n, lo, hi))
+    ratios = [Fraction(c, r.n) for r in rows for c in (r.min_count, r.max_count)]
+    moves = [abs(a - b) for a in ratios for b in ratios if a != b]
+
+    def tolerance():
+        # A ratio difference as a float is the exact value when it is dyadic.
+        free = st.floats(1e-6, 1.5) | st.sampled_from([2.0**-k for k in range(1, 8)])
+        return draw(free | st.sampled_from([float(m) for m in moves] or [0.5]))
+
+    tol = Tolerances(gap=tolerance(), trend=tolerance(), tail_rows=draw(st.integers(1, 4)))
+    return rows, tol
+
+
+@given(tail_case())
+# A trend move of exactly the trend tolerance, |delta| * q == p * n_a * n_b
+# (1/2 - 1/4 against 1/4), and a gap of exactly the gap tolerance (1/2):
+# both are settled.
+@example(([count_row(4, 0, 1), count_row(8, 0, 4)], Tolerances(gap=0.5, trend=0.25, tail_rows=2)))
+@settings(max_examples=300, deadline=None)
+def test_estimate_compares_ratios_exactly(case):
+    # Integer cross-products give the Fraction formula's estimate, field by
+    # field.
+    rows, tol = case
+    est = _estimate(DensityProfile(rows=tuple(rows)), tol)
+    want = fraction_estimate(rows, tol)
+    assert {name: getattr(est, name) for name in want} == want
+    assert type(est.converged) is bool
+    assert all(type(getattr(est, name)) is Fraction for name in ("w_l_hat", "w_u_hat", "gap"))
+
+
+def test_estimate_builds_a_fixed_number_of_fractions(fractions_built):
+    # Whatever the rows and tail, an estimate builds the same few Fractions:
+    # the stored w_l, w_u and gap, none per row.
+    counts = set()
+    for rows in (1, 4, 64):
+        for tail_rows in (1, 2, 4, 64):
+            prof = DensityProfile(rows=tuple(count_row(n, n // 3, n // 2) for n in range(1, rows + 1)))
+            fractions_built.clear()
+            _estimate(prof, Tolerances(tail_rows=tail_rows))
+            counts.add(len(fractions_built))
+    assert len(counts) == 1 and counts.pop() <= 3
 
 
 @st.composite

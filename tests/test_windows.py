@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import run_count_rows
 
 from seqdist import (
     GOLDEN,
@@ -17,13 +18,16 @@ from seqdist import (
     cesaro_profile,
     count_extrema,
     density_profile,
+    doubling_blocks,
     fixture,
     lorentz_verdict,
     materialize,
     naive_count_extrema,
+    ones_then_zeros,
     periodic,
+    shift,
 )
-from seqdist import windows
+from seqdist import sequences, windows
 from seqdist.cli import main
 from seqdist.windows import SPARSE_SHARE
 
@@ -468,6 +472,139 @@ def test_run_kernel_rows_match_oracle(case):
     m = Membership.from_mask(bits)
     rows = list(windows._run_extrema(bits[starts], starts, bits.size, schedule.lengths))
     assert rows == [(n, *naive_count_extrema(m, n)) for n in schedule.lengths]
+
+
+@st.composite
+def run_spec_case(draw):
+    """(spec, N, flags, lengths): doubling blocks, ones-then-zeros, their
+    shifts or an affine combo of up to three of them, at a horizon up to
+    the cap, one drawn flag per run of the spec's breaks, and a schedule
+    that may hold lengths 1 and N.  Ones-then-zeros alone, or combined only
+    with itself, has a period, and is read from its period's head."""
+
+    def child():
+        base = draw(st.sampled_from(["doubling", "ones"]))
+        spec = doubling_blocks() if base == "doubling" else ones_then_zeros(draw(st.integers(1, 300)))
+        k = draw(st.sampled_from([0, 1, 5, 2**18 - 1, 2**40 + 3]))
+        return shift(spec, k) if k else spec
+
+    children = [child() for _ in range(draw(st.integers(1, 3)))]
+    spec = children[0] if len(children) == 1 else affine_combo(
+        [(draw(st.sampled_from([1.0, -0.5, 2.0])), c) for c in children]
+    )
+    horizon = draw(st.integers(1, sequences.DEFAULT_MAX_HORIZON) | st.integers(1, 5000))
+    runs = len(spec.breaks(horizon)) + 1
+    flags = draw(st.lists(st.booleans(), min_size=runs, max_size=runs))
+    if draw(st.booleans()):
+        lengths = WindowSchedule.geometric(horizon).lengths
+    else:
+        edges = st.sampled_from([1, horizon])
+        lengths = tuple(sorted(draw(st.sets(edges | st.integers(1, horizon), min_size=1, max_size=8))))
+    return spec, horizon, flags, lengths
+
+
+def head_rows(spec, horizon, flags, lengths):
+    """``head_profile`` rows of the terms of ``spec`` in its flagged runs."""
+    p = materialize(spec, horizon)
+    flags = np.array(flags)
+    if p.runs is None:
+        # One period's head, or every term: each entry is a term.
+        edges = [0, *(b - 1 for b in spec.breaks(horizon)), horizon]
+        flags = flags[np.searchsorted(edges, np.arange(p.head.size), "right") - 1]
+    prof = windows.head_profile(p, flags, WindowSchedule(lengths))
+    return p, [(r.n, r.min_count, r.max_count) for r in prof.rows]
+
+
+@given(run_spec_case(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_run_rows_match_plain_integer_rows_up_to_the_cap(case, per_group):
+    # The run-start kernel reads every row of a group in one pass; with
+    # sequences._CHUNK patched to hold `per_group` rows, the rows split into
+    # groups and read the same.
+    spec, horizon, flags, lengths = case
+    want = run_count_rows(spec, flags, horizon, lengths)
+    p, got = head_rows(spec, horizon, flags, lengths)
+    assert got == want
+    if p.runs is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_CHUNK", per_group * 2 * p.runs.size)
+            assert head_rows(spec, horizon, flags, lengths)[1] == want
+
+
+@pytest.mark.parametrize("spec", [fixture("F1"), fixture("F6"), shift(fixture("F6"), 7)])
+def test_plain_integer_rows_match_the_naive_oracle(spec):
+    horizon = 1500
+    edges = [0, *(b - 1 for b in spec.breaks(horizon)), horizon]
+    lengths = (1, 16, 100, 700, horizon)
+    for flags in ([k % 2 == 0 for k in range(len(edges) - 1)], [True] * (len(edges) - 1)):
+        terms = np.array(flags)[np.searchsorted(edges, np.arange(horizon), "right") - 1]
+        m = Membership.from_mask(terms)
+        assert run_count_rows(spec, flags, horizon, lengths) == [
+            (n, *naive_count_extrema(m, n)) for n in lengths
+        ]
+
+
+def test_doubling_blocks_rows_at_the_cap():
+    # F6 at the default horizon cap: every row of its ones, and of its
+    # zeros, equals the plain-integer rows.
+    horizon = sequences.DEFAULT_MAX_HORIZON
+    spec = fixture("F6")
+    runs = len(spec.breaks(horizon)) + 1
+    lengths = WindowSchedule.geometric(horizon).lengths
+    for flags in ([k % 2 == 0 for k in range(runs)], [k % 2 == 1 for k in range(runs)]):
+        assert head_rows(spec, horizon, flags, lengths)[1] == run_count_rows(
+            spec, flags, horizon, lengths
+        )
+
+
+class CountingNumpy:
+    """Stands in for ``windows.np``: counts the calls made through it and
+    keeps the largest size of an array one of them returned."""
+
+    def __init__(self):
+        self.calls = 0
+        self.largest = 0
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if not callable(f) or isinstance(f, type):
+            return f
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            out = f(*args, **kwargs)
+            self.largest = max(self.largest, np.size(out))
+            return out
+
+        return counted
+
+
+def test_run_kernel_calls_numpy_per_group_not_per_row(monkeypatch):
+    # 20 runs (doubling blocks over 2**20 terms); each group of rows costs
+    # the same fixed number of numpy calls, whatever its row count, and no
+    # array a call returns exceeds sequences._CHUNK entries.
+    horizon = 2**20
+    p = materialize(fixture("F6"), horizon)
+    bits = p.head == 1.0
+    width = 2 * p.runs.size
+
+    def calls(rows, chunk):
+        spy = CountingNumpy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_CHUNK", chunk)
+            mp.setattr(windows, "np", spy)
+            lengths = tuple(16 * 2**k for k in range(rows))
+            got = list(windows._run_extrema(bits, p.runs, horizon, lengths))
+        assert len(got) == rows
+        assert spy.largest <= chunk
+        return spy.calls
+
+    one = calls(1, sequences._CHUNK)
+    assert calls(4, sequences._CHUNK) == calls(16, sequences._CHUNK) == one
+    per_group = calls(8, 4 * width) - calls(4, 4 * width)
+    assert per_group > 0
+    assert calls(16, 4 * width) == one + 3 * per_group
+    assert calls(16, width) == one + 15 * per_group
 
 
 def test_count_kernel_needs_blocks_of_at_most_2_15(monkeypatch):
