@@ -21,10 +21,13 @@ file holding one sequence as flat ``key = value`` lines, e.g.::
 Lists are comma-separated, with no empty entry; ``#`` starts a comment; an
 optional ``bound`` line may widen (never narrow) the certified bound, and an
 optional ``shift`` line translates the sequence (term n becomes term
-n + shift); affine children are fixture names.  Exit codes: 0 success, 2
-usage or parse error, 3 resource limit.  Machine formats (jsonl, csv) are deterministic for a fixed
-configuration and carry a schema field; every density decimal travels with
-its exact (count, n) pair.
+n + shift); affine children are fixture names.  A key or flag whose token
+does not parse fails as ``could not parse <key or flag>: '<token>'``, and a
+kind without one of its keys as ``kind '<kind>' needs a '<key>' line``.
+Exit codes: 0 success, 2 usage or parse error, 3 resource limit.  Machine
+formats (jsonl, csv) are deterministic for a fixed configuration and carry
+a schema field; every density decimal travels with its exact (count, n)
+pair.
 """
 
 from __future__ import annotations
@@ -74,6 +77,47 @@ CSV_FIELDS = (
 )
 
 
+def _parse(what: str, raw: str, parse):
+    """``parse(raw)``, or an InvalidSpecError naming ``what`` and ``raw``
+    when it raises ValueError; every spec key and flag is read here."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise InvalidSpecError(f"could not parse {what}: {raw!r}") from exc
+
+
+def _list(parse):
+    """A parser of comma-separated ``parse`` tokens."""
+    return lambda raw: [parse(tok) for tok in raw.split(",")]
+
+
+def _split(parse, sep: str):
+    """A parser of exactly two ``parse`` tokens joined by ``sep``; the
+    token is read in lower case, so a letter ``sep`` matches either case."""
+    def pair(raw: str):
+        a, b = raw.lower().split(sep)
+        return parse(a), parse(b)
+    return pair
+
+
+def _combo(coefficients: list[float], children: list[str]) -> SequenceSpec:
+    if len(children) != len(coefficients):
+        raise InvalidSpecError("coefficients and children must pair up")
+    return affine_combo(zip(coefficients, map(fixture, children)))
+
+
+# Each kind's constructor and the keys it takes, in order, with their parsers.
+_KINDS = {
+    "periodic": (periodic, {"pattern": _list(float)}),
+    "ones-then-zeros": (ones_then_zeros, {"n0": int}),
+    "rotation": (rotation, {"alpha": float}),
+    "doubling-blocks": (doubling_blocks, {}),
+    "dyadic-harmonic": (dyadic_harmonic, {}),
+    "table": (table, {"values": _list(float)}),
+    "affine-combo": (_combo, {"coefficients": _list(float), "children": _list(str.strip)}),
+}
+
+
 def parse_spec_file(text: str) -> SequenceSpec:
     """Parse the flat key=value grammar into a spec."""
     fields: dict[str, str] = {}
@@ -93,60 +137,19 @@ def parse_spec_file(text: str) -> SequenceSpec:
     kind = fields.pop("kind")
     declared_bound = fields.pop("bound", None)
     declared_shift = fields.pop("shift", None)
-
-    def floats(key: str) -> list[float]:
-        raw = fields.pop(key, None)
-        if raw is None:
-            raise InvalidSpecError(f"kind {kind!r} needs a {key!r} line")
-        try:
-            return [float(tok) for tok in raw.split(",")]
-        except ValueError as exc:
-            raise InvalidSpecError(f"could not parse {key!r}: {raw!r}") from exc
-
-    if kind == "periodic":
-        spec = periodic(floats("pattern"))
-    elif kind == "ones-then-zeros":
-        raw = fields.pop("n0", None)
-        if raw is None:
-            raise InvalidSpecError("ones-then-zeros needs an n0 line")
-        try:
-            spec = ones_then_zeros(int(raw))
-        except ValueError as exc:
-            raise InvalidSpecError(f"could not parse n0: {raw!r}") from exc
-    elif kind == "rotation":
-        vals = floats("alpha")
-        if len(vals) != 1:
-            raise InvalidSpecError("rotation takes a single alpha")
-        spec = rotation(vals[0])
-    elif kind == "doubling-blocks":
-        spec = doubling_blocks()
-    elif kind == "dyadic-harmonic":
-        spec = dyadic_harmonic()
-    elif kind == "table":
-        spec = table(floats("values"))
-    elif kind == "affine-combo":
-        coefs = floats("coefficients")
-        raw = fields.pop("children", None)
-        if raw is None:
-            raise InvalidSpecError("affine-combo needs a children line")
-        names = [tok.strip() for tok in raw.split(",")]
-        if len(names) != len(coefs):
-            raise InvalidSpecError("coefficients and children must pair up")
-        spec = affine_combo(list(zip(coefs, (fixture(n) for n in names))))
-    else:
+    if kind not in _KINDS:
         raise InvalidSpecError(f"unknown kind {kind!r}")
+    make, keys = _KINDS[kind]
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise InvalidSpecError(f"kind {kind!r} needs a {missing[0]!r} line")
+    spec = make(*(_parse(repr(key), fields.pop(key), parse) for key, parse in keys.items()))
     if fields:
         raise InvalidSpecError(f"unrecognized keys: {sorted(fields)}")
     if declared_shift is not None:
-        try:
-            spec = shift(spec, int(declared_shift))
-        except ValueError as exc:
-            raise InvalidSpecError(f"could not parse shift: {declared_shift!r}") from exc
+        spec = shift(spec, _parse("'shift'", declared_shift, int))
     if declared_bound is not None:
-        try:
-            explicit = float(declared_bound)
-        except ValueError as exc:
-            raise InvalidSpecError(f"could not parse bound: {declared_bound!r}") from exc
+        explicit = _parse("'bound'", declared_bound, float)
         if explicit < spec.bound:
             raise InvalidSpecError(
                 f"declared bound {explicit} is below the certified bound {spec.bound}"
@@ -174,14 +177,6 @@ def _meta_row(source: str, horizon: int, bound: float, label: str) -> dict:
     }
 
 
-def _weight_fields(w) -> dict:
-    return {
-        "converged": w.converged,
-        **_fraction_fields("w_l", w.w_l_hat),
-        **_fraction_fields("w_u", w.w_u_hat),
-    }
-
-
 def _row(record: str, obj, names, **extra) -> dict:
     """A ``record`` row copying the named attributes of a result object."""
     return {"record": record, **{name: getattr(obj, name) for name in names}, **extra}
@@ -191,7 +186,10 @@ def _estimate_rows(record: str, key: str, w, **head) -> list[dict]:
     """A weight estimate's ``record`` row, then one ``{record}_window`` row per
     density-profile row, each tagged ``key: head[key]``."""
     return [
-        {"record": record, **head, **_weight_fields(w)},
+        {
+            "record": record, **head, "converged": w.converged,
+            **_fraction_fields("w_l", w.w_l_hat), **_fraction_fields("w_u", w.w_u_hat),
+        },
         *(
             _row(f"{record}_window", r, ("n", "min_count", "max_count"),
                  offsets=r.offsets_scanned, min_density=r.min_count / r.n,
@@ -199,6 +197,11 @@ def _estimate_rows(record: str, key: str, w, **head) -> list[dict]:
             for r in w.per_window.rows
         ),
     ]
+
+
+def _weight_rows(label: str, w) -> list[dict]:
+    """The ``weight`` rows of a labelled weight estimate."""
+    return _estimate_rows("weight", "label", w, label=label, gap=float(w.gap))
 
 
 def analyze_rows(meta: dict, record) -> list[dict]:
@@ -324,20 +327,8 @@ def _parse_schedule(args, horizon: int) -> WindowSchedule:
     if args.lengths and args.schedule:
         raise InvalidSpecError("give either --lengths or --schedule, not both")
     if args.lengths:
-        try:
-            lengths = tuple(int(tok) for tok in args.lengths.split(","))
-        except ValueError as exc:
-            raise InvalidSpecError(f"bad --lengths {args.lengths!r}") from exc
-        return WindowSchedule(lengths)
-    base, ratio = 16, 2
-    if args.schedule:
-        try:
-            base_s, ratio_s = args.schedule.lower().split("x", 1)
-            base, ratio = int(base_s), int(ratio_s)
-        except ValueError as exc:
-            raise InvalidSpecError(
-                f"--schedule wants BASExRATIO (e.g. 16x2), got {args.schedule!r}"
-            ) from exc
+        return WindowSchedule(_parse("--lengths", args.lengths, _list(int)))
+    base, ratio = _parse("--schedule", args.schedule or "16x2", _split(int, "x"))
     return WindowSchedule.geometric(horizon, base=base, ratio=ratio)
 
 
@@ -359,14 +350,6 @@ def cmd_analyze(args) -> int:
     return _emit(analyze_rows(meta, record), args)
 
 
-def _parse_interval(token: str) -> tuple[float, float]:
-    try:
-        lo_s, hi_s = token.split(":", 1)
-        return float(lo_s), float(hi_s)
-    except ValueError as exc:
-        raise InvalidSpecError(f"--interval wants LO:HI, got {token!r}") from exc
-
-
 def cmd_weights(args) -> int:
     source, spec, schedule, tol = _config_from(args)
     if not args.interval and args.value is None:
@@ -375,7 +358,7 @@ def cmd_weights(args) -> int:
     rows = [_meta_row(source, args.horizon, spec.bound, spec.describe())]
     targets: list[tuple[str, IntervalSet]] = []
     for token in args.interval or ():
-        lo, hi = _parse_interval(token)
+        lo, hi = _parse("--interval", token, _split(float, ":"))
         if lo < -p.bound or hi > p.bound:
             raise InvalidSpecError(
                 f"interval [{lo}, {hi}) outside the bound [-{p.bound}, {p.bound}]"
@@ -386,8 +369,7 @@ def cmd_weights(args) -> int:
             (f"[{v!r} +/- {args.epsilon!r})", interval_about(v, args.epsilon, p.bound))
         )
     for label, region in targets:
-        w = set_weight(p, region, schedule, tol)
-        rows.extend(_estimate_rows("weight", "label", w, label=label, gap=float(w.gap)))
+        rows.extend(_weight_rows(label, set_weight(p, region, schedule, tol)))
     return _emit(rows, args)
 
 
@@ -417,7 +399,7 @@ def cmd_demo_nonmeasure(args) -> int:
     cases = [(f"ones-then-zeros(n0={n0}) near 1", ones_then_zeros(n0)) for n0 in (1, 10, 100)]
     for label, spec in [*cases, ("all-ones near 1", fixture("F2"))]:
         w = set_weight(materialize(spec, horizon), interval_about(1.0, 0.1, 1.0), schedule)
-        rows.extend(_estimate_rows("weight", "label", w, label=label, gap=float(w.gap)))
+        rows.extend(_weight_rows(label, w))
     return _emit(rows, args)
 
 
@@ -428,36 +410,25 @@ def build_parser() -> argparse.ArgumentParser:
         "for bounded sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--horizon", type=int, default=10_000, help="prefix length N")
+    report.add_argument("--format", choices=FORMATS, default="table")
+    report.add_argument("--out", help="write the report here instead of stdout")
+    sequence = argparse.ArgumentParser(add_help=False)
+    sequence.add_argument("--fixture", choices=FIXTURE_NAMES, help="built-in sequence")
+    sequence.add_argument("--spec-file", help="path to a key=value spec file")
+    sequence.add_argument(
+        "--schedule", help="geometric window schedule as BASExRATIO (default 16x2)"
+    )
+    sequence.add_argument("--lengths", help="explicit comma-separated window lengths")
+    sequence.add_argument("--tolerance-gap", type=float, default=DEFAULT_TOLERANCES.gap)
+    sequence.add_argument("--tolerance-trend", type=float, default=DEFAULT_TOLERANCES.trend)
+    both = [sequence, report]
 
-    def add_common(sp, with_spec=True):
-        if with_spec:
-            sp.add_argument("--fixture", choices=FIXTURE_NAMES, help="built-in sequence")
-            sp.add_argument("--spec-file", help="path to a key=value spec file")
-            sp.add_argument(
-                "--horizon", type=int, default=10_000, help="prefix length N"
-            )
-            sp.add_argument(
-                "--schedule",
-                help="geometric window schedule as BASExRATIO (default 16x2)",
-            )
-            sp.add_argument(
-                "--lengths", help="explicit comma-separated window lengths"
-            )
-            sp.add_argument(
-                "--tolerance-gap", type=float, default=DEFAULT_TOLERANCES.gap
-            )
-            sp.add_argument(
-                "--tolerance-trend", type=float, default=DEFAULT_TOLERANCES.trend
-            )
-        sp.add_argument("--format", choices=FORMATS, default="table")
-        sp.add_argument("--out", help="write the report here instead of stdout")
-
-    sp_analyze = sub.add_parser("analyze", help="full cross-validated report")
-    add_common(sp_analyze)
+    sp_analyze = sub.add_parser("analyze", parents=both, help="full cross-validated report")
     sp_analyze.set_defaults(func=cmd_analyze)
 
-    sp_weights = sub.add_parser("weights", help="interval / value weight tables")
-    add_common(sp_weights)
+    sp_weights = sub.add_parser("weights", parents=both, help="interval / value weight tables")
     sp_weights.add_argument(
         "--interval", action="append", help="half-open interval LO:HI (repeatable)"
     )
@@ -470,10 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp_weights.set_defaults(func=cmd_weights)
 
     sp_demo = sub.add_parser(
-        "demo-nonmeasure", help="finite additivity vs countable additivity demo"
+        "demo-nonmeasure", parents=[report], help="finite additivity vs countable additivity demo"
     )
-    sp_demo.add_argument("--horizon", type=int, default=10_000)
-    add_common(sp_demo, with_spec=False)
     sp_demo.set_defaults(func=cmd_demo_nonmeasure)
     return parser
 

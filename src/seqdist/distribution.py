@@ -65,6 +65,7 @@ class IntervalSet:
     ``top_closed`` additionally includes the right endpoint of the last
     interval, which is how a cell touching the sequence bound +M gets to
     contain +M itself (half-open cells alone can never cover the supremum).
+    A top-closed last interval may then be the single point [b, b].
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -72,8 +73,9 @@ class IntervalSet:
 
     def __post_init__(self):
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        for a, b in ivs:
-            if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
+        for k, (a, b) in enumerate(ivs, start=1):
+            point = a == b and self.top_closed and k == len(ivs)
+            if not (math.isfinite(a) and math.isfinite(b)) or (a >= b and not point):
                 raise InvalidSpecError(f"need finite a < b, got [{a}, {b})")
         for (_, b0), (a1, _) in zip(ivs, ivs[1:]):
             if a1 < b0:
@@ -111,9 +113,12 @@ def interval_about(center: float, epsilon: float, bound: float) -> IntervalSet:
     """[center - epsilon, center + epsilon) clipped to [-bound, bound].
 
     When the window sticks out past +bound the clipped cell is closed at the
-    top, so a sequence sitting exactly on its bound is still covered.
-    Windows entirely outside, or degenerating to a point after clipping,
-    come back empty; a center that is not finite is rejected.
+    top, so a sequence sitting exactly on its bound is still covered, and a
+    window whose clip is the single point +bound is that point.  The bottom
+    stays half-open: a window entirely outside, or one ending at -bound,
+    comes back empty.  So for every term x within the bound, x lies in the
+    result iff center - epsilon <= x < center + epsilon.  A center that is
+    not finite is rejected.
     """
     if not epsilon > 0:
         raise InvalidSpecError("epsilon must be positive")
@@ -121,9 +126,10 @@ def interval_about(center: float, epsilon: float, bound: float) -> IntervalSet:
         raise InvalidSpecError(f"center must be finite, got {center!r}")
     lo = max(center - epsilon, -bound)
     hi = min(center + epsilon, bound)
-    if lo >= hi:
+    top_closed = center + epsilon > bound
+    if lo > hi or (lo == hi and not top_closed):
         return IntervalSet(intervals=())
-    return IntervalSet(intervals=((lo, hi),), top_closed=center + epsilon > bound)
+    return IntervalSet(intervals=((lo, hi),), top_closed=top_closed)
 
 
 @dataclass(frozen=True)
@@ -242,6 +248,25 @@ def set_weight(
     """
     sched = schedule if schedule is not None else WindowSchedule.geometric(p.horizon)
     return head_weight(p, region.contains(p.head), sched, tolerances)
+
+
+def sublimit_weight(
+    p: Prefix,
+    a: float,
+    epsilon: float,
+    schedule: WindowSchedule,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> WeightEstimate:
+    """Weight estimate of the terms lying in [a - epsilon, a + epsilon).
+
+    For an isolated candidate sub-limit with separation >= epsilon this
+    estimates the weight of ``a`` itself: those terms are its essential
+    subsequence, which every subsequence converging to ``a`` eventually
+    lies in.  It is the ``set_weight`` of ``interval_about(a, epsilon,
+    p.bound)``, so interval and sub-limit weights count the very same
+    index set.
+    """
+    return set_weight(p, interval_about(a, epsilon, p.bound), schedule, tolerances)
 
 
 def _group_bounds(uniq: np.ndarray, tol: float) -> np.ndarray:

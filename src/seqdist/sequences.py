@@ -490,12 +490,21 @@ class Prefix:
         from the first t + q terms of a ``period`` (t, q), t + q < horizon,
         from the first term of each run of ``runs``, or from the first term
         of each 2-adic class of offset ``classes`` that occurs, fewer than
-        horizon."""
+        horizon.
+
+        Each entry's first position, and its last where that differs, are
+        evaluated by one ``_at``, so a run's last term and the next run's
+        first share one range.  Every position belongs to one entry, so
+        these positions are distinct."""
         p = cls.__new__(cls)
         p.__dict__.update(_evaluate=f, horizon=horizon, period=period, runs=runs, classes=classes)
         firsts = np.arange(sum(period)) if period else np.array(p.strides[0], dtype=np.int64)
-        p.__dict__["head"] = _at(f, firsts + 1)
-        if not np.array_equal(p.head.view(np.int64), _at(f, p.copies[1]).view(np.int64)):
+        firsts += 1
+        lasts = p.copies[1]
+        moved = np.flatnonzero(lasts != firsts)
+        terms = _at(f, np.concatenate([firsts, lasts[moved]]))
+        p.__dict__["head"] = head = terms[: firsts.size].copy()
+        if not np.array_equal(head[moved].view(np.int64), terms[firsts.size :].view(np.int64)):
             raise p._mismatch()
         p._settle(bound)
         return p

@@ -177,29 +177,6 @@ def run_weights(
     return tuple(_estimate(prof, tolerances) for prof in run_profiles(p, starts, ids, schedule))
 
 
-def sublimit_weight(
-    p: Prefix,
-    a: float,
-    epsilon: float,
-    schedule: WindowSchedule,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> WeightEstimate:
-    """Weight estimate of the terms lying in [a - epsilon, a + epsilon).
-
-    For an isolated candidate sub-limit with separation >= epsilon this
-    estimates the weight of ``a`` itself: those terms are its essential
-    subsequence, which every subsequence converging to ``a`` eventually
-    lies in.  The window is half-open so that interval weights and
-    sub-limit weights count the very same index set.
-    """
-    if not epsilon > 0:
-        raise InvalidSpecError("epsilon must be positive")
-    if not np.isfinite(a):
-        raise InvalidSpecError(f"a must be finite, got {a!r}")
-    mask = (p.head >= a - epsilon) & (p.head < a + epsilon)
-    return head_weight(p, mask, schedule, tolerances)
-
-
 @dataclass(frozen=True)
 class SubLimitCluster:
     """One recurrent value cluster: a finite-scale sub-limit candidate."""

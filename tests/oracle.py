@@ -3,8 +3,8 @@ to compare with.
 
 Each is computed from the filled terms, from a prefix's layout attributes
 (``horizon``, ``period``, ``runs``, ``classes``, ``strides``) or from a
-spec's ``breaks``, with numpy or Python integers and ``Fraction``s alone,
-and calls no other library code.
+spec's layout (``period``, ``breaks``, ``classes``), with numpy or Python
+integers and ``Fraction``s alone, and calls no other library code.
 """
 
 from fractions import Fraction
@@ -46,9 +46,86 @@ def last_terms(values: np.ndarray, uniq: np.ndarray, starts) -> np.ndarray:
     return out
 
 
-def run_count_rows(spec, flagged, N, lengths) -> list[tuple[int, int, int]]:
+def count_rows(spec, flagged, N, lengths) -> list[tuple[int, int, int]]:
     """(n, min, max) window counts, for each n in ``lengths``, of the first
-    N terms of ``spec`` that lie in a flagged run, in Python integers.
+    N terms of ``spec`` that repeat a flagged head entry, in Python ints.
+
+    ``flagged`` holds one flag per entry of the head that ``materialize``
+    gives ``spec`` at N terms: for a spec with a period (t, q), one per
+    term of the first min(N, t + q); for a spec with breaks, one per run;
+    for a spec with a class rule and N >= 4, one per 2-adic class that
+    occurs among the N terms, ascending.
+    """
+    period = spec.period()
+    if period is not None:
+        return _period_rows(*period, flagged, N, lengths)
+    if spec.breaks(N) is not None:
+        return _run_rows(spec, flagged, N, lengths)
+    assert spec.classes() is not None, "the spec has no period, breaks or classes"
+    return _class_rows(spec.classes(), flagged, N, lengths)
+
+
+def _extrema(below, N, lengths, span) -> list[tuple[int, int, int]]:
+    """(n, min, max) of below(i + n) - below(i) over the offsets i from 0
+    to min(span, N - n + 1) - 1, where below(k), vectorized over an int64
+    array, counts the flagged terms among the first k."""
+    rows = []
+    for n in lengths:
+        i = np.arange(min(span, N - n + 1), dtype=np.int64)
+        counts = below(i + n) - below(i)
+        rows.append((n, int(counts.min()), int(counts.max())))
+    return rows
+
+
+def _period_rows(t, q, flagged, N, lengths) -> list[tuple[int, int, int]]:
+    """``count_rows`` of a spec with a period (t, q).
+
+    The 0-based term k < t is entry k, and a later one entry
+    t + (k - t) mod q, residue (k - t) mod q.  Residue j has
+    (k - t - j + q - 1) // q terms below k > t + j, by floor division, so
+    the flagged residues have (k - t) // q times their number below k, and
+    those of the last (k - t) mod q residues once more.  A window past
+    offset t + q repeats the window q terms earlier, so only the offsets
+    below min(t + q, N - n + 1) are counted.  Entries past the N terms
+    (N <= t + q) are unflagged.
+    """
+    flags = np.zeros(t + q, dtype=np.int64)
+    flags[: len(flagged)] = flagged
+    lone = np.concatenate(([0], np.cumsum(flags[:t])))
+    residues = np.concatenate(([0], np.cumsum(flags[t:])))
+
+    def below(k):
+        past = np.maximum(k - t, 0)
+        return lone[np.minimum(k, t)] + past // q * residues[q] + residues[past % q]
+
+    return _extrema(below, N, lengths, t + q)
+
+
+def _class_rows(s, flagged, N, lengths) -> list[tuple[int, int, int]]:
+    """``count_rows`` of a spec whose 1-based term m lies in the 2-adic
+    class j with m + s = 2**(j - 1) mod 2**j.
+
+    Class j has (k + s - 2**(j - 1)) // 2**j - (s - 2**(j - 1)) // 2**j
+    terms among the first k, by floor division, and occurs iff it has one
+    among the N.  Whether a term is flagged depends on its class only up to
+    b, the largest flagged class, so the flagged terms repeat with period
+    2**b and only the offsets below min(2**b, N - n + 1) are counted.
+    """
+    def among(j, k):
+        return (k + s - 2 ** (j - 1)) // 2**j - (s - 2 ** (j - 1)) // 2**j
+
+    occurs = [j for j in range(1, (N + s).bit_length() + 1) if among(j, N) > 0]
+    assert len(flagged) == len(occurs), "one flag per class that occurs"
+    classes = [j for j, f in zip(occurs, flagged) if f]
+
+    def below(k):
+        return sum((among(j, k) for j in classes), np.zeros_like(k))
+
+    return _extrema(below, N, lengths, 2 ** max(classes, default=0))
+
+
+def _run_rows(spec, flagged, N, lengths) -> list[tuple[int, int, int]]:
+    """``count_rows`` of a spec with breaks.
 
     The runs are cut at ``spec.breaks(N)``: run k holds the 1-based terms
     from its start (1, then each break) up to the next start or N, and

@@ -190,6 +190,26 @@ def test_weights_value_near_one(capsys):
     assert weight["w_l"] == weight["w_u"] == 1.0
 
 
+def test_a_value_window_clipped_to_the_top_point_weighs_that_point(capsys, tmp_path):
+    # [1.5 - 0.5, 1.5 + 0.5) meets F4's [-1, 1] in the point 1, every third
+    # term, as [1 - 0.05, 1 + 0.05) does; a zero sequence lies wholly in
+    # the window of 0, clipped to its bound 0.
+    def weight_rows(argv):
+        code, out, err = run(capsys, [*argv, "--horizon", "3000", "--format", "jsonl"])
+        assert code == 0 and err == ""
+        rows = [json.loads(line) for line in out.splitlines()][1:]
+        assert rows and all(row.pop("label") for row in rows)
+        return rows
+
+    top = weight_rows(["weights", "--fixture", "F4", "--value", "1.5", "--epsilon", "0.5"])
+    assert top == weight_rows(["weights", "--fixture", "F4", "--value", "1", "--epsilon", "0.05"])
+    assert top[0]["w_l"] > 0.3
+    path = tmp_path / "zero.spec"
+    path.write_text("kind = periodic\npattern = 0\n")
+    zero = weight_rows(["weights", "--spec-file", str(path), "--value", "0"])
+    assert (zero[0]["w_l"], zero[0]["w_u"]) == (1.0, 1.0)
+
+
 def test_weights_requires_target(capsys):
     code, _, err = run(capsys, ["weights", "--fixture", "F2", "--horizon", "100"])
     assert code == 2
@@ -280,7 +300,7 @@ def test_bad_usage_exit_codes(capsys, tmp_path):
     assert code == 2 and "fixture" in err
     for lengths, cause in (
         ("7,3", "strictly increasing"), ("5,3", "strictly increasing"),
-        ("0,5", "window length"), ("4,x", "bad --lengths"),
+        ("0,5", "window length"), ("4,x", "could not parse --lengths"),
     ):
         code, _, err = run(
             capsys, ["analyze", "--fixture", "F2", "--horizon", "100", "--lengths", lengths]
@@ -373,6 +393,44 @@ def test_a_bad_spec_file_exits_2(capsys, tmp_path, data, cause):
     path.write_bytes(data)
     code, out, err = run(capsys, ["analyze", "--spec-file", str(path), "--horizon", "64"])
     assert code == 2 and out == "" and err.startswith("seqdist:") and cause in err
+
+
+@pytest.mark.parametrize("spec, argv, named", [
+    # One malformed token for each spec key.
+    ("kind = periodic\npattern = 1, x\n", [], "pattern"),
+    ("kind = ones-then-zeros\nn0 = 3.5\n", [], "n0"),
+    ("kind = rotation\nalpha = 1/3\n", [], "alpha"),
+    ("kind = table\nvalues = 1, 2, three\n", [], "values"),
+    ("kind = affine-combo\ncoefficients = 1, a\nchildren = F2, F3\n", [], "coefficients"),
+    ("kind = affine-combo\ncoefficients = 1, 2\nchildren = F2\n", [], "children"),
+    ("kind = periodic\npattern = 1\nshift = two\n", [], "shift"),
+    ("kind = periodic\npattern = 1\nbound = big\n", [], "bound"),
+    # Each kind without its key, and an unknown kind.
+    ("kind = periodic\n", [], "pattern"),
+    ("kind = ones-then-zeros\n", [], "n0"),
+    ("kind = rotation\n", [], "alpha"),
+    ("kind = table\n", [], "values"),
+    ("kind = affine-combo\nchildren = F2\n", [], "coefficients"),
+    ("kind = affine-combo\ncoefficients = 1\n", [], "children"),
+    ("kind = spiral\n", [], "kind"),
+    # Each flag that takes a token apart.
+    (None, ["analyze", "--lengths", "4,x"], "--lengths"),
+    (None, ["analyze", "--schedule", "abc"], "--schedule"),
+    (None, ["analyze", "--schedule", "8x"], "--schedule"),
+    (None, ["analyze", "--schedule", "1x2x3"], "--schedule"),
+    (None, ["weights", "--interval", "0.1"], "--interval"),
+    (None, ["weights", "--interval", "a:b"], "--interval"),
+])
+def test_every_parse_failure_exits_2_naming_its_input(capsys, tmp_path, spec, argv, named):
+    if spec is None:
+        argv = [argv[0], "--fixture", "F4", *argv[1:]]
+    else:
+        path = tmp_path / "seq.spec"
+        path.write_text(spec)
+        argv = ["analyze", "--spec-file", str(path)]
+    code, out, err = run(capsys, [*argv, "--horizon", "64"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("seqdist:") and named in err
 
 
 @pytest.mark.parametrize("flag", ["--tolerance-gap", "--tolerance-trend"])

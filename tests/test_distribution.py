@@ -108,6 +108,15 @@ def test_interval_about_clipping():
     s2 = interval_about(0.0, 0.1, 1.0)
     assert s2.intervals == ((-0.1, 0.1),) and not s2.top_closed
     assert interval_about(5.0, 0.1, 1.0).intervals == ()
+    # Clipped to the top point M the window is {M}; clipped to the bottom
+    # point -M it is empty, since the bottom end stays half-open.
+    top = interval_about(1.5, 0.5, 1.0)
+    assert top.intervals == ((1.0, 1.0),) and top.top_closed
+    assert top.contains(np.array([0.99, 1.0])).tolist() == [False, True]
+    assert interval_about(-1.5, 0.5, 1.0).intervals == ()
+    assert interval_about(0.0, 0.05, 0.0).contains(np.array([0.0, -0.0])).all()
+    with pytest.raises(InvalidSpecError):
+        IntervalSet(intervals=((1.0, 1.0), (2.0, 3.0)), top_closed=True)
 
 
 # ----------------------------------------------------------------- set_weight

@@ -98,6 +98,32 @@ def test_essential_indices_window_is_half_open():
     assert sublimit_weight(p3, 1.5, 0.5, sched).per_window.rows[0].max_count == 5
 
 
+@st.composite
+def window_case(draw):
+    """A prefix of F4, F5, F7 or the zero sequence and a window [a - e,
+    a + e) that lies inside, across or outside [-M, M], often touching
+    -M or +M at either end."""
+    spec = draw(st.sampled_from([fixture("F4"), fixture("F5"), fixture("F7"), periodic((0.0,))]))
+    p = materialize(spec, draw(st.integers(1, 3000)))
+    m = p.bound
+    e = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0, 2.5]) | st.floats(1e-3, 3.0))
+    anchor = draw(st.sampled_from([-m, 0.0, m]) | st.sampled_from(p.head[:20].tolist()))
+    a = anchor + draw(st.sampled_from([-2 * e, -e, -e / 2, 0.0, e / 2, e, 2 * e]))
+    return p, a, e
+
+
+@given(window_case())
+@settings(max_examples=200, deadline=None)
+def test_sublimit_and_interval_weights_count_the_window_of_the_filled_terms(case):
+    # A window clipped to the point +M weighs the terms at M; one that ends
+    # at -M weighs nothing, since the bottom stays half-open.
+    p, a, e = case
+    sched = WindowSchedule.geometric(p.horizon)
+    want = mask_weight((p.values >= a - e) & (p.values < a + e), sched)
+    assert sublimit_weight(p, a, e, sched) == want
+    assert set_weight(p, interval_about(a, e, p.bound), sched) == want
+
+
 def test_sublimit_weight_matches_composition():
     p = materialize(fixture("F4"), 5000)
     sched = WindowSchedule.geometric(5000)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import run_count_rows
+from oracle import count_rows, entry_map
 
 from seqdist import (
     GOLDEN,
@@ -19,6 +19,7 @@ from seqdist import (
     count_extrema,
     density_profile,
     doubling_blocks,
+    dyadic_harmonic,
     fixture,
     lorentz_verdict,
     materialize,
@@ -504,7 +505,8 @@ def run_spec_case(draw):
 
 
 def head_rows(spec, horizon, flags, lengths):
-    """``head_profile`` rows of the terms of ``spec`` in its flagged runs."""
+    """(prefix, head flags, ``head_profile`` rows) of the terms of ``spec``
+    in its flagged runs."""
     p = materialize(spec, horizon)
     flags = np.array(flags)
     if p.runs is None:
@@ -512,7 +514,7 @@ def head_rows(spec, horizon, flags, lengths):
         edges = [0, *(b - 1 for b in spec.breaks(horizon)), horizon]
         flags = flags[np.searchsorted(edges, np.arange(p.head.size), "right") - 1]
     prof = windows.head_profile(p, flags, WindowSchedule(lengths))
-    return p, [(r.n, r.min_count, r.max_count) for r in prof.rows]
+    return p, flags, [(r.n, r.min_count, r.max_count) for r in prof.rows]
 
 
 @given(run_spec_case(), st.integers(1, 3))
@@ -522,37 +524,127 @@ def test_run_rows_match_plain_integer_rows_up_to_the_cap(case, per_group):
     # sequences._CHUNK patched to hold `per_group` rows, the rows split into
     # groups and read the same.
     spec, horizon, flags, lengths = case
-    want = run_count_rows(spec, flags, horizon, lengths)
-    p, got = head_rows(spec, horizon, flags, lengths)
+    p, head_flags, got = head_rows(spec, horizon, flags, lengths)
+    want = count_rows(spec, head_flags.tolist(), horizon, lengths)
     assert got == want
     if p.runs is not None:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sequences, "_CHUNK", per_group * 2 * p.runs.size)
-            assert head_rows(spec, horizon, flags, lengths)[1] == want
+            assert head_rows(spec, horizon, flags, lengths)[2] == want
 
 
-@pytest.mark.parametrize("spec", [fixture("F1"), fixture("F6"), shift(fixture("F6"), 7)])
+@pytest.mark.parametrize("spec", [
+    fixture("F1"), fixture("F6"), shift(fixture("F6"), 7), ones_then_zeros(3000),
+    shift(ones_then_zeros(3000), 1000), fixture("F4"), periodic((0.5, 1.0, 0.0, 1.0, 1.0)),
+    shift(periodic((1.0, 0.0, 0.0, 0.0, 1.0)), 3),
+    affine_combo([(1.0, ones_then_zeros(700)), (0.5, periodic((1.0, 0.0, 0.0)))]),
+    fixture("F7"), shift(fixture("F7"), 5), shift(fixture("F7"), 2**12 - 1),
+])
 def test_plain_integer_rows_match_the_naive_oracle(spec):
-    horizon = 1500
-    edges = [0, *(b - 1 for b in spec.breaks(horizon)), horizon]
-    lengths = (1, 16, 100, 700, horizon)
-    for flags in ([k % 2 == 0 for k in range(len(edges) - 1)], [True] * (len(edges) - 1)):
-        terms = np.array(flags)[np.searchsorted(edges, np.arange(horizon), "right") - 1]
-        m = Membership.from_mask(terms)
-        assert run_count_rows(spec, flags, horizon, lengths) == [
-            (n, *naive_count_extrema(m, n)) for n in lengths
-        ]
+    # The runs of doubling blocks, one period's head, with or without a
+    # transient (longer than N/2 for ones-then-zeros(3000) at 4096), or
+    # every term of a shorter prefix, and the 2-adic classes.
+    for horizon in (1500, 2**12):
+        p = materialize(spec, horizon)
+        lengths = (1, 16, 100, 700, 1499, horizon)
+        size = p.head.size
+        for flags in (np.arange(size) % 2 == 0, np.arange(size) % 3 != 1, np.ones(size, bool)):
+            m = Membership.from_mask(flags[entry_map(p)])
+            assert count_rows(spec, flags.tolist(), horizon, lengths) == [
+                (n, *naive_count_extrema(m, n)) for n in lengths
+            ]
+
+
+SHIFTS = [0, 1, 5, 2**18 - 1, 2**40 + 3]
+
+
+@st.composite
+def head_spec_case(draw):
+    """(spec, N, (seed, density, start), lengths): a periodic pattern,
+    ones-then-zeros, their shifts or an affine combo of up to three of
+    them, or a shifted dyadic harmonic, at a horizon up to the cap, often
+    just past a transient longer than N/2; the head entries are flagged at
+    random at the density, and from entry ``start`` on; the schedule may
+    hold lengths 1 and N."""
+
+    def child():
+        if draw(st.booleans()):
+            values = st.sampled_from([0.0, 0.5, 1.0, -1.0])
+            spec = periodic(draw(st.lists(values, min_size=1, max_size=12)))
+        else:
+            spec = ones_then_zeros(draw(st.integers(1, 2**14)))
+        return shift(spec, draw(st.sampled_from(SHIFTS)))
+
+    cap = sequences.DEFAULT_MAX_HORIZON
+    if draw(st.integers(0, 3)) == 0:
+        spec = shift(dyadic_harmonic(), draw(st.sampled_from(SHIFTS)))
+        horizon = draw(st.integers(4, cap) | st.integers(4, 5000))
+    else:
+        children = [child() for _ in range(draw(st.integers(1, 3)))]
+        spec = children[0] if len(children) == 1 else affine_combo(
+            [(draw(st.sampled_from([1.0, -0.5, 2.0])), c) for c in children]
+        )
+        t, q = spec.period()
+        long_transient = st.integers(t + q + 1, max(2 * t - 1, t + q + 1))
+        horizon = draw(st.integers(1, cap) | st.integers(1, 5000) | long_transient)
+    flags = (draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+             draw(st.integers(0, 40) | st.just(2**40)))
+    if draw(st.booleans()):
+        lengths = WindowSchedule.geometric(horizon).lengths
+    else:
+        edges = st.sampled_from([1, horizon])
+        lengths = tuple(sorted(draw(st.sets(edges | st.integers(1, horizon), min_size=1, max_size=8))))
+    return spec, horizon, flags, lengths
+
+
+@given(head_spec_case())
+@settings(max_examples=100, deadline=None)
+def test_period_and_class_rows_match_plain_integer_rows_up_to_the_cap(case):
+    # A class flagged past 16 would make the oracle count 2**17 offsets or
+    # more per row, so the dyadic harmonic's flags stop at class 16.
+    spec, horizon, (seed, density, start), lengths = case
+    p = materialize(spec, horizon)
+    size = p.head.size
+    flags = (np.random.default_rng(seed).random(size) < density) | (np.arange(size) >= start)
+    if p.classes is not None:
+        flags &= np.array(p.strides[1]) <= 2**16
+    prof = windows.head_profile(p, flags, WindowSchedule(lengths))
+    assert [(r.n, r.min_count, r.max_count) for r in prof.rows] == count_rows(
+        spec, flags.tolist(), horizon, lengths
+    )
+
+
+CAP = sequences.DEFAULT_MAX_HORIZON
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("F4", [True, False, False]),
+    ("F4", [False, True, True]),
+    *(
+        ("F7", [j in classes for j in range(1, CAP.bit_length() + 1)])
+        for classes in ({1}, {16}, {3, 9, 16}, set(range(1, 17)), set(range(5, 17)))
+    ),
+])
+def test_period_and_class_rows_at_the_cap(name, flags):
+    # F4's ones and zeros, and sets of F7's classes up to class 16 (one
+    # flag per class j from 1 to bit_length(N)), at the default horizon cap.
+    spec = fixture(name)
+    lengths = WindowSchedule.geometric(CAP).lengths
+    prof = windows.head_profile(materialize(spec, CAP), np.array(flags), WindowSchedule(lengths))
+    assert [(r.n, r.min_count, r.max_count) for r in prof.rows] == count_rows(
+        spec, flags, CAP, lengths
+    )
 
 
 def test_doubling_blocks_rows_at_the_cap():
     # F6 at the default horizon cap: every row of its ones, and of its
     # zeros, equals the plain-integer rows.
-    horizon = sequences.DEFAULT_MAX_HORIZON
+    horizon = CAP
     spec = fixture("F6")
     runs = len(spec.breaks(horizon)) + 1
     lengths = WindowSchedule.geometric(horizon).lengths
     for flags in ([k % 2 == 0 for k in range(runs)], [k % 2 == 1 for k in range(runs)]):
-        assert head_rows(spec, horizon, flags, lengths)[1] == run_count_rows(
+        assert head_rows(spec, horizon, flags, lengths)[2] == count_rows(
             spec, flags, horizon, lengths
         )
 
